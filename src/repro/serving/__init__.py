@@ -76,9 +76,10 @@ configs.
   :class:`StreamSpec`, each JSON-round-trippable via
   ``to_dict``/``from_dict``;
 * :mod:`repro.serving.cluster` — the fleet layer: request routers
-  (round-robin, join-shortest-queue, least-loaded) behind the
-  :data:`ROUTERS` registry, the :class:`ServingCluster` facade and its
-  aggregated :class:`ClusterReport`.
+  (round-robin, join-shortest-queue, least-loaded over four load
+  signals) behind the :data:`ROUTERS` registry, the
+  :class:`ServingCluster` facade whose every ``serve()`` runs one
+  event-heap coordinator, and its aggregated :class:`ClusterReport`.
 
 The documented front door is :func:`serve`::
 
@@ -126,10 +127,7 @@ from .cluster import (
     ClusterReport,
     JoinShortestQueueRouter,
     LeastLoadedRouter,
-    MemoryAwareLeastLoadedRouter,
     NodeState,
-    OccupancyAwareLeastLoadedRouter,
-    QueueDepthLeastLoadedRouter,
     RoundRobinRouter,
     Router,
     ServingCluster,
@@ -257,9 +255,6 @@ __all__ = [
     "RoundRobinRouter",
     "JoinShortestQueueRouter",
     "LeastLoadedRouter",
-    "QueueDepthLeastLoadedRouter",
-    "MemoryAwareLeastLoadedRouter",
-    "OccupancyAwareLeastLoadedRouter",
     "ROUTERS",
     "get_router",
     "MemoryBudget",

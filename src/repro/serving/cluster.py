@@ -1,44 +1,51 @@
-"""Fleet-level serving: request routers and the :class:`ServingCluster` facade.
+"""Fleet-level serving: request routers, the coordinator and :class:`ServingCluster`.
 
 One :class:`~repro.serving.engine.ServingEngine` models one accelerator.
 A :class:`ServingCluster` owns several of them — one per node
 :class:`~repro.serving.spec.ServingSpec`, typically over heterogeneous
 platforms (``mobile-soc``, ``vehicle-ecu``, ``embedded-mcu``) — and places
 every arriving request on a node through a pluggable :class:`Router`
-(:data:`ROUTERS`: round-robin, join-shortest-queue, MAC/latency-aware
-least-loaded).
+(:data:`ROUTERS`: round-robin, join-shortest-queue, and least-loaded over
+four load signals).
 
 Simulation model
 ----------------
-Nodes are independent accelerators: once a request is placed, its
-execution never interacts with other nodes, so the fleet decomposes
-exactly into (1) a routing pass over the merged arrival sequence and
-(2) one per-node event loop over the node's assigned sub-stream, all on
-the same shared simulated clock.  The router makes each placement at the
-request's arrival time using the node's *advertised* load — a
-deterministic fluid model that charges each assigned request its
-largest-subnet service demand against the node's trace (exact for
-run-to-completion FIFO service; an admission-time estimate, as in real
-load balancers, when schedulers preempt or policies stop early).
+Every ``serve()`` runs one :class:`Coordinator`: an event heap over
+arrivals, reroutes, failover retries, rebalance ticks and injected
+crash/recover transitions that drives one resumable
+:class:`~repro.serving.engine.ServingRun` per node on a shared simulated
+clock.  The router places each request at its arrival time from the
+nodes' advertised load: a deterministic fluid model that charges each
+placed request its largest-subnet service demand against the node's
+trace (exact for run-to-completion FIFO service; an admission-time
+estimate, as in real load balancers, when schedulers preempt or policies
+stop early), or measured node state for live-state routers.
 
-Routers that declare ``uses_queue_depth`` (``"least-loaded-depth"``)
-instead read each node's *actual* scheduler depth: the cluster then
-drives one resumable :class:`~repro.serving.engine.ServingRun` per node
-on the shared clock, advancing every node to each arrival before
-routing it, so the signal is the node's real ready-queue length as of
-its last step boundary — stale by at most one in-flight step, exactly
-like the published queue lengths real load balancers act on.  Nodes
-still interact only through placement, and for queue-blind step-up
-policies each node's report equals a closed-loop ``serve()`` over the
-same sub-stream; queue-reading policies (load-adaptive, windowed
-batching's arrival horizon) see arrivals only once routed, inheriting
-the same one-event staleness as the routing signal.
+The coordinator delivers work to the nodes under one of two rules,
+derived from the configuration rather than chosen:
+
+* *Live delivery* — when faults, admission control, rebalancing or a
+  router with :attr:`Router.needs_live_state` must read or change node
+  state mid-run.  Every node is advanced to each event before the event
+  is processed, so placements read measured scheduler depth, resident
+  bytes and entry-edge occupancy as of each node's last step boundary —
+  stale by at most one in-flight step, like the published queue lengths
+  real load balancers act on.  A node learns of an arrival only once it
+  is routed, so a node report need *not* equal a closed-loop ``serve()``
+  over the same sub-stream: policies that look ahead (load-adaptive
+  step-up, windowed batching's ``next_arrival``) decide with one-event
+  staleness, and coalescing batch policies dispatch the first of several
+  tied arrivals alone.
+* *Closed-loop delivery* — otherwise.  Nodes then interact only through
+  placement and placement reads only the fluid model, so each node
+  receives its whole sub-stream before it runs: its report equals a
+  closed-loop ``ServingEngine.serve()`` over its partition from
+  :meth:`ServingCluster.route_requests`, bit for bit, and a single-node
+  cluster reproduces the bare engine.
 
 The per-node results are exact :class:`~repro.serving.engine.ServingReport`
 runs; :class:`ClusterReport` aggregates them into fleet metrics
 (throughput, p50/p95/p99 latency, per-node utilisation, load imbalance).
-A single-node cluster therefore reproduces the single-engine path
-bit-for-bit.
 """
 
 from __future__ import annotations
@@ -48,8 +55,8 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union
+from functools import cached_property, partial
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,6 +65,7 @@ from ..utils.errors import ConfigError
 from ..utils.logging import get_logger
 from ..utils.metrics import MetricsRegistry, merge_snapshots, percentile
 from .engine import (
+    CrashedNodeWork,
     InterruptedJob,
     JobRecord,
     ServingEngine,
@@ -65,7 +73,7 @@ from .engine import (
     ServingRun,
     _json_safe,
 )
-from .faults import FaultInjector, FaultSpec, RetryPolicy
+from .faults import FaultSpec, RetryPolicy
 from .observe import ObservabilitySpec, TraceRecorder, _coerce_observe
 from .request import Request
 from .spec import ClusterSpec
@@ -73,9 +81,8 @@ from .spec import ClusterSpec
 _LOG = get_logger("repro.serving")
 
 #: Scalar coordinator counters every :class:`ClusterReport` consumes
-#: from the cluster metrics registry (all zero outside fault-tolerant
-#: serving, so the registry-backed path is bit-identical to the old
-#: hand-counted one).
+#: from the cluster metrics registry (all zero without faults,
+#: admission control, rebalancing or batch sharding).
 _COORDINATOR_COUNTERS = (
     "migrations",
     "failovers",
@@ -95,11 +102,12 @@ class NodeState:
     placement policy may inspect: predicted jobs in system
     (:meth:`queue_length`), predicted busy horizon
     (:meth:`backlog_seconds`) and the MAC/latency-aware completion
-    estimate for a further request (:meth:`predicted_finish`).  When the
-    cluster serves interleaved (depth-aware routers) a live
-    :class:`~repro.serving.engine.ServingRun` is attached and
-    :meth:`published_depth` reports the node's *actual* scheduler depth
-    at its last step boundary instead of the analytic estimate.
+    estimate for a further request (:meth:`predicted_finish`).  Under live
+    delivery the coordinator attaches the node's
+    :class:`~repro.serving.engine.ServingRun`, and the live signals
+    (:meth:`published_depth`, :meth:`resident_bytes`,
+    :meth:`batch_potential`) report measured state at the node's last
+    step boundary instead of the analytic estimate.
     """
 
     def __init__(
@@ -138,7 +146,7 @@ class NodeState:
         #: footprint of each placed request, the analytic memory signal.
         self._resident: List[int] = []
         self._busy_until = 0.0
-        #: Live event loop, attached only by interleaved cluster serving.
+        #: Live event loop, attached only under live delivery.
         self.run: Optional[ServingRun] = None
 
     # ------------------------------------------------------------------
@@ -172,18 +180,15 @@ class NodeState:
         signal: the depth is snapshotted once per interval epoch and the
         router reads the last snapshot between epochs, exactly like a
         load balancer polling node stats on a timer.  Without a live run
-        (analytic two-phase serving) it falls back to the fluid-model
+        (closed-loop delivery) it falls back to the fluid-model
         jobs-in-system estimate.
         """
-        if self.run is not None:
-            if self.publish_interval <= 0.0:
-                return self.run.queue_depth
+        if self.run is not None and self.publish_interval > 0.0:
             epoch = math.floor(now / self.publish_interval)
             if epoch > self._published_epoch:
                 self._published_epoch = epoch
                 self._published_snapshot = self.run.queue_depth
-            return self._published_snapshot
-        return self.queue_length(now)
+        return self.peek_published_depth(now)
 
     def peek_published_depth(self, now: float) -> int:
         """What :meth:`published_depth` would answer, without refreshing.
@@ -241,20 +246,17 @@ class NodeState:
 
     # ------------------------------------------------------------------
     def attach_run(self, run: ServingRun) -> None:
-        """Bind the node's live event loop (interleaved serving)."""
+        """Bind the node's live event loop (live delivery)."""
         self.run = run
 
-    def assign(self, request: Request, push: bool = True) -> None:
+    def assign(self, request: Request) -> None:
         """Record a placement and roll the fluid load model forward.
 
-        ``push=False`` updates only the fluid model — the fault-tolerant
-        coordinator pushes into the live run itself (failed-over jobs
-        enter via ``push_resumed``, not ``push``).
+        Only the routing view changes: the coordinator delivers the
+        request to the node's run itself.
         """
         self.assigned.append(request)
         self._charge(request)
-        if push and self.run is not None:
-            self.run.push(request)
 
     def _charge(self, request: Request) -> None:
         """Roll the fluid model forward by one placed request."""
@@ -311,20 +313,11 @@ class Router:
     """
 
     name = "router"
-    #: Routers that read :meth:`NodeState.published_depth` declare this;
-    #: the cluster then serves interleaved so the signal reflects each
-    #: node's real queue state instead of the fluid model.
-    uses_queue_depth = False
-
-    @property
-    def needs_live_state(self) -> bool:
-        """Whether placements must read measured (interleaved) node state.
-
-        True for any live signal — published queue depth, resident
-        bytes — as opposed to the analytic fluid model; the cluster
-        serves interleaved exactly when this holds.
-        """
-        return self.uses_queue_depth
+    #: Whether placements read measured node state (published queue
+    #: depth, resident bytes, entry-edge occupancy) instead of the
+    #: analytic fluid model.  The one flag the coordinator reads: a
+    #: router that sets it gets live delivery.
+    needs_live_state = False
 
     def reset(self, nodes: Sequence[NodeState]) -> None:
         """Forget all routing state (start of a ``serve()`` run)."""
@@ -377,24 +370,39 @@ class LeastLoadedRouter(Router):
     so both a node's speed and its queue count — an 8 GMAC/s vehicle ECU
     with two queued jobs can still beat an idle 50 MMAC/s MCU.
 
-    ``signal`` selects the load signal: ``"predicted-finish"`` (default)
-    keys on the analytic fluid-model completion estimate;
-    ``"queue-depth"`` keys on the node's *published* scheduler depth
-    (real queue state at step boundaries, stale by one in-flight event)
-    with the analytic estimate demoted to a tie-break — the registered
-    ``"least-loaded-depth"`` router is exactly this configuration;
-    ``"memory"`` keys on :meth:`NodeState.resident_bytes` — the node
-    whose inference contexts pin the fewest bytes takes the request,
-    which is what keeps memory-budgeted nodes
-    (:attr:`~repro.serving.spec.ServingSpec.memory_budget_bytes`) out of
-    eviction/recompute thrash; the registered ``"least-loaded-memory"``
-    router is this configuration.  Live-state signals (``"queue-depth"``,
-    ``"memory"``) make the cluster serve interleaved so placements read
-    measured node state.
+    ``signal`` selects the primary load key, the analytic finish
+    estimate then breaking ties; each signal is registered in
+    :data:`ROUTERS` under the name :attr:`SIGNALS` gives it, which is
+    also the instance's :attr:`name`:
+
+    * ``"predicted-finish"`` (``least-loaded``) — the fluid-model
+      completion estimate alone;
+    * ``"queue-depth"`` (``least-loaded-depth``) — the node's *published*
+      scheduler depth (real queue state at step boundaries, stale by one
+      in-flight event);
+    * ``"memory"`` (``least-loaded-memory``) — :meth:`NodeState.resident_bytes`:
+      the node whose inference contexts pin the fewest bytes takes the
+      request, which keeps memory-budgeted nodes
+      (:attr:`~repro.serving.spec.ServingSpec.memory_budget_bytes`) out
+      of eviction/recompute thrash;
+    * ``"occupancy"`` (``least-loaded-occupancy``) — maximise
+      :meth:`NodeState.batch_potential`: join the node where the most
+      first steps wait, so coalescing batch policies (``"continuous"``
+      in particular) form full shared passes instead of fragmenting a
+      wave across half-idle nodes.
+
+    Every signal but ``"predicted-finish"`` reads measured node state
+    and so sets :attr:`needs_live_state`.
     """
 
     name = "least-loaded"
-    SIGNALS = ("predicted-finish", "queue-depth", "memory", "occupancy")
+    #: Load signal -> (registered router name, primary placement key).
+    SIGNALS: Dict[str, Tuple[str, Callable[[NodeState, float], float]]] = {
+        "predicted-finish": ("least-loaded", lambda node, now: 0),
+        "queue-depth": ("least-loaded-depth", lambda node, now: node.published_depth(now)),
+        "memory": ("least-loaded-memory", lambda node, now: node.resident_bytes(now)),
+        "occupancy": ("least-loaded-occupancy", lambda node, now: -node.batch_potential(now)),
+    }
 
     def __init__(self, signal: str = "predicted-finish") -> None:
         if signal not in self.SIGNALS:
@@ -402,97 +410,31 @@ class LeastLoadedRouter(Router):
                 f"unknown load signal '{signal}'; available: {list(self.SIGNALS)}"
             )
         self.signal = signal
-
-    @property
-    def uses_queue_depth(self) -> bool:  # type: ignore[override]
-        return self.signal == "queue-depth"
-
-    @property
-    def needs_live_state(self) -> bool:  # type: ignore[override]
-        # All live-state signals need the interleaved per-node runs.
-        return self.signal in ("queue-depth", "memory", "occupancy")
+        self.name, self._primary = self.SIGNALS[signal]
+        self.needs_live_state = signal != "predicted-finish"
 
     def route(self, request: Request, nodes: Sequence[NodeState], now: float) -> int:
-        if self.signal == "queue-depth":
-            return min(
-                nodes,
-                key=lambda node: (
-                    node.published_depth(now),
-                    node.predicted_finish(node.expected_macs, now),
-                    node.index,
-                ),
-            ).index
-        if self.signal == "memory":
-            return min(
-                nodes,
-                key=lambda node: (
-                    node.resident_bytes(now),
-                    node.predicted_finish(node.expected_macs, now),
-                    node.index,
-                ),
-            ).index
-        if self.signal == "occupancy":
-            # Maximise batch potential: join the node where the most
-            # first steps wait (fullest shared pass), finish-time and
-            # node index breaking ties.
-            return min(
-                nodes,
-                key=lambda node: (
-                    -node.batch_potential(now),
-                    node.predicted_finish(node.expected_macs, now),
-                    node.index,
-                ),
-            ).index
         return min(
             nodes,
-            key=lambda node: (node.predicted_finish(node.expected_macs, now), node.index),
+            key=lambda node: (
+                self._primary(node, now),
+                node.predicted_finish(node.expected_macs, now),
+                node.index,
+            ),
         ).index
 
 
-class QueueDepthLeastLoadedRouter(LeastLoadedRouter):
-    """Least-loaded placement from published scheduler depths."""
-
-    name = "least-loaded-depth"
-
-    def __init__(self) -> None:
-        super().__init__(signal="queue-depth")
-
-
-class MemoryAwareLeastLoadedRouter(LeastLoadedRouter):
-    """Least-loaded placement from measured resident-context bytes."""
-
-    name = "least-loaded-memory"
-
-    def __init__(self) -> None:
-        super().__init__(signal="memory")
-
-
-class OccupancyAwareLeastLoadedRouter(LeastLoadedRouter):
-    """Placement that maximises batch occupancy: join the fullest wave.
-
-    Routes each request to the node with the most queued first steps
-    (:meth:`NodeState.batch_potential`), so coalescing batch policies —
-    ``"continuous"`` in particular — form full shared passes instead of
-    fragmenting a wave across half-idle nodes.  Live-state: the cluster
-    serves interleaved and the signal is each node's measured per-edge
-    queue depth.
-    """
-
-    name = "least-loaded-occupancy"
-
-    def __init__(self) -> None:
-        super().__init__(signal="occupancy")
-
-
-#: Name-based registry of router policies, mirroring ``SCHEDULERS``.
-ROUTERS: Dict[str, Type[Router]] = {
+#: Name-based registry of router factories, mirroring ``SCHEDULERS``.
+ROUTERS: Dict[str, Callable[[], Router]] = {
     RoundRobinRouter.name: RoundRobinRouter,
     JoinShortestQueueRouter.name: JoinShortestQueueRouter,
     "jsq": JoinShortestQueueRouter,
     LeastLoadedRouter.name: LeastLoadedRouter,
-    QueueDepthLeastLoadedRouter.name: QueueDepthLeastLoadedRouter,
-    MemoryAwareLeastLoadedRouter.name: MemoryAwareLeastLoadedRouter,
-    OccupancyAwareLeastLoadedRouter.name: OccupancyAwareLeastLoadedRouter,
+    **{
+        name: partial(LeastLoadedRouter, signal=signal)
+        for signal, (name, _) in LeastLoadedRouter.SIGNALS.items()
+        if name != LeastLoadedRouter.name
+    },
 }
 
 
@@ -580,10 +522,10 @@ class ClusterReport:
     node_names: List[str] = field(default_factory=list)
     router_name: str = ""
     cluster_name: str = "cluster"
-    #: Records the fault-tolerant coordinator finalised itself: rejected
-    #: arrivals, requests lost because no node was ever reachable, and
-    #: best-effort anytime completions delivered when a retry budget or
-    #: deadline ran out mid-failover.  Empty outside fault-tolerant runs.
+    #: Records the coordinator finalised itself: rejected arrivals,
+    #: requests lost because no node was ever reachable, and best-effort
+    #: anytime completions delivered when a retry budget or deadline ran
+    #: out mid-failover.  Empty without faults, admission or stealing.
     extra_jobs: List[JobRecord] = field(default_factory=list)
     #: Queued-but-unstarted requests moved off a crashed node.
     migrations: int = 0
@@ -907,7 +849,7 @@ def _publish_signals(
     request: Request,
     now: float,
 ) -> None:
-    """Record every node's advertised load at one routing decision.
+    """Record every candidate node's advertised load at one routing decision.
 
     One ``publish`` event per candidate node, carrying the fluid-model
     jobs-in-system estimate (``fluid_depth``), the node's actual live
@@ -919,16 +861,14 @@ def _publish_signals(
     The published value is read through a mutation-free peek so tracing
     cannot perturb the snapshot epochs a depth router will refresh.
 
-    Only emitted during live (interleaved / fault-tolerant) serving:
-    each event is stamped at the node's visible clock — a node cannot
-    observe a routing consult before its own time, which keeps per-node
-    timestamps monotone even when a consult lands mid-step — and
-    two-phase serving routes everything before any node loop runs, so
-    its fluid-only samples have no node timeline to live on.
+    Only emitted under live delivery, where every node has a run on the
+    shared clock: each event is stamped at the node's visible clock — a
+    node cannot observe a routing consult before its own time, which
+    keeps per-node timestamps monotone even when a consult lands
+    mid-step.  Closed-loop delivery runs no node before routing is done,
+    so its fluid-only samples have no node timeline to live on.
     """
     for node in nodes:
-        if node.run is None:
-            continue
         recorder.emit(
             "publish",
             max(now, node.run.now),
@@ -938,6 +878,515 @@ def _publish_signals(
             live_depth=int(node.run.queue_depth),
             published_depth=int(node.peek_published_depth(now)),
         )
+
+
+def _arrival_order(request: Request) -> Tuple[float, int]:
+    return request.arrival_time, request.request_id
+
+
+def _route(
+    router: Router, request: Request, candidates: Sequence[NodeState], now: float
+) -> NodeState:
+    """The candidate node ``router`` places ``request`` on.
+
+    Routers answer with :attr:`NodeState.index`; the candidate list is
+    renumbered positionally for the call (order-preserving, so index
+    tie-breaks are unchanged) and restored afterwards.
+    """
+    original = [node.index for node in candidates]
+    for position, node in enumerate(candidates):
+        node.index = position
+    try:
+        choice = router.route(request, candidates, now)
+    finally:
+        for node, index in zip(candidates, original):
+            node.index = index
+    if not 0 <= choice < len(candidates):
+        raise IndexError(
+            f"router '{router.name}' returned node index {choice} "
+            f"for {len(candidates)} candidate nodes"
+        )
+    return candidates[choice]
+
+
+def _departures(
+    work: CrashedNodeWork,
+) -> Iterator[Tuple[Request, Optional[InterruptedJob]]]:
+    """``(request, checkpoint)`` per job leaving a node, unstarted ones first.
+
+    Unstarted requests carry no checkpoint; started jobs travel as their
+    subnet-level checkpoint.
+    """
+    for request in work.unstarted:
+        yield request, None
+    for checkpoint in work.interrupted:
+        yield checkpoint.request, checkpoint
+
+
+# ----------------------------------------------------------------------
+# The coordinator
+# ----------------------------------------------------------------------
+class Coordinator:
+    """The fleet event loop behind one :meth:`ServingCluster.serve` call.
+
+    One heap orders every coordinator event by simulated time, ties
+    breaking on push order: injected crash/recover transitions are pushed
+    first — so a node that recovers at the instant it receives work
+    recovers first — then arrivals in ``(arrival, id)`` order, then the
+    reroute, retry and rebalance events that handling generates.  Each
+    event kind has one ``_on_<kind>`` handler, and :meth:`place` routes a
+    request, or a failed-over checkpoint, onto a reachable node.
+
+    :attr:`live` selects the delivery rule described in the module
+    docstring.  It is derived from the cluster's configuration: under
+    live delivery every node's run is advanced to each event before the
+    event is handled, so placements read post-fault measured state;
+    otherwise nodes only receive work until the heap drains, then run.
+
+    Crash semantics: the dying run hands back its queued-but-unstarted
+    requests (migrated immediately, charged nothing) and its in-flight
+    jobs as subnet-level checkpoints.  A checkpoint re-enters a surviving
+    node through the eviction replay path
+    (:meth:`~repro.serving.engine.ServingRun.push_resumed`) after its
+    capped exponential backoff — the replay restores the activation
+    state bit-for-bit and charges the recompute MACs honestly.  When the
+    retry budget or the deadline runs out, the checkpoint is finalised
+    with its best-so-far anytime prediction instead of being lost:
+    partial answers are the whole point of stepping inference.
+    """
+
+    def __init__(
+        self, cluster: "ServingCluster", recorder: Optional[TraceRecorder] = None
+    ) -> None:
+        self.cluster = cluster
+        self.router = cluster.router
+        self.recorder = recorder
+        faults = cluster.faults
+        self.injector = faults.injector(cluster.node_names) if faults is not None else None
+        self.retry = faults.retry if faults is not None else RetryPolicy()
+        self.enforce = all(engine.enforce_deadline for engine in cluster.engines)
+        self.admission = AdmissionController() if cluster.admission == "degrade" else None
+        rebalance = cluster.rebalance
+        self.rebalance = rebalance if rebalance is not None and rebalance.enabled else None
+        self.tick = (
+            self.rebalance.interval or cluster.publish_interval
+            if self.rebalance is not None
+            else 0.0
+        )
+        self.live = (
+            faults is not None
+            or self.admission is not None
+            or self.rebalance is not None
+            or self.router.needs_live_state
+        )
+        # The registry is always on and the report consumes its counters,
+        # so enabling tracing cannot change a report.
+        self.registry = MetricsRegistry()
+        self.counters = {name: self.registry.counter(name) for name in _COORDINATOR_COUNTERS}
+        #: Records no node serves: rejected, lost and best-effort jobs.
+        self.extra: List[JobRecord] = []
+        self.nodes = cluster._new_nodes()
+        #: Every run each node served through, oldest first; the last
+        #: is the current one (a crash ends a run, a recovery opens one).
+        self.incarnations: List[List[ServingRun]] = [[] for _ in self.nodes]
+        for node in self.nodes:
+            self._open_run(node)
+        self.alive = [True] * len(self.nodes)
+        self.router.reset(self.nodes)
+        self._events: List[Tuple[float, int, str, Any]] = []
+        self._sequence = itertools.count()
+
+    # ------------------------------------------------------------------
+    def serve(self, requests: Sequence[Request]) -> ClusterReport:
+        """Shard, route and run the workload; the fleet report."""
+        requests, shard_groups = self._shard(requests)
+        if self.injector is not None:
+            for node in self.nodes:
+                for time, kind in self.injector.transitions(node.name):
+                    self._push(time, kind, node)
+        for request in sorted(requests, key=_arrival_order):
+            self._push(request.arrival_time, "arrival", request)
+        if self.rebalance is not None and requests:
+            first_arrival = min(request.arrival_time for request in requests)
+            self._push(first_arrival + self.tick, "rebalance", None)
+        while self._events:
+            time, _, kind, payload = heapq.heappop(self._events)
+            if self.live:
+                for node in self.nodes:
+                    if self.alive[node.index]:
+                        self._run(node).run_until(time)
+            getattr(self, f"_on_{kind}")(payload, time)
+        # Drain every node before building any report: a plan timer the
+        # nodes share detaches as soon as one run finishes.
+        for runs in self.incarnations:
+            runs[-1].run_until(math.inf)
+        cluster = self.cluster
+        return ClusterReport(
+            node_reports=[
+                _merge_incarnation_reports([run.finish() for run in runs])
+                for runs in self.incarnations
+            ],
+            node_names=list(cluster.node_names),
+            router_name=self.router.name,
+            cluster_name=cluster.name,
+            extra_jobs=self.extra,
+            shard_groups=shard_groups,
+            metrics=self.registry.snapshot(),
+            **{name: counter.value for name, counter in self.counters.items()},
+        )
+
+    def _shard(
+        self, requests: Sequence[Request]
+    ) -> Tuple[Sequence[Request], Dict[int, Tuple[int, ...]]]:
+        """Split oversized input batches into slice-view shard requests.
+
+        Runs before any placement; the report keeps the parent map so
+        per-shard logits gather back into one answer.
+        """
+        spec = self.cluster.rebalance
+        if spec is None or spec.shard_max_batch is None:
+            return requests, {}
+        from .rebalance import shard_requests
+
+        by_id = {request.request_id: request for request in requests}
+        sharded, groups = shard_requests(requests, spec.shard_max_batch)
+        for parent_id, shard_ids in sorted(
+            groups.items(), key=lambda item: _arrival_order(by_id[item[0]])
+        ):
+            self.counters["shards"].add(len(shard_ids))
+            if self.recorder is not None:
+                parent = by_id[parent_id]
+                self.recorder.emit(
+                    "shard",
+                    float(parent.arrival_time),
+                    request_id=parent_id,
+                    shards=list(shard_ids),
+                    batch_size=parent.batch_size,
+                )
+        return sharded, groups
+
+    # ------------------------------------------------------------------
+    # Event handlers
+    # ------------------------------------------------------------------
+    def _on_arrival(self, request: Request, now: float) -> None:
+        self.place(request, now)
+
+    _on_reroute = _on_arrival
+
+    def _on_retry(self, checkpoint: InterruptedJob, now: float) -> None:
+        self.place(checkpoint.request, now, checkpoint=checkpoint)
+
+    def _on_rebalance(self, _: None, now: float) -> None:
+        """Evaluate the steal trigger on published depths; re-arm the tick."""
+        # Looked up per call, so instrumentation wrapping the module
+        # function sees every evaluation.
+        from .rebalance import steal_plan
+
+        ready = self._reachable(now)
+        # Reading a published depth refreshes its snapshot epoch, so only
+        # read when there is a pair to compare.
+        if len(ready) >= 2:
+            plan = steal_plan([node.published_depth(now) for node in ready], self.rebalance)
+            if plan is not None:
+                victim = ready[plan[0]]
+                work = self._run(victim).steal(
+                    plan[1], now, include_started=self.rebalance.steal_in_flight
+                )
+                for request, checkpoint in _departures(work):
+                    victim.retract(request.request_id)
+                    self.counters["steals"].add()
+                    if checkpoint is not None:
+                        self.counters["inflight_steals"].add()
+                    self._emit_at(
+                        victim,
+                        "steal",
+                        now,
+                        request_id=request.request_id,
+                        inflight=checkpoint is not None,
+                    )
+                    self.place(request, now, checkpoint=checkpoint, exclude=victim.index)
+        # Re-arm while any work remains anywhere; the last tick dies with
+        # the fleet drained, ending the event loop.
+        if self._events or any(
+            self.alive[node.index] and self._run(node).next_event_time() is not None
+            for node in self.nodes
+        ):
+            self._push(now + self.tick, "rebalance", None)
+
+    def _on_crash(self, node: NodeState, now: float) -> None:
+        if not self.alive[node.index]:
+            return
+        work = self._run(node).crash(now)
+        self.alive[node.index] = False
+        for request, checkpoint in _departures(work):
+            # The fluid model forgets departed work immediately: analytic
+            # signals must not keep charging a dead node for jobs the
+            # survivors are about to take.
+            node.retract(request.request_id)
+            if checkpoint is None:
+                self.counters["migrations"].add()
+                self._emit_at(node, "migrate", now, request_id=request.request_id)
+                self.place(request, now)
+            elif checkpoint.retries >= self.retry.budget:
+                self._finalize(request, now, "retry budget exhausted at node failure", checkpoint)
+            else:
+                delay = self.retry.backoff(checkpoint.retries)
+                checkpoint.retries += 1
+                if self._retry_at(
+                    checkpoint, now + delay, now, "deadline reached during failover backoff"
+                ):
+                    self.counters["failovers"].add()
+
+    def _on_recover(self, node: NodeState, now: float) -> None:
+        if self.alive[node.index]:
+            return
+        self._open_run(node)
+        self.alive[node.index] = True
+        _LOG.info("node '%s' recovered at t=%.6f", node.name, now)
+        if self.recorder is not None:
+            self.recorder.emit("recover", now, node=node.name)
+
+    # ------------------------------------------------------------------
+    # Placement
+    # ------------------------------------------------------------------
+    def place(
+        self,
+        request: Request,
+        now: float,
+        checkpoint: Optional[InterruptedJob] = None,
+        exclude: Optional[int] = None,
+    ) -> None:
+        """Route ``request`` (resuming ``checkpoint``, if any) onto a node.
+
+        ``exclude`` keeps stolen work off its victim — unless the victim
+        is the only node that can serve it (a bounced steal beats losing
+        the checkpoint).  With no candidate the request waits for the
+        next reachable instant or is finalised (:meth:`_unplaceable`).
+        """
+        reachable = self._reachable(now)
+        candidates = reachable
+        if checkpoint is not None and checkpoint.history:
+            # The replay must land on a node whose backend serves every
+            # level the checkpoint already executed.
+            top = checkpoint.history[-1]
+            candidates = [node for node in reachable if node.engine.backend.num_subnets > top]
+        if exclude is not None:
+            others = [node for node in candidates if node.index != exclude]
+            if others:
+                candidates = others
+        if not candidates:
+            self._unplaceable(request, now, checkpoint, bool(reachable))
+            return
+        if self.live and self.recorder is not None:
+            _publish_signals(self.recorder, candidates, request, now)
+        node = _route(self.router, request, candidates, now)
+        if checkpoint is None and self.admission is not None:
+            node, request = self._admit(request, node, candidates, now)
+            if node is None:
+                return
+        node.assign(request)
+        run = self._run(node)
+        if checkpoint is None:
+            run.push(request, not_before=now)
+            return
+        self._emit_at(
+            node,
+            "failover",
+            now,
+            request_id=request.request_id,
+            resume_levels=len(checkpoint.history),
+            attempt=checkpoint.retries,
+        )
+        run.push_resumed(
+            request,
+            history=checkpoint.history,
+            steps=checkpoint.steps,
+            logits=checkpoint.logits,
+            retries=checkpoint.retries,
+            resume_at=now,
+        )
+
+    def _unplaceable(
+        self,
+        request: Request,
+        now: float,
+        checkpoint: Optional[InterruptedJob],
+        any_reachable: bool,
+    ) -> None:
+        """No candidate node: wait for the fleet, or finalise the request."""
+        if checkpoint is not None and any_reachable:
+            self._finalize(
+                request, now, "no surviving node serves the checkpoint's subnet levels", checkpoint
+            )
+            return
+        horizon = self.injector.next_reachable(now) if self.injector is not None else math.inf
+        if not math.isfinite(horizon):
+            reason = (
+                "no serving node ever reachable"
+                if checkpoint is None
+                else "fleet never reachable again"
+            )
+            self._finalize(request, now, reason, checkpoint)
+        elif checkpoint is None:
+            self._push(horizon, "reroute", request)
+        else:
+            self._retry_at(
+                checkpoint, horizon, now, "deadline reached before any node is reachable"
+            )
+
+    def _admit(
+        self,
+        request: Request,
+        node: NodeState,
+        candidates: Sequence[NodeState],
+        now: float,
+    ) -> Tuple[Optional[NodeState], Optional[Request]]:
+        """Degrade-before-reject admission of a fresh arrival.
+
+        Returns the admitting node and the (possibly capped) request, or
+        ``(None, None)`` when every candidate rejects it.
+        """
+        verdict, admitted = self.admission.decide(request, node, now)
+        if verdict == "reject":
+            # The routed node cannot land even the minimum subnet; scan
+            # the rest before giving up.
+            for other in candidates:
+                if other is node:
+                    continue
+                verdict, admitted = self.admission.decide(request, other, now)
+                if verdict != "reject":
+                    node = other
+                    break
+        if verdict == "reject":
+            self.counters["rejected"].add()
+            _LOG.warning(
+                "admission: rejected request %s at t=%.6f — minimum subnet "
+                "predicted to miss the deadline on every reachable node",
+                request.request_id,
+                now,
+            )
+            self.extra.append(
+                JobRecord(
+                    request=request,
+                    status="rejected",
+                    stop_reason=(
+                        "admission control: minimum subnet predicted to "
+                        "miss the deadline on every reachable node"
+                    ),
+                )
+            )
+            if self.recorder is not None:
+                self.recorder.emit(
+                    "reject",
+                    now,
+                    request_id=request.request_id,
+                    reason="minimum subnet misses deadline everywhere",
+                )
+            return None, None
+        if verdict == "degrade":
+            self.counters["degraded_admissions"].add()
+            _LOG.warning(
+                "admission: degraded request %s to max_subnet=%s on node '%s' at t=%.6f",
+                request.request_id,
+                admitted.max_subnet,
+                node.name,
+                now,
+            )
+            self._emit_at(
+                node, "degrade", now, request_id=request.request_id, max_subnet=admitted.max_subnet
+            )
+        else:
+            self._emit_at(node, "admit", now, request_id=request.request_id)
+        return node, admitted
+
+    # ------------------------------------------------------------------
+    # Bookkeeping
+    # ------------------------------------------------------------------
+    def _push(self, time: float, kind: str, payload: Any) -> None:
+        heapq.heappush(self._events, (time, next(self._sequence), kind, payload))
+
+    def _run(self, node: NodeState) -> ServingRun:
+        return self.incarnations[node.index][-1]
+
+    def _open_run(self, node: NodeState) -> None:
+        run = node.engine.open_run(
+            fault_injector=self.injector, node=node.name, recorder=self.recorder
+        )
+        self.incarnations[node.index].append(run)
+        if self.live:
+            node.attach_run(run)
+
+    def _reachable(self, now: float) -> List[NodeState]:
+        return [
+            node
+            for node in self.nodes
+            if self.alive[node.index]
+            and (self.injector is None or self.injector.reachable(node.name, now))
+        ]
+
+    def _retry_at(
+        self, checkpoint: InterruptedJob, when: float, now: float, reason: str
+    ) -> bool:
+        """Schedule ``checkpoint``'s retry at ``when``; whether it was.
+
+        The retry heap is clamped to the hard deadline: a retry due at or
+        past it could only be discovered dead at dispatch, so the
+        best-so-far anytime answer is finalised now instead.
+        """
+        deadline = checkpoint.request.deadline
+        if self.enforce and deadline is not None and when >= deadline:
+            self._finalize(checkpoint.request, now, reason, checkpoint)
+            return False
+        self._push(when, "retry", checkpoint)
+        return True
+
+    def _finalize(
+        self,
+        request: Request,
+        now: float,
+        reason: str,
+        checkpoint: Optional[InterruptedJob] = None,
+    ) -> None:
+        """Settle a request no node will serve.
+
+        With a checkpoint the record carries its best-so-far anytime
+        answer (``completed`` if any level ran, else ``dropped``);
+        without one the request is lost.
+        """
+        if checkpoint is None:
+            self.counters["lost"].add()
+            record = JobRecord(request=request, status="lost", stop_reason=reason)
+            flags: Dict[str, Any] = {}
+        else:
+            record = JobRecord(
+                request=request,
+                steps=list(checkpoint.steps),
+                status="completed" if checkpoint.steps else "dropped",
+                stop_reason=reason,
+                final_logits=checkpoint.logits,
+                retries=checkpoint.retries,
+            )
+            flags = {"best_effort": True}
+        self.extra.append(record)
+        if self.recorder is not None:
+            self.recorder.emit(
+                "finalize",
+                now,
+                request_id=request.request_id,
+                status=record.status,
+                reason=reason,
+                **flags,
+                arrival=float(request.arrival_time),
+            )
+
+    def _emit_at(self, node: NodeState, kind: str, now: float, **fields: Any) -> None:
+        """Trace a node-attributed decision, clamped to the node's clock.
+
+        A node learns of a coordinator decision no earlier than its own
+        time, which keeps per-node timestamps monotone.
+        """
+        if self.recorder is not None:
+            self.recorder.emit(kind, max(now, self._run(node).now), node=node.name, **fields)
 
 
 # ----------------------------------------------------------------------
@@ -1064,521 +1513,40 @@ class ServingCluster:
         return len(self.engines)
 
     # ------------------------------------------------------------------
-    def _route(
-        self,
-        requests: Sequence[Request],
-        runs: Optional[List[ServingRun]] = None,
-        recorder: Optional[TraceRecorder] = None,
-    ) -> List[NodeState]:
-        """The shared routing loop behind both serving modes.
-
-        Requests are processed in arrival order on the shared clock; each
-        placement sees the load state implied by all earlier placements.
-        With ``runs`` attached (interleaved mode) every node's event loop
-        is additionally advanced to each arrival before the router places
-        it, and each placement is pushed into the node's live run.
-        """
-        self._check_unique_ids(requests)
-        nodes = [
+    def _new_nodes(self) -> List[NodeState]:
+        """Fresh router-visible node views for one routing pass."""
+        return [
             NodeState(index, name, engine, publish_interval=self.publish_interval)
             for index, (name, engine) in enumerate(zip(self.node_names, self.engines))
         ]
-        if runs is not None:
-            for node, run in zip(nodes, runs):
-                node.attach_run(run)
-        self.router.reset(nodes)
-        for request in sorted(requests, key=lambda r: (r.arrival_time, r.request_id)):
-            now = request.arrival_time
-            if runs is not None:
-                for run in runs:
-                    run.run_until(now)
-            if recorder is not None:
-                _publish_signals(recorder, nodes, request, now)
-            index = self.router.route(request, nodes, now)
-            if not 0 <= index < len(nodes):
-                raise IndexError(
-                    f"router '{self.router.name}' returned node index {index} "
-                    f"for a {len(nodes)}-node cluster"
-                )
-            nodes[index].assign(request)  # fluid model (+ live-run push)
-        return nodes
 
     def route_requests(self, requests: Sequence[Request]) -> List[List[Request]]:
-        """Place every request on a node; returns the per-node sub-streams.
+        """Place every request on the fluid model; returns the per-node sub-streams.
 
-        Request ids must be unique across the whole fleet workload
+        Requests are placed in arrival order on the shared clock, each
+        placement seeing the load implied by all earlier ones.  This is
+        exactly the partition closed-loop delivery serves: when
+        :meth:`serve` delivers closed-loop (see the module docstring) and
+        no batch is sharded, node ``i`` receives
+        ``route_requests(requests)[i]``.  Request ids
+        must be unique across the whole fleet workload
         (:func:`~repro.serving.request.merge_streams` guarantees this for
         merged streams).
         """
-        return [node.assigned for node in self._route(requests)]
+        self._check_unique_ids(requests)
+        nodes = self._new_nodes()
+        self.router.reset(nodes)
+        for request in sorted(requests, key=_arrival_order):
+            _route(self.router, request, nodes, request.arrival_time).assign(request)
+        return [node.assigned for node in nodes]
 
     def _check_unique_ids(self, requests: Sequence[Request]) -> None:
         ids = [request.request_id for request in requests]
         if len(set(ids)) != len(ids):
-            raise ValueError(
+            raise ConfigError(
                 "request_id values must be unique across the cluster workload; "
                 "merge streams with repro.serving.merge_streams"
             )
-
-    def _serve_interleaved(
-        self,
-        requests: Sequence[Request],
-        recorder: Optional[TraceRecorder] = None,
-    ) -> Tuple[List[List[Request]], List[ServingReport]]:
-        """Route from live queue state: one resumable run per node.
-
-        Every node's event loop is advanced to each arrival before the
-        router places it, so :meth:`NodeState.published_depth` reports
-        genuine scheduler depths (stale by at most the step in flight).
-        For queue-*blind* step-up policies (greedy, confidence,
-        deadline-aware) each node's report is exactly what a closed-loop
-        ``serve()`` over its sub-stream would produce; policies that read
-        the queue (load-adaptive) or windowed batching's ``next_arrival``
-        see arrivals only once they are routed, so their decisions carry
-        the same one-event staleness as the routing signal itself.
-        """
-        runs = [
-            engine.open_run(node=name, recorder=recorder)
-            for name, engine in zip(self.node_names, self.engines)
-        ]
-        nodes = self._route(requests, runs=runs, recorder=recorder)
-        reports = [run.finish() for run in runs]
-        return [node.assigned for node in nodes], reports
-
-    # ------------------------------------------------------------------
-    # Fault-tolerant serving
-    # ------------------------------------------------------------------
-    def _serve_fault_tolerant(
-        self,
-        requests: Sequence[Request],
-        registry: Optional[MetricsRegistry] = None,
-        recorder: Optional[TraceRecorder] = None,
-    ) -> Tuple[List[ServingReport], List[JobRecord]]:
-        """Interleaved serving under a chaos schedule, with failover.
-
-        One event heap drives arrivals, injected crash/recover
-        transitions, and the retry/reroute events failover generates.
-        Ties break on push order, and injected transitions are pushed
-        first — so at an instant where a node both recovers and receives
-        work, the recovery lands first.  Every run is advanced to each
-        event before it is processed, so placements read post-fault
-        state.
-
-        Crash semantics: the dying run hands back its queued-but-
-        unstarted requests (migrated immediately, charged nothing) and
-        its in-flight jobs as subnet-level checkpoints.  A checkpoint
-        re-enters a surviving node through the eviction replay path
-        (:meth:`ServingRun.push_resumed`) after its capped exponential
-        backoff — the replay restores the activation state bit-for-bit
-        and charges the recompute MACs honestly, exactly like a PR-5
-        eviction.  When the retry budget or the deadline runs out, the
-        checkpoint is finalised with its best-so-far anytime prediction
-        instead of being lost: partial answers are the whole point of
-        stepping inference.
-        """
-        self._check_unique_ids(requests)
-        injector = (
-            self.faults.injector(self.node_names) if self.faults is not None else None
-        )
-        retry = self.faults.retry if self.faults is not None else RetryPolicy()
-        enforce = all(engine.enforce_deadline for engine in self.engines)
-        nodes = [
-            NodeState(index, name, engine, publish_interval=self.publish_interval)
-            for index, (name, engine) in enumerate(zip(self.node_names, self.engines))
-        ]
-        runs: List[ServingRun] = []
-        for name, engine, node in zip(self.node_names, self.engines, nodes):
-            run = engine.open_run(fault_injector=injector, node=name, recorder=recorder)
-            node.attach_run(run)
-            runs.append(run)
-        alive = [True] * len(nodes)
-        finished: List[List[ServingRun]] = [[] for _ in nodes]
-        self.router.reset(nodes)
-        admission = AdmissionController() if self.admission == "degrade" else None
-        # Coordinator counters live in the cluster metrics registry; the
-        # ClusterReport consumes their final values instead of keeping a
-        # parallel set of hand-maintained ints.
-        if registry is None:
-            registry = MetricsRegistry()
-        counters = {name: registry.counter(name) for name in _COORDINATOR_COUNTERS}
-        extra: List[JobRecord] = []
-
-        events: List[Tuple[float, int, str, Any]] = []
-        sequence = itertools.count()
-
-        def push_event(time: float, kind: str, payload: Any) -> None:
-            heapq.heappush(events, (time, next(sequence), kind, payload))
-
-        if injector is not None:
-            for index, name in enumerate(self.node_names):
-                for time, kind in injector.transitions(name):
-                    push_event(time, kind, index)
-        for request in sorted(requests, key=lambda r: (r.arrival_time, r.request_id)):
-            push_event(request.arrival_time, "arrival", request)
-
-        # Load-triggered work-stealing rides the same event heap: one
-        # self-rescheduling "rebalance" tick evaluates the trigger on
-        # published depths and moves work over the reroute path.
-        rebalance = (
-            self.rebalance
-            if self.rebalance is not None and self.rebalance.enabled
-            else None
-        )
-        tick = 0.0
-        if rebalance is not None and requests:
-            from .rebalance import steal_plan
-
-            tick = (
-                rebalance.interval
-                if rebalance.interval > 0
-                else self.publish_interval
-            )
-            first_arrival = min(request.arrival_time for request in requests)
-            push_event(first_arrival + tick, "rebalance", None)
-
-        def best_effort(checkpoint: InterruptedJob, reason: str, now: float) -> None:
-            """Finalise a checkpoint with its best-so-far anytime result."""
-            status = "completed" if checkpoint.steps else "dropped"
-            extra.append(
-                JobRecord(
-                    request=checkpoint.request,
-                    steps=list(checkpoint.steps),
-                    status=status,
-                    stop_reason=reason,
-                    final_logits=checkpoint.logits,
-                    retries=checkpoint.retries,
-                )
-            )
-            if recorder is not None:
-                recorder.emit(
-                    "finalize",
-                    now,
-                    request_id=checkpoint.request.request_id,
-                    status=status,
-                    reason=reason,
-                    best_effort=True,
-                    arrival=float(checkpoint.request.arrival_time),
-                )
-
-        def place(
-            request: Request,
-            now: float,
-            checkpoint: Optional[InterruptedJob] = None,
-            exclude: Optional[int] = None,
-        ) -> None:
-            reachable = [
-                node
-                for index, node in enumerate(nodes)
-                if alive[index]
-                and (injector is None or injector.reachable(node.name, now))
-            ]
-            candidates = reachable
-            if checkpoint is not None and checkpoint.history:
-                # The replay must land on a node whose backend serves
-                # every level the checkpoint already executed.
-                top = checkpoint.history[-1]
-                candidates = [
-                    node
-                    for node in reachable
-                    if node.engine.backend.num_subnets > top
-                ]
-            if exclude is not None:
-                # Keep stolen work off its victim — unless the victim is
-                # the only node that can serve it (then a bounced steal
-                # beats losing the checkpoint).
-                others = [node for node in candidates if node.index != exclude]
-                if others:
-                    candidates = others
-            if not candidates:
-                if checkpoint is not None and reachable:
-                    best_effort(
-                        checkpoint,
-                        "no surviving node serves the checkpoint's subnet levels",
-                        now,
-                    )
-                    return
-                horizon = (
-                    injector.next_reachable(now) if injector is not None else math.inf
-                )
-                if math.isfinite(horizon):
-                    if checkpoint is not None:
-                        # Clamp the retry heap to the hard deadline: a
-                        # retry scheduled past it could only be
-                        # discovered dead at dispatch, so finalise the
-                        # best-so-far anytime answer immediately.
-                        deadline = checkpoint.request.deadline
-                        if enforce and deadline is not None and horizon >= deadline:
-                            best_effort(
-                                checkpoint,
-                                "deadline reached before any node is reachable",
-                                now,
-                            )
-                        else:
-                            push_event(horizon, "retry", checkpoint)
-                    else:
-                        push_event(horizon, "reroute", request)
-                    return
-                if checkpoint is not None:
-                    best_effort(checkpoint, "fleet never reachable again", now)
-                else:
-                    counters["lost"].add()
-                    extra.append(
-                        JobRecord(
-                            request=request,
-                            status="lost",
-                            stop_reason="no serving node ever reachable",
-                        )
-                    )
-                    if recorder is not None:
-                        recorder.emit(
-                            "finalize",
-                            now,
-                            request_id=request.request_id,
-                            status="lost",
-                            reason="no serving node ever reachable",
-                            arrival=float(request.arrival_time),
-                        )
-                return
-            if recorder is not None:
-                _publish_signals(recorder, candidates, request, now)
-            # Routers answer with NodeState.index; renumber the filtered
-            # candidate list positionally for the call (order-preserving,
-            # so index tie-breaks are unchanged) and restore afterwards.
-            original = [node.index for node in candidates]
-            for position, node in enumerate(candidates):
-                node.index = position
-            try:
-                choice = self.router.route(request, candidates, now)
-            finally:
-                for node, index in zip(candidates, original):
-                    node.index = index
-            if not 0 <= choice < len(candidates):
-                raise IndexError(
-                    f"router '{self.router.name}' returned node index {choice} "
-                    f"for {len(candidates)} reachable nodes"
-                )
-            node = candidates[choice]
-            if checkpoint is None and admission is not None:
-                verdict, admitted = admission.decide(request, node, now)
-                if verdict == "reject":
-                    # The routed node cannot land even the minimum
-                    # subnet; scan the rest before giving up.
-                    for other in candidates:
-                        if other is node:
-                            continue
-                        verdict, admitted = admission.decide(request, other, now)
-                        if verdict != "reject":
-                            node = other
-                            break
-                if verdict == "reject":
-                    counters["rejected"].add()
-                    _LOG.warning(
-                        "admission: rejected request %s at t=%.6f — minimum "
-                        "subnet predicted to miss the deadline on every "
-                        "reachable node",
-                        request.request_id,
-                        now,
-                    )
-                    extra.append(
-                        JobRecord(
-                            request=request,
-                            status="rejected",
-                            stop_reason=(
-                                "admission control: minimum subnet predicted to "
-                                "miss the deadline on every reachable node"
-                            ),
-                        )
-                    )
-                    if recorder is not None:
-                        recorder.emit(
-                            "reject",
-                            now,
-                            request_id=request.request_id,
-                            reason="minimum subnet misses deadline everywhere",
-                        )
-                    return
-                if verdict == "degrade":
-                    counters["degraded_admissions"].add()
-                    assert admitted is not None
-                    _LOG.warning(
-                        "admission: degraded request %s to max_subnet=%s on "
-                        "node '%s' at t=%.6f",
-                        request.request_id,
-                        admitted.max_subnet,
-                        node.name,
-                        now,
-                    )
-                    if recorder is not None:
-                        # Clamped like every node-attributed coordinator
-                        # event: the node learns of the verdict no
-                        # earlier than its own clock.
-                        recorder.emit(
-                            "degrade",
-                            max(now, node.run.now),
-                            node=node.name,
-                            request_id=request.request_id,
-                            max_subnet=admitted.max_subnet,
-                        )
-                    request = admitted
-                elif recorder is not None:
-                    recorder.emit(
-                        "admit",
-                        max(now, node.run.now),
-                        node=node.name,
-                        request_id=request.request_id,
-                    )
-            node.assign(request, push=False)
-            if checkpoint is None:
-                node.run.push(request, not_before=now)
-            else:
-                if recorder is not None:
-                    recorder.emit(
-                        "failover",
-                        max(now, node.run.now),
-                        node=node.name,
-                        request_id=request.request_id,
-                        resume_levels=len(checkpoint.history),
-                        attempt=checkpoint.retries,
-                    )
-                node.run.push_resumed(
-                    request,
-                    history=checkpoint.history,
-                    steps=checkpoint.steps,
-                    logits=checkpoint.logits,
-                    retries=checkpoint.retries,
-                    resume_at=now,
-                )
-
-        while events:
-            time, _, kind, payload = heapq.heappop(events)
-            for index, run in enumerate(runs):
-                if alive[index]:
-                    run.run_until(time)
-            if kind in ("arrival", "reroute"):
-                place(payload, time)
-            elif kind == "retry":
-                place(payload.request, time, checkpoint=payload)
-            elif kind == "rebalance":
-                ready = [
-                    node
-                    for index, node in enumerate(nodes)
-                    if alive[index]
-                    and (injector is None or injector.reachable(node.name, time))
-                ]
-                plan = None
-                if len(ready) >= 2:
-                    depths = [node.published_depth(time) for node in ready]
-                    plan = steal_plan(depths, rebalance)
-                if plan is not None:
-                    victim = ready[plan[0]]
-                    work = victim.run.steal(
-                        plan[1], time, include_started=rebalance.steal_in_flight
-                    )
-                    for request in work.unstarted:
-                        victim.retract(request.request_id)
-                        counters["steals"].add()
-                        if recorder is not None:
-                            recorder.emit(
-                                "steal",
-                                max(time, victim.run.now),
-                                node=victim.name,
-                                request_id=request.request_id,
-                                inflight=False,
-                            )
-                        place(request, time, exclude=victim.index)
-                    for checkpoint in work.interrupted:
-                        victim.retract(checkpoint.request.request_id)
-                        counters["steals"].add()
-                        counters["inflight_steals"].add()
-                        if recorder is not None:
-                            recorder.emit(
-                                "steal",
-                                max(time, victim.run.now),
-                                node=victim.name,
-                                request_id=checkpoint.request.request_id,
-                                inflight=True,
-                            )
-                        place(
-                            checkpoint.request,
-                            time,
-                            checkpoint=checkpoint,
-                            exclude=victim.index,
-                        )
-                # Re-arm while any work remains anywhere; the last tick
-                # dies with the fleet drained, ending the event loop.
-                if events or any(
-                    alive[index] and run.next_event_time() is not None
-                    for index, run in enumerate(runs)
-                ):
-                    push_event(time + tick, "rebalance", None)
-            elif kind == "crash":
-                index = payload
-                if not alive[index]:
-                    continue
-                work = runs[index].crash(time)
-                finished[index].append(runs[index])
-                alive[index] = False
-                # The fluid model forgets the departed work immediately:
-                # analytic routing signals must not keep charging a dead
-                # node for jobs the survivors are about to take.
-                for request in work.unstarted:
-                    nodes[index].retract(request.request_id)
-                for checkpoint in work.interrupted:
-                    nodes[index].retract(checkpoint.request.request_id)
-                for request in work.unstarted:
-                    counters["migrations"].add()
-                    if recorder is not None:
-                        recorder.emit(
-                            "migrate",
-                            max(time, runs[index].now),
-                            node=self.node_names[index],
-                            request_id=request.request_id,
-                        )
-                    place(request, time)
-                for checkpoint in work.interrupted:
-                    if checkpoint.retries >= retry.budget:
-                        best_effort(
-                            checkpoint, "retry budget exhausted at node failure", time
-                        )
-                        continue
-                    delay = retry.backoff(checkpoint.retries)
-                    checkpoint.retries += 1
-                    retry_at = time + delay
-                    deadline = checkpoint.request.deadline
-                    if enforce and deadline is not None and retry_at >= deadline:
-                        best_effort(
-                            checkpoint, "deadline reached during failover backoff", time
-                        )
-                        continue
-                    counters["failovers"].add()
-                    push_event(retry_at, "retry", checkpoint)
-            elif kind == "recover":
-                index = payload
-                if alive[index]:
-                    continue
-                run = self.engines[index].open_run(
-                    fault_injector=injector,
-                    node=self.node_names[index],
-                    recorder=recorder,
-                )
-                nodes[index].attach_run(run)
-                runs[index] = run
-                alive[index] = True
-                _LOG.info(
-                    "node '%s' recovered at t=%.6f", self.node_names[index], time
-                )
-                if recorder is not None:
-                    recorder.emit("recover", time, node=self.node_names[index])
-
-        node_reports: List[ServingReport] = []
-        for index, run in enumerate(runs):
-            incarnations = list(finished[index])
-            if not incarnations or incarnations[-1] is not run:
-                incarnations.append(run)
-            node_reports.append(
-                _merge_incarnation_reports([r.finish() for r in incarnations])
-            )
-        return node_reports, extra
 
     def serve(
         self,
@@ -1590,93 +1558,34 @@ class ServingCluster:
 
         With no explicit ``requests`` the spec's declared streams are
         built and merged (requires :meth:`from_spec` construction).
-        Live-state routers (``needs_live_state``: published queue depth,
-        resident bytes) serve interleaved — placements read measured
-        per-node state; every other router uses the exact two-phase
-        decomposition.
+        Request ids must be unique across the workload, or
+        :class:`~repro.utils.errors.ConfigError` is raised before any
+        batch sharding renumbers them.  One :class:`Coordinator` serves
+        the call; whether it delivers live or closed-loop follows from
+        the configuration (faults, admission, rebalancing,
+        :attr:`Router.needs_live_state`), as the module docstring sets out.
 
         ``recorder`` attaches a caller-owned observability trace (the
         caller closes it and keeps the events); without one, an enabled
         ``observe`` spec builds a recorder owned — and closed — by this
-        call.
+        call.  Either way every node emits into the one globally
+        sequenced stream: per-node ``ServingSpec.observe`` is superseded
+        by the fleet-wide spec.
         """
         if requests is None:
             if self.spec is None:
                 raise ValueError("no requests given and no ClusterSpec to build them from")
             input_shape = self.engines[0].backend.network.spec.input_shape
             requests = self.spec.build_requests(input_shape=input_shape)
-        # One shared recorder per serve call: every node emits into the
-        # same globally sequenced stream (per-node ServingSpec.observe is
-        # superseded by the fleet-wide spec during cluster serving).
+        self._check_unique_ids(requests)
         owned = None
         if recorder is None and self.observe is not None and self.observe.enabled:
             owned = recorder = self.observe.build()
-        # The coordinator registry is always on — the report's scalar
-        # counters are consumed from it, so enabling tracing cannot
-        # change a report.
-        registry = MetricsRegistry()
-        counters = {name: registry.counter(name) for name in _COORDINATOR_COUNTERS}
-        extra_jobs: List[JobRecord] = []
-        # Batch sharding splits oversized input batches into slice-view
-        # shard requests before any placement; the report keeps the
-        # parent map so per-shard logits gather back into one answer.
-        shard_groups: Dict[int, Tuple[int, ...]] = {}
-        if (
-            self.rebalance is not None
-            and self.rebalance.shard_max_batch is not None
-        ):
-            from .rebalance import shard_requests
-
-            by_id = {request.request_id: request for request in requests}
-            requests, shard_groups = shard_requests(
-                requests, self.rebalance.shard_max_batch
-            )
-            for parent_id, shard_ids in sorted(
-                shard_groups.items(),
-                key=lambda item: (by_id[item[0]].arrival_time, item[0]),
-            ):
-                counters["shards"].add(len(shard_ids))
-                if recorder is not None:
-                    recorder.emit(
-                        "shard",
-                        float(by_id[parent_id].arrival_time),
-                        request_id=parent_id,
-                        shards=list(shard_ids),
-                        batch_size=by_id[parent_id].batch_size,
-                    )
-        rebalancing = self.rebalance is not None and self.rebalance.enabled
         try:
-            if self.faults is not None or self.admission != "none" or rebalancing:
-                node_reports, extra_jobs = self._serve_fault_tolerant(
-                    requests, registry=registry, recorder=recorder
-                )
-            elif getattr(self.router, "needs_live_state", False) or getattr(
-                self.router, "uses_queue_depth", False
-            ):
-                _, node_reports = self._serve_interleaved(requests, recorder=recorder)
-            else:
-                # Exact two-phase decomposition: route everything, then
-                # run each node's closed loop over its sub-stream.
-                nodes = self._route(requests, recorder=recorder)
-                node_reports = []
-                for name, engine, node in zip(self.node_names, self.engines, nodes):
-                    run = engine.open_run(node=name, recorder=recorder)
-                    for request in node.assigned:
-                        run.push(request)
-                    node_reports.append(run.finish())
+            return Coordinator(self, recorder).serve(requests)
         finally:
             if owned is not None:
                 owned.close()
-        return ClusterReport(
-            node_reports=node_reports,
-            node_names=list(self.node_names),
-            router_name=self.router.name,
-            cluster_name=self.name,
-            extra_jobs=extra_jobs,
-            shard_groups=shard_groups,
-            metrics=registry.snapshot(),
-            **{name: counter.value for name, counter in counters.items()},
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

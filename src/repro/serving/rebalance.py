@@ -6,7 +6,7 @@ migration and checkpointed failover.  This module supplies the
 
 * :class:`RebalanceSpec` — the declarative knob set riding on
   :class:`~repro.serving.spec.ClusterSpec`.  When enabled, the
-  fault-tolerant coordinator evaluates a load trigger at a fixed
+  fleet coordinator evaluates a load trigger at a fixed
   simulated-time tick (defaulting to the cluster's publish interval,
   so the trigger reads the same epoch-snapshotted depths the routers
   see) and *steals* work from the deepest node onto the fleet's
@@ -258,7 +258,7 @@ class PowerOfTwoChoicesRouter(Router):
     """
 
     name = "power-of-two-choices"
-    uses_queue_depth = True
+    needs_live_state = True
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)

@@ -23,6 +23,7 @@ from repro.serving import (
     poisson_stream,
     serve,
 )
+from repro.utils.errors import ConfigError
 
 
 def _engine(network, rate, scheduler="fifo", name="trace"):
@@ -136,20 +137,56 @@ class TestRouting:
         merged = merge_streams(stream_a, stream_b)
         assert [len(p) for p in cluster.route_requests(merged)] == [6]
 
+    def test_duplicate_ids_rejected_before_sharding(
+        self, stepping_network, sample_pool, calibrated_rate
+    ):
+        """Sharding renumbers requests, so uniqueness is checked on the caller's ids."""
+        images, _ = sample_pool
+        twins = [
+            Request(request_id=7, arrival_time=0.0, inputs=images[:2]),
+            Request(request_id=7, arrival_time=0.001, inputs=images[2:4]),
+        ]
+        cluster = ServingCluster(
+            [_engine(stepping_network, calibrated_rate)], rebalance={"shard_max_batch": 1}
+        )
+        with pytest.raises(ConfigError, match="merge_streams"):
+            cluster.serve(twins)
+
 
 class TestServingCluster:
+    @pytest.mark.parametrize(
+        "node",
+        [
+            {"backend": "stepping"},
+            # A tied-arrival burst on an idle windowed node: the closed
+            # loop coalesces it, live delivery would not.
+            {
+                "backend": "batched",
+                "batch_policy": "windowed",
+                "max_batch_size": 4,
+                "batch_window": 0.05,
+            },
+        ],
+        ids=["stepping", "batched-windowed"],
+    )
     def test_single_node_cluster_reproduces_engine_bit_identical(
-        self, stepping_network, sample_pool, calibrated_rate
+        self, node, stepping_network, sample_pool, calibrated_rate
     ):
         """Acceptance criterion: one-node fleet == bare engine, bit for bit."""
         images, labels = sample_pool
         requests = _requests(images, labels, count=10, deadline=1.5)
+        if node["backend"] == "batched":
+            burst_at = max(request.arrival_time for request in requests) + 20.0
+            requests += [
+                Request(request_id=10 + i, arrival_time=burst_at, inputs=images[i][None])
+                for i in range(6)
+            ]
         spec = ServingSpec(
-            backend="stepping",
             scheduler="edf",
             trace="constant",
             trace_rate=calibrated_rate,
             overhead_per_step=0.0,
+            **node,
         )
         cluster = ServingCluster.from_spec(
             ClusterSpec(nodes=(spec,)), stepping_network
@@ -159,6 +196,8 @@ class TestServingCluster:
         assert fleet_report.node_reports[0].as_dict() == solo_report.as_dict()
         assert fleet_report.num_jobs == solo_report.num_jobs
         assert fleet_report.throughput == pytest.approx(solo_report.throughput)
+        for a, b in zip(fleet_report.node_reports[0].jobs, solo_report.jobs):
+            assert np.array_equal(a.final_logits, b.final_logits)
 
     def test_three_heterogeneous_nodes_from_json(self, stepping_network, sample_pool):
         """Acceptance criterion: JSON -> ClusterSpec -> ServingCluster -> serve."""
@@ -235,6 +274,66 @@ class TestServingCluster:
         assert not stepping_network.training  # hand-off switched to eval mode
 
 
+class TestClosedLoopDelivery:
+    """The oracle for closed-loop delivery, where it can actually fail.
+
+    Under a queue-blind router every node receives its whole sub-stream
+    before it runs, so its report equals a fresh closed-loop
+    ``ServingEngine.serve()`` over its ``route_requests`` partition.  The
+    workload carries a tied-arrival burst onto idle batching nodes: live
+    delivery would dispatch the first tied arrival alone, so coalescing
+    policies tell the two delivery rules apart.
+    """
+
+    @staticmethod
+    def _workload(images, labels):
+        arrivals = [0.0, 0.1, 0.2, 0.3] + [5.0] * 8 + [5.05, 5.1, 5.2, 7.0]
+        return [
+            Request(
+                request_id=i,
+                arrival_time=t,
+                inputs=images[i % len(images)][None],
+                labels=labels[i % len(labels)][None],
+                deadline=t + 2.0,
+            )
+            for i, t in enumerate(arrivals)
+        ]
+
+    @pytest.mark.parametrize("batch_policy", ["none", "same-level", "windowed", "continuous"])
+    @pytest.mark.parametrize("router", ["round-robin", "join-shortest-queue", "least-loaded"])
+    def test_node_reports_equal_closed_loop_serve(
+        self, router, batch_policy, stepping_network, sample_pool, calibrated_rate
+    ):
+        images, labels = sample_pool
+        requests = self._workload(images, labels)
+        node_specs = tuple(
+            ServingSpec(
+                name=f"node{index}",
+                backend="batched",
+                trace="constant",
+                trace_rate=rate,
+                batch_policy=batch_policy,
+                max_batch_size=4,
+                batch_window=0.05 if batch_policy == "windowed" else 0.0,
+            )
+            for index, rate in enumerate([calibrated_rate * 2.0, calibrated_rate])
+        )
+        spec = ClusterSpec(nodes=node_specs, router=router)
+        assert not get_router(router).needs_live_state
+        report = ServingCluster.from_spec(spec, stepping_network).serve(requests)
+        partition = ServingCluster.from_spec(spec, stepping_network).route_requests(requests)
+        assert all(partition)
+        assert report.node_jobs == [len(sub_stream) for sub_stream in partition]
+        for node_spec, sub_stream, node_report in zip(
+            node_specs, partition, report.node_reports
+        ):
+            solo = node_spec.build_engine(stepping_network).serve(sub_stream)
+            assert node_report.as_dict() == solo.as_dict()
+            for a, b in zip(node_report.jobs, solo.jobs):
+                assert a.request.request_id == b.request.request_id
+                assert np.array_equal(a.final_logits, b.final_logits)
+
+
 class TestClusterReport:
     def _report(self, stepping_network, sample_pool, calibrated_rate, router="round-robin"):
         images, labels = sample_pool
@@ -287,40 +386,40 @@ class TestQueueDepthRouting:
     """The real-queue-state router: published depth instead of the fluid model."""
 
     def test_registered_and_flagged(self):
-        from repro.serving import QueueDepthLeastLoadedRouter
-
         assert "least-loaded-depth" in ROUTERS
         router = get_router("least-loaded-depth")
-        assert isinstance(router, QueueDepthLeastLoadedRouter)
-        assert router.uses_queue_depth
-        assert not get_router("least-loaded").uses_queue_depth
+        assert isinstance(router, LeastLoadedRouter)
+        assert router.signal == "queue-depth"
+        assert router.name == "least-loaded-depth"
+        assert router.needs_live_state
+        assert not get_router("least-loaded").needs_live_state
 
     def test_least_loaded_configurable_signal(self):
-        assert LeastLoadedRouter(signal="queue-depth").uses_queue_depth
+        router = LeastLoadedRouter(signal="queue-depth")
+        assert router.needs_live_state
+        assert router.name == "least-loaded-depth"  # name follows the signal
         with pytest.raises(ValueError, match="signal"):
             LeastLoadedRouter(signal="tea-leaves")
 
     def test_interleaved_node_reports_match_closed_loop(
         self, stepping_network, sample_pool, calibrated_rate
     ):
-        """Exactness: depth-routed nodes == serve() over the same partition."""
+        """Unbatched queue-blind nodes under live delivery == serve() over their partition."""
         images, labels = sample_pool
         requests = _requests(images, labels, count=14, rate=6.0, deadline=2.0)
+        rates = [calibrated_rate * 2.0, calibrated_rate]
         cluster = ServingCluster(
-            [
-                _engine(stepping_network, calibrated_rate * 2.0),
-                _engine(stepping_network, calibrated_rate),
-            ],
+            [_engine(stepping_network, rate) for rate in rates],
             router="least-loaded-depth",
             names=["fast", "slow"],
         )
-        partition, node_reports = cluster._serve_interleaved(requests)
-        for engine_rate, sub_stream, report in zip(
-            [calibrated_rate * 2.0, calibrated_rate], partition, node_reports
-        ):
-            replay = _engine(stepping_network, engine_rate).serve(sub_stream)
-            assert replay.as_dict() == report.as_dict()
-            for a, b in zip(replay.jobs, report.jobs):
+        report = cluster.serve(requests)
+        assert all(count > 0 for count in report.node_jobs)
+        for rate, node_report in zip(rates, report.node_reports):
+            sub_stream = [job.request for job in node_report.jobs]
+            replay = _engine(stepping_network, rate).serve(sub_stream)
+            assert replay.as_dict() == node_report.as_dict()
+            for a, b in zip(replay.jobs, node_report.jobs):
                 assert np.array_equal(a.final_logits, b.final_logits)
 
     def test_depth_signal_spreads_a_burst(self, stepping_network, sample_pool, calibrated_rate):
@@ -369,14 +468,12 @@ class TestMemoryAwareRouting:
     """The resident-bytes router and the fleet memory aggregates."""
 
     def test_registered_and_flagged(self):
-        from repro.serving import MemoryAwareLeastLoadedRouter
-
         assert "least-loaded-memory" in ROUTERS
         router = get_router("least-loaded-memory")
-        assert isinstance(router, MemoryAwareLeastLoadedRouter)
+        assert isinstance(router, LeastLoadedRouter)
         assert router.signal == "memory"
-        assert router.needs_live_state  # resident bytes: serve interleaved
-        assert not router.uses_queue_depth  # ...but it routes on memory
+        assert router.name == "least-loaded-memory"
+        assert router.needs_live_state  # resident bytes: live delivery
         assert LeastLoadedRouter(signal="memory").needs_live_state
         assert get_router("least-loaded-depth").needs_live_state
         assert not get_router("least-loaded").needs_live_state

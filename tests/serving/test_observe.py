@@ -386,6 +386,29 @@ class TestEngineTracing:
         plain = ObservabilitySpec(enabled=True).build()
         assert plain.plan_timer is None
 
+    def test_plan_timer_covers_every_node_of_a_closed_loop_fleet(
+        self, stepping_network, engine_spec, requests
+    ):
+        """The nodes share one compiled plan, so the first run to finish
+        detaches the timer; every node must have executed by then."""
+        from repro.serving import ClusterSpec, ServingCluster
+
+        cluster = ServingCluster.from_spec(
+            ClusterSpec(nodes=(engine_spec, engine_spec)), stepping_network
+        )
+        recorder = ObservabilitySpec(enabled=True, time_plan_levels=True).build()
+        report = cluster.serve(requests, recorder=recorder)
+        recorder.close()
+        assert all(report.node_jobs)
+        entry_steps = sum(
+            1
+            for node_report in report.node_reports
+            for job in node_report.jobs
+            for step in job.steps
+            if step.subnet == 0
+        )
+        assert recorder.plan_timer.summary()["level0"]["count"] == entry_steps > 0
+
 
 # ----------------------------------------------------------------------
 # Metrics registry: the substrate reports consume

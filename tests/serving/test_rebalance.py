@@ -214,7 +214,7 @@ class TestPowerOfTwoChoices:
         assert ROUTERS["power-of-two-choices"] is PowerOfTwoChoicesRouter
         assert ROUTERS["p2c"] is PowerOfTwoChoicesRouter
         assert isinstance(get_router("p2c"), PowerOfTwoChoicesRouter)
-        assert PowerOfTwoChoicesRouter.uses_queue_depth
+        assert PowerOfTwoChoicesRouter.needs_live_state
 
     def test_cluster_spec_accepts_the_name(self):
         spec = ClusterSpec.from_dict(
@@ -376,7 +376,7 @@ class TestBatchPotentialFallback:
         engine = _engine(stepping_network)
         node = NodeState(0, "a", engine)
         request = Request(request_id=0, arrival_time=0.0, inputs=images[0][None])
-        node.assign(request, push=False)
+        node.assign(request)
         run = engine.open_run(node="a")
         run.push(request)
         run.run_until(10.0)
