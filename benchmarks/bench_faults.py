@@ -141,7 +141,7 @@ def bit_equal_to_oracle(network, jobs) -> bool:
 
 
 def row_from_report(report, network, num_requests: int, wall: float) -> dict:
-    jobs = report._jobs
+    jobs = report.jobs
     # Delivered quality: executed levels per request (0 = no answer).
     delivered = [len({step.subnet for step in job.steps}) for job in jobs]
     # One serialisation path: consume the canonical ClusterReport.to_dict()

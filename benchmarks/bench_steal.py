@@ -90,7 +90,7 @@ def _bit_equal_to_solo(network, report):
 
     from repro.core.incremental import IncrementalInference
 
-    for job in report._jobs:
+    for job in report.jobs:
         if job.status != "completed" or not job.steps:
             continue
         oracle = IncrementalInference(network, dtype=np.float32)
@@ -111,7 +111,7 @@ def _macs_exact(network, report):
         for level in range(1, network.num_subnets)
     ]
     expected = sum(
-        per_level[step.subnet] for job in report._jobs for step in job.steps
+        per_level[step.subnet] for job in report.jobs for step in job.steps
     )
     return abs((report.total_macs - report.total_macs_recomputed) - expected) < 1e-6
 

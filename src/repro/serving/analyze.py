@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..utils.metrics import percentile
+from .engine import _json_safe
 from .observe import EventSource, coerce_events, events_by_request, events_by_type
 
 __all__ = [
@@ -612,17 +613,6 @@ def critical_path(
 # ----------------------------------------------------------------------
 # SLO specs and scorecards
 # ----------------------------------------------------------------------
-def _sanitize(value: Any) -> Any:
-    """NaN/inf → None, containers recursed — output must be strict JSON."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _sanitize(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(item) for item in value]
-    return value
-
-
 @dataclass(frozen=True)
 class SLOSpec:
     """Service-level objectives for a serving run, JSON round-trippable.
@@ -728,12 +718,7 @@ def _delivered_levels(report: Any) -> Optional[float]:
     if isinstance(report, Mapping):
         value = report.get("mean_delivered_levels")
         return float(value) if value is not None else None
-    jobs = getattr(report, "completed_jobs", None)
-    if jobs is None:
-        jobs = getattr(report, "_completed_jobs", None)
-    if not jobs:
-        return None
-    return sum(job.final_subnet + 1 for job in jobs) / len(jobs)
+    return _report_get(report, "mean_delivered_levels")
 
 
 def _report_metrics(report: Any) -> Dict[str, Optional[float]]:
@@ -794,7 +779,7 @@ class SLOScorecard:
         }
         if self.decomposition is not None:
             payload["decomposition"] = self.decomposition
-        return _sanitize(payload)
+        return _json_safe(payload)
 
 
 def evaluate_slo(

@@ -60,18 +60,17 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Seque
 
 import numpy as np
 
-from ..analysis.metrics import deadline_miss_rate as _deadline_miss_rate
 from ..utils.errors import ConfigError
 from ..utils.logging import get_logger
-from ..utils.metrics import MetricsRegistry, merge_snapshots, percentile
+from ..utils.metrics import MetricsRegistry, merge_snapshots
 from .engine import (
     CrashedNodeWork,
     InterruptedJob,
+    JobAggregates,
     JobRecord,
     ServingEngine,
     ServingReport,
     ServingRun,
-    _json_safe,
 )
 from .faults import FaultSpec, RetryPolicy
 from .observe import ObservabilitySpec, TraceRecorder, _coerce_observe
@@ -504,18 +503,23 @@ class AdmissionController:
 # Fleet report
 # ----------------------------------------------------------------------
 @dataclass
-class ClusterReport:
+class ClusterReport(JobAggregates):
     """Aggregate fleet metrics over the per-node serving reports.
 
     Node reports stay accessible verbatim (``node_reports``) — a
     single-node cluster's node report is bit-identical to what the bare
-    engine would have produced.  Fleet latency percentiles are computed
-    over the merged completed jobs of all nodes, not averaged per node.
+    engine would have produced.  Every job-level metric (counts,
+    makespan, latency percentiles, deadline misses, MAC totals, batch
+    occupancy) is the shared :class:`~repro.serving.engine.JobAggregates`
+    reduction over ``jobs`` — every node's records in node order, then
+    ``extra_jobs`` — so fleet percentiles are computed over the merged
+    completed jobs, not averaged per node, and fleet MAC totals include
+    the steps of best-effort records the coordinator finalised itself.
 
     Like :class:`~repro.serving.engine.ServingReport`, derived scans
-    (job lists, makespan, per-node utilisation) are memoised on first
-    access: the report is written once by ``serve()`` and read many
-    times (every percentile, every ``as_dict``).
+    (job lists, per-node utilisation) are memoised on first access: the
+    report is written once by ``serve()`` and read many times (every
+    percentile, every ``as_dict``).
     """
 
     node_reports: List[ServingReport] = field(default_factory=list)
@@ -558,96 +562,29 @@ class ClusterReport:
     #: tracing cannot change the report.
     metrics: Dict[str, Any] = field(default_factory=dict)
 
+    _MEMOS = JobAggregates._MEMOS + ("jobs", "batch_sizes", "_node_jobs", "_node_utilisation")
+
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
         return len(self.node_reports)
 
     @cached_property
-    def _jobs(self) -> List[JobRecord]:
+    def jobs(self) -> List[JobRecord]:
+        """Every record: each node's jobs in node order, then ``extra_jobs``."""
         jobs = [job for report in self.node_reports for job in report.jobs]
         jobs.extend(self.extra_jobs)
         return jobs
 
     @cached_property
-    def _completed_jobs(self) -> List[JobRecord]:
-        jobs = [job for report in self.node_reports for job in report.completed_jobs]
-        jobs.extend(job for job in self.extra_jobs if job.status == "completed")
-        return jobs
-
-    @cached_property
-    def _latencies(self) -> np.ndarray:
-        values = [job.latency for job in self._completed_jobs]
-        return np.asarray([v for v in values if math.isfinite(v)], dtype=float)
-
-    @property
-    def num_jobs(self) -> int:
-        return len(self._jobs)
-
-    @property
-    def completed(self) -> int:
-        return len(self._completed_jobs)
-
-    @property
-    def dropped(self) -> int:
-        return sum(1 for job in self._jobs if job.status == "dropped")
+    def batch_sizes(self) -> List[int]:
+        """Every node's dispatch sizes, concatenated in node order."""
+        return [size for report in self.node_reports for size in report.batch_sizes]
 
     @property
     def retries(self) -> int:
         """Fleet-wide retry attempts (transient step failures + failovers)."""
-        return sum(job.retries for job in self._jobs)
-
-    @property
-    def timed_out(self) -> int:
-        """Jobs the per-request watchdog finalised with a partial result."""
-        return sum(1 for job in self._jobs if job.timed_out)
-
-    @cached_property
-    def makespan(self) -> float:
-        """Fleet horizon: first arrival anywhere to last completion anywhere."""
-        if not self._jobs:
-            return 0.0
-        completed = self._completed_jobs
-        if not completed:
-            return 0.0
-        start = min(job.request.arrival_time for job in self._jobs)
-        end = max(job.completion_time for job in completed)
-        return max(end - start, 0.0)
-
-    @property
-    def throughput(self) -> float:
-        """Completed requests per second across the whole fleet."""
-        span = self.makespan
-        return self.completed / span if span > 0 else 0.0
-
-    def latency_percentile(self, q: float) -> float:
-        return percentile(self._latencies, q)
-
-    @property
-    def p50_latency(self) -> float:
-        return self.latency_percentile(50.0)
-
-    @property
-    def p95_latency(self) -> float:
-        return self.latency_percentile(95.0)
-
-    @property
-    def p99_latency(self) -> float:
-        return self.latency_percentile(99.0)
-
-    @property
-    def mean_latency(self) -> float:
-        return float(self._latencies.mean()) if self._latencies.size else float("nan")
-
-    @property
-    def deadline_miss_rate(self) -> float:
-        return _deadline_miss_rate(
-            job.deadline_met for job in self._jobs if job.request.deadline is not None
-        )
-
-    @property
-    def total_macs(self) -> float:
-        return float(sum(report.total_macs for report in self.node_reports))
+        return sum(job.retries for job in self.jobs)
 
     # ------------------------------------------------------------------
     # Fleet memory accounting
@@ -666,28 +603,6 @@ class ClusterReport:
     @property
     def cache_evictions(self) -> int:
         return sum(report.cache_evictions for report in self.node_reports)
-
-    @property
-    def total_macs_recomputed(self) -> float:
-        """Fleet-wide MACs spent replaying evicted contexts."""
-        return float(sum(report.total_macs_recomputed for report in self.node_reports))
-
-    # ------------------------------------------------------------------
-    # Fleet batch-occupancy accounting
-    # ------------------------------------------------------------------
-    @property
-    def solo_steps(self) -> int:
-        return sum(report.solo_steps for report in self.node_reports)
-
-    @property
-    def batched_steps(self) -> int:
-        return sum(report.batched_steps for report in self.node_reports)
-
-    @property
-    def mean_batch_occupancy(self) -> float:
-        """Members per dispatch across every node's accelerator."""
-        sizes = [size for report in self.node_reports for size in report.batch_sizes]
-        return float(np.mean(sizes)) if sizes else float("nan")
 
     @cached_property
     def _node_jobs(self) -> List[int]:
@@ -739,7 +654,7 @@ class ClusterReport:
             return {}
         from .rebalance import gather_shard_logits
 
-        jobs_by_id = {job.request.request_id: job for job in self._jobs}
+        jobs_by_id = {job.request.request_id: job for job in self.jobs}
         return gather_shard_logits(jobs_by_id, self.shard_groups)
 
     def as_dict(self) -> Dict[str, Any]:
@@ -790,16 +705,6 @@ class ClusterReport:
                 )
             ],
         }
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Strict-JSON form of :meth:`as_dict`.
-
-        Numpy scalars/arrays become native types and non-finite floats
-        become ``None``, so ``json.dumps(report.to_dict())`` always
-        succeeds — the single serialisation path the benchmark scripts
-        share.
-        """
-        return _json_safe(self.as_dict())
 
 
 def _merge_incarnation_reports(reports: List[ServingReport]) -> ServingReport:

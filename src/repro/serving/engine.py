@@ -189,9 +189,14 @@ def _batch_accuracy(logits: Optional[np.ndarray], labels) -> Optional[float]:
     return float((predictions == np.asarray(labels)).mean())
 
 
-@dataclass
-class ServingReport:
-    """Aggregate serving metrics over one request stream.
+class JobAggregates:
+    """Every reduction over a run's :class:`JobRecord` list, implemented once.
+
+    Subclasses provide ``jobs`` (the records, in a deterministic order)
+    and ``batch_sizes`` (the member count of every executed forward
+    pass); :class:`ServingReport` stores both as fields, and
+    :class:`~repro.serving.cluster.ClusterReport` derives them from its
+    node reports plus the records its coordinator finalised itself.
 
     The derived job lists and latency vectors are computed once on first
     access (``cached_property``), not re-scanned per metric — a report
@@ -201,46 +206,17 @@ class ServingReport:
     :meth:`invalidate_caches`.
     """
 
-    jobs: List[JobRecord] = field(default_factory=list)
-    backend_name: str = ""
-    scheduler_name: str = ""
-    trace_name: str = ""
-    batch_policy_name: str = "none"
-    #: Member count of every executed forward pass, in execution order:
-    #: ``[1, 1, ...]`` for unbatched serving, larger entries where ready
-    #: jobs shared a pass.  A continuous-batching dispatch contributes
-    #: one entry per catch-up cohort pass plus one for the shared pass
-    #: it tops up, so every executed step belongs to exactly one entry.
-    batch_sizes: List[int] = field(default_factory=list)
-    #: Jobs a continuous-batching run topped into an in-flight wave
-    #: (each one caught up mid-dispatch instead of opening a new wave);
-    #: 0 for every policy without refills.
-    refilled_jobs: int = 0
-    #: Resident-context budget the run served under (None = unbounded)
-    #: and the eviction policy that enforced it.
-    memory_budget_bytes: Optional[float] = None
-    eviction_policy_name: str = ""
-    #: High-water mark of post-event residency — never exceeds the
-    #: budget when one is set; the unbounded run's peak is what
-    #: budget sweeps are sized from.
-    peak_resident_bytes: int = 0
-    aux_evictions: int = 0
-    cache_evictions: int = 0
-    bytes_evicted: int = 0
-    #: Every eviction performed, in order (tier, victim, bytes).
-    eviction_events: List[EvictionEvent] = field(default_factory=list)
-    #: Step attempts this run lost to transient faults (each one consumed
-    #: accelerator time, executed nothing, and re-queued its job under
-    #: the retry policy's backoff).
-    retries: int = 0
-    #: Snapshot of the run's :class:`~repro.utils.metrics.MetricsRegistry`
-    #: (counters/gauges/histograms); the scalar report fields above are
-    #: *consumed* from these counters, not recomputed.
-    metrics: dict = field(default_factory=dict)
+    #: Memoised attributes :meth:`invalidate_caches` drops.
+    _MEMOS: Tuple[str, ...] = (
+        "_completed_jobs",
+        "_dropped_jobs",
+        "_latencies",
+        "_first_result_latencies",
+    )
 
     def invalidate_caches(self) -> None:
         """Drop memoised derived lists after mutating ``jobs``."""
-        for name in ("_completed_jobs", "_dropped_jobs", "_latencies", "_first_result_latencies"):
+        for name in self._MEMOS:
             self.__dict__.pop(name, None)
 
     # ------------------------------------------------------------------
@@ -265,6 +241,14 @@ class ServingReport:
     @property
     def dropped_jobs(self) -> List[JobRecord]:
         return list(self._dropped_jobs)
+
+    @property
+    def completed(self) -> int:
+        return len(self._completed_jobs)
+
+    @property
+    def dropped(self) -> int:
+        return len(self._dropped_jobs)
 
     @property
     def makespan(self) -> float:
@@ -348,6 +332,14 @@ class ServingReport:
         return float(np.mean(values)) if values else float("nan")
 
     @property
+    def mean_delivered_levels(self) -> float:
+        """Mean subnet count (depth + 1) delivered to completed requests."""
+        completed = self._completed_jobs
+        if not completed:
+            return float("nan")
+        return sum(job.final_subnet + 1 for job in completed) / len(completed)
+
+    @property
     def total_macs(self) -> float:
         return float(sum(job.total_macs_charged for job in self.jobs))
 
@@ -411,6 +403,60 @@ class ServingReport:
         """Jobs the per-request watchdog finalised with best-so-far."""
         return sum(1 for job in self.jobs if job.timed_out)
 
+    def to_dict(self) -> Dict[str, object]:
+        """Strictly-JSON-safe ``as_dict()`` (numpy scalars unwrapped,
+        non-finite floats mapped to None) for benchmark artifacts, so
+        ``json.dumps(report.to_dict())`` always succeeds."""
+        return _json_safe(self.as_dict())
+
+
+@dataclass
+class ServingReport(JobAggregates):
+    """Aggregate serving metrics over one request stream.
+
+    Every metric over ``jobs`` and ``batch_sizes`` comes from
+    :class:`JobAggregates` (memoised; see :meth:`invalidate_caches`);
+    the remaining fields are the run's names, memory ledger and
+    counters, consumed from its metrics registry.
+    """
+
+    jobs: List[JobRecord] = field(default_factory=list)
+    backend_name: str = ""
+    scheduler_name: str = ""
+    trace_name: str = ""
+    batch_policy_name: str = "none"
+    #: Member count of every executed forward pass, in execution order:
+    #: ``[1, 1, ...]`` for unbatched serving, larger entries where ready
+    #: jobs shared a pass.  A continuous-batching dispatch contributes
+    #: one entry per catch-up cohort pass plus one for the shared pass
+    #: it tops up, so every executed step belongs to exactly one entry.
+    batch_sizes: List[int] = field(default_factory=list)
+    #: Jobs a continuous-batching run topped into an in-flight wave
+    #: (each one caught up mid-dispatch instead of opening a new wave);
+    #: 0 for every policy without refills.
+    refilled_jobs: int = 0
+    #: Resident-context budget the run served under (None = unbounded)
+    #: and the eviction policy that enforced it.
+    memory_budget_bytes: Optional[float] = None
+    eviction_policy_name: str = ""
+    #: High-water mark of post-event residency — never exceeds the
+    #: budget when one is set; the unbounded run's peak is what
+    #: budget sweeps are sized from.
+    peak_resident_bytes: int = 0
+    aux_evictions: int = 0
+    cache_evictions: int = 0
+    bytes_evicted: int = 0
+    #: Every eviction performed, in order (tier, victim, bytes).
+    eviction_events: List[EvictionEvent] = field(default_factory=list)
+    #: Step attempts this run lost to transient faults (each one consumed
+    #: accelerator time, executed nothing, and re-queued its job under
+    #: the retry policy's backoff).
+    retries: int = 0
+    #: Snapshot of the run's :class:`~repro.utils.metrics.MetricsRegistry`
+    #: (counters/gauges/histograms); the scalar report fields above are
+    #: *consumed* from these counters, not recomputed.
+    metrics: dict = field(default_factory=dict)
+
     def as_dict(self) -> Dict[str, float]:
         return {
             "backend": self.backend_name,
@@ -418,8 +464,8 @@ class ServingReport:
             "trace": self.trace_name,
             "batch_policy": self.batch_policy_name,
             "num_jobs": self.num_jobs,
-            "completed": len(self._completed_jobs),
-            "dropped": len(self._dropped_jobs),
+            "completed": self.completed,
+            "dropped": self.dropped,
             "makespan": self.makespan,
             "throughput_rps": self.throughput,
             "p50_latency": self.p50_latency,
@@ -451,11 +497,6 @@ class ServingReport:
             "timed_out": self.timed_out,
             "metrics": self.metrics,
         }
-
-    def to_dict(self) -> Dict[str, object]:
-        """Strictly-JSON-safe :meth:`as_dict` (numpy scalars unwrapped,
-        non-finite floats mapped to None) for benchmark artifacts."""
-        return _json_safe(self.as_dict())
 
 
 def _json_safe(value):
@@ -793,6 +834,17 @@ class InterruptedJob:
     steps: List[ServedStep]
     logits: Optional[np.ndarray]
     retries: int
+
+
+def _checkpoint(job: ServingJob, steps: Sequence[ServedStep]) -> InterruptedJob:
+    """The failover checkpoint of a started job whose served steps are ``steps``."""
+    return InterruptedJob(
+        request=job.request,
+        history=job.session.level_history,
+        steps=list(steps),
+        logits=job.session.logits,
+        retries=job.retries,
+    )
 
 
 @dataclass
@@ -1260,30 +1312,9 @@ class ServingRun:
             raise RuntimeError(f"node '{self.node}' already crashed")
         self.now = max(self.now, now)
         self._crashed = True
-        unstarted: List[Request] = []
-        interrupted: List[InterruptedJob] = []
-        live = list(self.scheduler.jobs()) + list(self._delayed_jobs.values())
-        for job in live:
-            request_id = job.request.request_id
-            record = self._records.pop(request_id)
-            if job.started:
-                interrupted.append(
-                    InterruptedJob(
-                        request=job.request,
-                        history=job.session.level_history,
-                        steps=list(record.steps),
-                        logits=job.session.logits,
-                        retries=job.retries,
-                    )
-                )
-            else:
-                unstarted.append(job.request)
-            self.scheduler.discard(job)
-            if self.memory.budget_bytes is None:
-                self._resident_total -= self._resident_sizes.pop(request_id, 0)
-            job.session.close()
-            self._ids.discard(request_id)
-        self._delayed_jobs.clear()
+        work = self._hand_back(
+            list(self.scheduler.jobs()) + list(self._delayed_jobs.values())
+        )
         self._delayed_heap.clear()
         self._watchdog.clear()
         # Pushed-but-unadmitted work re-routes whole; failover hand-offs
@@ -1293,37 +1324,29 @@ class ServingRun:
             job = self._resume_jobs.pop(request_id, None)
             steps = self._resume_steps.pop(request_id, [])
             if job is not None:
-                interrupted.append(
-                    InterruptedJob(
-                        request=request,
-                        history=job.session.level_history,
-                        steps=steps,
-                        logits=job.session.logits,
-                        retries=job.retries,
-                    )
-                )
+                work.interrupted.append(_checkpoint(job, steps))
                 job.session.close()
             else:
-                unstarted.append(request)
+                work.unstarted.append(request)
             self._ids.discard(request_id)
         _LOG.warning(
             "node '%s' crashed at t=%.6f (%d unstarted migrate, %d in-flight fail over)",
             self.node,
             self.now,
-            len(unstarted),
-            len(interrupted),
+            len(work.unstarted),
+            len(work.interrupted),
         )
         if self._obs is not None:
             self._obs.emit(
                 "crash",
                 self.now,
                 node=self.node,
-                unstarted=len(unstarted),
-                interrupted=len(interrupted),
+                unstarted=len(work.unstarted),
+                interrupted=len(work.interrupted),
             )
             if self._obs.plan_timer is not None:
                 self.engine.backend.detach_plan_timer()
-        return CrashedNodeWork(unstarted=unstarted, interrupted=interrupted)
+        return work
 
     def steal(
         self, count: int, now: float, include_started: bool = False
@@ -1364,38 +1387,41 @@ class ServingRun:
                 )
             )
             victims.extend(inflight[: count - len(victims)])
-        unstarted: List[Request] = []
-        interrupted: List[InterruptedJob] = []
-        for job in victims:
+        work = self._hand_back(victims)
+        if victims:
+            _LOG.debug(
+                "node '%s' yielded %d unstarted + %d in-flight jobs to steal at t=%.6f",
+                self.node,
+                len(work.unstarted),
+                len(work.interrupted),
+                now,
+            )
+        return work
+
+    def _hand_back(self, jobs: Sequence[ServingJob]) -> CrashedNodeWork:
+        """Release live jobs from this run to the coordinator.
+
+        Each job's record leaves the run; a started job comes back as its
+        subnet-level checkpoint, an unstarted one as its bare request.
+        The job leaves the scheduler and the delay queue, its residency
+        entry is dropped, its session closed and its id forgotten, so
+        the coordinator may re-place it on any run.
+        """
+        work = CrashedNodeWork(unstarted=[], interrupted=[])
+        for job in jobs:
             request_id = job.request.request_id
             record = self._records.pop(request_id)
             if job.started:
-                interrupted.append(
-                    InterruptedJob(
-                        request=job.request,
-                        history=job.session.level_history,
-                        steps=list(record.steps),
-                        logits=job.session.logits,
-                        retries=job.retries,
-                    )
-                )
+                work.interrupted.append(_checkpoint(job, record.steps))
             else:
-                unstarted.append(job.request)
+                work.unstarted.append(job.request)
             self.scheduler.discard(job)
             self._delayed_jobs.pop(request_id, None)
             if self.memory.budget_bytes is None:
                 self._resident_total -= self._resident_sizes.pop(request_id, 0)
             job.session.close()
             self._ids.discard(request_id)
-        if victims:
-            _LOG.debug(
-                "node '%s' yielded %d unstarted + %d in-flight jobs to steal at t=%.6f",
-                self.node,
-                len(unstarted),
-                len(interrupted),
-                now,
-            )
-        return CrashedNodeWork(unstarted=unstarted, interrupted=interrupted)
+        return work
 
     def _batch_candidates(self, winner: ServingJob) -> List[ServingJob]:
         """Ready jobs that could share the winner's step, winner first.

@@ -42,11 +42,11 @@ from ..utils.errors import ConfigError
 from .analyze import (
     SLOSpec,
     _coerce_slo,
-    _sanitize,
     decompose_latency,
     decomposition_summary,
     evaluate_slo,
 )
+from .engine import _json_safe
 from .observe import ObservabilitySpec, staleness_curve
 from .spec import ClusterSpec
 
@@ -285,7 +285,7 @@ class SweepResult:
         return values
 
     def to_dict(self) -> Dict[str, Any]:
-        return _sanitize(
+        return _json_safe(
             {
                 "name": self.sweep.name,
                 "grid": {path: list(values) for path, values in self.sweep.grid.items()},

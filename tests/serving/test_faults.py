@@ -89,6 +89,15 @@ def _assert_jobs_bit_equal_to_oracle(network, jobs):
         assert np.array_equal(job.final_logits, reference[-1].logits)
 
 
+def _baseline_macs(network, jobs):
+    """Per-level delta MACs of every executed step: the work without replays."""
+    per_level = [float(network.subnet_macs(0))] + [
+        float(network.subnet_macs(level)) - float(network.subnet_macs(level - 1))
+        for level in range(1, network.num_subnets)
+    ]
+    return sum(per_level[step.subnet] for job in jobs for step in job.steps)
+
+
 # ----------------------------------------------------------------------
 # FaultSpec serialisation and validation
 # ----------------------------------------------------------------------
@@ -284,18 +293,24 @@ def _cluster(network, num_nodes=2, faults=None, admission="none", router="round-
     )
 
 
+def _crash_mid_burst(network, images, **fault_kwargs):
+    """A 10-request burst on two nodes, node n1 crashing mid-way through
+    its half of it; returns the fault-free baseline and the faulted report."""
+    burst = lambda: _requests(images, count=10, gap=0.0)
+    baseline = _cluster(network).serve(burst())
+    n1_jobs = baseline.node_reports[1].jobs
+    crash_at = n1_jobs[len(n1_jobs) // 2].steps[0].finish_time
+    faults = FaultSpec(
+        events=(CrashFault(node="n1", time=float(crash_at)),), **fault_kwargs
+    )
+    return baseline, _cluster(network, faults=faults).serve(burst())
+
+
 class TestClusterFailover:
     def test_crash_migrates_and_fails_over_bit_exact(
         self, stepping_network, sample_pool
     ):
-        images, _ = sample_pool
-        burst = lambda: _requests(images, count=10, gap=0.0)
-        baseline = _cluster(stepping_network).serve(burst())
-        # Crash node n1 while it is mid-way through its half of the burst.
-        n1_jobs = baseline.node_reports[1].jobs
-        crash_at = n1_jobs[len(n1_jobs) // 2].steps[0].finish_time
-        faults = FaultSpec(events=(CrashFault(node="n1", time=float(crash_at)),))
-        report = _cluster(stepping_network, faults=faults).serve(burst())
+        baseline, report = _crash_mid_burst(stepping_network, sample_pool[0])
 
         assert report.num_jobs == 10
         assert report.as_dict()["completed"] == 10
@@ -303,13 +318,29 @@ class TestClusterFailover:
         assert report.migrations > 0 and report.failovers > 0
         assert report.retries >= report.failovers
         # Each request has exactly one record fleet-wide.
-        ids = sorted(job.request.request_id for job in report._jobs)
+        ids = sorted(job.request.request_id for job in report.jobs)
         assert ids == list(range(10))
-        _assert_jobs_bit_equal_to_oracle(stepping_network, report._jobs)
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
         # Failover replay is charged honestly and exactly.
         assert report.total_macs_recomputed > 0
         assert report.total_macs - report.total_macs_recomputed == pytest.approx(
             baseline.total_macs
+        )
+
+    def test_fleet_macs_count_best_effort_records(self, stepping_network, sample_pool):
+        """Without retries, crashed in-flight jobs are finalised by the
+        coordinator with their best-so-far steps — those steps' MACs
+        still belong to the fleet totals."""
+        _, report = _crash_mid_burst(
+            stepping_network, sample_pool[0], retry=RetryPolicy(kind="none")
+        )
+
+        assert any(job.steps for job in report.extra_jobs)
+        assert report.total_macs == sum(
+            step.macs_charged for job in report.jobs for step in job.steps
+        )
+        assert report.total_macs - report.total_macs_recomputed == pytest.approx(
+            _baseline_macs(stepping_network, report.jobs)
         )
 
     def test_crash_with_no_survivor_returns_best_effort(
@@ -325,7 +356,7 @@ class TestClusterFailover:
             _requests(images, count=3, gap=0.0)
         )
         assert report.num_jobs == 3
-        jobs = {job.request.request_id: job for job in report._jobs}
+        jobs = {job.request.request_id: job for job in report.jobs}
         # The in-flight job keeps its best-so-far anytime prediction.
         started = jobs[0]
         assert started.status == "completed"
@@ -334,7 +365,7 @@ class TestClusterFailover:
         # Queued-but-unstarted requests are lost: no node ever comes back.
         assert report.lost == 2
         assert all(jobs[i].status == "lost" for i in (1, 2))
-        _assert_jobs_bit_equal_to_oracle(stepping_network, report._jobs)
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
 
     def test_recovered_node_serves_again(self, stepping_network, sample_pool):
         images, _ = sample_pool
@@ -349,7 +380,7 @@ class TestClusterFailover:
         assert any(
             job.request.arrival_time > 0.4 for job in report.node_reports[1].jobs
         )
-        _assert_jobs_bit_equal_to_oracle(stepping_network, report._jobs)
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
 
     def test_partitioned_node_receives_no_new_work(
         self, stepping_network, sample_pool
@@ -378,7 +409,7 @@ class TestClusterFailover:
         assert report.as_dict()["completed"] == 4
         assert report.lost == 0
         # Nothing could start before the partitions healed.
-        starts = [job.steps[0].start_time for job in report._jobs]
+        starts = [job.steps[0].start_time for job in report.jobs]
         assert min(starts) >= 0.5
 
     def test_fault_tolerant_serve_is_deterministic(
@@ -440,13 +471,13 @@ class TestRetryDeadlineClamp:
             ).serve(self._deadlined(images, 0.3), recorder=recorder)
         finally:
             recorder.close()
-        job = report._jobs[0]
+        job = report.jobs[0]
         assert job.status == "completed"
         assert job.stop_reason == "deadline reached during failover backoff"
         assert job.steps  # best-so-far anytime answer, not a drop
         finalizes = [e for e in recorder.events if e["type"] == "finalize"]
         assert finalizes and all(float(e["time"]) < 0.3 for e in finalizes)
-        _assert_jobs_bit_equal_to_oracle(stepping_network, report._jobs)
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
 
     def test_reachability_horizon_past_deadline_finalises_immediately(
         self, stepping_network, sample_pool
@@ -465,7 +496,7 @@ class TestRetryDeadlineClamp:
         report = _cluster(
             stepping_network, faults=faults, enforce_deadline=True
         ).serve(self._deadlined(images, 0.3))
-        job = report._jobs[0]
+        job = report.jobs[0]
         assert job.status == "completed"
         assert job.stop_reason == "deadline reached before any node is reachable"
         assert job.steps
@@ -483,7 +514,7 @@ class TestRetryDeadlineClamp:
         report = _cluster(stepping_network, faults=faults).serve(
             self._deadlined(images, 0.3)
         )
-        job = report._jobs[0]
+        job = report.jobs[0]
         assert job.status == "completed"
         assert job.retries > 0
         assert job.final_subnet == stepping_network.num_subnets - 1
@@ -534,9 +565,9 @@ class TestRetryDeadlineClamp:
             ]
             assert later == []
         # One record per request survives the chaos, as ever.
-        ids = sorted(job.request.request_id for job in report._jobs)
+        ids = sorted(job.request.request_id for job in report.jobs)
         assert ids == list(range(12))
-        _assert_jobs_bit_equal_to_oracle(stepping_network, report._jobs)
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
 
 
 # ----------------------------------------------------------------------
@@ -557,7 +588,7 @@ class TestAdmissionControl:
         assert report.degraded_admissions == 3
         assert report.rejected == 0
         assert report.as_dict()["completed"] == 3
-        for job in report._jobs:
+        for job in report.jobs:
             assert job.final_subnet < stepping_network.num_subnets - 1
             assert "admission-capped" in job.stop_reason
 
@@ -572,8 +603,8 @@ class TestAdmissionControl:
         ).serve(requests)
         assert report.rejected == 2
         assert report.num_jobs == 2  # rejected arrivals still get records
-        assert all(job.status == "rejected" for job in report._jobs)
-        assert all("admission control" in job.stop_reason for job in report._jobs)
+        assert all(job.status == "rejected" for job in report.jobs)
+        assert all("admission control" in job.stop_reason for job in report.jobs)
 
     def test_memory_pressure_caps_to_minimum_subnet(
         self, stepping_network, sample_pool
@@ -590,12 +621,12 @@ class TestAdmissionControl:
         ).serve(_requests(images, count=2, gap=0.0))
         assert report.degraded_admissions == 1
         capped = [
-            job for job in report._jobs
+            job for job in report.jobs
             if job.request.max_subnet == 0 and job.status == "completed"
         ]
         assert len(capped) == 1
         assert capped[0].final_subnet == 0
-        _assert_jobs_bit_equal_to_oracle(stepping_network, report._jobs)
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
 
 
 # ----------------------------------------------------------------------
@@ -736,7 +767,7 @@ class TestChaosFuzz:
         report = _chaos_cluster(stepping_network, mode, faults).serve(requests)
 
         # Exactly one record per request, fleet-wide.
-        ids = sorted(job.request.request_id for job in report._jobs)
+        ids = sorted(job.request.request_id for job in report.jobs)
         assert ids == list(range(18))
         # spare_first leaves n0 alive throughout, and partitions always
         # heal: nothing may be lost outright.
@@ -744,7 +775,7 @@ class TestChaosFuzz:
         # Every completed request — including best-effort failover
         # finalisations — is bit-identical to solo incremental inference
         # over its executed level sequence, at every step.
-        _assert_jobs_bit_equal_to_oracle(stepping_network, report._jobs)
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
         # Two serves of the same schedule agree exactly.
         again = _chaos_cluster(stepping_network, mode, faults).serve(
             _requests(images, count=18, gap=0.04)
@@ -763,14 +794,6 @@ class TestChaosFuzz:
         )
         requests = _requests(images, count=18, gap=0.04)
         report = _chaos_cluster(stepping_network, "memory", faults).serve(requests)
-        per_level = [float(stepping_network.subnet_macs(0))] + [
-            float(stepping_network.subnet_macs(level))
-            - float(stepping_network.subnet_macs(level - 1))
-            for level in range(1, stepping_network.num_subnets)
-        ]
-        expected = sum(
-            per_level[step.subnet] for job in report._jobs for step in job.steps
-        )
         assert report.total_macs - report.total_macs_recomputed == pytest.approx(
-            expected
+            _baseline_macs(stepping_network, report.jobs)
         )

@@ -499,13 +499,13 @@ class TestStealFuzz:
         assert report.lost == 0 and report.rejected == 0
         # Steals partition the workload: every request has exactly one
         # record fleet-wide, and the thieves really carry stolen jobs.
-        ids = sorted(job.request.request_id for job in report._jobs)
+        ids = sorted(job.request.request_id for job in report.jobs)
         assert ids == list(range(count))
         off_victim = sum(r.num_jobs for r in report.node_reports[1:])
         assert off_victim >= min(report.steals, 1)
         # Bit-equality: stolen or not, every completed request matches
         # solo incremental inference over its executed level sequence.
-        _assert_jobs_bit_equal_to_oracle(stepping_network, report._jobs)
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
         # MACs are charged honestly: useful work plus declared recompute.
         per_level = [float(stepping_network.subnet_macs(0))] + [
             float(stepping_network.subnet_macs(level))
@@ -513,7 +513,7 @@ class TestStealFuzz:
             for level in range(1, stepping_network.num_subnets)
         ]
         expected = sum(
-            per_level[step.subnet] for job in report._jobs for step in job.steps
+            per_level[step.subnet] for job in report.jobs for step in job.steps
         )
         assert report.total_macs - report.total_macs_recomputed == pytest.approx(
             expected
@@ -654,9 +654,9 @@ class TestShardRequests:
         assert tuple(shard_events[0]["shards"]) == report.shard_groups[0]
         # Each shard is bit-equal to solo serving of that shard, and the
         # gather stacks them back in slice order.
-        _assert_jobs_bit_equal_to_oracle(stepping_network, report._jobs)
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
         gathered = report.gathered_logits()
-        jobs_by_id = {job.request.request_id: job for job in report._jobs}
+        jobs_by_id = {job.request.request_id: job for job in report.jobs}
         parts = [jobs_by_id[sid].final_logits for sid in report.shard_groups[0]]
         assert gathered[0].shape[0] == 6
         assert np.array_equal(gathered[0], np.concatenate(parts, axis=0))
@@ -681,4 +681,4 @@ class TestShardRequests:
         assert set(gathered) == {0, 1, 2, 3}
         for parent_id, logits in gathered.items():
             assert logits.shape[0] == 4
-        _assert_jobs_bit_equal_to_oracle(stepping_network, report._jobs)
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
