@@ -646,7 +646,6 @@ class ServingJob:
 
     request: Request
     session: ExecutionSession
-    first_scheduled_at: Optional[float] = None
     steps_executed: int = 0
     #: Simulated finish time of the job's last executed step — the
     #: recency signal LRU eviction orders on.

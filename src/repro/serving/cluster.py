@@ -62,7 +62,7 @@ import numpy as np
 
 from ..utils.errors import ConfigError
 from ..utils.logging import get_logger
-from ..utils.metrics import MetricsRegistry, merge_snapshots
+from ..utils.metrics import MetricsRegistry
 from .engine import (
     CrashedNodeWork,
     InterruptedJob,
@@ -707,47 +707,6 @@ class ClusterReport(JobAggregates):
         }
 
 
-def _merge_incarnation_reports(reports: List[ServingReport]) -> ServingReport:
-    """Merge the reports of one node's successive run incarnations.
-
-    A node that crashes and recovers serves through several
-    :class:`~repro.serving.engine.ServingRun` instances; the fleet
-    report presents them as one node.  Job lists and batch logs
-    concatenate, counters add, the residency peak is the max, metrics
-    snapshots merge (:func:`~repro.utils.metrics.merge_snapshots`), and
-    jobs are re-sorted by request id so the merged report is
-    deterministic.
-    """
-    if len(reports) == 1:
-        return reports[0]
-    first = reports[0]
-    merged = ServingReport(
-        backend_name=first.backend_name,
-        scheduler_name=first.scheduler_name,
-        trace_name=first.trace_name,
-        batch_policy_name=first.batch_policy_name,
-        memory_budget_bytes=first.memory_budget_bytes,
-        eviction_policy_name=first.eviction_policy_name,
-    )
-    for report in reports:
-        merged.jobs.extend(report.jobs)
-        merged.batch_sizes.extend(report.batch_sizes)
-        merged.eviction_events.extend(report.eviction_events)
-        merged.refilled_jobs += report.refilled_jobs
-        merged.retries += report.retries
-        merged.aux_evictions += report.aux_evictions
-        merged.cache_evictions += report.cache_evictions
-        merged.bytes_evicted += report.bytes_evicted
-        merged.peak_resident_bytes = max(
-            merged.peak_resident_bytes, report.peak_resident_bytes
-        )
-    merged.metrics = merge_snapshots(
-        report.metrics for report in reports if report.metrics
-    )
-    merged.jobs.sort(key=lambda job: job.request.request_id)
-    return merged
-
-
 def _publish_signals(
     recorder: TraceRecorder,
     nodes: Sequence[NodeState],
@@ -857,7 +816,10 @@ class Coordinator:
     state bit-for-bit and charges the recompute MACs honestly.  When the
     retry budget or the deadline runs out, the checkpoint is finalised
     with its best-so-far anytime prediction instead of being lost:
-    partial answers are the whole point of stepping inference.
+    partial answers are the whole point of stepping inference.  A
+    recovering node comes back in the same run
+    (:meth:`~repro.serving.engine.ServingRun.recover`), so every node has
+    exactly one run, and one report, per call.
     """
 
     def __init__(
@@ -891,12 +853,15 @@ class Coordinator:
         #: Records no node serves: rejected, lost and best-effort jobs.
         self.extra: List[JobRecord] = []
         self.nodes = cluster._new_nodes()
-        #: Every run each node served through, oldest first; the last
-        #: is the current one (a crash ends a run, a recovery opens one).
-        self.incarnations: List[List[ServingRun]] = [[] for _ in self.nodes]
-        for node in self.nodes:
-            self._open_run(node)
-        self.alive = [True] * len(self.nodes)
+        #: One run per node for the whole call: a crash empties it and a
+        #: recovery brings it back in place, so its report spans both.
+        self.runs: List[ServingRun] = [
+            node.engine.open_run(fault_injector=self.injector, node=node.name, recorder=recorder)
+            for node in self.nodes
+        ]
+        if self.live:
+            for node, run in zip(self.nodes, self.runs):
+                node.attach_run(run)
         self.router.reset(self.nodes)
         self._events: List[Tuple[float, int, str, Any]] = []
         self._sequence = itertools.count()
@@ -917,20 +882,17 @@ class Coordinator:
         while self._events:
             time, _, kind, payload = heapq.heappop(self._events)
             if self.live:
-                for node in self.nodes:
-                    if self.alive[node.index]:
-                        self._run(node).run_until(time)
+                # A crashed run has no next event, so it stays put.
+                for run in self.runs:
+                    run.run_until(time)
             getattr(self, f"_on_{kind}")(payload, time)
         # Drain every node before building any report: a plan timer the
         # nodes share detaches as soon as one run finishes.
-        for runs in self.incarnations:
-            runs[-1].run_until(math.inf)
+        for run in self.runs:
+            run.run_until(math.inf)
         cluster = self.cluster
         return ClusterReport(
-            node_reports=[
-                _merge_incarnation_reports([run.finish() for run in runs])
-                for runs in self.incarnations
-            ],
+            node_reports=[run.finish() for run in self.runs],
             node_names=list(cluster.node_names),
             router_name=self.router.name,
             cluster_name=cluster.name,
@@ -994,7 +956,7 @@ class Coordinator:
             plan = steal_plan([node.published_depth(now) for node in ready], self.rebalance)
             if plan is not None:
                 victim = ready[plan[0]]
-                work = self._run(victim).steal(
+                work = self.runs[victim.index].steal(
                     plan[1], now, include_started=self.rebalance.steal_in_flight
                 )
                 for request, checkpoint in _departures(work):
@@ -1012,17 +974,14 @@ class Coordinator:
                     self.place(request, now, checkpoint=checkpoint, exclude=victim.index)
         # Re-arm while any work remains anywhere; the last tick dies with
         # the fleet drained, ending the event loop.
-        if self._events or any(
-            self.alive[node.index] and self._run(node).next_event_time() is not None
-            for node in self.nodes
-        ):
+        if self._events or any(run.next_event_time() is not None for run in self.runs):
             self._push(now + self.tick, "rebalance", None)
 
     def _on_crash(self, node: NodeState, now: float) -> None:
-        if not self.alive[node.index]:
+        run = self.runs[node.index]
+        if run.crashed:
             return
-        work = self._run(node).crash(now)
-        self.alive[node.index] = False
+        work = run.crash(now)
         for request, checkpoint in _departures(work):
             # The fluid model forgets departed work immediately: analytic
             # signals must not keep charging a dead node for jobs the
@@ -1043,10 +1002,10 @@ class Coordinator:
                     self.counters["failovers"].add()
 
     def _on_recover(self, node: NodeState, now: float) -> None:
-        if self.alive[node.index]:
+        run = self.runs[node.index]
+        if not run.crashed:
             return
-        self._open_run(node)
-        self.alive[node.index] = True
+        run.recover(now)
         _LOG.info("node '%s' recovered at t=%.6f", node.name, now)
         if self.recorder is not None:
             self.recorder.emit("recover", now, node=node.name)
@@ -1090,7 +1049,7 @@ class Coordinator:
             if node is None:
                 return
         node.assign(request)
-        run = self._run(node)
+        run = self.runs[node.index]
         if checkpoint is None:
             run.push(request, not_before=now)
             return
@@ -1102,14 +1061,7 @@ class Coordinator:
             resume_levels=len(checkpoint.history),
             attempt=checkpoint.retries,
         )
-        run.push_resumed(
-            request,
-            history=checkpoint.history,
-            steps=checkpoint.steps,
-            logits=checkpoint.logits,
-            retries=checkpoint.retries,
-            resume_at=now,
-        )
+        run.push_resumed(checkpoint, resume_at=now)
 
     def _unplaceable(
         self,
@@ -1210,22 +1162,11 @@ class Coordinator:
     def _push(self, time: float, kind: str, payload: Any) -> None:
         heapq.heappush(self._events, (time, next(self._sequence), kind, payload))
 
-    def _run(self, node: NodeState) -> ServingRun:
-        return self.incarnations[node.index][-1]
-
-    def _open_run(self, node: NodeState) -> None:
-        run = node.engine.open_run(
-            fault_injector=self.injector, node=node.name, recorder=self.recorder
-        )
-        self.incarnations[node.index].append(run)
-        if self.live:
-            node.attach_run(run)
-
     def _reachable(self, now: float) -> List[NodeState]:
         return [
             node
             for node in self.nodes
-            if self.alive[node.index]
+            if not self.runs[node.index].crashed
             and (self.injector is None or self.injector.reachable(node.name, now))
         ]
 
@@ -1291,7 +1232,7 @@ class Coordinator:
         time, which keeps per-node timestamps monotone.
         """
         if self.recorder is not None:
-            self.recorder.emit(kind, max(now, self._run(node).now), node=node.name, **fields)
+            self.recorder.emit(kind, max(now, self.runs[node.index].now), node=node.name, **fields)
 
 
 # ----------------------------------------------------------------------

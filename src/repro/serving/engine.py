@@ -39,7 +39,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Type, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type, Union
 
 import numpy as np
 
@@ -572,9 +572,6 @@ class ServingEngine:
         When True a job stops refining once simulated time reaches its
         deadline even if its policy would continue; turn off to let the
         policy alone decide (the single-shot executor semantics).
-    store_logits:
-        Keep per-step logits on the records (needed for accuracy-at-
-        deadline accounting; disable to save memory on huge streams).
     max_service_time:
         Per-request watchdog in simulated seconds: a job still resident
         ``max_service_time`` after its arrival is finalised with its
@@ -605,7 +602,6 @@ class ServingEngine:
         overhead_per_step: float = 0.0,
         drop_expired: bool = False,
         enforce_deadline: bool = True,
-        store_logits: bool = True,
         max_service_time: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
         observe: Optional[ObservabilitySpec] = None,
@@ -638,7 +634,6 @@ class ServingEngine:
         self.overhead_per_step = overhead_per_step
         self.drop_expired = drop_expired
         self.enforce_deadline = enforce_deadline
-        self.store_logits = store_logits
         self.max_service_time = max_service_time
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.observe = _coerce_observe(observe)
@@ -879,7 +874,9 @@ class ServingRun:
       the same instant.
 
     The scheduler is a fresh clone per run, so any number of concurrent
-    runs (one per cluster node) stay isolated.
+    runs (one per cluster node) stay isolated.  :meth:`crash` empties a
+    run and :meth:`recover` brings it back in place, so a node keeps one
+    run, and one report, however often it fails.
     """
 
     def __init__(
@@ -896,8 +893,7 @@ class ServingRun:
         #: a single attribute check — the zero-overhead-when-disabled
         #: contract.  All event timestamps are simulated seconds.
         self._obs = recorder
-        if recorder is not None and recorder.plan_timer is not None:
-            engine.backend.attach_plan_timer(recorder.plan_timer)
+        self._plan_timer(attach=True)
         #: Always-on deterministic metrics; the report's scalar counters
         #: are read off this registry at :meth:`finish`.
         self.metrics = MetricsRegistry()
@@ -951,8 +947,7 @@ class ServingRun:
         self._watchdog: List[Tuple[float, int]] = []
         #: Failover hand-offs awaiting admission: id -> restored job and
         #: the steps it already served elsewhere.
-        self._resume_jobs: Dict[int, ServingJob] = {}
-        self._resume_steps: Dict[int, List[ServedStep]] = {}
+        self._resumed: Dict[int, Tuple[ServingJob, List[ServedStep]]] = {}
         self._crashed = False
 
     # ------------------------------------------------------------------
@@ -966,41 +961,13 @@ class ServingRun:
         partitioned or crashed) must not start earlier than ``t`` even
         when this node's clock still lags behind.
         """
-        if self._report is not None:
-            raise RuntimeError("run already finished; open a new one")
-        if self._crashed:
-            raise RuntimeError(f"node '{self.node}' crashed; cannot accept work")
-        if request.request_id in self._ids:
-            raise ValueError(
-                f"request_id {request.request_id} already pushed into this run"
-            )
-        self._ids.add(request.request_id)
         when = request.arrival_time
         if not_before is not None:
             when = max(when, not_before)
-        heapq.heappush(self._pending, (when, request.request_id, request))
-        if self._obs is not None:
-            # The node's perspective: it cannot learn of an arrival
-            # earlier than its own clock, which keeps per-node
-            # timestamps monotone under interleaved fleet driving.
-            self._obs.emit(
-                "arrive",
-                max(when, self.now),
-                node=self.node,
-                request_id=request.request_id,
-                arrival=float(request.arrival_time),
-                deadline=float(request.deadline) if request.deadline is not None else None,
-            )
+        self._enqueue(request, when)
 
     def push_resumed(
-        self,
-        request: Request,
-        *,
-        history: Sequence[int],
-        steps: Sequence[ServedStep] = (),
-        logits: Optional[np.ndarray] = None,
-        retries: int = 0,
-        resume_at: Optional[float] = None,
+        self, checkpoint: InterruptedJob, resume_at: Optional[float] = None
     ) -> None:
         """Queue a failed-over job with its checkpoint for admission.
 
@@ -1010,29 +977,38 @@ class ServingRun:
         history — bit-equal to the original steps — and charges the
         recompute MACs, exactly like an eviction resume.
         """
-        if self._report is not None:
-            raise RuntimeError("run already finished; open a new one")
-        if self._crashed:
-            raise RuntimeError(f"node '{self.node}' crashed; cannot accept work")
-        if request.request_id in self._ids:
-            raise ValueError(
-                f"request_id {request.request_id} already pushed into this run"
-            )
-        session = self.engine.backend.open(request.inputs)
-        session.restore(history, logits)
-        job = ServingJob(
-            request=request,
-            session=session,
-            steps_executed=len(session.level_history),
-            retries=int(retries),
-        )
+        request = checkpoint.request
+        when = request.arrival_time
+        if resume_at is not None:
+            when = max(resume_at, when)
+        self._enqueue(request, when, checkpoint)
+
+    def _enqueue(
+        self, request: Request, when: float, checkpoint: Optional[InterruptedJob] = None
+    ) -> None:
+        """The one way into the run: register the id, queue, trace ``arrive``."""
+        self._check_up()
         request_id = request.request_id
+        if request_id in self._ids:
+            raise ValueError(f"request_id {request_id} already pushed into this run")
+        flags = {}
+        if checkpoint is not None:
+            session = self.engine.backend.open(request.inputs)
+            session.restore(checkpoint.history, checkpoint.logits)
+            job = ServingJob(
+                request=request,
+                session=session,
+                steps_executed=len(session.level_history),
+                retries=int(checkpoint.retries),
+            )
+            self._resumed[request_id] = (job, list(checkpoint.steps))
+            flags = {"resumed": True, "resume_levels": len(session.level_history)}
         self._ids.add(request_id)
-        self._resume_jobs[request_id] = job
-        self._resume_steps[request_id] = list(steps)
-        when = request.arrival_time if resume_at is None else max(resume_at, request.arrival_time)
         heapq.heappush(self._pending, (when, request_id, request))
         if self._obs is not None:
+            # The node's perspective: it cannot learn of an arrival
+            # earlier than its own clock, which keeps per-node
+            # timestamps monotone under interleaved fleet driving.
             self._obs.emit(
                 "arrive",
                 max(when, self.now),
@@ -1040,8 +1016,7 @@ class ServingRun:
                 request_id=request_id,
                 arrival=float(request.arrival_time),
                 deadline=float(request.deadline) if request.deadline is not None else None,
-                resumed=True,
-                resume_levels=len(session.level_history),
+                **flags,
             )
 
     @property
@@ -1063,8 +1038,7 @@ class ServingRun:
         state as of the last processed event — what a memory-aware fleet
         router reads between arrivals.
         """
-        jobs = list(self.scheduler.jobs()) + list(self._delayed_jobs.values())
-        return MemoryBudget.resident_bytes(jobs)
+        return MemoryBudget.resident_bytes(self._live_jobs())
 
     @property
     def entry_edge_depth(self) -> int:
@@ -1076,6 +1050,11 @@ class ServingRun:
         one-event staleness as :attr:`queue_depth`.
         """
         return self.scheduler.count_at_edge((-1, 0))
+
+    @property
+    def crashed(self) -> bool:
+        """Whether the node is down: between :meth:`crash` and :meth:`recover`."""
+        return self._crashed
 
     def next_event_time(self) -> Optional[float]:
         """When the next event would run (None when the run is drained)."""
@@ -1138,8 +1117,7 @@ class ServingRun:
         report.eviction_events = list(self.memory.events)
         report.metrics = self.metrics.snapshot()
         self._report = report
-        if self._obs is not None and self._obs.plan_timer is not None:
-            self.engine.backend.detach_plan_timer()
+        self._plan_timer(attach=False)
         return report
 
     # ------------------------------------------------------------------
@@ -1150,14 +1128,13 @@ class ServingRun:
         while self._pending and self._pending[0][0] <= until + _TIME_EPS:
             _, _, request = heapq.heappop(self._pending)
             request_id = request.request_id
-            job = self._resume_jobs.pop(request_id, None)
-            if job is None:
-                job = ServingJob(
-                    request=request, session=engine.backend.open(request.inputs)
-                )
-            record = JobRecord(
-                request=request, steps=self._resume_steps.pop(request_id, [])
-            )
+            resumed = self._resumed.pop(request_id, None)
+            if resumed is None:
+                job = ServingJob(request=request, session=engine.backend.open(request.inputs))
+                steps: List[ServedStep] = []
+            else:
+                job, steps = resumed
+            record = JobRecord(request=request, steps=steps)
             if record.steps:
                 record.final_logits = job.session.logits
             record.retries = job.retries
@@ -1192,13 +1169,7 @@ class ServingRun:
         record.retries = job.retries
         if job.session.logits is not None:
             record.final_logits = job.session.logits
-        self.scheduler.discard(job)
-        self._delayed_jobs.pop(request_id, None)
-        if self.memory.budget_bytes is None:
-            self._resident_total -= self._resident_sizes.pop(request_id, 0)
-        # The job left the system: release its resident context so the
-        # memory accounting (and any bounded budget) sees it gone.
-        job.session.close()
+        self._release(job)
         self._m_finalized.add()
         if self._obs is not None:
             self._obs.emit(
@@ -1212,10 +1183,47 @@ class ServingRun:
                 queue_depth=len(self.scheduler),
             )
 
+    def _check_up(self) -> None:
+        """Raise unless the run is still open and its node is up."""
+        if self._report is not None:
+            raise RuntimeError("run already finished")
+        if self._crashed:
+            raise RuntimeError(f"node '{self.node}' already crashed")
+
+    def _release(self, job: ServingJob) -> None:
+        """The one way out of the run for a live job.
+
+        The job leaves the scheduler and the delay queue, its residency
+        entry is dropped and its session closed, so the memory
+        accounting (and any bounded budget) sees its context gone.
+        """
+        request_id = job.request.request_id
+        self.scheduler.discard(job)
+        self._delayed_jobs.pop(request_id, None)
+        if self.memory.budget_bytes is None:
+            self._resident_total -= self._resident_sizes.pop(request_id, 0)
+        job.session.close()
+
+    def _live_jobs(self) -> List[ServingJob]:
+        """Every job holding a context here: ready ones, then backoff-delayed ones."""
+        return list(self.scheduler.jobs()) + list(self._delayed_jobs.values())
+
+    def _due(self, heap: List[Tuple[float, int]]) -> Iterator[int]:
+        """Pop the request ids of lazy timer ``heap`` entries due by the clock."""
+        while heap and heap[0][0] <= self.now + _TIME_EPS:
+            yield heapq.heappop(heap)[1]
+
+    def _plan_timer(self, attach: bool) -> None:
+        """Point the backend's plan timer at the recorder's, or detach it."""
+        if self._obs is not None and self._obs.plan_timer is not None:
+            if attach:
+                self.engine.backend.attach_plan_timer(self._obs.plan_timer)
+            else:
+                self.engine.backend.detach_plan_timer()
+
     def _release_delayed(self) -> None:
         """Re-queue delayed jobs whose retry backoff has elapsed."""
-        while self._delayed_heap and self._delayed_heap[0][0] <= self.now + _TIME_EPS:
-            _, request_id = heapq.heappop(self._delayed_heap)
+        for request_id in self._due(self._delayed_heap):
             job = self._delayed_jobs.pop(request_id, None)
             if job is None:
                 continue  # stale entry: finalised during the backoff
@@ -1225,8 +1233,7 @@ class ServingRun:
         """Finalise jobs whose per-request service-time budget elapsed."""
         if self.engine.max_service_time is None:
             return
-        while self._watchdog and self._watchdog[0][0] <= self.now + _TIME_EPS:
-            _, request_id = heapq.heappop(self._watchdog)
+        for request_id in self._due(self._watchdog):
             job = self.scheduler.get(request_id)
             if job is None:
                 job = self._delayed_jobs.get(request_id)
@@ -1300,34 +1307,31 @@ class ServingRun:
     def crash(self, now: float) -> CrashedNodeWork:
         """Kill this run: drop every resident context, hand back the work.
 
-        Finalised records stay (they are this incarnation's report);
-        every live job is checkpointed (started) or returned whole
-        (unstarted) for the cluster coordinator to re-place.  After a
-        crash the run accepts no work and reports no events — a
-        recovered node is a *new* run on the same engine.
+        Finalised records, counters and the memory ledger stay; every
+        live job is checkpointed (started) or returned whole (unstarted)
+        for the cluster coordinator to re-place, and the ready queue and
+        every timer heap are emptied.  A crashed run accepts no work and
+        reports no events until :meth:`recover` brings it back.
         """
-        if self._report is not None:
-            raise RuntimeError("run already finished")
-        if self._crashed:
-            raise RuntimeError(f"node '{self.node}' already crashed")
+        self._check_up()
         self.now = max(self.now, now)
         self._crashed = True
-        work = self._hand_back(
-            list(self.scheduler.jobs()) + list(self._delayed_jobs.values())
-        )
+        work = self._hand_back(self._live_jobs())
+        self.scheduler.clear()
+        self._expiry.clear()
         self._delayed_heap.clear()
         self._watchdog.clear()
         # Pushed-but-unadmitted work re-routes whole; failover hand-offs
         # that never landed keep their original checkpoints.
         while self._pending:
             _, request_id, request = heapq.heappop(self._pending)
-            job = self._resume_jobs.pop(request_id, None)
-            steps = self._resume_steps.pop(request_id, [])
-            if job is not None:
+            resumed = self._resumed.pop(request_id, None)
+            if resumed is None:
+                work.unstarted.append(request)
+            else:
+                job, steps = resumed
                 work.interrupted.append(_checkpoint(job, steps))
                 job.session.close()
-            else:
-                work.unstarted.append(request)
             self._ids.discard(request_id)
         _LOG.warning(
             "node '%s' crashed at t=%.6f (%d unstarted migrate, %d in-flight fail over)",
@@ -1344,9 +1348,27 @@ class ServingRun:
                 unstarted=len(work.unstarted),
                 interrupted=len(work.interrupted),
             )
-            if self._obs.plan_timer is not None:
-                self.engine.backend.detach_plan_timer()
+        self._plan_timer(attach=False)
         return work
+
+    def recover(self, now: float) -> None:
+        """Bring a crashed run back up, empty, at ``now``.
+
+        The run is left as a fresh run opened at ``now`` would be — clock
+        at ``now``, wave count and last residency sample at zero, plan
+        timer re-attached — while its finalised records, counters and
+        memory ledger carry on, so the node's one report spans every
+        crash.
+        """
+        if self._report is not None:
+            raise RuntimeError("run already finished")
+        if not self._crashed:
+            raise RuntimeError(f"node '{self.node}' is not crashed")
+        self._crashed = False
+        self.now = now
+        self._wave = 0
+        self.memory.resident_after = 0
+        self._plan_timer(attach=True)
 
     def steal(
         self, count: int, now: float, include_started: bool = False
@@ -1364,13 +1386,10 @@ class ServingRun:
         remaining queue are untouched, and stale delayed/watchdog heap
         entries are skipped lazily like any finalised job's.
         """
-        if self._report is not None:
-            raise RuntimeError("run already finished")
-        if self._crashed:
-            raise RuntimeError(f"node '{self.node}' already crashed")
+        self._check_up()
         if count <= 0:
             return CrashedNodeWork(unstarted=[], interrupted=[])
-        live = list(self.scheduler.jobs()) + list(self._delayed_jobs.values())
+        live = self._live_jobs()
         waiting = [job for job in live if not job.started]
         waiting.sort(
             key=lambda job: (job.request.arrival_time, job.request.request_id),
@@ -1403,9 +1422,8 @@ class ServingRun:
 
         Each job's record leaves the run; a started job comes back as its
         subnet-level checkpoint, an unstarted one as its bare request.
-        The job leaves the scheduler and the delay queue, its residency
-        entry is dropped, its session closed and its id forgotten, so
-        the coordinator may re-place it on any run.
+        Each job goes through :meth:`_release` and its id is forgotten,
+        so the coordinator may re-place it on any run — this one included.
         """
         work = CrashedNodeWork(unstarted=[], interrupted=[])
         for job in jobs:
@@ -1415,11 +1433,7 @@ class ServingRun:
                 work.interrupted.append(_checkpoint(job, record.steps))
             else:
                 work.unstarted.append(job.request)
-            self.scheduler.discard(job)
-            self._delayed_jobs.pop(request_id, None)
-            if self.memory.budget_bytes is None:
-                self._resident_total -= self._resident_sizes.pop(request_id, 0)
-            job.session.close()
+            self._release(job)
             self._ids.discard(request_id)
         return work
 
@@ -1587,15 +1601,9 @@ class ServingRun:
         self._release_delayed()
         self._run_watchdog()
         if not len(scheduler):
-            targets = []
-            if self._pending:
-                targets.append(self._pending[0][0])
-            if self._delayed_heap:
-                targets.append(self._delayed_heap[0][0])
-                if self._watchdog:
-                    targets.append(self._watchdog[0][0])
-            if targets:
-                self.now = max(self.now, min(targets))
+            when = self.next_event_time()
+            if when is not None:
+                self.now = when
             return
 
         if engine.drop_expired:
@@ -1647,10 +1655,6 @@ class ServingRun:
                 return
             members = list(decision.members) or [job]
 
-        for member in members:
-            if member.first_scheduled_at is None:
-                member.first_scheduled_at = self.now
-
         # Execute first, then clock the dispatch: laggards catch up level
         # by level and their policies may stop them short of the join, so
         # the MACs the dispatch actually charges are only known after the
@@ -1684,27 +1688,8 @@ class ServingRun:
                     cohorts.setdefault(laggard.edge, []).append(laggard)
                 active = []
                 for cohort in cohorts.values():
-                    if len(cohort) == 1:
-                        outcomes = [cohort[0].session.advance()]
-                    else:
-                        outcomes = engine.backend.advance_group(
-                            [laggard.session for laggard in cohort]
-                        )
-                        engine._fill_group_confidences(outcomes)
-                    self._batch_sizes.append(len(cohort))
-                    self._m_dispatches.add()
-                    self._m_occupancy.observe(len(cohort))
-                    if self._obs is not None:
-                        self._obs.emit(
-                            "batch_pass",
-                            self.now,
-                            node=self.node,
-                            wave=wave,
-                            size=len(cohort),
-                            catch_up=True,
-                        )
+                    outcomes = self._pass(cohort, wave, catch_up=True)
                     for laggard, outcome in zip(cohort, outcomes):
-                        laggard.steps_executed += 1
                         executed.append((laggard, outcome))
                         stop_reason = engine._continuation_stop_reason(
                             laggard, self.now, ready, outcome
@@ -1726,30 +1711,13 @@ class ServingRun:
                 # passes, not fewer.
                 more = self._refill_laggards(job, group, limit - len(group))
                 self._m_refills.add(len(more))
-                for member in more:
-                    if member.first_scheduled_at is None:
-                        member.first_scheduled_at = self.now
                 catch_up(more)
 
-        if len(group) == 1:
-            group_outcomes = [group[0].session.advance()]
-        else:
-            group_outcomes = engine.backend.advance_group(
-                [member.session for member in group]
-            )
-            engine._fill_group_confidences(group_outcomes)
-        for member, outcome in zip(group, group_outcomes):
-            member.steps_executed += 1
-            executed.append((member, outcome))
-        self._batch_sizes.append(len(group))
-        self._m_dispatches.add()
-        self._m_occupancy.observe(len(group))
+        group_outcomes = self._pass(group, wave)
+        executed.extend(zip(group, group_outcomes))
         self._m_steps.add(len(executed))
         self._sync_resident([job_ for job_, _ in executed])
         if self._obs is not None:
-            self._obs.emit(
-                "batch_pass", self.now, node=self.node, wave=wave, size=len(group)
-            )
             resident = (
                 self._resident_total
                 if self.memory.budget_bytes is None
@@ -1785,7 +1753,7 @@ class ServingRun:
                     macs_charged=outcome.macs_charged,
                     macs_reused=outcome.macs_reused,
                     confidence=engine._outcome_confidence(outcome),
-                    logits=outcome.logits if engine.store_logits else None,
+                    logits=outcome.logits,
                     macs_recomputed=outcome.macs_recomputed,
                 )
             )
@@ -1843,6 +1811,34 @@ class ServingRun:
         # between events the residency never exceeds the bound.
         self._enforce_memory(protected=group)
 
+    def _pass(
+        self, jobs: List[ServingJob], wave: int, catch_up: bool = False
+    ) -> List["StepOutcome"]:
+        """One forward pass of ``jobs`` (all at one subnet edge), logged as one batch.
+
+        Two or more jobs share the backend's group advance and one
+        confidence softmax; the pass lands on ``batch_sizes``, the
+        dispatch and occupancy metrics and a ``batch_pass`` event
+        (flagged ``catch_up`` for a refilled laggard cohort).
+        """
+        engine = self.engine
+        if len(jobs) == 1:
+            outcomes = [jobs[0].session.advance()]
+        else:
+            outcomes = engine.backend.advance_group([job.session for job in jobs])
+            engine._fill_group_confidences(outcomes)
+        for job in jobs:
+            job.steps_executed += 1
+        self._batch_sizes.append(len(jobs))
+        self._m_dispatches.add()
+        self._m_occupancy.observe(len(jobs))
+        if self._obs is not None:
+            flags = {"catch_up": True} if catch_up else {}
+            self._obs.emit(
+                "batch_pass", self.now, node=self.node, wave=wave, size=len(jobs), **flags
+            )
+        return outcomes
+
     def _sync_resident(self, executed: Sequence[ServingJob]) -> None:
         """Refresh the incremental residency ledger for just-executed jobs.
 
@@ -1887,8 +1883,7 @@ class ServingRun:
         # Backoff-delayed jobs hold contexts too: they are evictable
         # (their resume replays like any other) and must count against
         # the budget even though the scheduler cannot see them.
-        jobs = list(self.scheduler.jobs()) + list(self._delayed_jobs.values())
-        self.memory.enforce(jobs, protected=protected, now=self.now)
+        self.memory.enforce(self._live_jobs(), protected=protected, now=self.now)
         new_events = self.memory.events[before:]
         if new_events:
             self._m_evictions.add(len(new_events))

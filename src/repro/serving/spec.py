@@ -176,7 +176,7 @@ class ServingSpec:
     overhead_per_step:
         Fixed seconds charged per executed subnet step; ``None`` uses the
         platform's ``invocation_overhead``.
-    drop_expired / enforce_deadline / store_logits:
+    drop_expired / enforce_deadline:
         The :class:`~repro.serving.engine.ServingEngine` knobs, verbatim.
     dtype / compiled:
         Inference dtype name and whether the backend executes over a
@@ -217,7 +217,6 @@ class ServingSpec:
     overhead_per_step: Optional[float] = None
     drop_expired: bool = False
     enforce_deadline: bool = True
-    store_logits: bool = True
     dtype: str = "float32"
     compiled: bool = True
     batch_policy: str = "none"
@@ -353,7 +352,6 @@ class ServingSpec:
             overhead_per_step=overhead,
             drop_expired=self.drop_expired,
             enforce_deadline=self.enforce_deadline,
-            store_logits=self.store_logits,
             max_service_time=self.max_service_time,
             observe=self.observe,
         )

@@ -9,7 +9,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    merge_snapshots,
     percentile,
     quantile_summary,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
     "LATENCY_QUANTILES",
-    "merge_snapshots",
     "percentile",
     "quantile_summary",
 ]

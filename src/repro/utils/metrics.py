@@ -13,7 +13,7 @@ whether observability is on or off.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
     "LATENCY_QUANTILES",
-    "merge_snapshots",
     "percentile",
     "quantile_summary",
 ]
@@ -219,59 +218,3 @@ class MetricsRegistry:
             "gauges": {k: self._gauges[k].as_dict() for k in sorted(self._gauges)},
             "histograms": {k: self._histograms[k].as_dict() for k in sorted(self._histograms)},
         }
-
-
-def _merge_histograms(a: dict, b: dict) -> dict:
-    if a["boundaries"] != b["boundaries"]:
-        raise ValueError("cannot merge histograms with differing boundaries")
-    mins = [m for m in (a["min"], b["min"]) if m is not None]
-    maxs = [m for m in (a["max"], b["max"]) if m is not None]
-    return {
-        "boundaries": list(a["boundaries"]),
-        "counts": [x + y for x, y in zip(a["counts"], b["counts"])],
-        "sum": a["sum"] + b["sum"],
-        "count": a["count"] + b["count"],
-        "min": min(mins) if mins else None,
-        "max": max(maxs) if maxs else None,
-    }
-
-
-def merge_snapshots(snapshots: Iterable[dict]) -> dict:
-    """Fold several :meth:`MetricsRegistry.snapshot` dicts into one.
-
-    Counters and histograms add; gauges keep the last value seen (in
-    iteration order) and the max of maxes.  Used when a node restarts
-    after a crash and its incarnations' reports are merged.
-    """
-    counters: Dict[str, float] = {}
-    gauges: Dict[str, dict] = {}
-    histograms: Dict[str, dict] = {}
-    for snap in snapshots:
-        if not snap:
-            continue
-        for name, value in snap.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-        for name, value in snap.get("gauges", {}).items():
-            prior = gauges.get(name)
-            if prior is None:
-                gauges[name] = dict(value)
-            else:
-                gauges[name] = {"last": value["last"], "max": max(prior["max"], value["max"])}
-        for name, value in snap.get("histograms", {}).items():
-            prior = histograms.get(name)
-            if prior is None:
-                histograms[name] = {
-                    "boundaries": list(value["boundaries"]),
-                    "counts": list(value["counts"]),
-                    "sum": value["sum"],
-                    "count": value["count"],
-                    "min": value["min"],
-                    "max": value["max"],
-                }
-            else:
-                histograms[name] = _merge_histograms(prior, value)
-    return {
-        "counters": {k: counters[k] for k in sorted(counters)},
-        "gauges": {k: gauges[k] for k in sorted(gauges)},
-        "histograms": {k: histograms[k] for k in sorted(histograms)},
-    }

@@ -11,6 +11,7 @@ availability, never answers.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.serving import (
     TransientFault,
     fault_from_dict,
 )
+from repro.serving.engine import InterruptedJob
 from repro.serving.faults import derate_trace
 from repro.utils.errors import ConfigError
 
@@ -278,6 +280,153 @@ class TestEngineFaults:
             assert np.array_equal(job.final_logits, job.steps[-1].logits)
 
 
+class TestRecoverInPlace:
+    """A crashed run comes back in place: one run, one report per node."""
+
+    def test_crash_recover_push_finish_keeps_every_record(
+        self, stepping_network, sample_pool
+    ):
+        images, _ = sample_pool
+        requests = _requests(images, count=6)
+        run = _engine(stepping_network).open_run(node="n0")
+        for request in requests[:3]:
+            run.push(request)
+        run.run_until(0.5)
+        work = run.crash(0.5)
+        assert work.unstarted and work.interrupted
+        assert run.crashed and run.next_event_time() is None
+        run.recover(1.0)
+        assert not run.crashed and run.now == 1.0
+        for request in work.unstarted:
+            run.push(request, not_before=1.0)
+        for checkpoint in work.interrupted:
+            run.push_resumed(checkpoint, resume_at=1.0)
+        for request in requests[3:]:
+            run.push(request, not_before=1.0)
+        report = run.finish()
+
+        assert [job.request.request_id for job in report.jobs] == list(range(6))
+        finished_before = [job for job in report.jobs if job.completion_time <= 0.5]
+        assert finished_before, "no record from before the crash"
+        resumed = {checkpoint.request.request_id for checkpoint in work.interrupted}
+        for job in report.jobs:
+            if job not in finished_before:
+                assert job.steps[-1].start_time >= 1.0
+            if job.request.request_id in resumed:
+                # Steps served before the crash stay on the record.
+                assert job.steps[0].start_time < 1.0
+        counters = report.metrics["counters"]
+        assert counters["dispatches"] == len(report.batch_sizes)
+        assert counters["jobs_finalized"] == len(requests)
+        assert len(report.completed_jobs) == len(requests)
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
+
+    @pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
+    def test_recovered_run_serves_like_a_fresh_run(
+        self, stepping_network, sample_pool, bounded
+    ):
+        images, _ = sample_pool
+        budget = None
+        if bounded:
+            probe = SteppingBackend(stepping_network, policy=_full_quality())
+            budget = 1.5 * probe.context_nbytes(1)
+        first, *later = _requests(images, count=5)
+        later = [replace(request, arrival_time=1.0 + request.arrival_time) for request in later]
+
+        crashed = _engine(stepping_network, memory_budget_bytes=budget)
+        recorder = ObservabilitySpec(enabled=True).build()
+        run = crashed.open_run(node="n0", recorder=recorder)
+        run.push(first)
+        run.run_until(0.25)
+        if bounded:
+            # The crash leaves a residency sample that recover() must reset.
+            assert run.memory.resident_after > 0
+        run.crash(0.25)
+        mark = len(recorder.events)
+        run.recover(1.0)
+        for request in later:
+            run.push(request)
+        report = run.finish()
+
+        fresh_recorder = ObservabilitySpec(enabled=True).build()
+        fresh = _engine(stepping_network, memory_budget_bytes=budget).open_run(
+            node="n0", recorder=fresh_recorder
+        )
+        for request in later:
+            fresh.push(request)
+        baseline = fresh.finish()
+
+        # Only the first request's pre-crash passes precede the fresh run's.
+        assert report.batch_sizes[-len(baseline.batch_sizes):] == baseline.batch_sizes
+        assert [job.request.request_id for job in report.jobs] == [1, 2, 3, 4]
+        for job, reference in zip(report.jobs, baseline.jobs):
+            assert len(job.steps) == len(reference.steps)
+            for step, ref in zip(job.steps, reference.steps):
+                assert np.array_equal(step.logits, ref.logits)
+                assert replace(step, logits=None) == replace(ref, logits=None)
+            assert np.array_equal(job.final_logits, reference.final_logits)
+        # Same events after recovery, wave numbers and residency included.
+        strip = lambda events: [{k: v for k, v in e.items() if k != "seq"} for e in events]
+        assert strip(recorder.events[mark:]) == strip(fresh_recorder.events)
+
+    def test_recover_needs_a_crash_and_a_crashed_run_takes_no_work(
+        self, stepping_network, sample_pool
+    ):
+        images, _ = sample_pool
+        first, second = _requests(images, count=2)
+        run = _engine(stepping_network).open_run(node="n0")
+        with pytest.raises(RuntimeError, match="not crashed"):
+            run.recover(0.0)
+        run.push(first)
+        run.crash(0.0)
+        checkpoint = InterruptedJob(request=second, history=[], steps=[], logits=None, retries=0)
+        with pytest.raises(RuntimeError, match="crashed"):
+            run.push(second)
+        with pytest.raises(RuntimeError, match="crashed"):
+            run.push_resumed(checkpoint)
+        with pytest.raises(RuntimeError, match="crashed"):
+            run.steal(1, 0.0)
+
+    def test_push_resumed_duplicate_id_raises_before_opening_a_session(
+        self, stepping_network, sample_pool
+    ):
+        images, _ = sample_pool
+        request = _requests(images, count=1)[0]
+        engine = _engine(stepping_network)
+        run = engine.open_run(node="n0")
+        run.push(request)
+        opened = []
+        real_open = engine.backend.open
+        engine.backend.open = lambda *args, **kwargs: opened.append(args) or real_open(
+            *args, **kwargs
+        )
+        checkpoint = InterruptedJob(request=request, history=[0], steps=[], logits=None, retries=0)
+        with pytest.raises(ValueError, match="already pushed"):
+            run.push_resumed(checkpoint)
+        assert opened == []
+
+    def test_recovered_fleet_node_reports_one_consistent_run(
+        self, stepping_network, sample_pool
+    ):
+        images, _ = sample_pool
+        faults = FaultSpec(
+            events=(CrashFault(node="n1", time=0.55, recover_time=0.9),),
+            retry=RetryPolicy(kind="none"),
+        )
+        requests = _requests(images, count=14, gap=0.1)
+        report = _cluster(stepping_network, faults=faults).serve(requests)
+        recovered = report.node_reports[1]
+        assert any(job.completion_time < 0.55 for job in recovered.jobs)
+        assert any(job.request.arrival_time > 0.9 for job in recovered.jobs)
+        for node in report.node_reports:
+            ids = [job.request.request_id for job in node.jobs]
+            assert ids == sorted(ids)
+            counters = node.metrics["counters"]
+            assert counters["dispatches"] == len(node.batch_sizes)
+            assert counters["jobs_finalized"] == node.num_jobs
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
+
+
 # ----------------------------------------------------------------------
 # Cluster-level failover
 # ----------------------------------------------------------------------
@@ -376,7 +525,7 @@ class TestClusterFailover:
         report = _cluster(stepping_network, faults=faults).serve(requests)
         assert report.as_dict()["completed"] == 8
         # Arrivals after 0.4 s round-robin back onto the recovered node;
-        # its merged report carries jobs from the new incarnation.
+        # its run recovered in place, so its report holds them too.
         assert any(
             job.request.arrival_time > 0.4 for job in report.node_reports[1].jobs
         )

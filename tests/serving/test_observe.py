@@ -36,7 +36,6 @@ from repro.serving import (
     timeline_frames,
     to_chrome_trace,
 )
-from repro.utils import MetricsRegistry, merge_snapshots
 from repro.utils.errors import ConfigError
 
 CHAOS_CONFIG = (
@@ -443,17 +442,6 @@ class TestMetricsInReports:
             counters
         )
         assert counters["failovers"] == 0
-
-    def test_merge_snapshots_folds_incarnations(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        first.counter("retries").add(2)
-        second.counter("retries").add(3)
-        second.counter("lost").add(1)
-        first.gauge("depth").set(5.0)
-        second.gauge("depth").set(2.0)
-        merged = merge_snapshots([first.snapshot(), second.snapshot()])
-        assert merged["counters"] == {"lost": 1, "retries": 5}
-        assert merged["gauges"]["depth"] == {"last": 2.0, "max": 5.0}
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The serving reports, SLO scorecards and sweep rows all route their
 percentile math through this module, so the corner cases — empty data,
-single samples, NaN observations, merging snapshots from crashed node
-incarnations — must be pinned down here, once.
+single samples, NaN observations, empty histograms — must be pinned
+down here, once.
 """
 
 import json
@@ -17,7 +17,6 @@ from repro.utils.metrics import (
     LATENCY_QUANTILES,
     Histogram,
     MetricsRegistry,
-    merge_snapshots,
     percentile,
     quantile_summary,
 )
@@ -103,6 +102,11 @@ class TestHistogramQuantile:
         with pytest.raises(ValueError, match=r"\[0, 100\]"):
             histogram.quantile(150.0)
 
+    def test_default_buckets_are_sorted_and_frozen(self):
+        assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
+        with pytest.raises(ValueError, match="sorted"):
+            Histogram("h", boundaries=(2.0, 1.0))
+
 
 # ----------------------------------------------------------------------
 # Snapshots: NaN handling, empty histograms
@@ -136,56 +140,3 @@ class TestSnapshots:
         gauge.set(5.0)
         gauge.set(2.0)
         assert registry.snapshot()["gauges"]["depth"] == {"last": 2.0, "max": 5.0}
-
-
-class TestMergeSnapshots:
-    def _snap(self, **counters):
-        registry = MetricsRegistry()
-        for name, value in counters.items():
-            registry.counter(name).add(value)
-        return registry.snapshot()
-
-    def test_disjoint_keys_union(self):
-        merged = merge_snapshots([self._snap(a=1), self._snap(b=2)])
-        assert merged["counters"] == {"a": 1, "b": 2}
-
-    def test_conflicting_counters_add(self):
-        merged = merge_snapshots([self._snap(a=1, b=5), self._snap(a=3)])
-        assert merged["counters"] == {"a": 4, "b": 5}
-
-    def test_conflicting_gauges_keep_last_value_and_max_of_maxes(self):
-        first = MetricsRegistry()
-        first.gauge("g").set(10.0)
-        second = MetricsRegistry()
-        second.gauge("g").set(4.0)
-        merged = merge_snapshots([first.snapshot(), second.snapshot()])
-        assert merged["gauges"]["g"] == {"last": 4.0, "max": 10.0}
-
-    def test_histograms_add_counts_and_widen_envelope(self):
-        first = MetricsRegistry()
-        second = MetricsRegistry()
-        for value in (1.0, 3.0):
-            first.histogram("h").observe(value)
-        second.histogram("h")  # empty: min/max None must not poison the merge
-        merged = merge_snapshots([first.snapshot(), second.snapshot()])
-        assert merged["histograms"]["h"]["count"] == 2
-        assert merged["histograms"]["h"]["min"] == 1.0
-        assert merged["histograms"]["h"]["max"] == 3.0
-
-    def test_mismatched_boundaries_rejected(self):
-        first = MetricsRegistry()
-        first.histogram("h", boundaries=(1.0,)).observe(0.5)
-        second = MetricsRegistry()
-        second.histogram("h", boundaries=(2.0,)).observe(0.5)
-        with pytest.raises(ValueError, match="boundaries"):
-            merge_snapshots([first.snapshot(), second.snapshot()])
-
-    def test_empty_and_missing_sections_tolerated(self):
-        assert merge_snapshots([{}, {"counters": {"a": 1}}])["counters"] == {"a": 1}
-        merged = merge_snapshots([])
-        assert merged == {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def test_default_buckets_are_sorted_and_frozen(self):
-        assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
-        with pytest.raises(ValueError, match="sorted"):
-            Histogram("h", boundaries=(2.0, 1.0))
