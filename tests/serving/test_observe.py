@@ -443,6 +443,24 @@ class TestMetricsInReports:
         )
         assert counters["failovers"] == 0
 
+    def test_recovered_node_metrics_span_the_crash(self, chaos_run):
+        """A node that crashes and recovers keeps one registry: its metrics
+        count the work from both sides of the crash, matching its record."""
+        _, report, _ = chaos_run
+        spec = ClusterSpec.from_json(CHAOS_CONFIG)
+        (crash,) = [event for event in spec.faults.events if event.kind == "crash"]
+        names = [node.name for node in spec.nodes]
+        recovered = report.node_reports[names.index(crash.node)]
+        assert any(job.completion_time < crash.time for job in recovered.jobs)
+        assert any(job.request.arrival_time > crash.recover_time for job in recovered.jobs)
+        for node in report.node_reports:
+            counters = node.metrics["counters"]
+            occupancy = node.metrics["histograms"]["batch_occupancy"]
+            assert counters["dispatches"] == occupancy["count"] == len(node.batch_sizes)
+            assert occupancy["sum"] == sum(node.batch_sizes)
+            assert occupancy["max"] == max(node.batch_sizes)
+            assert counters["jobs_admitted"] == counters["jobs_finalized"] == node.num_jobs
+
 
 # ----------------------------------------------------------------------
 # Serving-layer logging
