@@ -205,7 +205,7 @@ class AnytimeExecutor:
         record.stop_reason = "initial subnet executed"
 
         while True:
-            state = self._policy_state(session, time, deadline)
+            state = self._policy_state(session, time, deadline, start_time)
             if state is None:
                 record.stop_reason = "largest subnet reached"
                 break
@@ -248,7 +248,7 @@ class AnytimeExecutor:
         )
 
     def _policy_state(
-        self, session: ExecutionSession, time: float, deadline
+        self, session: ExecutionSession, time: float, deadline, start_time: float
     ) -> Optional[PolicyState]:
         next_macs = session.next_step_macs()
         if next_macs is None:
@@ -262,6 +262,7 @@ class AnytimeExecutor:
             deadline=deadline,
             next_step_macs=float(next_macs),
             estimated_finish_time=estimated_finish,
+            start_time=start_time,
         )
 
 

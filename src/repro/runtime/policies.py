@@ -65,6 +65,9 @@ class PolicyState:
     #: already paid for the softmax (the serving engine shares it with
     #: the served-step record); None recomputes on demand.
     confidence_value: Optional[float] = None
+    #: When the request's time budget started (its arrival); ``deadline``
+    #: is absolute, so the budget is ``deadline - start_time``.
+    start_time: float = 0.0
 
     @property
     def confidence(self) -> float:
@@ -110,27 +113,13 @@ class SteppingPolicy:
         A time-sensitive verdict reads the clock, the deadline or the
         queue, so callers must re-ask at every boundary.  A
         time-insensitive one depends only on the logits at the current
-        level and may be memoised per level (the serving engine's
-        continuous batching re-asks the same question many times per
-        round while sizing refills).  Defaults to True: caching is an
-        opt-in for policies that can prove their verdict is stable.
+        level, so a caller may skip pricing the next step (the serving
+        run passes no finish estimate) and memoise the verdict per level
+        (continuous batching re-asks the same question for every refill
+        candidate).  Defaults to True: caching is an opt-in for policies
+        that can prove their verdict is stable.
         """
         return True
-
-    def stationary_stop_reason(self, confidence: float) -> Optional[str]:
-        """Fast-path verdict from the prediction confidence alone.
-
-        Serving engines that already hold the step's memoised
-        confidence may consult this instead of building a full
-        :class:`PolicyState` — but only when :attr:`time_sensitive` is
-        False, a larger subnet exists, and no deadline is being
-        enforced (the engine owns those checks).  Returns the stop
-        reason, or None to keep stepping; must agree exactly with what
-        :meth:`decide` would conclude from the same confidence.  The
-        base implementation signals "no fast path" by raising, so
-        engines fall back to :meth:`decide`.
-        """
-        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
@@ -184,13 +173,6 @@ class ConfidencePolicy(SteppingPolicy):
         # logits, which only change when the session advances a level.
         return self.respect_deadline
 
-    def stationary_stop_reason(self, confidence: float) -> Optional[str]:
-        # Mirrors decide() for the confidence comparison; the engine has
-        # already ruled out the largest-subnet and deadline branches.
-        if confidence >= self.threshold:
-            return f"confident enough ({confidence:.3f} >= {self.threshold})"
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ConfidencePolicy(threshold={self.threshold})"
 
@@ -214,7 +196,7 @@ class DeadlineAwarePolicy(SteppingPolicy):
             return PolicyDecision(False, "already at the largest subnet")
         if state.deadline is None:
             return PolicyDecision(True, "no deadline; keep refining")
-        slack = self.margin * max(state.deadline - 0.0, 0.0)
+        slack = self.margin * max(state.deadline - state.start_time, 0.0)
         if state.estimated_finish_time > state.deadline - slack:
             return PolicyDecision(False, "insufficient slack before the deadline")
         return PolicyDecision(True, "fits within the deadline with margin")

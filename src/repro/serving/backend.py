@@ -73,10 +73,9 @@ class StepOutcome:
     macs_charged: float
     macs_reused: float
     macs_recomputed: float = 0.0
-    #: Lazily memoised ``prediction_confidence(logits)`` — the policy
-    #: check and the served-step record both need it, and the softmax is
-    #: a measurable slice of a small model's serving wall-clock.  Filled
-    #: by the engine on first use, never by backends.
+    #: ``prediction_confidence(logits)``, filled by the serving run once
+    #: per executed pass (never by backends): the continuation verdict
+    #: and the served-step record both read it.
     confidence: Optional[float] = None
 
 
@@ -660,6 +659,10 @@ class ServingJob:
     #: Travels with the job across nodes; the retry budget is per
     #: request, not per node.
     retries: int = 0
+    #: ``prediction_confidence`` of the session's current logits (the
+    #: last executed step's), handed to every continuation verdict;
+    #: None before the first step.
+    confidence: Optional[float] = None
 
     @property
     def started(self) -> bool:

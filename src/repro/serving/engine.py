@@ -39,19 +39,15 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
 from ..analysis.metrics import deadline_miss_rate as _deadline_miss_rate
 from ..utils.metrics import percentile
 from ..runtime.platform import ResourceTrace
-from ..runtime.policies import (
-    PolicyState,
-    SteppingPolicy,
-    prediction_confidence,
-    softmax,
-)
+from ..runtime.policies import PolicyState, softmax
+from ..utils.errors import ConfigError
 from ..utils.logging import get_logger
 from ..utils.metrics import MetricsRegistry
 from .backend import ExecutionBackend, ServingJob, StepOutcome
@@ -65,6 +61,11 @@ from .scheduler import FIFOScheduler, Scheduler, get_scheduler
 _TIME_EPS = 1e-12
 
 _LOG = get_logger("repro.serving")
+
+#: The ``(job, outcome)`` pairs one dispatch executed, in pass order,
+#: and the laggards its catch-up stopped, with their stop reasons.
+_Executed = List[Tuple[ServingJob, StepOutcome]]
+_Stops = List[Tuple[ServingJob, str]]
 
 
 @dataclass
@@ -680,8 +681,10 @@ class ServingEngine:
     ) -> ServingReport:
         """Run the event loop until every request has been finalised.
 
-        Request ids must be unique within one call (``push`` raises on a
-        duplicate before any serving work happens).  When the engine's
+        Request ids must be unique within one call and every request's
+        inputs must suit the network (``push`` raises on a duplicate id,
+        and :class:`~repro.utils.errors.ConfigError` on bad inputs,
+        before any serving work happens).  When the engine's
         ``observe`` spec is enabled and no ``recorder`` is passed, one is
         built for this call and closed with it.
         """
@@ -696,120 +699,6 @@ class ServingEngine:
         finally:
             if owned is not None:
                 owned.close()
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _outcome_confidence(outcome: "StepOutcome") -> float:
-        """The outcome's prediction confidence, softmaxed exactly once."""
-        if outcome.confidence is None:
-            outcome.confidence = prediction_confidence(outcome.logits)
-        return outcome.confidence
-
-    @staticmethod
-    def _fill_group_confidences(outcomes: Sequence["StepOutcome"]) -> None:
-        """Memoise the confidences of one shared pass in a single softmax.
-
-        One vectorised softmax over the stacked single-image rows
-        replaces ``B`` tiny per-member numpy calls — a measurable share
-        of the per-step host cost at interactive batch shapes.  Softmax,
-        row-max and the batch mean are all per-row reductions, so each
-        member's value is bit-identical to the solo
-        :func:`prediction_confidence` of its own logits.  Multi-image
-        members (their confidence is a mean over their own rows) are
-        left for the lazy solo path.
-        """
-        pending = [
-            outcome
-            for outcome in outcomes
-            if outcome.confidence is None and outcome.logits.shape[0] == 1
-        ]
-        if len(pending) < 2:
-            return
-        stacked = np.concatenate(
-            [np.asarray(outcome.logits, dtype=np.float64) for outcome in pending]
-        )
-        maxes = softmax(stacked).max(axis=-1)
-        for outcome, value in zip(pending, maxes):
-            outcome.confidence = float(value)
-
-    def _continuation_stop_reason(
-        self,
-        job: ServingJob,
-        now: float,
-        ready_count: int,
-        outcome: Optional["StepOutcome"] = None,
-    ) -> Optional[str]:
-        """Why ``job`` should be finalised now, or None to keep refining.
-
-        ``outcome`` is the step the job just executed, when the caller
-        has it at hand: its memoised confidence is shared with the
-        policy so one softmax per step serves both the verdict and the
-        served-step record.
-        """
-        session = job.session
-        deadline = job.request.deadline
-        if session.next_subnet() is None:
-            return "largest subnet reached"
-        cap = job.request.max_subnet
-        if cap is not None and session.current_subnet >= cap:
-            return "admission-capped subnet reached"
-        if self.enforce_deadline and deadline is not None and now >= deadline - _TIME_EPS:
-            return "deadline reached"
-        cacheable = not self.backend.policy.time_sensitive and not (
-            self.enforce_deadline and deadline is not None
-        )
-        if cacheable:
-            memo = job.stop_memo
-            if memo is not None and memo[0] == session.current_subnet:
-                return memo[1]
-            policy = self.backend.policy
-            if (
-                outcome is not None
-                and type(policy).stationary_stop_reason
-                is not SteppingPolicy.stationary_stop_reason
-            ):
-                # The policy verdict is stationary (no clock, no
-                # deadline) and the step's confidence is already
-                # memoised: ask the policy directly instead of pricing
-                # the next step and building a full PolicyState.  The
-                # fast path must agree exactly with decide(); policies
-                # that don't override it take the full path below.
-                reason = policy.stationary_stop_reason(
-                    self._outcome_confidence(outcome)
-                )
-                job.stop_memo = (session.current_subnet, reason)
-                return reason
-        if self.backend.policy.time_sensitive:
-            next_macs = float(session.next_step_macs())
-            estimated = self.trace.time_to_execute(next_macs, now)
-            if math.isfinite(estimated):
-                estimated += self.overhead_per_step
-        else:
-            # A time-insensitive verdict is a pure function of the
-            # logits (that is what the flag asserts), so skip pricing
-            # the next step — neither the MAC lookup chain nor the
-            # trace walk can influence the decision, and continuation
-            # checks run once per member per level.
-            next_macs = math.nan
-            estimated = math.inf
-        state = PolicyState(
-            current_subnet=session.current_subnet,
-            num_subnets=self.backend.num_subnets,
-            logits=session.logits,
-            current_time=now,
-            deadline=deadline,
-            next_step_macs=float(next_macs),
-            estimated_finish_time=estimated,
-            queue_depth=max(ready_count - 1, 0),
-            confidence_value=(
-                self._outcome_confidence(outcome) if outcome is not None else None
-            ),
-        )
-        decision = self.backend.policy.decide(state)
-        reason = None if decision.step_up else decision.reason
-        if cacheable:
-            job.stop_memo = (session.current_subnet, reason)
-        return reason
 
 
 @dataclass
@@ -862,16 +751,26 @@ class ServingRun:
     the node's actual scheduler depth as of the last step boundary (a
     stale-by-one-event signal, like a real load balancer sees).
 
-    Event structure (one :meth:`_advance_once` call each):
+    Event structure: one :meth:`_advance_once` call runs these phases
+    in order; a phase that consumes the event ends it.
 
-    * *idle fast-forward* — nothing ready: jump to the next arrival;
-    * *coalescing wait* — the batch policy holds an under-full first
-      step for an imminent arrival (bounded by its window);
-    * *dispatch* — the scheduler's winner (plus, under a batching
-      policy, every compatible ready job at its subnet edge) executes
-      exactly one subnet level; the batch charges the sum of member
-      MACs and a single per-step overhead, and every member finishes at
-      the same instant.
+    1. *admit and timers* — admit arrivals, re-queue jobs whose retry
+       backoff elapsed, run the watchdog; with nothing ready, jump the
+       clock to :meth:`next_event_time`;
+    2. *expire* (:meth:`_expire`) — drop jobs whose deadline passed
+       before their first step;
+    3. *pick* (:meth:`_pick`) — the scheduler's winner; a started one
+       first gets a fresh verdict (:meth:`_stop_reason`);
+    4. *fault* — a transient fault fails the step (:meth:`_fail_step`);
+    5. *form cohort* (:meth:`_form_cohort`) — compatible ready jobs at
+       the winner's subnet edge, or None during a coalescing wait;
+    6. *catch-up* (:meth:`_catch_up`) — continuous batching's laggards
+       walk up to the wave's edge;
+    7. *group pass* (:meth:`_pass`) — one subnet level for the group;
+    8. *record steps* (:meth:`_record_steps`) — the dispatch charges
+       the sum of member MACs and one launch overhead;
+    9. *settle* (:meth:`_settle`) — clock to the shared finish, then
+       every member's verdict.
 
     The scheduler is a fresh clone per run, so any number of concurrent
     runs (one per cluster node) stay isolated.  :meth:`crash` empties a
@@ -986,11 +885,12 @@ class ServingRun:
     def _enqueue(
         self, request: Request, when: float, checkpoint: Optional[InterruptedJob] = None
     ) -> None:
-        """The one way into the run: register the id, queue, trace ``arrive``."""
+        """The one way into the run: validate, register the id, queue, trace ``arrive``."""
         self._check_up()
         request_id = request.request_id
         if request_id in self._ids:
             raise ValueError(f"request_id {request_id} already pushed into this run")
+        self._check_inputs(request)
         flags = {}
         if checkpoint is not None:
             session = self.engine.backend.open(request.inputs)
@@ -1000,6 +900,7 @@ class ServingRun:
                 session=session,
                 steps_executed=len(session.level_history),
                 retries=int(checkpoint.retries),
+                confidence=checkpoint.steps[-1].confidence if checkpoint.steps else None,
             )
             self._resumed[request_id] = (job, list(checkpoint.steps))
             flags = {"resumed": True, "resume_levels": len(session.level_history)}
@@ -1018,6 +919,25 @@ class ServingRun:
                 deadline=float(request.deadline) if request.deadline is not None else None,
                 **flags,
             )
+
+    def _check_inputs(self, request: Request) -> None:
+        """Raise :class:`ConfigError` unless the inputs are a finite batch the network takes.
+
+        A network without convolutions also takes flattened samples.
+        """
+        spec = self.engine.backend.network.spec
+        inputs = np.asarray(request.inputs)
+        expected = tuple(spec.input_shape)
+        accepted = [expected] if spec._has_conv() else [expected, (math.prod(expected),)]
+        problem = None
+        if inputs.ndim < 2 or inputs.shape[0] < 1:
+            problem = f"need a batch axis of at least one sample, got shape {inputs.shape}"
+        elif inputs.shape[1:] not in accepted:
+            problem = f"have per-sample shape {inputs.shape[1:]}, expected {expected}"
+        elif inputs.dtype.kind not in "biuf" or not np.isfinite(inputs).all():
+            problem = "must be finite numbers"
+        if problem is not None:
+            raise ConfigError(f"request {request.request_id}: inputs {problem}")
 
     @property
     def queue_depth(self) -> int:
@@ -1245,14 +1165,69 @@ class ServingRun:
                 self.node,
                 self.now,
             )
-            if job.started:
-                self._finalize(
-                    job, "completed", "max service time exceeded", timed_out=True
-                )
-            else:
-                self._finalize(
-                    job, "dropped", "max service time exceeded", timed_out=True
-                )
+            status = "completed" if job.started else "dropped"
+            self._finalize(job, status, "max service time exceeded", timed_out=True)
+
+    def _finish_time(self, macs: float) -> float:
+        """When ``macs`` started now would finish, launch overhead included.
+
+        ``inf`` when the trace never grants enough throughput again.
+        """
+        finish = self.engine.trace.time_to_execute(float(macs), self.now)
+        if math.isfinite(finish):
+            finish += self.engine.overhead_per_step
+        return finish
+
+    def _stop_reason(self, job: ServingJob) -> Optional[str]:
+        """Why ``job`` should be finalised now, or None to keep refining.
+
+        Judged at the run's clock and queue depth, from the confidence
+        the job's last pass computed.  A time-insensitive policy's verdict
+        depends only on the logits, so unless a deadline is enforced the
+        next step is not priced and the verdict is memoised per level
+        (continuous batching re-asks it for every refill candidate).
+        """
+        engine = self.engine
+        policy = engine.backend.policy
+        session = job.session
+        deadline = job.request.deadline
+        if session.next_subnet() is None:
+            return "largest subnet reached"
+        cap = job.request.max_subnet
+        if cap is not None and session.current_subnet >= cap:
+            return "admission-capped subnet reached"
+        enforced = engine.enforce_deadline and deadline is not None
+        if enforced and self.now >= deadline - _TIME_EPS:
+            return "deadline reached"
+        cacheable = not policy.time_sensitive and not enforced
+        if cacheable:
+            memo = job.stop_memo
+            if memo is not None and memo[0] == session.current_subnet:
+                return memo[1]
+        if policy.time_sensitive:
+            next_macs = float(session.next_step_macs())
+            estimated = self._finish_time(next_macs)
+        else:
+            next_macs = math.nan
+            estimated = math.inf
+        decision = policy.decide(
+            PolicyState(
+                current_subnet=session.current_subnet,
+                num_subnets=engine.backend.num_subnets,
+                logits=session.logits,
+                current_time=self.now,
+                deadline=deadline,
+                next_step_macs=next_macs,
+                estimated_finish_time=estimated,
+                queue_depth=max(len(self.scheduler) - 1, 0),
+                confidence_value=job.confidence,
+                start_time=job.request.arrival_time,
+            )
+        )
+        reason = None if decision.step_up else decision.reason
+        if cacheable:
+            job.stop_memo = (session.current_subnet, reason)
+        return reason
 
     def _fail_step(self, job: ServingJob) -> None:
         """One transient fault: the attempt's time is spent, nothing ran.
@@ -1266,12 +1241,11 @@ class ServingRun:
         best-so-far anytime prediction.
         """
         engine = self.engine
-        macs = job.session.next_step_macs()
-        finish = engine.trace.time_to_execute(float(macs), self.now)
+        finish = self._finish_time(job.session.next_step_macs())
         if not math.isfinite(finish):
             self._finalize(job, "starved", "trace provides no further throughput")
             return
-        self.now = finish + engine.overhead_per_step
+        self.now = finish
         job.retries += 1
         self._m_retries.add()
         policy = engine.retry_policy
@@ -1451,17 +1425,15 @@ class ServingRun:
         order only until the policy's batch is full — with the fetch size
         doubled only when filtered companions leave the batch under-full.
         """
-        engine = self.engine
         scheduler = self.scheduler
         edge = winner.edge
-        limit = getattr(engine.batch_policy, "max_batch_size", None)
+        limit = getattr(self.engine.batch_policy, "max_batch_size", None)
         members = [winner]
         if limit is not None and limit <= 1:
             return members
         total = scheduler.count_at_edge(edge)
         if total <= 1:
             return members
-        ready = len(scheduler)
         fetch = total if limit is None else min(total, limit)
         offset = 0
         while limit is None or len(members) < limit:
@@ -1471,10 +1443,7 @@ class ServingRun:
                     break
                 if job is winner:
                     continue
-                if (
-                    job.started
-                    and engine._continuation_stop_reason(job, self.now, ready) is not None
-                ):
+                if job.started and self._stop_reason(job) is not None:
                     continue
                 members.append(job)
             if fetch >= total:
@@ -1507,7 +1476,6 @@ class ServingRun:
         winner: ServingJob,
         members: List[ServingJob],
         slots: int,
-        exclude: Optional[Set[str]] = None,
     ) -> List[ServingJob]:
         """Ready jobs below the wave's edge that can catch up and join it.
 
@@ -1517,10 +1485,7 @@ class ServingRun:
         order.  A candidate is skipped when its own policy already says
         stop, or when its catch-up work — which rides the same dispatch
         and therefore delays everyone — would push the projected finish
-        past any accepted member's (or its own) deadline.  ``exclude``
-        lists request ids already consumed by this dispatch (refilled
-        laggards that stopped during catch-up) whose ready-index entries
-        are stale until the dispatch finalises them.
+        past any accepted member's (or its own) deadline.
         """
         engine = self.engine
         scheduler = self.scheduler
@@ -1528,8 +1493,6 @@ class ServingRun:
         target = winner.session.next_subnet()
         catchup_cap = getattr(engine.batch_policy, "max_catchup_levels", None)
         taken = {member.request.request_id for member in members}
-        if exclude:
-            taken |= exclude
         pool: List[ServingJob] = []
         for edge in scheduler.edges():
             level, next_level = edge
@@ -1540,10 +1503,6 @@ class ServingRun:
                 # keep its queue position and open a fresh, wide wave
                 # later instead of trickling in through a skinny replay.
                 continue
-            # Overfetch by the exclusion count: consumed-but-unfinalised
-            # jobs (earlier refill rounds of this dispatch) still occupy
-            # the front of their old edge bucket and must not crowd the
-            # fetch window.
             pool.extend(scheduler.jobs_at_edge(edge, slots + len(taken)))
         try:
             pool.sort(key=scheduler.key)
@@ -1560,17 +1519,13 @@ class ServingRun:
         # never prices catch-up work, so build it lazily (including the
         # laggards admitted before the first deadline appeared).
         base_macs: Optional[float] = None
-        ready = len(scheduler)
         laggards: List[ServingJob] = []
         for job in pool:
             if len(laggards) >= slots:
                 break
             if job.request.request_id in taken:
                 continue
-            if (
-                job.started
-                and engine._continuation_stop_reason(job, self.now, ready) is not None
-            ):
+            if job.started and self._stop_reason(job) is not None:
                 continue
             cand_bound = bound
             if engine.enforce_deadline and job.request.deadline is not None:
@@ -1583,9 +1538,7 @@ class ServingRun:
                     for admitted in laggards:
                         base_macs += self._catch_up_macs(admitted, target)
                 extra = self._catch_up_macs(job, target)
-                projected = engine.trace.time_to_execute(base_macs + extra, self.now)
-                if math.isfinite(projected):
-                    projected += engine.overhead_per_step
+                projected = self._finish_time(base_macs + extra)
                 if not projected <= cand_bound - _TIME_EPS:
                     continue  # joining would blow a deadline; try the next
                 base_macs += extra
@@ -1594,157 +1547,196 @@ class ServingRun:
         return laggards
 
     def _advance_once(self) -> None:
-        """Process exactly one event (idle jump, coalescing wait or dispatch)."""
-        engine = self.engine
-        scheduler = self.scheduler
+        """Process exactly one event: an idle jump, a coalescing wait or a dispatch.
+
+        The phases run in order, each a method of its own; any phase
+        that consumes the event (a drop, a stale verdict, a fault, a
+        coalescing wait) ends it.
+        """
         self._admit(self.now)
         self._release_delayed()
         self._run_watchdog()
-        if not len(scheduler):
+        if not len(self.scheduler):
             when = self.next_event_time()
             if when is not None:
                 self.now = when
             return
-
-        if engine.drop_expired:
-            while self._expiry and self.now >= self._expiry[0][0] - _TIME_EPS:
-                _, request_id = heapq.heappop(self._expiry)
-                job = scheduler.get(request_id)
-                if job is None or job.started:
-                    continue  # stale entry: finalised or already running
-                self._finalize(job, "dropped", "deadline passed before first execution")
-            if not len(scheduler):
-                return
-
-        job = scheduler.pick(self.now)
-        if job.started:
-            # A job may have waited, preempted, since its last step;
-            # re-check its deadline and policy against the *current*
-            # time and queue before spending accelerator time on it.
-            stale_reason = engine._continuation_stop_reason(job, self.now, len(scheduler))
-            if stale_reason is not None:
-                self._finalize(job, "completed", stale_reason)
-                return
-
+        self._expire()
+        if not len(self.scheduler):
+            return
+        job = self._pick()
+        if job is None:
+            return
         if self.fault_injector is not None and self.fault_injector.consume_transient(
             self.node, self.now
         ):
             self._fail_step(job)
             return
-
-        members = [job]
-        if engine.batch_policy.coalesces:
-            next_arrival = self._pending[0][0] if self._pending else None
-            decision = engine.batch_policy.form(
-                self._batch_candidates(job), self.now, next_arrival
-            )
-            if decision.wait_until is not None:
-                # Bounded coalescing wait: let the next arrival land and
-                # re-enter the dispatch with a fuller candidate set.  The
-                # arrival is strictly in the future, so time always moves.
-                if self._obs is not None:
-                    self._obs.emit(
-                        "coalesce_wait",
-                        self.now,
-                        node=self.node,
-                        wait_until=decision.wait_until,
-                        pending=len(scheduler),
-                        reason=decision.reason,
-                    )
-                self.now = max(self.now, decision.wait_until)
-                return
-            members = list(decision.members) or [job]
-
+        members = self._form_cohort(job)
+        if members is None:
+            return
         # Execute first, then clock the dispatch: laggards catch up level
         # by level and their policies may stop them short of the join, so
         # the MACs the dispatch actually charges are only known after the
         # passes ran.  Execution consumes no *simulated* time (the trace
         # query is pure), so the reorder changes no timing.
         self._wave += 1
-        wave = self._wave
-        group = list(members)
-        executed: List[Tuple[ServingJob, "StepOutcome"]] = []
-        early_stops: List[Tuple[ServingJob, str]] = []
         from_level = job.session.current_subnet if job.started else -1
-        ready = len(scheduler)
+        executed, joined, early_stops = self._catch_up(job, members)
+        group = members + joined
+        executed.extend(zip(group, self._pass(group)))
+        finish = self._record_steps(executed, group, from_level)
+        self._settle(finish, group, early_stops)
 
-        def catch_up(batch: List[ServingJob]) -> None:
-            # Laggards catch up in lockstep: each round, every laggard at
-            # the same subnet edge advances in one shared pass (laggards
-            # mostly come off the entry edge together, so the catch-up
-            # itself batches instead of degenerating into per-job solo
-            # walks).  The laggard's own policy rules between every
-            # caught-up level, exactly as it would at a solo step
-            # boundary — a job is never refined past what its policy
-            # allows just to fill a batch.
-            active = [
-                laggard
-                for laggard in batch
-                if laggard.session.current_subnet < from_level
-            ]
-            while active:
-                cohorts: Dict[Tuple, List[ServingJob]] = {}
-                for laggard in active:
-                    cohorts.setdefault(laggard.edge, []).append(laggard)
-                active = []
-                for cohort in cohorts.values():
-                    outcomes = self._pass(cohort, wave, catch_up=True)
-                    for laggard, outcome in zip(cohort, outcomes):
-                        executed.append((laggard, outcome))
-                        stop_reason = engine._continuation_stop_reason(
-                            laggard, self.now, ready, outcome
-                        )
-                        if stop_reason is not None:
-                            early_stops.append((laggard, stop_reason))
-                        elif laggard.session.current_subnet == from_level:
-                            group.append(laggard)
-                        else:
-                            active.append(laggard)
+    def _expire(self) -> None:
+        """Drop jobs whose deadline passed before their first step (``drop_expired`` runs)."""
+        while self._expiry and self.now >= self._expiry[0][0] - _TIME_EPS:
+            _, request_id = heapq.heappop(self._expiry)
+            job = self.scheduler.get(request_id)
+            if job is None or job.started:
+                continue  # stale entry: finalised or already running
+            self._finalize(job, "dropped", "deadline passed before first execution")
 
-        if engine.batch_policy.refills and job.started:
-            limit = getattr(engine.batch_policy, "max_batch_size", None)
-            if limit is not None and len(group) < limit:
-                # One refill round per dispatch: re-refilling after
-                # catch-up stop-outs free slots again would consume the
-                # entry backlog through many skinny level-0 cohorts
-                # instead of few wide entry waves — measurably more
-                # passes, not fewer.
-                more = self._refill_laggards(job, group, limit - len(group))
-                self._m_refills.add(len(more))
-                catch_up(more)
+    def _pick(self) -> Optional[ServingJob]:
+        """The scheduler's winner, or None when its stale verdict finalised it."""
+        job = self.scheduler.pick(self.now)
+        if job.started:
+            # A job may have waited, preempted, since its last step;
+            # re-check its deadline and policy against the *current*
+            # time and queue before spending accelerator time on it.
+            reason = self._stop_reason(job)
+            if reason is not None:
+                self._finalize(job, "completed", reason)
+                return None
+        return job
 
-        group_outcomes = self._pass(group, wave)
-        executed.extend(zip(group, group_outcomes))
-        self._m_steps.add(len(executed))
-        self._sync_resident([job_ for job_, _ in executed])
+    def _form_cohort(self, job: ServingJob) -> Optional[List[ServingJob]]:
+        """The jobs sharing ``job``'s step, or None while the batch policy waits."""
+        policy = self.engine.batch_policy
+        if not policy.coalesces:
+            return [job]
+        next_arrival = self._pending[0][0] if self._pending else None
+        decision = policy.form(self._batch_candidates(job), self.now, next_arrival)
+        if decision.wait_until is not None:
+            # Bounded coalescing wait: let the next arrival land and
+            # re-enter the dispatch with a fuller candidate set.  The
+            # arrival is strictly in the future, so time always moves.
+            if self._obs is not None:
+                self._obs.emit(
+                    "coalesce_wait",
+                    self.now,
+                    node=self.node,
+                    wait_until=decision.wait_until,
+                    pending=len(self.scheduler),
+                    reason=decision.reason,
+                )
+            self.now = max(self.now, decision.wait_until)
+            return None
+        return list(decision.members) or [job]
+
+    def _catch_up(
+        self, winner: ServingJob, members: List[ServingJob]
+    ) -> Tuple[_Executed, List[ServingJob], _Stops]:
+        """Refill an under-full wave and walk its laggards up to the wave's edge.
+
+        Returns the executed pairs, the laggards that reached the edge
+        (they join the group pass) and those their policy stopped on the
+        way, with the reason.  Each round, laggards at one subnet edge
+        advance in one shared pass, and each laggard's policy rules
+        between every caught-up level, as at a solo step boundary.
+        """
+        executed: _Executed = []
+        joined: List[ServingJob] = []
+        stops: _Stops = []
+        policy = self.engine.batch_policy
+        limit = getattr(policy, "max_batch_size", None)
+        if not (policy.refills and winner.started and limit is not None and len(members) < limit):
+            return executed, joined, stops
+        # One refill round per dispatch: re-refilling after catch-up
+        # stop-outs free slots again would consume the entry backlog
+        # through many skinny level-0 cohorts instead of few wide entry
+        # waves — measurably more passes, not fewer.
+        laggards = self._refill_laggards(winner, members, limit - len(members))
+        self._m_refills.add(len(laggards))
+        edge_level = winner.session.current_subnet
+        active = [job for job in laggards if job.session.current_subnet < edge_level]
+        while active:
+            cohorts: Dict[Tuple, List[ServingJob]] = {}
+            for job in active:
+                cohorts.setdefault(job.edge, []).append(job)
+            active = []
+            for cohort in cohorts.values():
+                for job, outcome in zip(cohort, self._pass(cohort, catch_up=True)):
+                    executed.append((job, outcome))
+                    reason = self._stop_reason(job)
+                    if reason is not None:
+                        stops.append((job, reason))
+                    elif job.session.current_subnet == edge_level:
+                        joined.append(job)
+                    else:
+                        active.append(job)
+        return executed, joined, stops
+
+    def _pass(self, jobs: List[ServingJob], catch_up: bool = False) -> List[StepOutcome]:
+        """One forward pass of ``jobs`` (all at one subnet edge), logged as one batch.
+
+        Each member's confidence comes from one softmax over the pass's
+        stacked logits, split by row count; softmax, row max and mean are
+        per-row reductions, so it is bit-identical to the member's own
+        :func:`prediction_confidence`.  It lands on the outcome and the
+        job, where every later continuation verdict reads it.
+        """
+        if len(jobs) == 1:
+            outcomes = [jobs[0].session.advance()]
+        else:
+            outcomes = self.engine.backend.advance_group([job.session for job in jobs])
+        logits = [np.asarray(outcome.logits, dtype=np.float64) for outcome in outcomes]
+        maxes = softmax(logits[0] if len(logits) == 1 else np.concatenate(logits)).max(axis=-1)
+        values = maxes.tolist()
+        row = 0
+        for job, outcome, rows in zip(jobs, outcomes, logits):
+            count = rows.shape[0]
+            # A one-row mean is exactly its row's value; skip the numpy call.
+            value = values[row] if count == 1 else float(maxes[row : row + count].mean())
+            outcome.confidence = job.confidence = value
+            row += count
+            job.steps_executed += 1
+        self._batch_sizes.append(len(jobs))
+        self._m_dispatches.add()
+        self._m_occupancy.observe(len(jobs))
         if self._obs is not None:
-            resident = (
-                self._resident_total
-                if self.memory.budget_bytes is None
-                else self.memory.resident_after
+            flags = {"catch_up": True} if catch_up else {}
+            self._obs.emit(
+                "batch_pass", self.now, node=self.node, wave=self._wave, size=len(jobs), **flags
             )
+        return outcomes
+
+    def _record_steps(self, executed: _Executed, group: List[ServingJob], from_level: int) -> float:
+        """Clock the dispatch and append each executed step to its record.
+
+        The finish time returned charges all the dispatch's MACs under
+        one launch overhead — the simulated-time benefit of coalescing.
+        """
+        self._m_steps.add(len(executed))
+        self._sync_resident([job for job, _ in executed])
+        if self._obs is not None:
+            unbounded = self.memory.budget_bytes is None
+            resident = self._resident_total if unbounded else self.memory.resident_after
             self._obs.emit(
                 "dispatch",
                 self.now,
                 node=self.node,
-                wave=wave,
+                wave=self._wave,
                 edge=from_level,
                 members=[member.request.request_id for member in group],
-                queue_depth=len(scheduler),
+                queue_depth=len(self.scheduler),
                 resident_bytes=int(resident),
             )
-
-        total_macs = sum(outcome.macs_charged for _, outcome in executed)
-        finish = engine.trace.time_to_execute(total_macs, self.now)
-        if math.isfinite(finish):
-            # One launch overhead for the whole dispatch (catch-up levels
-            # included): amortising it is the simulated-time benefit of
-            # coalescing.
-            finish += engine.overhead_per_step
-
+        finish = self._finish_time(sum(outcome.macs_charged for _, outcome in executed))
         for member, outcome in executed:
             member.last_executed_at = finish
-            record = self._records[member.request.request_id]
+            request_id = member.request.request_id
+            record = self._records[request_id]
             record.steps.append(
                 ServedStep(
                     subnet=outcome.subnet,
@@ -1752,20 +1744,19 @@ class ServingRun:
                     finish_time=finish,
                     macs_charged=outcome.macs_charged,
                     macs_reused=outcome.macs_reused,
-                    confidence=engine._outcome_confidence(outcome),
+                    confidence=outcome.confidence,
                     logits=outcome.logits,
                     macs_recomputed=outcome.macs_recomputed,
                 )
             )
             record.final_logits = outcome.logits
             if self._obs is not None:
-                request_id = member.request.request_id
                 self._obs.emit(
                     "step",
                     self.now,
                     node=self.node,
                     request_id=request_id,
-                    wave=wave,
+                    wave=self._wave,
                     subnet=outcome.subnet,
                     finish=float(finish) if math.isfinite(finish) else None,
                     macs_charged=float(outcome.macs_charged),
@@ -1780,64 +1771,32 @@ class ServingRun:
                         request_id=request_id,
                         macs_recomputed=float(outcome.macs_recomputed),
                     )
+        return finish
 
-        if not math.isfinite(finish):
-            # The trace never grants enough throughput again; the jobs
-            # (and eventually all others) can make no further progress.
-            for laggard, reason in early_stops:
-                self._finalize(laggard, "completed", reason)
-            for member in group:
-                self._finalize(member, "starved", "trace provides no further throughput")
-            self._enforce_memory()
-            return
+    def _settle(self, finish: float, group: List[ServingJob], early_stops: _Stops) -> None:
+        """Advance the clock to ``finish`` and give every member its verdict.
 
-        self.now = finish
-        self._admit(self.now)
-        for laggard, reason in early_stops:
-            self._finalize(laggard, "completed", reason)
-        for member, outcome in zip(group, group_outcomes):
-            stop_reason = engine._continuation_stop_reason(
-                member, self.now, len(scheduler), outcome
-            )
-            if stop_reason is not None:
-                self._finalize(member, "completed", stop_reason)
-            else:
-                # The member's subnet edge moved (and cost-aware keys may
-                # read its progress): refresh its ready-index bucket.
-                scheduler.reindex(member)
-        # Memory only grows during a dispatch (the executed contexts'
-        # caches).  Enforce the resident budget now, with the members
-        # that just ran protected (evicted only as a last resort), so
-        # between events the residency never exceeds the bound.
-        self._enforce_memory(protected=group)
-
-    def _pass(
-        self, jobs: List[ServingJob], wave: int, catch_up: bool = False
-    ) -> List["StepOutcome"]:
-        """One forward pass of ``jobs`` (all at one subnet edge), logged as one batch.
-
-        Two or more jobs share the backend's group advance and one
-        confidence softmax; the pass lands on ``batch_sizes``, the
-        dispatch and occupancy metrics and a ``batch_pass`` event
-        (flagged ``catch_up`` for a refilled laggard cohort).
+        A starved dispatch finalises the whole group; otherwise a member
+        that continues has its ready-index bucket refreshed (its edge
+        moved).  Memory only grows during a dispatch, so the budget is
+        enforced last, with the group protected.
         """
-        engine = self.engine
-        if len(jobs) == 1:
-            outcomes = [jobs[0].session.advance()]
-        else:
-            outcomes = engine.backend.advance_group([job.session for job in jobs])
-            engine._fill_group_confidences(outcomes)
-        for job in jobs:
-            job.steps_executed += 1
-        self._batch_sizes.append(len(jobs))
-        self._m_dispatches.add()
-        self._m_occupancy.observe(len(jobs))
-        if self._obs is not None:
-            flags = {"catch_up": True} if catch_up else {}
-            self._obs.emit(
-                "batch_pass", self.now, node=self.node, wave=wave, size=len(jobs), **flags
-            )
-        return outcomes
+        starved = not math.isfinite(finish)
+        if not starved:
+            self.now = finish
+            self._admit(self.now)
+        for job, reason in early_stops:
+            self._finalize(job, "completed", reason)
+        for member in group:
+            if starved:
+                self._finalize(member, "starved", "trace provides no further throughput")
+                continue
+            reason = self._stop_reason(member)
+            if reason is not None:
+                self._finalize(member, "completed", reason)
+            else:
+                self.scheduler.reindex(member)
+        self._enforce_memory(protected=group)
 
     def _sync_resident(self, executed: Sequence[ServingJob]) -> None:
         """Refresh the incremental residency ledger for just-executed jobs.

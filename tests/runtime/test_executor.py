@@ -7,7 +7,12 @@ import pytest
 
 from repro.runtime.executor import AnytimeExecutor, ExecutionRecord, RecomputeExecutor, StepRecord
 from repro.runtime.platform import ResourceTrace
-from repro.runtime.policies import ConfidencePolicy, FixedSubnetPolicy, GreedyPolicy
+from repro.runtime.policies import (
+    ConfidencePolicy,
+    DeadlineAwarePolicy,
+    FixedSubnetPolicy,
+    GreedyPolicy,
+)
 
 
 @pytest.fixture
@@ -50,6 +55,18 @@ class TestAnytimeExecutor:
         record = executor.execute(inputs, deadline=1.5)
         assert record.final_subnet < stepping_network.num_subnets - 1
         assert record.deadline_met
+
+    def test_deadline_aware_slack_follows_start_time(self, stepping_network, inputs):
+        # The whole ladder takes 1 s; a 10 s budget with a 10% margin
+        # leaves room for every level however late the budget starts.
+        largest = float(stepping_network.subnet_macs(stepping_network.num_subnets - 1))
+        executor = AnytimeExecutor(
+            stepping_network, ResourceTrace.constant(largest), DeadlineAwarePolicy(margin=0.1)
+        )
+        for start in (0.0, 100.0):
+            record = executor.execute(inputs, start_time=start, deadline=start + 10.0)
+            assert record.final_subnet == stepping_network.num_subnets - 1
+            assert record.deadline_met
 
     def test_zero_throughput_reports_infinite_finish(self, stepping_network, inputs):
         trace = ResourceTrace.constant(0.0)

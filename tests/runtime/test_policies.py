@@ -23,6 +23,7 @@ def make_state(
     deadline=10.0,
     next_step_macs=100.0,
     estimated_finish_time=1.0,
+    start_time=0.0,
 ):
     if logits is None:
         logits = np.array([[4.0, 0.0, 0.0], [3.0, 0.5, 0.5]])
@@ -34,6 +35,7 @@ def make_state(
         deadline=deadline,
         next_step_macs=next_step_macs,
         estimated_finish_time=estimated_finish_time,
+        start_time=start_time,
     )
 
 
@@ -125,6 +127,18 @@ class TestDeadlineAwarePolicy:
     def test_no_deadline_keeps_refining(self):
         state = make_state(deadline=None)
         assert DeadlineAwarePolicy().decide(state).step_up
+
+    def test_slack_is_a_share_of_the_request_budget(self):
+        # A 10 s budget that starts at t=100: the 10% margin is 1 s of
+        # slack, not 10% of the absolute deadline.
+        state = make_state(
+            current_time=100.0, start_time=100.0, deadline=110.0, estimated_finish_time=105.0
+        )
+        assert DeadlineAwarePolicy(margin=0.1).decide(state).step_up
+        late = make_state(
+            current_time=100.0, start_time=100.0, deadline=110.0, estimated_finish_time=109.5
+        )
+        assert not DeadlineAwarePolicy(margin=0.1).decide(late).step_up
 
     def test_invalid_margin(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.runtime.platform import ResourceTrace
-from repro.runtime.policies import ConfidencePolicy
+from repro.runtime.policies import ConfidencePolicy, prediction_confidence
 from repro.serving import (
     BATCH_POLICIES,
     BatchAwareScheduler,
@@ -38,6 +38,7 @@ from repro.serving import (
     poisson_stream,
 )
 from repro.serving.backend import ServingJob
+from repro.serving.observe import ObservabilitySpec
 
 
 def _calibrated_trace(network, seconds_for_largest=0.4):
@@ -666,3 +667,56 @@ class TestEdgeIndexPurge:
         assert run.entry_edge_depth == 2
         run.finish()
         assert run.entry_edge_depth == 0
+
+
+# ----------------------------------------------------------------------
+# Per-step confidence: one softmax per pass, identical to the solo value
+# ----------------------------------------------------------------------
+class TestStepConfidence:
+    @staticmethod
+    def _ragged_stream(images):
+        """Batch-1 and batch-3 requests sharing the entry edge, in waves."""
+        requests = []
+        for i in range(12):
+            rows = 3 if i % 3 == 1 else 1
+            start = (2 * i) % (len(images) - rows)
+            requests.append(
+                Request(
+                    request_id=i,
+                    arrival_time=0.0 if i < 4 else 0.02 * (i // 2),
+                    inputs=images[start : start + rows],
+                )
+            )
+        return requests
+
+    @pytest.mark.parametrize("policy", ["same-level", "continuous"])
+    def test_confidence_bit_equal_to_solo_softmax(self, stepping_network, sample_pool, policy):
+        images, _ = sample_pool
+        requests = self._ragged_stream(images)
+        confident = ConfidencePolicy(threshold=0.3, respect_deadline=False)
+        oracle = _serve(
+            stepping_network, requests, policy="none",
+            backend=SteppingBackend(stepping_network, policy=confident),
+        )
+        recorder = ObservabilitySpec(enabled=True).build()
+        engine = ServingEngine(
+            BatchedSteppingBackend(stepping_network, policy=confident),
+            _calibrated_trace(stepping_network),
+            batch_policy=get_batch_policy(policy, max_batch_size=4),
+        )
+        report = engine.serve(requests, recorder=recorder)
+        rows = {request.request_id: request.batch_size for request in requests}
+        mixed = [
+            event for event in recorder.events
+            if event["type"] == "dispatch" and {rows[i] for i in event["members"]} == {1, 3}
+        ]
+        assert mixed, "no pass shared batch-1 and batch-3 members"
+        if policy == "continuous":
+            assert report.refilled_jobs > 0
+        # Some jobs stop early, so the verdicts really read the confidence.
+        assert {job.final_subnet for job in oracle.jobs} != {stepping_network.num_subnets - 1}
+        _assert_bit_equal(oracle, report)
+        for job, reference in zip(report.jobs, oracle.jobs):
+            for step, solo in zip(job.steps, reference.steps):
+                assert step.confidence == prediction_confidence(step.logits)
+                assert step.confidence == solo.confidence

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import SteppingNetwork
 from repro.runtime.platform import ResourceTrace
 from repro.runtime.policies import ConfidencePolicy, GreedyPolicy, LoadAdaptivePolicy
 from repro.serving import (
@@ -15,6 +16,8 @@ from repro.serving import (
     periodic_stream,
     poisson_stream,
 )
+from repro.serving.observe import ObservabilitySpec
+from repro.utils.errors import ConfigError
 
 
 @pytest.fixture
@@ -350,3 +353,63 @@ class TestLoadAdaptivePolicy:
         subnets = [job.final_subnet for job in report.jobs]
         assert subnets[:-1] == [0] * (len(subnets) - 1)
         assert subnets[-1] == stepping_network.num_subnets - 1
+
+
+class TestInputValidation:
+    """Bad request inputs fail at the run's one way in, with ConfigError."""
+
+    @staticmethod
+    def _bad_inputs(images):
+        nan = images[:1].copy()
+        nan[0, 0, 0, 0] = np.nan
+        return {
+            "wrong shape": images[:1, :, :-1],
+            "no batch axis": images[0],
+            "empty batch": images[:0],
+            "nan": nan,
+            "inf": np.full_like(images[:2], np.inf),
+        }
+
+    @pytest.mark.parametrize(
+        "kind", ["wrong shape", "no batch axis", "empty batch", "nan", "inf"]
+    )
+    def test_rejected_then_run_serves_valid_request(
+        self, stepping_network, sample_pool, fast_trace, kind
+    ):
+        images, _ = sample_pool
+        engine = ServingEngine(SteppingBackend(stepping_network), fast_trace)
+        run = engine.open_run()
+        bad = Request(request_id=0, arrival_time=0.0, inputs=self._bad_inputs(images)[kind])
+        with pytest.raises(ConfigError, match="request 0: inputs"):
+            run.push(bad)
+        # The rejected id was never registered: a valid request reuses it.
+        good = Request(request_id=0, arrival_time=0.0, inputs=images[:1])
+        run.push(good)
+        report = run.finish()
+        assert [job.status for job in report.jobs] == ["completed"]
+        reference = engine.serve([good]).jobs[0]
+        assert np.array_equal(report.jobs[0].final_logits, reference.final_logits)
+
+    def test_mlp_takes_flattened_samples(self, mlp_spec, rng, fast_trace):
+        network = SteppingNetwork(mlp_spec, num_subnets=2, rng=rng)
+        shaped = rng.standard_normal((2,) + tuple(mlp_spec.input_shape))
+        requests = [
+            Request(request_id=0, arrival_time=0.0, inputs=shaped),
+            Request(request_id=1, arrival_time=0.0, inputs=shaped.reshape(2, -1)),
+        ]
+        report = ServingEngine(SteppingBackend(network), fast_trace).serve(requests)
+        assert [job.status for job in report.jobs] == ["completed", "completed"]
+
+    def test_serve_raises_before_any_step(self, stepping_network, sample_pool, fast_trace):
+        images, _ = sample_pool
+        requests = [
+            Request(request_id=i, arrival_time=0.0, inputs=images[i : i + 1]) for i in range(3)
+        ]
+        requests.append(
+            Request(request_id=3, arrival_time=0.0, inputs=self._bad_inputs(images)["nan"])
+        )
+        recorder = ObservabilitySpec(enabled=True).build()
+        engine = ServingEngine(SteppingBackend(stepping_network), fast_trace)
+        with pytest.raises(ConfigError, match="finite"):
+            engine.serve(requests, recorder=recorder)
+        assert [event["type"] for event in recorder.events] == ["arrive"] * 3
