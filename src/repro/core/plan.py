@@ -61,6 +61,7 @@ weights, masks or assignments and a new plan must be built (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary, ref
@@ -392,28 +393,34 @@ class NetworkPlan:
         level, so the prediction is level-independent and matches
         :meth:`~repro.core.incremental.IncrementalInference.state_nbytes`
         exactly for a compiled context that has taken at least one step.
+        Every buffer has the batch as a factor, so the footprint is
+        ``batch_size`` times the per-sample bytes the plan computes once.
         Serving layers use it to size memory budgets and to estimate a
         node's resident bytes before any request has run.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        itemsize = self.dtype.itemsize
-        elements = batch_size * int(np.prod(self.input_shape))
+        return batch_size * self._sample_nbytes
+
+    @cached_property
+    def _sample_nbytes(self) -> int:
+        """Resident bytes of one sample's context (the plan is read-only)."""
+        elements = int(np.prod(self.input_shape))
         for step in self.steps:
             if isinstance(step, _HiddenStep):
                 if step.kind == "conv":
                     out_h, out_w = step.out_spatial
-                    elements += batch_size * step.num_units * out_h * out_w  # cache
+                    elements += step.num_units * out_h * out_w  # cache
                     kh, kw = step.kernel
-                    elements += step.in_channels * kh * kw * batch_size * out_h * out_w
+                    elements += step.in_channels * kh * kw * out_h * out_w  # im2col
                 else:
-                    elements += batch_size * step.num_units  # cache (no aux)
+                    elements += step.num_units  # cache (no aux)
             elif isinstance(step, _PoolStep):
                 out_h, out_w = step.out_spatial
-                elements += batch_size * step.num_channels * out_h * out_w  # pooled map
+                elements += step.num_channels * out_h * out_w  # pooled map
             elif isinstance(step, _OutputStep):
-                elements += batch_size * step.bias.shape[0]  # logits
-        return elements * itemsize
+                elements += step.bias.shape[0]  # logits
+        return elements * self.dtype.itemsize
 
     # ------------------------------------------------------------------
     # Execution

@@ -276,24 +276,26 @@ class NodeState:
         for jobs it no longer holds (without this, analytic routers keep
         avoiding a node that is actually idle).  Removes the *last*
         matching placement (a request re-placed after failover may have
-        visited the same node twice) and rebuilds the predicted
-        start/completion/residency ledgers by replaying the remaining
-        placements in order — identical to a fresh model that never saw
+        visited the same node twice).  Placements before it are
+        unaffected, since each charge depends only on the ones before
+        it, so the predicted start/completion/residency ledgers are cut
+        at the departed placement, the busy horizon is restored from the
+        last surviving completion, and only the later placements are
+        replayed in order — identical to a fresh model that never saw
         the departed request.  Returns whether a placement was found.
         """
         for position in range(len(self.assigned) - 1, -1, -1):
             if self.assigned[position].request_id == request_id:
-                del self.assigned[position]
                 break
         else:
             return False
-        remaining = self.assigned
-        self.assigned = []
-        self._starts = []
-        self._completions = []
-        self._resident = []
-        self._busy_until = 0.0
-        for request in remaining:
+        later = self.assigned[position + 1 :]
+        del self.assigned[position:]
+        del self._starts[position:]
+        del self._completions[position:]
+        del self._resident[position:]
+        self._busy_until = self._completions[-1] if self._completions else 0.0
+        for request in later:
             self.assigned.append(request)
             self._charge(request)
         return True

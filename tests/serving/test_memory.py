@@ -21,6 +21,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.baselines.common import set_prefix_assignments
+from repro.core import SteppingNetwork
 from repro.core.incremental import IncrementalInference
 from repro.runtime.platform import ResourceTrace
 from repro.runtime.policies import ConfidencePolicy
@@ -148,6 +150,25 @@ class TestFootprintAccounting:
         assert engine.plan.state_nbytes(4) == 4 * single
         with pytest.raises(ValueError, match="batch_size"):
             engine.plan.state_nbytes(0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["conv", "mlp"])
+    def test_prediction_matches_measured_state_per_batch(
+        self, kind, dtype, stepping_network, mlp_spec, rng
+    ):
+        if kind == "conv":
+            network = stepping_network
+        else:
+            network = SteppingNetwork(mlp_spec, num_subnets=4, rng=rng)
+            set_prefix_assignments(network, [0.3, 0.55, 0.8, 1.0])
+        shape = tuple(network.spec.input_shape)
+        for batch_size in range(1, 5):
+            engine = IncrementalInference(network, dtype=dtype)
+            engine.run(rng.standard_normal((batch_size,) + shape), subnet=0)
+            assert engine.plan.state_nbytes(batch_size) == engine.state_nbytes()
+        for invalid in (0, -1):
+            with pytest.raises(ValueError, match="batch_size"):
+                engine.plan.state_nbytes(invalid)
 
     def test_dtype_halves_footprint(self, stepping_network):
         f32 = IncrementalInference(stepping_network, dtype=np.float32)

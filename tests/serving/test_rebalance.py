@@ -13,12 +13,13 @@ whose queue has already left the entry edge.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from repro.core.incremental import IncrementalInference
-from repro.runtime.platform import ResourceTrace
+from repro.runtime.platform import ResourcePhase, ResourceTrace
 from repro.runtime.policies import ConfidencePolicy
 from repro.serving import (
     ROUTERS,
@@ -273,6 +274,87 @@ class TestPowerOfTwoChoices:
 # ----------------------------------------------------------------------
 # Fluid-model load signals: retract and the entry-edge fallback
 # ----------------------------------------------------------------------
+def _full_rebuild_retract(node, request_id):
+    """Reference ``NodeState.retract``: replay every surviving placement.
+
+    Forgets the last matching placement, clears the ledgers and charges
+    the remaining placements again from an idle node — by construction
+    a fresh model that never saw the departed request.  Production
+    replays only the placements after the departed one; the two must
+    agree bit for bit.
+    """
+    for position in range(len(node.assigned) - 1, -1, -1):
+        if node.assigned[position].request_id == request_id:
+            del node.assigned[position]
+            break
+    else:
+        return False
+    remaining = node.assigned
+    node.assigned = []
+    node._starts = []
+    node._completions = []
+    node._resident = []
+    node._busy_until = 0.0
+    for request in remaining:
+        node.assigned.append(request)
+        node._charge(request)
+    return True
+
+
+def _stalling_trace(network, stall_at=1.2):
+    """Full speed until ``stall_at``, then zero throughput forever: work
+    that cannot finish before the stall completes at ``inf``."""
+    largest = float(network.subnet_macs(network.num_subnets - 1))
+    return ResourceTrace(
+        [ResourcePhase(0.0, largest / 0.4), ResourcePhase(stall_at, 0.0)], name="stalling"
+    )
+
+
+def _ledger_ops(seed, length=48, id_pool=6):
+    """A seeded assign/retract sequence for the fluid-model ledgers.
+
+    A small id pool makes failover-style duplicate placements common;
+    arrivals are unordered, as re-placed requests keep their original
+    arrival time.  Retracts name the id at the first, middle or last
+    live position, or an id no placement carries.
+    """
+    rng = np.random.default_rng(seed)
+    live = []
+    ops = []
+    for _ in range(length):
+        roll = rng.random()
+        if live and roll < 0.45:
+            position = (0, len(live) // 2, len(live) - 1)[rng.integers(3)]
+            rid = live[position]
+            del live[len(live) - 1 - live[::-1].index(rid)]
+            ops.append(("retract", rid))
+        elif roll < 0.5:
+            ops.append(("retract", id_pool + int(rng.integers(3))))
+        else:
+            rid = int(rng.integers(id_pool))
+            live.append(rid)
+            ops.append(("assign", rid, float(rng.uniform(0.0, 2.0)), int(rng.integers(1, 4))))
+    return ops
+
+
+def _hex(values):
+    return [float(value).hex() for value in values]
+
+
+def _assert_ledgers_bit_equal(node, oracle):
+    # The same request objects in the same order.
+    assert [id(r) for r in node.assigned] == [id(r) for r in oracle.assigned]
+    assert _hex(node._starts) == _hex(oracle._starts)
+    assert _hex(node._completions) == _hex(oracle._completions)
+    assert node._resident == oracle._resident
+    assert float(node._busy_until).hex() == float(oracle._busy_until).hex()
+    for now in (-0.1, 0.0, 0.3, 0.9, 1.5, 2.5, 10.0):
+        assert node.queue_length(now) == oracle.queue_length(now)
+        assert float(node.backlog_seconds(now)).hex() == float(oracle.backlog_seconds(now)).hex()
+        assert node.batch_potential(now) == oracle.batch_potential(now)
+        assert node.resident_bytes(now) == oracle.resident_bytes(now)
+
+
 class TestFluidModelRetract:
     def _request(self, rid, arrival=0.0):
         return Request(request_id=rid, arrival_time=arrival,
@@ -311,6 +393,66 @@ class TestFluidModelRetract:
         assert [r.request_id for r in node.assigned] == [0, 1]
         assert not node.retract(7)  # unknown id reports, not raises
         assert node.queue_length(0.0) == 2
+
+    @pytest.mark.parametrize("trace", ["constant", "stalling"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_suffix_replay_matches_full_rebuild_oracle(self, stepping_network, seed, trace):
+        make = _constant_trace if trace == "constant" else _stalling_trace
+        engine = ServingEngine(
+            SteppingBackend(stepping_network, policy=_full_quality()),
+            make(stepping_network),
+            "fifo",
+            enforce_deadline=False,
+        )
+        node = NodeState(0, "a", engine)
+        oracle = NodeState(0, "a", engine)
+        charged = []
+        charge = node._charge
+
+        def counting_charge(request):
+            charged.append(request.request_id)
+            charge(request)
+
+        node._charge = counting_charge
+
+        cases = set()
+        for op in _ledger_ops(seed):
+            if op[0] == "assign":
+                _, rid, arrival, batch = op
+                request = Request(
+                    request_id=rid,
+                    arrival_time=arrival,
+                    inputs=np.zeros((batch, 3, 12, 12), dtype=np.float32),
+                )
+                node.assign(request)
+                oracle.assign(request)
+            else:
+                rid = op[1]
+                ids = [r.request_id for r in node.assigned]
+                found = rid in ids
+                position = len(ids) - 1 - ids[::-1].index(rid) if found else None
+                charged.clear()
+                assert node.retract(rid) is found
+                assert _full_rebuild_retract(oracle, rid) is found
+                if not found:
+                    cases.add("unknown")
+                    assert charged == []
+                else:
+                    if ids.count(rid) > 1:
+                        cases.add("duplicate")
+                    cases.add(
+                        "first" if position == 0
+                        else "last" if position == len(ids) - 1
+                        else "middle"
+                    )
+                    # Only the later placements are re-charged, in order.
+                    assert len(charged) == len(node.assigned) - position
+                    assert charged == ids[position + 1 :]
+            if math.isinf(oracle._busy_until):
+                cases.add("inf")
+            _assert_ledgers_bit_equal(node, oracle)
+        assert {"unknown", "duplicate", "first", "middle", "last"} <= cases
+        assert ("inf" in cases) == (trace == "stalling")
 
     def test_crash_frees_the_victims_fluid_signals(
         self, stepping_network, sample_pool
@@ -354,6 +496,90 @@ class TestFluidModelRetract:
         ]
         assert post
         assert post[0]["fluid_depth"] == 0
+
+
+    def test_fleet_serve_matches_full_rebuild_oracle(
+        self, stepping_network, sample_pool, monkeypatch
+    ):
+        """A chaos fleet serves bit-identically under either retract.
+
+        Crash with recovery and in-flight steals retract placements from
+        the middle of a node's ledger; the fluid-model router and degrade
+        admission read the repaired signals, so any drift between suffix
+        replay and the full rebuild would change placements.
+        """
+        images, _ = sample_pool
+        ladder = float(stepping_network.subnet_macs(stepping_network.num_subnets - 1))
+        budget = 2.5 * SteppingBackend(stepping_network).context_nbytes(1)
+        soc = {"platform": "mobile-soc", "backend": "batched", "scheduler": "edf",
+               "policy": "full-quality", "batch_policy": "same-level",
+               "trace": "constant", "trace_rate": ladder / 4e-3}
+        # Utility-per-MAC serves every waiting first step before any
+        # refinement, so suspended contexts pile up against the budget.
+        ecu = {"name": "ecu-c", "platform": "vehicle-ecu", "scheduler": "utility-per-mac",
+               "policy": "greedy", "trace": "constant", "trace_rate": ladder / 2e-3,
+               "memory_budget_bytes": budget, "eviction_policy": "lru"}
+        spec = ClusterSpec.from_dict({
+            "name": "retract-oracle",
+            "router": "least-loaded",
+            "admission": "degrade",
+            "nodes": [dict(soc, name="soc-a"), dict(soc, name="soc-b"), ecu],
+            "faults": {"events": [
+                {"kind": "partition", "node": "ecu-c", "time": 0.0, "duration": 0.01},
+                {"kind": "crash", "node": "soc-b", "time": 0.01, "recover_time": 0.025},
+                {"kind": "crash", "node": "soc-a", "time": 0.03, "recover_time": 0.045},
+            ]},
+            "rebalance": {"enabled": True, "interval": 0.002, "imbalance_ratio": 1.5,
+                          "max_steals": 4, "steal_in_flight": True},
+            "observe": {"enabled": True},
+            "streams": [
+                {"kind": "poisson", "params": {"rate": 3000.0, "num_requests": 40,
+                                               "relative_deadline": 0.05, "seed": 0}},
+                {"kind": "bursty", "params": {"num_bursts": 3, "burst_size": 8,
+                                              "mean_gap": 0.012,
+                                              "relative_deadline": 0.05, "seed": 1}},
+            ],
+        })
+        requests = spec.build_requests(images)
+        production = NodeState.retract
+        suffixes = []
+
+        def measured_retract(node, request_id):
+            ids = [r.request_id for r in node.assigned]
+            if request_id in ids:
+                suffixes.append(ids[::-1].index(request_id))
+            return production(node, request_id)
+
+        def serve(retract):
+            monkeypatch.setattr(NodeState, "retract", retract)
+            recorder = spec.observe.build()
+            try:
+                report = ServingCluster.from_spec(spec, stepping_network).serve(
+                    requests, recorder=recorder
+                )
+            finally:
+                recorder.close()
+            return report, recorder.events
+
+        report, events = serve(measured_retract)
+        oracle_report, oracle_events = serve(_full_rebuild_retract)
+
+        # The workload exercises what the oracle guards.
+        assert max(suffixes) > 0  # a retract with later placements to replay
+        assert report.migrations + report.failovers > 0
+        assert report.inflight_steals > 0
+        assert report.degraded_admissions > 0
+        assert sum(n.aux_evictions + n.cache_evictions for n in report.node_reports) > 0
+
+        assert report.to_dict() == oracle_report.to_dict()
+        assert len(report.jobs) == len(oracle_report.jobs)
+        for job, ref in zip(report.jobs, oracle_report.jobs):
+            assert job.request.request_id == ref.request.request_id
+            if ref.final_logits is None:
+                assert job.final_logits is None
+            else:
+                assert np.array_equal(job.final_logits, ref.final_logits)
+        assert events == oracle_events
 
 
 class TestBatchPotentialFallback:
