@@ -46,8 +46,8 @@ from repro.core.pruning import apply_unstructured_pruning
 from repro.models import tiny_cnn
 from repro.runtime.platform import ResourceTrace
 from repro.serving import (
-    BatchedSteppingBackend,
     ServingEngine,
+    SteppingBackend,
     get_batch_policy,
     poisson_stream,
 )
@@ -99,7 +99,7 @@ def time_serving(network, trace, requests, batch_size: int, repeats: int) -> dic
         "none" if batch_size == 1 else get_batch_policy("same-level", max_batch_size=batch_size)
     )
     engine = ServingEngine(
-        BatchedSteppingBackend(network, dtype=DTYPE),
+        SteppingBackend(network, dtype=DTYPE),
         trace,
         "fifo",
         batch_policy=policy,

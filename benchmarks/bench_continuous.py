@@ -65,9 +65,9 @@ from repro.models import tiny_cnn
 from repro.runtime.platform import ResourceTrace
 from repro.runtime.policies import ConfidencePolicy
 from repro.serving import (
-    BatchedSteppingBackend,
     ServingEngine,
     ServingJob,
+    SteppingBackend,
     get_batch_policy,
     get_scheduler,
     poisson_stream,
@@ -143,7 +143,7 @@ def build_workload(network, images, num_requests: int):
     trace = ResourceTrace.constant(largest / SECONDS_FOR_LARGEST, name="steady")
     policy = ConfidencePolicy(threshold=CONFIDENCE_THRESHOLD, respect_deadline=False)
     probe = ServingEngine(
-        BatchedSteppingBackend(network, policy=policy, dtype=DTYPE),
+        SteppingBackend(network, policy=policy, dtype=DTYPE),
         trace,
         "fifo",
         overhead_per_step=5e-4,
@@ -171,7 +171,7 @@ def make_engine(network, trace, policy_name: str):
             max_catchup_levels=MAX_CATCHUP_LEVELS,
         )
     return ServingEngine(
-        BatchedSteppingBackend(network, policy=policy, dtype=DTYPE),
+        SteppingBackend(network, policy=policy, dtype=DTYPE),
         trace,
         "fifo",
         batch_policy=batch_policy,

@@ -30,9 +30,9 @@ from repro.core import SteppingNetwork
 from repro.models import tiny_cnn
 from repro.runtime.platform import ResourceTrace
 from repro.serving import (
-    BatchedSteppingBackend,
     ClusterSpec,
     ServingEngine,
+    SteppingBackend,
     get_batch_policy,
     poisson_stream,
     serve,
@@ -70,7 +70,7 @@ def main() -> None:
     oracle = None
     for name, params in POLICIES:
         engine = ServingEngine(
-            BatchedSteppingBackend(network),
+            SteppingBackend(network),
             trace,
             "fifo",
             batch_policy=get_batch_policy(name, **params),

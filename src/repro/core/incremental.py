@@ -158,7 +158,7 @@ class StepResult:
         """The canonical accounting of one ``from -> to`` expansion.
 
         Single source of truth for the executed/reused/cumulative split,
-        shared by the solo engine step and the batched backend path so
+        shared by the solo engine step and the backends' group advance so
         their records can never drift apart.
         """
         return cls(

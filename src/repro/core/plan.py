@@ -40,16 +40,19 @@ absent.
 Because the packed slabs are read-only and identical for every request
 at the same subnet edge, a plan can also advance *several* in-flight
 inferences in one shared pass (:meth:`NetworkPlan.execute_batch`): the
-per-level slab matmul runs once over the batch members' column buffers
-stacked on a leading axis, pooling and im2col packing are shared via
-sample-axis concatenation, and only the scatter into each member's
-private cache and the output-head delta remain per request.  Members are
-stacked — not column-concatenated — deliberately: a BLAS GEMM is not
-bit-deterministic under column-block slicing, while a stacked 3-D matmul
-dispatches one GEMM per member with exactly the solo shapes, so the
-batched path is bit-equal (same dtype) to :meth:`NetworkPlan.execute`
-per request, which keeps the single-request path usable as the batching
-correctness oracle.
+layer walk and the slab lookup are shared, and so are im2col packing and
+pooling (members with the same update set go through one call over
+their sample-axis concatenation), while each member's slab product and
+the scatter into its private cache stay per request.  A conv slab
+runs one solo-shaped GEMM per member over that member's column buffer —
+stacking the full-width buffers would copy more bytes than the narrow
+incremental slab computes — while linear slabs and the output-head
+delta run one stacked 3-D matmul when the members' shapes agree, which
+dispatches one GEMM per member with exactly the solo shapes.  Members are never
+column-concatenated: a BLAS GEMM is not bit-deterministic under
+column-block slicing.  So the batched path is bit-equal (same dtype) to
+:meth:`NetworkPlan.execute` per request, which keeps the
+single-request path usable as the batching correctness oracle.
 
 Plans assume eval-mode semantics (batch-norm running statistics) and the
 structural no-new-to-old-synapse rule that makes stepping inference

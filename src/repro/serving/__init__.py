@@ -13,8 +13,9 @@ configs.
   behind the :data:`STREAMS` registry, and :func:`merge_streams` for
   combining streams with globally unique ids;
 * :mod:`repro.serving.backend` — the :class:`ExecutionBackend` protocol
-  with the SteppingNet (reuse), recompute (slimmable) and batched
-  shared-plan backends behind the :data:`BACKENDS` registry;
+  with the SteppingNet (reuse) and recompute (slimmable) backends behind
+  the :data:`BACKENDS` registry, each advancing same-edge groups through
+  one shared-plan pass;
 * :mod:`repro.serving.scheduler` — FIFO / EDF / priority plus the
   cost-signal-aware batch-aware / least-recompute / utility-per-mac
   scheduling of subnet steps behind the :data:`SCHEDULERS` registry,
@@ -100,8 +101,6 @@ from .analyze import (
 from .backend import (
     BACKENDS,
     DEFAULT_SERVING_DTYPE,
-    BatchedRecomputeBackend,
-    BatchedSteppingBackend,
     ExecutionBackend,
     ExecutionSession,
     RecomputeBackend,
@@ -204,6 +203,10 @@ from .rebalance import (
 from .spec import POLICIES, ClusterSpec, ServingSpec, StreamSpec, get_policy
 from .sweep import SweepResult, SweepSpec, run_sweep
 
+#: Alias of :class:`SteppingBackend` kept for code that imports the
+#: former batched backend's name; every backend batches.
+BatchedSteppingBackend = SteppingBackend
+
 __all__ = [
     "DEFAULT_SERVING_DTYPE",
     "ExecutionBackend",
@@ -212,7 +215,6 @@ __all__ = [
     "SteppingBackend",
     "RecomputeBackend",
     "BatchedSteppingBackend",
-    "BatchedRecomputeBackend",
     "ServingJob",
     "BACKENDS",
     "get_backend",

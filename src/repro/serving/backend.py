@@ -25,13 +25,13 @@ executors in :mod:`repro.runtime.executor` are thin drivers over these
 same sessions, so "one batch on an idle device" and "hundreds of
 requests under contention" exercise one code path.
 
-A third backend, :class:`BatchedSteppingBackend`, extends the stepping
-cost model with *group* execution: sessions sitting at the same subnet
-edge advance together through one shared-plan pass
-(:meth:`~repro.core.plan.NetworkPlan.execute_batch`), which is what the
-serving engine's batching policies (:mod:`repro.serving.batching`)
-dispatch onto.  Per-request logits are bit-equal to the solo path, so
-``batch_policy="none"`` doubles as the batching correctness oracle.
+Every backend also advances *groups*: sessions sitting at the same
+subnet edge step together through one shared-plan pass
+(:meth:`~repro.core.plan.NetworkPlan.execute_batch`).  Whether to group
+is the serving engine's batching policy's call
+(:mod:`repro.serving.batching`), not the backend's; per-request logits
+are bit-equal to the solo path, so ``batch_policy="none"`` doubles as
+the batching correctness oracle.
 
 Backends also accept a ``num_subnets`` cap: a node declaring
 ``num_subnets=2`` serves only the two smallest subnet levels —
@@ -311,10 +311,6 @@ class ExecutionBackend:
 
     name = "backend"
     reuses_activations = True
-    #: Whether :meth:`advance_group` runs a genuinely shared pass; the
-    #: serving engine only forms multi-session batches on backends that
-    #: declare it (the base implementation just loops solo advances).
-    supports_batching = False
 
     def __init__(
         self,
@@ -445,68 +441,24 @@ class ExecutionBackend:
         return from_subnet, target
 
     def advance_group(self, sessions: Sequence[ExecutionSession]) -> List[StepOutcome]:
-        """Advance every session by one level; subclasses may share the pass.
+        """Advance every session by one level through one shared plan pass.
 
-        The base implementation simply loops :meth:`ExecutionSession.advance`
-        (after validating that the group shares one subnet edge), so any
-        backend is *correct* under a batching policy — only backends
-        with :attr:`supports_batching` actually fuse the computation.
+        The stacking mechanic — detach every member's state, rebuild
+        evicted members, synthesise fresh state for unstarted ones, run
+        one :meth:`~repro.core.plan.NetworkPlan.execute_batch` walk and
+        write the results back through ``_note_step`` — is the same for
+        every cost model; only :meth:`step_cost` and
+        :attr:`reuses_activations` differ.  Logits are bit-equal (same
+        dtype) to each member's solo :meth:`ExecutionSession.advance`.
+        A lone session takes that solo path; networks a plan cannot
+        represent step each member solo after the edge check.
         """
-        self.group_edge(sessions)
-        return [session.advance() for session in sessions]
-
-    # ------------------------------------------------------------------
-    # Engine context switching (accelerator scratch-memory model).
-    def bind(self, session: ExecutionSession) -> IncrementalInference:
-        """Make ``session`` the engine's resident context."""
-        if self._active is not session:
-            if self._active is not None:
-                self._active._export(self._engine)
-            session._import(self._engine)
-            self._active = session
-        return self._engine
-
-    def unbind(self, session: ExecutionSession) -> None:
-        if self._active is session:
-            session._export(self._engine)
-            self._active = None
-
-
-class SteppingBackend(ExecutionBackend):
-    """SteppingNet serving: step-ups pay only the delta MACs."""
-
-    name = "steppingnet"
-    reuses_activations = True
-
-    def step_cost(self, from_subnet: int, to_subnet: int) -> float:
-        base = self.subnet_macs(from_subnet) if from_subnet >= 0 else 0.0
-        return self.subnet_macs(to_subnet) - base
-
-
-class _SharedPlanBatchingMixin:
-    """Group advance through one shared :meth:`NetworkPlan.execute_batch` pass.
-
-    Mixed into a concrete backend (stepping or recompute): the *stacking
-    mechanic* — detach every member's state, rebuild evicted members,
-    synthesise fresh state for unstarted ones, run one shared plan walk
-    and write the results back through ``_note_step`` — is identical for
-    both cost models; only :meth:`ExecutionBackend.step_cost` and
-    :attr:`ExecutionBackend.reuses_activations` (both read from ``self``)
-    differ.  Logits are bit-equal (same dtype) to the solo compiled path
-    per request, so the unbatched backend remains the correctness
-    oracle.  Networks a plan cannot represent fall back to looped solo
-    advances (still correct, no shared pass).
-    """
-
-    supports_batching = True
-
-    def advance_group(self, sessions: Sequence[ExecutionSession]) -> List[StepOutcome]:
         if len(sessions) == 1:
             return [sessions[0].advance()]
-        if self.plan is None:
-            # Legacy (uncompiled) network: correctness over fusion.
-            return super().advance_group(sessions)
         from_subnet, target = self.group_edge(sessions)
+        if self.plan is None:
+            # Uncompiled network: no shared pass to run; step each member.
+            return [session.advance() for session in sessions]
         cost = self.step_cost(from_subnet, target)
         states: List[InferenceState] = []
         recomputes: List[float] = []
@@ -564,18 +516,32 @@ class _SharedPlanBatchingMixin:
             )
         return outcomes
 
+    # ------------------------------------------------------------------
+    # Engine context switching (accelerator scratch-memory model).
+    def bind(self, session: ExecutionSession) -> IncrementalInference:
+        """Make ``session`` the engine's resident context."""
+        if self._active is not session:
+            if self._active is not None:
+                self._active._export(self._engine)
+            session._import(self._engine)
+            self._active = session
+        return self._engine
 
-class BatchedSteppingBackend(_SharedPlanBatchingMixin, SteppingBackend):
-    """SteppingNet serving with shared-plan batched steps.
+    def unbind(self, session: ExecutionSession) -> None:
+        if self._active is session:
+            session._export(self._engine)
+            self._active = None
 
-    Identical cost model and per-request numerics to
-    :class:`SteppingBackend`; what changes is *how* a group of sessions
-    at the same subnet edge advances: one
-    :meth:`~repro.core.plan.NetworkPlan.execute_batch` pass instead of
-    one plan walk per session (see :class:`_SharedPlanBatchingMixin`).
-    """
 
-    name = "batched-stepping"
+class SteppingBackend(ExecutionBackend):
+    """SteppingNet serving: step-ups pay only the delta MACs."""
+
+    name = "steppingnet"
+    reuses_activations = True
+
+    def step_cost(self, from_subnet: int, to_subnet: int) -> float:
+        base = self.subnet_macs(from_subnet) if from_subnet >= 0 else 0.0
+        return self.subnet_macs(to_subnet) - base
 
 
 class RecomputeBackend(ExecutionBackend):
@@ -593,33 +559,20 @@ class RecomputeBackend(ExecutionBackend):
         return self.subnet_macs(to_subnet)
 
 
-class BatchedRecomputeBackend(_SharedPlanBatchingMixin, RecomputeBackend):
-    """Recompute baseline with shared-plan batched steps.
-
-    The same stacking mechanic as :class:`BatchedSteppingBackend` over
-    the recompute cost model: each member of a same-edge group is
-    charged the *full* target-subnet MACs while the group still shares
-    one plan walk and one launch overhead.  This keeps reuse-vs-recompute
-    comparisons fair under batching — both baselines coalesce
-    identically; only the charged MACs differ, exactly as in the solo
-    executors.
-    """
-
-    name = "batched-recompute"
-
-
 #: Name-based registry of execution backends, mirroring ``SCHEDULERS``:
 #: declarative configs (:class:`~repro.serving.spec.ServingSpec`) refer to
 #: backends by kind.  ``"stepping"`` is the canonical key; the class-level
 #: ``name`` attributes (``"steppingnet"``, ``"recompute"``) are accepted
-#: as aliases so report fields round-trip back into configs.
+#: as aliases so report fields round-trip back into configs.  The
+#: ``"batched*"`` keys name the same two classes — every backend batches
+#: — and stay so existing configs keep loading.
 BACKENDS: Dict[str, Type[ExecutionBackend]] = {
     "stepping": SteppingBackend,
     SteppingBackend.name: SteppingBackend,
     RecomputeBackend.name: RecomputeBackend,
-    "batched": BatchedSteppingBackend,
-    BatchedSteppingBackend.name: BatchedSteppingBackend,
-    BatchedRecomputeBackend.name: BatchedRecomputeBackend,
+    "batched": SteppingBackend,
+    "batched-stepping": SteppingBackend,
+    "batched-recompute": RecomputeBackend,
 }
 
 

@@ -79,9 +79,9 @@ class BatchPolicy:
     """
 
     name = "batch-policy"
-    #: Whether the policy can ever return more than one member; the
-    #: engine requires a batching-capable backend only when it can.
-    coalesces = True
+    #: Cap on the members of one dispatch (``None`` = unbounded); the
+    #: engine fetches at most this many candidates and refills up to it.
+    max_batch_size: Optional[int] = None
     #: Whether the engine may top an under-full in-flight dispatch back
     #: up with ready jobs from *lower* subnet edges (continuous
     #: batching's mid-wave join): laggards catch up inside the dispatch
@@ -112,7 +112,7 @@ class NoBatching(BatchPolicy):
     """One request per step — the pre-batching engine, bit-for-bit."""
 
     name = "none"
-    coalesces = False
+    max_batch_size = 1
 
     def form(
         self,

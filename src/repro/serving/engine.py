@@ -538,13 +538,12 @@ class ServingEngine:
     batch_policy:
         A :class:`~repro.serving.batching.BatchPolicy` registry name
         (``"none"``, ``"same-level"``, ``"windowed"``, ``"continuous"``)
-        or instance.  Anything but ``"none"`` coalesces compatible ready
+        or instance.  Anything but ``"none"`` groups compatible ready
         jobs at the scheduler winner's subnet edge into one shared
-        forward pass and requires a batching-capable backend
-        (:class:`~repro.serving.backend.BatchedSteppingBackend` or
-        :class:`~repro.serving.backend.BatchedRecomputeBackend`);
-        ``"continuous"`` additionally refills under-full in-flight waves
-        with catch-up laggards at every step boundary.
+        forward pass (:meth:`~repro.serving.backend.ExecutionBackend.advance_group`,
+        which every backend runs); ``"continuous"`` additionally refills
+        under-full in-flight waves with catch-up laggards at every step
+        boundary.
     overhead_per_step:
         Fixed seconds charged per executed subnet step (kernel launch,
         context switch).  A batched dispatch charges it once for the
@@ -621,12 +620,6 @@ class ServingEngine:
             batch_policy = NoBatching()
         elif isinstance(batch_policy, str):
             batch_policy = get_batch_policy(batch_policy)
-        if batch_policy.coalesces and not getattr(backend, "supports_batching", False):
-            raise ValueError(
-                f"batch policy '{batch_policy.name}' needs a batching-capable "
-                f"backend (e.g. 'batched'); backend '{backend.name}' executes "
-                "one session per step"
-            )
         self.batch_policy = batch_policy
         #: Prototype budget (bound + policy, zeroed counters); every run
         #: gets a fresh clone, like the scheduler.  Validates the policy
@@ -1427,7 +1420,7 @@ class ServingRun:
         """
         scheduler = self.scheduler
         edge = winner.edge
-        limit = getattr(self.engine.batch_policy, "max_batch_size", None)
+        limit = self.engine.batch_policy.max_batch_size
         members = [winner]
         if limit is not None and limit <= 1:
             return members
@@ -1613,8 +1606,6 @@ class ServingRun:
     def _form_cohort(self, job: ServingJob) -> Optional[List[ServingJob]]:
         """The jobs sharing ``job``'s step, or None while the batch policy waits."""
         policy = self.engine.batch_policy
-        if not policy.coalesces:
-            return [job]
         next_arrival = self._pending[0][0] if self._pending else None
         decision = policy.form(self._batch_candidates(job), self.now, next_arrival)
         if decision.wait_until is not None:
@@ -1649,7 +1640,7 @@ class ServingRun:
         joined: List[ServingJob] = []
         stops: _Stops = []
         policy = self.engine.batch_policy
-        limit = getattr(policy, "max_batch_size", None)
+        limit = policy.max_batch_size
         if not (policy.refills and winner.started and limit is not None and len(members) < limit):
             return executed, joined, stops
         # One refill round per dispatch: re-refilling after catch-up
@@ -1686,10 +1677,7 @@ class ServingRun:
         :func:`prediction_confidence`.  It lands on the outcome and the
         job, where every later continuation verdict reads it.
         """
-        if len(jobs) == 1:
-            outcomes = [jobs[0].session.advance()]
-        else:
-            outcomes = self.engine.backend.advance_group([job.session for job in jobs])
+        outcomes = self.engine.backend.advance_group([job.session for job in jobs])
         logits = [np.asarray(outcome.logits, dtype=np.float64) for outcome in outcomes]
         maxes = softmax(logits[0] if len(logits) == 1 else np.concatenate(logits)).max(axis=-1)
         values = maxes.tolist()

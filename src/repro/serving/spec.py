@@ -178,17 +178,16 @@ class ServingSpec:
         platform's ``invocation_overhead``.
     drop_expired / enforce_deadline:
         The :class:`~repro.serving.engine.ServingEngine` knobs, verbatim.
-    dtype / compiled:
-        Inference dtype name and whether the backend executes over a
-        compiled :class:`~repro.core.plan.NetworkPlan`.
+    dtype:
+        Inference dtype name.
     batch_policy / max_batch_size / batch_window:
         Request coalescing (:data:`~repro.serving.batching.BATCH_POLICIES`):
         ``"none"`` (default), ``"same-level"`` greedy, ``"windowed"``
         with a ``batch_window``-second max wait, or ``"continuous"``
         (greedy plus mid-wave refills at every step boundary);
-        ``max_batch_size`` caps members per shared pass.  Policies other
-        than ``"none"`` need a batching-capable backend (``"batched"``
-        or ``"batched-recompute"``).
+        ``max_batch_size`` caps members per shared pass.  Any backend
+        runs any policy: grouping is a scheduling choice, and every
+        backend advances a group through one shared plan pass.
     num_subnets:
         Optional cap on the subnet levels this node serves (shallow
         nodes in heterogeneous fleets); ``None`` serves every level of
@@ -218,7 +217,6 @@ class ServingSpec:
     drop_expired: bool = False
     enforce_deadline: bool = True
     dtype: str = "float32"
-    compiled: bool = True
     batch_policy: str = "none"
     max_batch_size: int = 8
     batch_window: float = 0.0
@@ -237,7 +235,7 @@ class ServingSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "observe", _coerce_observe(self.observe))
         # Fail at config load, not mid-simulation.
-        backend_cls = get_backend(self.backend)
+        get_backend(self.backend)
         # Instantiating validates both the name and the params (a typo'd
         # or mistyped scheduler_params key fails here, at config load).
         get_scheduler(self.scheduler, **dict(self.scheduler_params))
@@ -260,11 +258,6 @@ class ServingSpec:
             raise ValueError("max_batch_size must be at least 1")
         if self.batch_window < 0:
             raise ValueError("batch_window must be non-negative")
-        if self.batch_policy.lower() != "none" and not backend_cls.supports_batching:
-            raise ValueError(
-                f"batch policy '{self.batch_policy}' needs a batching-capable "
-                f"backend (e.g. 'batched'), got '{self.backend}'"
-            )
         if self.num_subnets is not None and self.num_subnets < 1:
             raise ValueError("num_subnets cap must be at least 1")
         if self.max_service_time is not None and self.max_service_time <= 0:
@@ -325,7 +318,6 @@ class ServingSpec:
             network,
             policy=self.build_policy(),
             dtype=np.dtype(self.dtype),
-            compiled=self.compiled,
             num_subnets=self.num_subnets,
         )
 

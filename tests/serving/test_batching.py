@@ -18,12 +18,14 @@ from repro.core import SteppingNetwork
 from repro.models import mlp
 from repro.runtime.platform import ResourceTrace
 from repro.serving import (
+    BACKENDS,
     BATCH_POLICIES,
-    BatchedSteppingBackend,
     NoBatching,
+    RecomputeBackend,
     Request,
     SameLevelBatching,
     ServingEngine,
+    ServingSpec,
     SteppingBackend,
     WindowedBatching,
     get_batch_policy,
@@ -67,7 +69,7 @@ class TestBatchPolicyRegistry:
     def test_none_ignores_knobs(self):
         policy = get_batch_policy("none", max_batch_size=32, window=1.0)
         assert isinstance(policy, NoBatching)
-        assert not policy.coalesces
+        assert policy.max_batch_size == 1
 
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="batch policy"):
@@ -94,7 +96,7 @@ class TestAdvanceGroup:
         shape = (3, 12, 12) if model == "conv" else (16,)
         inputs = [rng.standard_normal((1,) + shape) for _ in range(group_size)]
         solo_backend = SteppingBackend(network, dtype=dtype)
-        group_backend = BatchedSteppingBackend(network, dtype=dtype)
+        group_backend = SteppingBackend(network, dtype=dtype)
         solo = [solo_backend.open(batch) for batch in inputs]
         grouped = [group_backend.open(batch) for batch in inputs]
         for _ in range(network.num_subnets):
@@ -112,7 +114,7 @@ class TestAdvanceGroup:
         sizes = [1, 2, 1, 3]
         inputs = [rng.standard_normal((n, 3, 12, 12)) for n in sizes]
         solo_backend = SteppingBackend(stepping_network)
-        group_backend = BatchedSteppingBackend(stepping_network)
+        group_backend = SteppingBackend(stepping_network)
         solo = [solo_backend.open(batch) for batch in inputs]
         grouped = [group_backend.open(batch) for batch in inputs]
         for _ in range(stepping_network.num_subnets):
@@ -123,7 +125,7 @@ class TestAdvanceGroup:
 
     def test_member_can_leave_the_batch_and_continue_solo(self, stepping_network, rng):
         inputs = [rng.standard_normal((1, 3, 12, 12)) for _ in range(3)]
-        backend = BatchedSteppingBackend(stepping_network)
+        backend = SteppingBackend(stepping_network)
         sessions = [backend.open(batch) for batch in inputs]
         backend.advance_group(sessions)
         # One member steps alone, the rest keep batching: both stay exact.
@@ -136,7 +138,7 @@ class TestAdvanceGroup:
             assert np.array_equal(reference.advance().logits, outcome.logits)
 
     def test_mixed_edges_rejected(self, stepping_network, rng):
-        backend = BatchedSteppingBackend(stepping_network)
+        backend = SteppingBackend(stepping_network)
         ahead = backend.open(rng.standard_normal((1, 3, 12, 12)))
         ahead.advance()
         fresh = backend.open(rng.standard_normal((1, 3, 12, 12)))
@@ -145,15 +147,34 @@ class TestAdvanceGroup:
 
     def test_empty_group_rejected(self, stepping_network):
         with pytest.raises(ValueError, match="empty"):
-            BatchedSteppingBackend(stepping_network).advance_group([])
+            SteppingBackend(stepping_network).advance_group([])
 
-    def test_base_backend_advances_groups_solo(self, stepping_network, rng):
-        """Non-batching backends stay correct under advance_group."""
-        backend = SteppingBackend(stepping_network)
-        assert not backend.supports_batching
-        sessions = [backend.open(rng.standard_normal((1, 3, 12, 12))) for _ in range(2)]
-        outcomes = backend.advance_group(sessions)
-        assert [outcome.subnet for outcome in outcomes] == [0, 0]
+    @pytest.mark.parametrize("backend_cls", [SteppingBackend, RecomputeBackend])
+    def test_uncompiled_group_matches_solo(self, stepping_network, rng, backend_cls):
+        """Without a plan, a group steps its members solo, evicted ones too."""
+        inputs = [rng.standard_normal((1, 3, 12, 12)) for _ in range(2)]
+        group_backend = backend_cls(stepping_network, compiled=False)
+        solo_backend = backend_cls(stepping_network, compiled=False)
+        assert group_backend.plan is None
+        grouped = [group_backend.open(batch) for batch in inputs]
+        solo = [solo_backend.open(batch) for batch in inputs]
+        for level in range(stepping_network.num_subnets):
+            if level == 2:
+                # One member loses its context before the step: both
+                # paths replay it and charge the same recompute MACs.
+                grouped[1].drop_state()
+                solo[1].drop_state()
+            outcomes = group_backend.advance_group(grouped)
+            references = [session.advance() for session in solo]
+            for reference, outcome in zip(references, outcomes):
+                assert outcome.subnet == reference.subnet == level
+                assert np.array_equal(outcome.logits, reference.logits)
+                assert outcome.macs_charged == reference.macs_charged
+                assert outcome.macs_reused == reference.macs_reused
+                assert outcome.macs_recomputed == reference.macs_recomputed
+            if level == 2 and group_backend.reuses_activations:
+                assert outcomes[1].macs_recomputed > 0
+        assert grouped[1].current_subnet == stepping_network.num_subnets - 1
 
 
 # ----------------------------------------------------------------------
@@ -161,10 +182,7 @@ class TestAdvanceGroup:
 # ----------------------------------------------------------------------
 class TestBatchedServing:
     def _serve(self, network, requests, *, policy=None, scheduler="fifo", trace=None,
-               overhead=0.0, backend_cls=None, **engine_kwargs):
-        backend_cls = backend_cls or (
-            SteppingBackend if policy is None else BatchedSteppingBackend
-        )
+               overhead=0.0, backend_cls=SteppingBackend, **engine_kwargs):
         engine = ServingEngine(
             backend_cls(network),
             trace or _fast_trace(),
@@ -253,7 +271,7 @@ class TestBatchedServing:
         for reference, job in zip(oracle.jobs, report.jobs):
             assert np.array_equal(job.final_logits, reference.final_logits)
 
-    def test_windowed_policy_coalesces_imminent_arrivals(
+    def test_windowed_policy_batches_imminent_arrivals(
         self, stepping_network, sample_pool
     ):
         images, _ = sample_pool
@@ -326,13 +344,34 @@ class TestBatchedServing:
         assert batched.makespan < solo.makespan
         assert batched.num_dispatches < solo.num_dispatches
 
-    def test_coalescing_policy_requires_batched_backend(self, stepping_network):
-        with pytest.raises(ValueError, match="batching-capable"):
-            ServingEngine(
-                SteppingBackend(stepping_network),
-                _fast_trace(),
-                batch_policy="same-level",
-            )
+    @pytest.mark.parametrize("policy", ["same-level", "windowed", "continuous"])
+    @pytest.mark.parametrize(
+        "backend, alias", [("stepping", "batched"), ("recompute", "batched-recompute")]
+    )
+    def test_batching_policy_runs_on_any_backend(
+        self, stepping_network, sample_pool, backend, alias, policy
+    ):
+        """Batching is a policy: every backend runs it, bit-equal to ``"none"``."""
+        images, _ = sample_pool
+        requests = poisson_stream(images, rate=50.0, num_requests=16, batch_size=1, seed=0)
+        largest = float(stepping_network.subnet_macs(stepping_network.num_subnets - 1))
+
+        def serve(**knobs):
+            spec = ServingSpec(trace="constant", trace_rate=largest / 0.05, **knobs)
+            return spec.build_engine(stepping_network).serve(requests)
+
+        oracle = serve(backend=backend)
+        report = serve(backend=backend, batch_policy=policy, batch_window=0.01)
+        assert report.max_batch_occupancy > 1
+        for reference, job in zip(oracle.jobs, report.jobs):
+            assert job.request.request_id == reference.request.request_id
+            assert [s.subnet for s in job.steps] == [s.subnet for s in reference.steps]
+            for ref_step, step in zip(reference.steps, job.steps):
+                assert np.array_equal(step.logits, ref_step.logits)
+        # The former batched-backend names are aliases of the same class.
+        assert BACKENDS[alias] is BACKENDS[backend]
+        spelled = serve(backend=alias, batch_policy=policy, batch_window=0.01)
+        assert spelled.to_dict() == report.to_dict()
 
     def test_none_policy_allowed_on_any_backend(self, stepping_network, sample_pool):
         images, _ = sample_pool

@@ -159,7 +159,7 @@ class TestServingCluster:
         [
             {"backend": "stepping"},
             # A tied-arrival burst on an idle windowed node: the closed
-            # loop coalesces it, live delivery would not.
+            # loop batches it, live delivery would not.
             {
                 "backend": "batched",
                 "batch_policy": "windowed",
@@ -442,7 +442,7 @@ class TestQueueDepthRouting:
         assert all(count > 0 for count in report.node_jobs)
 
     def test_fleet_report_batching_aggregates(self, stepping_network, sample_pool):
-        from repro.serving import BatchedSteppingBackend, SameLevelBatching
+        from repro.serving import SameLevelBatching
         from repro.runtime.platform import ResourceTrace
 
         images, _ = sample_pool
@@ -451,7 +451,7 @@ class TestQueueDepthRouting:
             Request(request_id=i, arrival_time=0.0, inputs=images[i][None]) for i in range(8)
         ]
         engine = ServingEngine(
-            BatchedSteppingBackend(stepping_network),
+            SteppingBackend(stepping_network),
             ResourceTrace.constant(largest / 0.05, name="t"),
             batch_policy=SameLevelBatching(8),
         )

@@ -21,8 +21,6 @@ from repro.runtime.policies import ConfidencePolicy, prediction_confidence
 from repro.serving import (
     BATCH_POLICIES,
     BatchAwareScheduler,
-    BatchedRecomputeBackend,
-    BatchedSteppingBackend,
     ContinuousBatching,
     LeastRecomputeScheduler,
     NoBatching,
@@ -49,11 +47,7 @@ def _calibrated_trace(network, seconds_for_largest=0.4):
 def _serve(network, requests, *, policy="continuous", scheduler="fifo",
            backend=None, trace=None, max_batch_size=16, **engine_kwargs):
     if backend is None:
-        backend = (
-            SteppingBackend(network)
-            if policy in (None, "none")
-            else BatchedSteppingBackend(network)
-        )
+        backend = SteppingBackend(network)
     batch_policy = (
         policy
         if policy in (None, "none")
@@ -86,7 +80,6 @@ class TestContinuousPolicy:
         policy = get_batch_policy("continuous", max_batch_size=16)
         assert isinstance(policy, ContinuousBatching)
         assert policy.max_batch_size == 16
-        assert policy.coalesces
         assert policy.refills
 
     def test_only_continuous_refills(self):
@@ -94,14 +87,6 @@ class TestContinuousPolicy:
         assert not SameLevelBatching.refills
         assert not WindowedBatching.refills
         assert ContinuousBatching.refills
-
-    def test_requires_batched_backend(self, stepping_network):
-        with pytest.raises(ValueError, match="batching-capable"):
-            ServingEngine(
-                SteppingBackend(stepping_network),
-                _calibrated_trace(stepping_network),
-                batch_policy="continuous",
-            )
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +217,7 @@ class TestContinuousBitEquality:
         )
         report = _serve(
             stepping_network, requests, scheduler=scheduler,
-            backend=BatchedSteppingBackend(stepping_network, policy=policy, dtype=dtype),
+            backend=SteppingBackend(stepping_network, policy=policy, dtype=dtype),
             trace=trace, enforce_deadline=False,
         )
         _assert_bit_equal(oracle, report)
@@ -257,7 +242,7 @@ class TestContinuousBitEquality:
             return _serve(
                 stepping_network, requests,
                 policy=name,
-                backend=BatchedSteppingBackend(stepping_network, policy=policy),
+                backend=SteppingBackend(stepping_network, policy=policy),
                 trace=trace, enforce_deadline=False, overhead_per_step=5e-4,
             )
 
@@ -293,7 +278,7 @@ class TestLaggardSemantics:
         ]
         probe = _serve(
             stepping_network, wave,
-            backend=BatchedSteppingBackend(stepping_network, policy=policy),
+            backend=SteppingBackend(stepping_network, policy=policy),
             trace=trace,
         )
         finishes = [step.finish_time for step in probe.jobs[0].steps]
@@ -306,7 +291,7 @@ class TestLaggardSemantics:
         )
         report = _serve(
             stepping_network, wave + [late],
-            backend=BatchedSteppingBackend(stepping_network, policy=policy),
+            backend=SteppingBackend(stepping_network, policy=policy),
             trace=trace,
         )
         late_record = report.jobs[-1]
@@ -382,8 +367,8 @@ class TestBatchedRecompute:
     def test_registry(self):
         from repro.serving import BACKENDS
 
-        assert BACKENDS["batched-recompute"] is BatchedRecomputeBackend
-        assert BatchedRecomputeBackend.supports_batching
+        assert BACKENDS["batched"] is SteppingBackend
+        assert BACKENDS["batched-recompute"] is RecomputeBackend
 
     @pytest.mark.parametrize("group_size", [2, 4])
     def test_group_advance_bit_equal_and_fully_charged(
@@ -391,7 +376,7 @@ class TestBatchedRecompute:
     ):
         inputs = [rng.standard_normal((1, 3, 12, 12)) for _ in range(group_size)]
         solo_backend = RecomputeBackend(stepping_network)
-        group_backend = BatchedRecomputeBackend(stepping_network)
+        group_backend = RecomputeBackend(stepping_network)
         assert not group_backend.reuses_activations
         solo = [solo_backend.open(batch) for batch in inputs]
         grouped = [group_backend.open(batch) for batch in inputs]
@@ -421,7 +406,7 @@ class TestBatchedRecompute:
         )
         report = _serve(
             stepping_network, requests,
-            backend=BatchedRecomputeBackend(stepping_network), trace=trace,
+            backend=RecomputeBackend(stepping_network), trace=trace,
         )
         _assert_bit_equal(oracle, report)
         # The baseline gap batching must not hide: recompute charges
@@ -633,7 +618,7 @@ class TestEdgeIndexPurge:
             Request(request_id=3, arrival_time=0.5, inputs=images[3:4]),
         ]
         engine = ServingEngine(
-            BatchedSteppingBackend(stepping_network),
+            SteppingBackend(stepping_network),
             trace,
             "fifo",
             batch_policy=get_batch_policy("continuous", max_batch_size=1),
@@ -700,7 +685,7 @@ class TestStepConfidence:
         )
         recorder = ObservabilitySpec(enabled=True).build()
         engine = ServingEngine(
-            BatchedSteppingBackend(stepping_network, policy=confident),
+            SteppingBackend(stepping_network, policy=confident),
             _calibrated_trace(stepping_network),
             batch_policy=get_batch_policy(policy, max_batch_size=4),
         )

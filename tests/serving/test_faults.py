@@ -857,12 +857,11 @@ def _chaos_cluster(network, mode, faults):
     crashes during refill catch-up, and ``memory`` makes eviction race
     failover (the budget fits ~2 contexts).
     """
-    from repro.serving import BatchedSteppingBackend
 
     def engine():
         if mode == "batched":
             return ServingEngine(
-                BatchedSteppingBackend(network, policy=_full_quality()),
+                SteppingBackend(network, policy=_full_quality()),
                 _constant_trace(network),
                 "batch-aware",
                 batch_policy="same-level",
@@ -870,7 +869,7 @@ def _chaos_cluster(network, mode, faults):
             )
         if mode == "continuous":
             return ServingEngine(
-                BatchedSteppingBackend(network, policy=_full_quality()),
+                SteppingBackend(network, policy=_full_quality()),
                 _constant_trace(network),
                 "batch-aware",
                 batch_policy="continuous",

@@ -4,7 +4,7 @@ The load-bearing invariant of :mod:`repro.serving.memory` — and the
 headline test here — is *bit-equality*: for any budget large enough to
 hold one running context, every request's per-step and final logits
 under eviction are identical to the unbounded run across eviction
-policies, backends (solo stepping and shared-plan batched) and dtypes.
+policies, batching (solo steps and shared-plan batched passes) and dtypes.
 Eviction may only trade latency and MAC counts for memory, never
 answers.
 
@@ -28,7 +28,6 @@ from repro.runtime.platform import ResourceTrace
 from repro.runtime.policies import ConfidencePolicy
 from repro.serving import (
     EVICTION_POLICIES,
-    BatchedSteppingBackend,
     LargestFirstEviction,
     LowestProgressEviction,
     LRUEviction,
@@ -87,12 +86,10 @@ def _serve(
     policy="lru",
     batched=False,
     scheduler="edf",
-    backend_cls=None,
+    backend_cls=SteppingBackend,
     dtype=np.float32,
     batch_policy=None,
 ):
-    if backend_cls is None:
-        backend_cls = BatchedSteppingBackend if batched else SteppingBackend
     if batch_policy is None and batched:
         batch_policy = "same-level"
     engine = ServingEngine(

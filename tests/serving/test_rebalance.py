@@ -672,12 +672,11 @@ def _steal_cluster(network, mode, rebalance, scheduler="fifo"):
     """A 3-node fleet under a one-hot-node skew: every burst arrival
     lands on n0 while n1/n2 sit partitioned, then the partitions heal
     and only the rebalance tick can move the backlog."""
-    from repro.serving import BatchedSteppingBackend
 
     def engine():
         if mode in ("batched", "continuous"):
             return ServingEngine(
-                BatchedSteppingBackend(network, policy=_full_quality()),
+                SteppingBackend(network, policy=_full_quality()),
                 _constant_trace(network),
                 "batch-aware",
                 batch_policy="same-level" if mode == "batched" else "continuous",

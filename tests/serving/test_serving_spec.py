@@ -8,8 +8,10 @@ import pytest
 from repro.runtime.platform import PLATFORMS, get_platform
 from repro.serving import (
     ClusterSpec,
+    RecomputeBackend,
     ServingEngine,
     ServingSpec,
+    SteppingBackend,
     StreamSpec,
     get_policy,
     poisson_stream,
@@ -84,7 +86,7 @@ class TestServingSpec:
         recompute = ServingSpec(
             backend="batched-recompute", batch_policy="continuous"
         ).build_engine(stepping_network)
-        assert recompute.backend.supports_batching
+        assert type(recompute.backend) is RecomputeBackend
         assert not recompute.backend.reuses_activations
 
     def test_constant_trace_requires_rate(self):
@@ -352,12 +354,6 @@ class TestBatchingAndCapKnobs:
         with pytest.raises(KeyError, match="batch policy"):
             ServingSpec(backend="batched", batch_policy="adaptive")
 
-    def test_coalescing_policy_requires_batched_backend(self):
-        with pytest.raises(ValueError, match="batching-capable"):
-            ServingSpec(backend="stepping", batch_policy="same-level")
-        # The non-coalescing default stays legal on every backend.
-        ServingSpec(backend="stepping", batch_policy="none")
-
     def test_invalid_batch_knobs_rejected(self):
         with pytest.raises(ValueError, match="max_batch_size"):
             ServingSpec(backend="batched", batch_policy="same-level", max_batch_size=0)
@@ -379,7 +375,7 @@ class TestBatchingAndCapKnobs:
         assert engine.batch_policy.name == "windowed"
         assert engine.batch_policy.max_batch_size == 4
         assert engine.batch_policy.window == pytest.approx(0.02)
-        assert engine.backend.supports_batching
+        assert type(engine.backend) is SteppingBackend
 
     def test_num_subnets_cap_limits_served_levels(self, stepping_network, sample_pool):
         """A shallow node stops refining at its declared cap."""
