@@ -133,8 +133,8 @@ def test_runtime_confidence_policy_saves_macs(benchmark, trained_network, save_r
             AnytimeExecutor(network, trace, ConfidencePolicy(threshold=0.8)), requests
         )
         payload = {
-            "greedy": greedy.as_dict(),
-            "confidence": confident.as_dict(),
+            "greedy": greedy.to_dict(),
+            "confidence": confident.to_dict(),
         }
         save_result("runtime_policies", payload)
         return greedy, confident

@@ -15,13 +15,14 @@ This package provides the substrate to *evaluate* that scenario:
   confidence-threshold, deadline-aware);
 * :mod:`repro.runtime.executor` — anytime execution of a single input
   under a trace, with and without SteppingNet's computational reuse;
-* :mod:`repro.runtime.simulation` — stream-level simulation (a sequence
-  of frames with deadlines) and its summary metrics.
+* :mod:`repro.runtime.simulation` — stream-level simulation (a periodic
+  sequence of frames with deadlines).
 
-The executors are single-request drivers over the
-:class:`~repro.serving.backend.ExecutionBackend` protocol; the
-:mod:`repro.serving` package schedules many such requests concurrently
-over one shared trace.
+The executors hold a single-tenant
+:class:`~repro.serving.engine.ServingEngine` (FIFO, policy-driven
+stopping): ``execute`` serves one request through it and returns its
+:class:`~repro.serving.engine.JobRecord`, ``simulate_stream`` serves a
+frame stream and returns the :class:`~repro.serving.engine.ServingReport`.
 
 Everything operates on plain numbers and numpy arrays; the only model
 dependency is a :class:`~repro.core.network.SteppingNetwork` (or any
@@ -29,7 +30,7 @@ object exposing the same ``subnet_macs``/incremental-inference
 interface).
 """
 
-from .executor import AnytimeExecutor, ExecutionRecord, RecomputeExecutor, StepRecord
+from .executor import AnytimeExecutor, RecomputeExecutor
 from .latency import LatencyModel, latency_table, subnet_latencies
 from .platform import PlatformSpec, ResourcePhase, ResourceTrace
 from .policies import (
@@ -42,13 +43,7 @@ from .policies import (
     PolicyState,
     SteppingPolicy,
 )
-from .simulation import (
-    FrameResult,
-    InferenceRequest,
-    SimulationSummary,
-    periodic_requests,
-    simulate_stream,
-)
+from .simulation import periodic_requests, simulate_stream
 from .traces import (
     bursty_trace,
     constant_trace,
@@ -61,9 +56,7 @@ from .traces import (
 
 __all__ = [
     "AnytimeExecutor",
-    "ExecutionRecord",
     "RecomputeExecutor",
-    "StepRecord",
     "LatencyModel",
     "latency_table",
     "subnet_latencies",
@@ -78,9 +71,6 @@ __all__ = [
     "PolicyDecision",
     "PolicyState",
     "SteppingPolicy",
-    "FrameResult",
-    "InferenceRequest",
-    "SimulationSummary",
     "periodic_requests",
     "simulate_stream",
     "bursty_trace",

@@ -49,7 +49,7 @@ class PolicyState:
     """Everything a policy may inspect when deciding whether to step up.
 
     ``queue_depth`` is the number of *other* requests waiting for the
-    same accelerator; single-request executors leave it at 0, the
+    same accelerator (0 when an executor serves one request); the
     serving engine fills it in so policies can yield under load.
     """
 

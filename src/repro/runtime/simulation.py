@@ -3,41 +3,25 @@
 The scenario from the paper's introduction: a perception stack receives a
 stream of frames; each frame must produce *some* decision by its deadline
 and refines that decision while resources remain.  :func:`simulate_stream`
-runs the frame stream through the event-driven
-:class:`~repro.serving.engine.ServingEngine` in its single-tenant
-configuration — FIFO scheduling (head-of-line blocking, run to
-completion), no admission control, the frame's own policy deciding when
-to stop — and aggregates accuracy, deadline behaviour and MAC spend
-across the stream.  For open-loop multi-request workloads (Poisson
-arrivals, EDF/priority scheduling, preemption) use the serving engine
-directly.
+serves the frame stream through the executor's
+:class:`~repro.serving.engine.ServingEngine` — FIFO scheduling
+(head-of-line blocking, run to completion), no admission control, the
+frame's own policy deciding when to stop — and returns the engine's
+:class:`~repro.serving.engine.ServingReport`, whose accuracy, deadline
+and MAC aggregates summarise the stream.  For open-loop multi-request
+workloads (Poisson arrivals, EDF/priority scheduling, preemption) use
+the serving engine directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .executor import AnytimeExecutor, ExecutionRecord, StepRecord
-from .platform import ResourceTrace
-from .policies import SteppingPolicy
-
-
-@dataclass(frozen=True)
-class InferenceRequest:
-    """One frame of the input stream."""
-
-    arrival_time: float
-    deadline: float
-    inputs: np.ndarray
-    labels: Optional[np.ndarray] = None
-    frame_id: int = 0
-
-    def __post_init__(self) -> None:
-        if self.deadline <= self.arrival_time:
-            raise ValueError("deadline must be after arrival_time")
+from ..serving.engine import ServingReport
+from ..serving.request import Request
+from .executor import AnytimeExecutor
 
 
 def periodic_requests(
@@ -47,11 +31,13 @@ def periodic_requests(
     relative_deadline: float,
     batch_size: int = 1,
     start_time: float = 0.0,
-) -> List[InferenceRequest]:
+) -> List[Request]:
     """Slice a dataset into a periodic stream of frames.
 
-    Every ``frame_period`` seconds a batch of ``batch_size`` samples
-    arrives and must be answered within ``relative_deadline`` seconds.
+    Every ``frame_period`` seconds a batch of ``batch_size`` contiguous
+    samples arrives and must be answered within ``relative_deadline``
+    seconds; the last frame takes the remainder.  Frame ``i`` is the
+    request with id ``i``.
     """
     if frame_period <= 0:
         raise ValueError("frame_period must be positive")
@@ -59,193 +45,28 @@ def periodic_requests(
         raise ValueError("relative_deadline must be positive")
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
-    requests: List[InferenceRequest] = []
+    requests: List[Request] = []
     num_frames = int(np.ceil(len(images) / batch_size))
     for frame in range(num_frames):
         lo, hi = frame * batch_size, min((frame + 1) * batch_size, len(images))
         arrival = start_time + frame * frame_period
         requests.append(
-            InferenceRequest(
+            Request(
+                request_id=frame,
                 arrival_time=arrival,
-                deadline=arrival + relative_deadline,
                 inputs=images[lo:hi],
+                deadline=arrival + relative_deadline,
                 labels=None if labels is None else labels[lo:hi],
-                frame_id=frame,
             )
         )
     return requests
 
 
-@dataclass
-class FrameResult:
-    """Outcome of one frame of the stream."""
+def simulate_stream(executor: AnytimeExecutor, requests: Sequence[Request]) -> ServingReport:
+    """Serve ``requests`` through ``executor``'s engine and report the stream.
 
-    request: InferenceRequest
-    record: ExecutionRecord
-    accuracy: Optional[float]
-    accuracy_at_deadline: Optional[float]
-    subnet_at_deadline: int
-    deadline_met: bool
-
-    @property
-    def response_time(self) -> float:
-        return self.record.finish_time - self.request.arrival_time
-
-
-@dataclass
-class SimulationSummary:
-    """Aggregate metrics over a simulated frame stream."""
-
-    frames: List[FrameResult] = field(default_factory=list)
-
-    @property
-    def num_frames(self) -> int:
-        return len(self.frames)
-
-    @property
-    def deadline_miss_rate(self) -> float:
-        if not self.frames:
-            return 0.0
-        misses = sum(1 for frame in self.frames if not frame.deadline_met)
-        return misses / len(self.frames)
-
-    @property
-    def mean_final_accuracy(self) -> float:
-        values = [frame.accuracy for frame in self.frames if frame.accuracy is not None]
-        return float(np.mean(values)) if values else float("nan")
-
-    @property
-    def mean_accuracy_at_deadline(self) -> float:
-        values = [
-            frame.accuracy_at_deadline
-            for frame in self.frames
-            if frame.accuracy_at_deadline is not None
-        ]
-        return float(np.mean(values)) if values else float("nan")
-
-    @property
-    def mean_subnet_at_deadline(self) -> float:
-        if not self.frames:
-            return float("nan")
-        return float(np.mean([frame.subnet_at_deadline for frame in self.frames]))
-
-    @property
-    def mean_macs_per_frame(self) -> float:
-        if not self.frames:
-            return 0.0
-        return float(np.mean([frame.record.total_macs_executed for frame in self.frames]))
-
-    @property
-    def total_macs(self) -> float:
-        return float(sum(frame.record.total_macs_executed for frame in self.frames))
-
-    @property
-    def total_macs_reused(self) -> float:
-        return float(sum(frame.record.total_macs_reused for frame in self.frames))
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "num_frames": self.num_frames,
-            "deadline_miss_rate": self.deadline_miss_rate,
-            "mean_final_accuracy": self.mean_final_accuracy,
-            "mean_accuracy_at_deadline": self.mean_accuracy_at_deadline,
-            "mean_subnet_at_deadline": self.mean_subnet_at_deadline,
-            "mean_macs_per_frame": self.mean_macs_per_frame,
-            "total_macs": self.total_macs,
-            "total_macs_reused": self.total_macs_reused,
-        }
-
-
-def _accuracy(logits: Optional[np.ndarray], labels: Optional[np.ndarray]) -> Optional[float]:
-    if logits is None or labels is None:
-        return None
-    predictions = np.asarray(logits).argmax(axis=-1)
-    return float((predictions == np.asarray(labels)).mean())
-
-
-def simulate_stream(
-    executor: AnytimeExecutor,
-    requests: Sequence[InferenceRequest],
-) -> SimulationSummary:
-    """Run every request through ``executor``'s backend and aggregate outcomes.
-
-    Requests are processed in arrival order; a frame whose predecessor is
-    still executing starts as soon as the predecessor finishes (head-of-
-    line blocking, single-accelerator platform).  Internally the stream
-    is served by the event-driven :class:`~repro.serving.engine.ServingEngine`
-    configured to reproduce exactly these semantics: FIFO scheduling
-    runs each frame to its policy's stopping point before the next frame
-    touches the accelerator, and no frame is dropped or force-stopped at
-    its deadline (the policy alone decides, as the single-shot executor
-    always did).
+    A frame whose predecessor is still executing starts as soon as the
+    predecessor finishes (head-of-line blocking, single-accelerator
+    platform); no frame is dropped or force-stopped at its deadline.
     """
-    from ..serving.engine import ServingEngine
-    from ..serving.request import Request
-
-    ordered = sorted(requests, key=lambda r: r.arrival_time)
-    serving_requests = [
-        Request(
-            request_id=index,
-            arrival_time=request.arrival_time,
-            inputs=request.inputs,
-            deadline=request.deadline,
-            labels=request.labels,
-        )
-        for index, request in enumerate(ordered)
-    ]
-    engine = ServingEngine(
-        executor.backend,
-        executor.trace,
-        scheduler="fifo",
-        overhead_per_step=executor.overhead_per_step,
-        drop_expired=False,
-        enforce_deadline=False,
-    )
-    report = engine.serve(serving_requests)
-
-    summary = SimulationSummary()
-    for request, job in zip(ordered, report.jobs):
-        record = ExecutionRecord(deadline=request.deadline, stop_reason=job.stop_reason)
-        for step in job.steps:
-            record.steps.append(
-                StepRecord(
-                    subnet=step.subnet,
-                    start_time=step.start_time,
-                    finish_time=step.finish_time,
-                    macs_executed=step.macs_charged,
-                    macs_reused=step.macs_reused,
-                    confidence=step.confidence,
-                    met_deadline=(
-                        step.finish_time <= request.deadline
-                        if request.deadline is not None
-                        else True
-                    ),
-                    logits=step.logits,
-                )
-            )
-        record.final_logits = job.final_logits
-
-        summary.frames.append(
-            FrameResult(
-                request=request,
-                record=record,
-                accuracy=_accuracy(record.final_logits, request.labels),
-                accuracy_at_deadline=_accuracy(job.logits_at_deadline(), request.labels),
-                subnet_at_deadline=job.subnet_at_deadline,
-                deadline_met=record.deadline_met,
-            )
-        )
-    return summary
-
-
-def compare_executors(
-    executors: Dict[str, AnytimeExecutor],
-    requests: Sequence[InferenceRequest],
-) -> Dict[str, SimulationSummary]:
-    """Simulate the same request stream under several executors.
-
-    Used by the runtime benchmark to contrast SteppingNet's reuse-based
-    stepping with a recompute-from-scratch platform and with static
-    single-subnet execution.
-    """
-    return {name: simulate_stream(executor, requests) for name, executor in executors.items()}
+    return executor.engine.serve(requests)

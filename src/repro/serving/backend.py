@@ -21,9 +21,10 @@ through both isolates the value of reuse under load.  Backends execute
 over a compiled :class:`~repro.core.plan.NetworkPlan` shared per
 ``(network, dtype, apply_prune)`` platform — the packed weights are
 built once and every session on the platform serves from them.  The single-request
-executors in :mod:`repro.runtime.executor` are thin drivers over these
-same sessions, so "one batch on an idle device" and "hundreds of
-requests under contention" exercise one code path.
+executors in :mod:`repro.runtime.executor` are one-request calls to the
+:class:`~repro.serving.engine.ServingEngine` that drives these same
+sessions, so "one batch on an idle device" and "hundreds of requests
+under contention" exercise one code path.
 
 Every backend also advances *groups*: sessions sitting at the same
 subnet edge step together through one shared-plan pass
@@ -88,12 +89,9 @@ class ExecutionSession:
     subnet level and records the outcome.  All state transfers are O(1).
     """
 
-    def __init__(self, backend: "ExecutionBackend", inputs: np.ndarray, start_subnet: int) -> None:
-        if not 0 <= start_subnet < backend.num_subnets:
-            raise IndexError(f"start_subnet {start_subnet} out of range")
+    def __init__(self, backend: "ExecutionBackend", inputs: np.ndarray) -> None:
         self.backend = backend
         self.inputs = inputs
-        self.start_subnet = start_subnet
         self._state: Optional[InferenceState] = None
         self._started = False
         self._current_subnet = -1
@@ -120,7 +118,7 @@ class ExecutionSession:
     def next_subnet(self) -> Optional[int]:
         """The level the next :meth:`advance` would execute (None when done)."""
         if not self._started:
-            return self.start_subnet
+            return 0
         target = self._current_subnet + 1
         return target if target < self.backend.num_subnets else None
 
@@ -391,9 +389,9 @@ class ExecutionBackend:
             return None
         return self.plan.state_nbytes(batch_size)
 
-    def open(self, inputs: np.ndarray, start_subnet: int = 0) -> ExecutionSession:
+    def open(self, inputs: np.ndarray) -> ExecutionSession:
         """Start a new session for one request's input batch."""
-        return ExecutionSession(self, np.asarray(inputs), start_subnet)
+        return ExecutionSession(self, np.asarray(inputs))
 
     # ------------------------------------------------------------------
     # Observability: per-level wall-clock timing on the compiled plan.
@@ -548,8 +546,9 @@ class RecomputeBackend(ExecutionBackend):
     """Slimmable-style serving: every step re-executes the full subnet.
 
     Logits are computed with the same incremental engine (identical
-    numerics per level); only the charged MACs model the recomputation,
-    mirroring :class:`~repro.runtime.executor.RecomputeExecutor`.
+    numerics per level); only the charged MACs model the recomputation —
+    the slimmable-network deployment the paper compares against
+    (:class:`~repro.runtime.executor.RecomputeExecutor` serves on it).
     """
 
     name = "recompute"

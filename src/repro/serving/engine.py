@@ -138,10 +138,12 @@ class JobRecord:
     def deadline_met(self) -> bool:
         """True when a usable result existed at the deadline.
 
-        Matches the tightened :class:`~repro.runtime.executor.ExecutionRecord`
-        semantics: the mandatory first step must have *completed* (finite
-        finish time) at or before the deadline; later optional
-        refinements that overrun do not revoke it.
+        The mandatory first step must have *completed* (finite finish
+        time) at or before the deadline, the exact boundary counting as
+        met; later optional refinements that overrun do not revoke it.
+        A job with no completed step (never served, or a starved trace
+        whose first step never finishes) never meets a deadline, and
+        without a deadline it still needs that first step finished.
         """
         if not self.steps:
             return False
@@ -1458,8 +1460,7 @@ class ServingRun:
         backend = self.engine.backend
         macs = session.pending_recompute_macs()
         prev = session.current_subnet if job.started else -1
-        first = session.current_subnet + 1 if job.started else session.start_subnet
-        for level in range(first, target + 1):
+        for level in range(prev + 1, target + 1):
             macs += backend.step_cost(prev, level)
             prev = level
         return macs
@@ -1497,10 +1498,7 @@ class ServingRun:
                 # later instead of trickling in through a skinny replay.
                 continue
             pool.extend(scheduler.jobs_at_edge(edge, slots + len(taken)))
-        try:
-            pool.sort(key=scheduler.key)
-        except NotImplementedError:
-            pass  # select()-only scheduler: admission order per edge
+        pool.sort(key=scheduler.key)
         bound = math.inf
         if engine.enforce_deadline:
             for member in members:

@@ -19,11 +19,13 @@ representative of production traffic:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..utils.errors import ConfigError
 from ..utils.rng import new_generator
 
 
@@ -63,12 +65,15 @@ class Request:
     max_subnet: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError("arrival_time must be non-negative")
-        if self.deadline is not None and self.deadline <= self.arrival_time:
-            raise ValueError("deadline must be after arrival_time")
+        if not (math.isfinite(self.arrival_time) and self.arrival_time >= 0):
+            raise ConfigError("arrival_time must be finite and non-negative")
+        if self.deadline is not None:
+            if math.isnan(self.deadline):
+                raise ConfigError("deadline must not be NaN")
+            if self.deadline <= self.arrival_time:
+                raise ConfigError("deadline must be after arrival_time")
         if self.max_subnet is not None and self.max_subnet < 0:
-            raise ValueError("max_subnet must be >= 0 when set")
+            raise ConfigError("max_subnet must be >= 0 when set")
 
     @property
     def relative_deadline(self) -> float:

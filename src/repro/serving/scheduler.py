@@ -90,9 +90,7 @@ class Scheduler:
         :meth:`reindex` afterwards (the engine does so whenever a job
         executes a level or loses its context to eviction).  Subclasses
         normally override only this (and must call ``super().__init__()``
-        if they define a constructor); a legacy subclass that overrides
-        :meth:`select` instead still works — :meth:`pick` falls back to
-        an O(n) ``select`` scan when no ordering key is provided.
+        if they define a constructor).
         """
         raise NotImplementedError
 
@@ -121,10 +119,7 @@ class Scheduler:
 
     def _push_entry(self, job: ServingJob, edge: Edge) -> None:
         request_id = job.request.request_id
-        try:
-            entry = (self.key(job), request_id)
-        except NotImplementedError:
-            return  # select()-only subclass: pick() scans instead
+        entry = (self.key(job), request_id)
         self._entry_of[request_id] = entry
         heapq.heappush(self._heap, entry)
         heapq.heappush(self._by_edge.setdefault(edge, []), entry)
@@ -182,10 +177,7 @@ class Scheduler:
                 self._by_edge.pop(old_edge, None)
             self._edge_of[request_id] = edge
             self._edge_count[edge] = self._edge_count.get(edge, 0) + 1
-        try:
-            entry = (self.key(job), request_id)
-        except NotImplementedError:
-            return  # select()-only subclass: nothing keyed to refresh
+        entry = (self.key(job), request_id)
         if entry == self._entry_of.get(request_id):
             if edge != old_edge:
                 # Key unchanged but the edge moved: the winner-heap entry
@@ -225,8 +217,8 @@ class Scheduler:
         off the edge heap, recorded, and pushed back; stale entries
         (finalised, re-keyed or re-edged jobs) are dropped permanently on
         the way.  Growing ``limit`` returns a superset prefix, so callers
-        can fetch incrementally.  Select()-only schedulers (no ordering
-        key) fall back to an admission-order scan.
+        can fetch incrementally.  A key that drifted without a
+        :meth:`reindex` falls back to an exact scan.
         """
         count = self._edge_count.get(edge, 0)
         if count == 0 or (limit is not None and limit <= 0):
@@ -255,17 +247,13 @@ class Scheduler:
             for entry in popped:
                 heapq.heappush(heap, entry)
         if len(result) < want:
-            # Select()-only scheduler (no keyed entries), or a key that
-            # drifted without a reindex: fall back to the exact scan.
+            # A key that drifted without a reindex: fall back to the exact scan.
             result = [
                 job
                 for request_id, job in self._live.items()
                 if self._edge_of.get(request_id) == edge
             ]
-            try:
-                result.sort(key=self.key)
-            except NotImplementedError:
-                pass  # admission order
+            result.sort(key=self.key)
             result = result[:want]
         return result
 
@@ -283,10 +271,6 @@ class Scheduler:
             if job is not None and self._entry_of.get(entry[1]) == entry:
                 return job
             heapq.heappop(heap)  # stale entry (discarded or re-keyed job)
-        if self._live:
-            # Legacy subclass providing select() but no key(): fall back
-            # to the stateless scan it was written against.
-            return self.select(self.jobs(), now)
         raise LookupError("ready queue is empty")
 
     # ------------------------------------------------------------------

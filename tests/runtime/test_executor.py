@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.runtime.executor import AnytimeExecutor, ExecutionRecord, RecomputeExecutor, StepRecord
+from repro.runtime.executor import AnytimeExecutor, RecomputeExecutor
 from repro.runtime.platform import ResourceTrace
 from repro.runtime.policies import (
     ConfidencePolicy,
@@ -13,6 +13,8 @@ from repro.runtime.policies import (
     FixedSubnetPolicy,
     GreedyPolicy,
 )
+from repro.serving.engine import JobRecord, ServedStep
+from repro.serving.request import Request
 
 
 @pytest.fixture
@@ -36,7 +38,7 @@ class TestAnytimeExecutor:
     def test_total_macs_equal_largest_subnet(self, stepping_network, inputs, fast_trace):
         executor = AnytimeExecutor(stepping_network, fast_trace, GreedyPolicy())
         record = executor.execute(inputs, deadline=100.0)
-        assert record.total_macs_executed == pytest.approx(
+        assert record.total_macs_charged == pytest.approx(
             stepping_network.subnet_macs(stepping_network.num_subnets - 1)
         )
 
@@ -72,8 +74,15 @@ class TestAnytimeExecutor:
         trace = ResourceTrace.constant(0.0)
         executor = AnytimeExecutor(stepping_network, trace, GreedyPolicy())
         record = executor.execute(inputs, deadline=1.0)
-        assert math.isinf(record.finish_time)
+        assert math.isinf(record.completion_time)
         assert not record.deadline_met
+        # Without a deadline a greedy policy would step up again, but the
+        # first step never finishes: the job is starved after one step.
+        record = executor.execute(inputs)
+        assert len(record.steps) == 1
+        assert math.isinf(record.completion_time)
+        assert record.status == "starved"
+        assert record.stop_reason == "trace provides no further throughput"
 
     def test_confidence_policy_may_stop_early(self, stepping_network, inputs, fast_trace):
         executor = AnytimeExecutor(
@@ -99,24 +108,21 @@ class TestAnytimeExecutor:
             stepping_network, fast_trace, GreedyPolicy(), overhead_per_step=0.25
         )
         record = executor.execute(inputs, deadline=100.0)
-        assert record.finish_time >= 0.25 * len(record.steps)
+        assert record.completion_time >= 0.25 * len(record.steps)
 
     def test_negative_overhead_rejected(self, stepping_network, fast_trace):
         with pytest.raises(ValueError):
             AnytimeExecutor(stepping_network, fast_trace, overhead_per_step=-0.1)
 
-    def test_start_subnet(self, stepping_network, inputs, fast_trace):
-        executor = AnytimeExecutor(stepping_network, fast_trace, FixedSubnetPolicy(subnet=1))
-        record = executor.execute(inputs, deadline=100.0, start_subnet=1)
-        assert record.steps[0].subnet == 1
-
-    def test_subnet_completed_by(self, stepping_network, inputs):
+    def test_subnet_at_deadline(self, stepping_network, inputs):
         macs_first = stepping_network.subnet_macs(0)
         trace = ResourceTrace.constant(float(macs_first))
         executor = AnytimeExecutor(stepping_network, trace, GreedyPolicy())
         record = executor.execute(inputs, deadline=50.0)
-        assert record.subnet_completed_by(0.0) == -1
-        assert record.subnet_completed_by(record.finish_time) == record.final_subnet
+        assert record.subnet_at_deadline == record.final_subnet
+        early = executor.execute(inputs, deadline=record.steps[0].finish_time)
+        assert early.subnet_at_deadline == 0
+        assert executor.execute(inputs, deadline=0.5).subnet_at_deadline == -1
 
 
 class TestRecomputeExecutor:
@@ -126,7 +132,7 @@ class TestRecomputeExecutor:
         expected = sum(
             stepping_network.subnet_macs(i) for i in range(stepping_network.num_subnets)
         )
-        assert record.total_macs_executed == pytest.approx(expected)
+        assert record.total_macs_charged == pytest.approx(expected)
         assert record.total_macs_reused == 0.0
 
     def test_more_expensive_than_reuse(self, stepping_network, inputs, fast_trace):
@@ -136,7 +142,7 @@ class TestRecomputeExecutor:
         recompute = RecomputeExecutor(stepping_network, fast_trace, GreedyPolicy()).execute(
             inputs, deadline=100.0
         )
-        assert recompute.total_macs_executed > reuse.total_macs_executed
+        assert recompute.total_macs_charged > reuse.total_macs_charged
 
     def test_same_final_logits_as_reuse(self, stepping_network, inputs, fast_trace):
         reuse = AnytimeExecutor(stepping_network, fast_trace, GreedyPolicy()).execute(
@@ -163,19 +169,23 @@ class TestRecomputeExecutor:
 
 
 def _step(finish_time, subnet=0, start_time=0.0):
-    return StepRecord(
+    return ServedStep(
         subnet=subnet,
         start_time=start_time,
         finish_time=finish_time,
-        macs_executed=1.0,
+        macs_charged=1.0,
         macs_reused=0.0,
         confidence=1.0,
-        met_deadline=True,
     )
 
 
+def _record(deadline=None, steps=()):
+    request = Request(0, 0.0, np.zeros((1, 3, 4, 4)), deadline=deadline)
+    return JobRecord(request=request, steps=list(steps))
+
+
 class TestDeadlineMetSemantics:
-    """Regression tests for the tightened ``ExecutionRecord.deadline_met``.
+    """Regression tests for the tightened ``JobRecord.deadline_met``.
 
     The mandatory first step must have *completed* (finite finish time)
     at or before the deadline; later optional refinements that overrun do
@@ -184,32 +194,32 @@ class TestDeadlineMetSemantics:
     """
 
     def test_empty_record_with_deadline(self):
-        assert not ExecutionRecord(deadline=1.0).deadline_met
+        assert not _record(deadline=1.0).deadline_met
 
     def test_empty_record_without_deadline(self):
-        assert not ExecutionRecord().deadline_met
+        assert not _record().deadline_met
 
     def test_exact_boundary_counts_as_met(self):
-        record = ExecutionRecord(deadline=1.0, steps=[_step(finish_time=1.0)])
+        record = _record(deadline=1.0, steps=[_step(finish_time=1.0)])
         assert record.deadline_met
 
     def test_just_past_boundary_misses(self):
-        record = ExecutionRecord(deadline=1.0, steps=[_step(finish_time=1.0 + 1e-9)])
+        record = _record(deadline=1.0, steps=[_step(finish_time=1.0 + 1e-9)])
         assert not record.deadline_met
 
     def test_overrunning_refinement_does_not_revoke(self):
-        record = ExecutionRecord(
+        record = _record(
             deadline=1.0,
             steps=[_step(finish_time=0.5), _step(finish_time=2.0, subnet=1, start_time=0.5)],
         )
         assert record.deadline_met
 
     def test_infinite_first_step_never_met_without_deadline(self):
-        record = ExecutionRecord(steps=[_step(finish_time=math.inf)])
+        record = _record(steps=[_step(finish_time=math.inf)])
         assert not record.deadline_met
 
     def test_finite_first_step_met_without_deadline(self):
-        record = ExecutionRecord(steps=[_step(finish_time=3.0)])
+        record = _record(steps=[_step(finish_time=3.0)])
         assert record.deadline_met
 
     def test_executor_zero_throughput(self, stepping_network, inputs):
@@ -221,7 +231,7 @@ class TestDeadlineMetSemantics:
 
 
 class TestBackendUnification:
-    """The executors are drivers over the serving backends."""
+    """The executors are one-request calls to the serving engine."""
 
     def test_executor_exposes_backend(self, stepping_network, fast_trace):
         from repro.serving.backend import RecomputeBackend, SteppingBackend
@@ -232,12 +242,3 @@ class TestBackendUnification:
         assert isinstance(
             RecomputeExecutor(stepping_network, fast_trace).backend, RecomputeBackend
         )
-
-    def test_from_backend_shares_policy_and_network(self, stepping_network, fast_trace):
-        from repro.serving.backend import SteppingBackend
-
-        backend = SteppingBackend(stepping_network, policy=FixedSubnetPolicy(subnet=1))
-        executor = AnytimeExecutor.from_backend(backend, fast_trace)
-        record = executor.execute(np.zeros((2, 3, 12, 12)), deadline=100.0)
-        assert record.final_subnet == 1
-        assert executor.network is stepping_network

@@ -6,12 +6,7 @@ import pytest
 from repro.runtime.executor import AnytimeExecutor, RecomputeExecutor
 from repro.runtime.platform import ResourceTrace
 from repro.runtime.policies import GreedyPolicy
-from repro.runtime.simulation import (
-    InferenceRequest,
-    compare_executors,
-    periodic_requests,
-    simulate_stream,
-)
+from repro.runtime.simulation import periodic_requests, simulate_stream
 
 
 @pytest.fixture
@@ -26,17 +21,12 @@ def fast_trace():
     return ResourceTrace.constant(1e12)
 
 
-class TestInferenceRequest:
-    def test_deadline_must_follow_arrival(self):
-        with pytest.raises(ValueError):
-            InferenceRequest(arrival_time=1.0, deadline=1.0, inputs=np.zeros((1, 3, 4, 4)))
-
-
 class TestPeriodicRequests:
     def test_frame_count(self, images_and_labels):
         images, labels = images_and_labels
         requests = periodic_requests(images, labels, frame_period=0.1, relative_deadline=0.05, batch_size=4)
         assert len(requests) == 3
+        assert [r.request_id for r in requests] == [0, 1, 2]
 
     def test_arrival_times_are_periodic(self, images_and_labels):
         images, labels = images_and_labels
@@ -49,6 +39,9 @@ class TestPeriodicRequests:
         requests = periodic_requests(images, labels, frame_period=0.1, relative_deadline=0.05, batch_size=5)
         assert sum(len(r.labels) for r in requests) == len(labels)
         assert all(len(r.labels) == len(r.inputs) for r in requests)
+        # Contiguous slices: the last frame takes the remainder.
+        assert [len(r.inputs) for r in requests] == [5, 5, 2]
+        np.testing.assert_array_equal(np.concatenate([r.labels for r in requests]), labels)
 
     def test_without_labels(self, images_and_labels):
         images, _ = images_and_labels
@@ -74,7 +67,7 @@ class TestSimulateStream:
         requests = periodic_requests(images, labels, frame_period=1.0, relative_deadline=0.5, batch_size=4)
         executor = AnytimeExecutor(stepping_network, fast_trace, GreedyPolicy())
         summary = simulate_stream(executor, requests)
-        assert summary.num_frames == len(requests)
+        assert summary.num_jobs == len(requests)
 
     def test_generous_resources_reach_largest_subnet(self, stepping_network, images_and_labels, fast_trace):
         images, labels = images_and_labels
@@ -97,7 +90,11 @@ class TestSimulateStream:
         requests = periodic_requests(images, labels, frame_period=1.0, relative_deadline=0.5, batch_size=4)
         executor = AnytimeExecutor(stepping_network, fast_trace, GreedyPolicy())
         summary = simulate_stream(executor, requests)
-        assert 0.0 <= summary.mean_final_accuracy <= 1.0
+        final = [
+            (job.final_logits.argmax(axis=-1) == job.request.labels).mean()
+            for job in summary.jobs
+        ]
+        assert 0.0 <= np.mean(final) <= 1.0
         assert 0.0 <= summary.mean_accuracy_at_deadline <= 1.0
 
     def test_head_of_line_blocking(self, stepping_network, images_and_labels):
@@ -108,37 +105,20 @@ class TestSimulateStream:
         requests = periodic_requests(images, labels, frame_period=0.1, relative_deadline=5.0, batch_size=4)
         executor = AnytimeExecutor(stepping_network, trace, GreedyPolicy())
         summary = simulate_stream(executor, requests)
-        starts = [frame.record.steps[0].start_time for frame in summary.frames]
+        starts = [job.steps[0].start_time for job in summary.jobs]
         assert starts == sorted(starts)
-        assert starts[1] >= summary.frames[0].record.finish_time - 1e-9
-
-    def test_as_dict_keys(self, stepping_network, images_and_labels, fast_trace):
-        images, labels = images_and_labels
-        requests = periodic_requests(images, labels, frame_period=1.0, relative_deadline=0.5, batch_size=6)
-        executor = AnytimeExecutor(stepping_network, fast_trace, GreedyPolicy())
-        summary = simulate_stream(executor, requests)
-        payload = summary.as_dict()
-        assert {"num_frames", "deadline_miss_rate", "mean_final_accuracy", "mean_macs_per_frame"} <= set(payload)
+        assert starts[1] >= summary.jobs[0].completion_time - 1e-9
 
 
 class TestCompareExecutors:
     def test_reuse_saves_macs(self, stepping_network, images_and_labels, fast_trace):
         images, labels = images_and_labels
         requests = periodic_requests(images, labels, frame_period=1.0, relative_deadline=0.5, batch_size=4)
-        summaries = compare_executors(
-            {
-                "steppingnet": AnytimeExecutor(stepping_network, fast_trace, GreedyPolicy()),
-                "recompute": RecomputeExecutor(stepping_network, fast_trace, GreedyPolicy()),
-            },
-            requests,
+        reuse = simulate_stream(
+            AnytimeExecutor(stepping_network, fast_trace, GreedyPolicy()), requests
         )
-        assert summaries["steppingnet"].total_macs < summaries["recompute"].total_macs
-        assert summaries["steppingnet"].total_macs_reused > 0.0
-
-    def test_empty_summary_defaults(self):
-        from repro.runtime.simulation import SimulationSummary
-
-        summary = SimulationSummary()
-        assert summary.num_frames == 0
-        assert summary.deadline_miss_rate == 0.0
-        assert np.isnan(summary.mean_final_accuracy)
+        recompute = simulate_stream(
+            RecomputeExecutor(stepping_network, fast_trace, GreedyPolicy()), requests
+        )
+        assert reuse.total_macs < recompute.total_macs
+        assert reuse.total_macs_reused > 0.0

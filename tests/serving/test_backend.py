@@ -45,11 +45,6 @@ class TestSteppingBackend:
         with pytest.raises(RuntimeError):
             session.advance()
 
-    def test_start_subnet_out_of_range(self, stepping_network, inputs):
-        backend = SteppingBackend(stepping_network)
-        with pytest.raises(IndexError):
-            backend.open(inputs, start_subnet=stepping_network.num_subnets)
-
     def test_default_dtype_is_float32(self, stepping_network, inputs):
         backend = SteppingBackend(stepping_network)
         assert backend.dtype == DEFAULT_SERVING_DTYPE

@@ -10,6 +10,7 @@ from repro.serving.request import (
     poisson_stream,
     trace_replay_stream,
 )
+from repro.utils.errors import ConfigError
 
 
 @pytest.fixture
@@ -27,9 +28,16 @@ class TestRequest:
         with pytest.raises(ValueError):
             Request(request_id=0, arrival_time=1.0, inputs=np.zeros((1, 3, 4, 4)), deadline=1.0)
 
-    def test_negative_arrival_rejected(self):
-        with pytest.raises(ValueError):
-            Request(request_id=0, arrival_time=-0.5, inputs=np.zeros((1, 3, 4, 4)))
+    @pytest.mark.parametrize(
+        "arrival, deadline",
+        [(-0.5, None), (float("nan"), None), (float("inf"), None), (0.0, float("nan"))],
+        ids=["negative", "nan-arrival", "inf-arrival", "nan-deadline"],
+    )
+    def test_negative_arrival_rejected(self, arrival, deadline):
+        # Non-finite times would hang the event loop (NaN arrival) or
+        # count a served request as a miss (NaN deadline).
+        with pytest.raises(ConfigError):
+            Request(request_id=0, arrival_time=arrival, inputs=np.zeros((1, 3, 4, 4)), deadline=deadline)
 
     def test_relative_deadline(self):
         request = Request(request_id=0, arrival_time=2.0, inputs=np.zeros((1, 3, 4, 4)), deadline=3.5)
