@@ -125,6 +125,27 @@ class TestAnytimeExecutor:
         assert executor.execute(inputs, deadline=0.5).subnet_at_deadline == -1
 
 
+    def test_deadline_not_enforced(self, stepping_network, inputs):
+        # The policy alone decides when to stop: a deadline-blind policy
+        # keeps refining past the deadline instead of being cut off there.
+        trace = ResourceTrace.constant(float(stepping_network.subnet_macs(0)))
+        policy = ConfidencePolicy(threshold=1.0, respect_deadline=False)
+        executor = AnytimeExecutor(stepping_network, trace, policy)
+        record = executor.execute(inputs, deadline=1.5)
+        assert record.status == "completed"
+        assert record.final_subnet == stepping_network.num_subnets - 1
+        assert record.completion_time > 1.5
+        assert record.deadline_met
+
+    def test_repeated_execute_is_independent(self, stepping_network, inputs, fast_trace):
+        executor = AnytimeExecutor(stepping_network, fast_trace, GreedyPolicy())
+        first = executor.execute(inputs, start_time=2.0, deadline=100.0)
+        second = executor.execute(inputs, start_time=2.0, deadline=100.0)
+        assert first.steps[0].start_time == 2.0
+        assert [s.finish_time for s in second.steps] == [s.finish_time for s in first.steps]
+        np.testing.assert_array_equal(second.final_logits, first.final_logits)
+
+
 class TestRecomputeExecutor:
     def test_charges_full_macs_per_step(self, stepping_network, inputs, fast_trace):
         executor = RecomputeExecutor(stepping_network, fast_trace, GreedyPolicy())

@@ -109,6 +109,16 @@ class TestSimulateStream:
         assert starts == sorted(starts)
         assert starts[1] >= summary.jobs[0].completion_time - 1e-9
 
+    def test_as_dict_keys(self, stepping_network, images_and_labels, fast_trace):
+        images, labels = images_and_labels
+        requests = periodic_requests(images, labels, frame_period=1.0, relative_deadline=0.5, batch_size=6)
+        executor = AnytimeExecutor(stepping_network, fast_trace, GreedyPolicy())
+        summary = simulate_stream(executor, requests)
+        payload = summary.as_dict()
+        assert {"num_jobs", "deadline_miss_rate", "mean_accuracy_at_deadline", "total_macs"} <= set(payload)
+        assert payload["num_jobs"] == len(requests)
+        assert payload["scheduler"] == "fifo"
+
 
 class TestCompareExecutors:
     def test_reuse_saves_macs(self, stepping_network, images_and_labels, fast_trace):
@@ -122,3 +132,10 @@ class TestCompareExecutors:
         )
         assert reuse.total_macs < recompute.total_macs
         assert reuse.total_macs_reused > 0.0
+
+    def test_empty_summary_defaults(self, stepping_network, fast_trace):
+        summary = simulate_stream(AnytimeExecutor(stepping_network, fast_trace), [])
+        assert summary.num_jobs == 0
+        assert summary.deadline_miss_rate == 0.0
+        assert summary.total_macs == 0.0
+        assert np.isnan(summary.mean_accuracy_at_deadline)

@@ -11,6 +11,7 @@ from repro.serving import (
     FIFOScheduler,
     PriorityScheduler,
     Request,
+    Scheduler,
     ServingEngine,
     SteppingBackend,
     get_scheduler,
@@ -109,6 +110,19 @@ class TestReadyQueue:
         assert scheduler.pick(now=1.0) is first  # job stays queued between steps
         scheduler.discard(first)
         assert scheduler.pick(now=1.0).request.request_id == 0
+
+    def test_select_only_subclass_rejected(self, stepping_network):
+        """A scheduler must provide an ordering key; select() alone no longer serves."""
+
+        class LIFOScheduler(Scheduler):
+            name = "lifo"
+
+            def select(self, jobs, now):
+                return max(jobs, key=lambda job: (job.request.arrival_time, job.request.request_id))
+
+        requests = _random_requests(np.random.default_rng(0), 6)
+        with pytest.raises(NotImplementedError):
+            _serve(stepping_network, requests, LIFOScheduler())
 
     def test_clear_resets_between_serves(self):
         scheduler = get_scheduler("fifo")
