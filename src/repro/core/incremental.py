@@ -27,6 +27,7 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.functional import activation_infer
 from ..nn.tensor import Tensor, default_dtype, no_grad
+from ..utils.errors import ConfigError
 from .network import Block, SteppingNetwork
 from .plan import NetworkPlan
 
@@ -313,11 +314,16 @@ class IncrementalInference:
         self.steps = state.steps
 
     def run(self, inputs: np.ndarray, subnet: int = 0) -> StepResult:
-        """Execute ``subnet`` from scratch on a new input batch."""
+        """Execute ``subnet`` from scratch on a new input batch.
+
+        Raises :class:`~repro.utils.errors.ConfigError` unless ``inputs``
+        is a batch of samples of the network's input shape.
+        """
         self.reset()
         inputs = np.asarray(inputs, dtype=self.dtype)
-        if inputs.ndim == 2 and self.network.spec._has_conv():
-            raise ValueError("convolutional network expects (N, C, H, W) input")
+        problem = self.network.spec.input_shape_problem(inputs.shape)
+        if problem is not None:
+            raise ConfigError(f"inputs {problem}")
         self._input = inputs
         return self._expand(-1, subnet)
 

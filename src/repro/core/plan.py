@@ -15,8 +15,9 @@ an execution plan before taking traffic:
   folded into the weights and bias (exact at eval time) and the result
   cast to the inference dtype (conv slabs are pre-flattened to the
   ``(new_units, C*kh*kw)`` GEMM layout);
-* the **new-unit index arrays** used to scatter freshly computed
-  activations into the full-width layer cache;
+* the **new-unit indices** used to scatter freshly computed
+  activations into the full-width layer cache, and per conv and pooling
+  step the per-level set of input channels a fresh buffer packs;
 * per output-head level, the **delta column slices** (packed masked
   columns of the classifier for the features added at that level);
 * the per-level **subnet MAC counts** used for step accounting.
@@ -36,6 +37,20 @@ every input channel is packed and pooled exactly once instead of once
 per step.  These buffers live in the engine's auxiliary state and move
 with suspend/resume; they are pure caches, rebuilt transparently when
 absent.
+
+Every unit set is compiled to the cheapest numpy index that selects it
+(:data:`Index`): a basic ``slice`` when the units form one ascending run
+— always the case for prefix assignments, and for the concatenation of
+adjacent levels' runs — else the index array, and ``None`` when empty.
+Indexing syntax is the same for both, so one execution body serves
+either; a slice just skips the per-call fancy-indexing overhead, which
+dominates at the small shapes of an incremental step.  Copying through a
+slice or an index array moves the same values, so the choice is
+bit-identical for packing, pooling and scattering.  The one exception is
+the output head: it gathers its delta features as a contiguous *copy*
+(``current[:, slab.units]``) even for a run, because a BLAS product on a
+strided view can round differently from the same product on a
+contiguous operand (observed on float64 logits).
 
 Because the packed slabs are read-only and identical for every request
 at the same subnet edge, a plan can also advance *several* in-flight
@@ -66,7 +81,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 from weakref import WeakKeyDictionary, ref
 
 import numpy as np
@@ -79,6 +94,33 @@ from ..nn.functional import (
 )
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: A unit set as the hot path indexes it: ``None`` when empty, a basic
+#: ``slice`` when contiguous, the ascending index array otherwise.
+Index = Optional[Union[slice, np.ndarray]]
+
+
+def _as_slice(units: np.ndarray) -> Optional[slice]:
+    """``slice(lo, hi)`` if ``units`` is the run ``lo, lo+1, ..., hi-1``, else ``None``."""
+    lo, hi = int(units[0]), int(units[-1]) + 1
+    if hi - lo == units.size and np.array_equal(units, np.arange(lo, hi)):
+        return slice(lo, hi)
+    return None
+
+
+def _index(units: np.ndarray) -> Index:
+    """The cheapest numpy index selecting exactly ``units`` (see :data:`Index`)."""
+    if not units.size:
+        return None
+    contiguous = _as_slice(units)
+    return units if contiguous is None else contiguous
+
+
+def _active(in_levels: np.ndarray, num_subnets: int) -> Tuple[Index, ...]:
+    """Per subnet level, the index of the incoming channels active at it."""
+    return tuple(
+        _index(np.where(in_levels <= level)[0]) for level in range(num_subnets)
+    )
 
 
 def _bn_fold(norm, units: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -100,6 +142,10 @@ class _Slab:
     units: np.ndarray  # output-unit (or input-feature) indices
     weight: np.ndarray  # masked, folded, cast — rows (hidden) or columns (output)
     bias: Optional[np.ndarray] = None
+    index: Index = field(init=False)  # ``units`` as the hot path indexes it
+
+    def __post_init__(self) -> None:
+        self.index = _index(self.units)
 
 
 class _RangeCache:
@@ -159,7 +205,7 @@ class _HiddenStep:
     slabs: _RangeCache
     # conv only
     in_channels: int = 0
-    in_levels: np.ndarray = field(default_factory=lambda: _EMPTY)
+    active: Tuple[Index, ...] = ()  # per level: input channels to pack first
     kernel: Tuple[int, int] = (1, 1)
     stride: int = 1
     padding: int = 1
@@ -182,7 +228,7 @@ class _PoolStep:
     stride: int
     index: int  # aux-state key (position in the plan)
     num_channels: int  # width of the incoming full-width map
-    in_levels: np.ndarray  # subnet level of each incoming channel
+    active: Tuple[Index, ...]  # per level: incoming channels to pool first
     out_spatial: Tuple[int, int] = (1, 1)  # pooled-map dims (footprint accounting)
 
 
@@ -277,7 +323,7 @@ class NetworkPlan:
                         stride=block.pool_stride,
                         index=len(self.steps),
                         num_channels=prev_layer.assignment.num_units,
-                        in_levels=prev_layer.assignment.unit_subnet.copy(),
+                        active=_active(prev_layer.assignment.unit_subnet, self.num_subnets),
                         out_spatial=spatial,
                     )
                 )
@@ -329,7 +375,7 @@ class NetworkPlan:
         )
         if conv:
             step.in_channels = layer.in_channels
-            step.in_levels = np.asarray(in_subnet)
+            step.active = _active(np.asarray(in_subnet), self.num_subnets)
             step.kernel = (layer.kernel_size, layer.kernel_size)
             step.stride = layer.stride
             step.padding = layer.padding
@@ -459,9 +505,9 @@ class NetworkPlan:
         # buffers lag the cache: drop them and repack from the cache.
         if aux.pop("level", None) != from_subnet:
             aux.clear()
-        # Indices of the current map's channels written by *this* step;
+        # Index of the current map's channels written by *this* step;
         # the network input itself never changes within a run.
-        changed = _EMPTY
+        changed: Index = None
         out: Optional[np.ndarray] = None
         for step in self.steps:
             if isinstance(step, _HiddenStep):
@@ -492,12 +538,12 @@ class NetworkPlan:
         self,
         step: _HiddenStep,
         current: np.ndarray,
-        changed: np.ndarray,
+        changed: Index,
         cache: Dict[int, np.ndarray],
         aux: Dict,
         from_subnet: int,
         to_subnet: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, Index]:
         batch = current.shape[0]
         out_h, out_w = step.out_spatial
         cached = cache.get(step.param_index)
@@ -517,10 +563,10 @@ class NetworkPlan:
                 dtype=self.dtype,
             )
             aux[key] = cols
-            update = np.where(step.in_levels <= to_subnet)[0]
+            update = step.active[to_subnet]
         else:
             update = changed
-        if update.size:
+        if update is not None:
             cols[update] = im2col_channel_major(
                 current[:, update],
                 step.kernel,
@@ -529,14 +575,14 @@ class NetworkPlan:
             )
 
         slab = step.slabs.pack(from_subnet, to_subnet)
-        if slab.units.size:
+        if slab.index is not None:
             # (new_units, C*kh*kw) @ (C*kh*kw, N*oh*ow): weights on the
             # left keeps the activation, bias add and scatter contiguous.
             z = slab.weight @ cols.reshape(-1, batch * out_h * out_w)
             z += slab.bias[:, None]
-            z = activation_infer(z, step.activation)
-            cached[:, slab.units] = z.reshape(-1, batch, out_h, out_w).transpose(1, 0, 2, 3)
-        return cached, slab.units
+            activation_infer(z, step.activation, out=z)
+            cached[:, slab.index] = z.reshape(-1, batch, out_h, out_w).transpose(1, 0, 2, 3)
+        return cached, slab.index
 
     def _run_linear(
         self,
@@ -545,28 +591,29 @@ class NetworkPlan:
         cache: Dict[int, np.ndarray],
         from_subnet: int,
         to_subnet: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, Index]:
         cached = cache.get(step.param_index)
         if cached is None:
             cached = np.zeros((current.shape[0], step.num_units), dtype=self.dtype)
             cache[step.param_index] = cached
         slab = step.slabs.pack(from_subnet, to_subnet)
-        if slab.units.size:
-            z = current @ slab.weight.T + slab.bias
-            cached[:, slab.units] = activation_infer(z, step.activation)
+        if slab.index is not None:
+            z = current @ slab.weight.T
+            z += slab.bias
+            cached[:, slab.index] = activation_infer(z, step.activation, out=z)
         # Unwritten units are exactly the ones outside ``to_subnet`` and
         # they are zero, so the cache *is* the combined activation map —
         # no masked full-width copy needed.
-        return cached, slab.units
+        return cached, slab.index
 
     def _run_pool(
         self,
         step: _PoolStep,
         current: np.ndarray,
-        changed: np.ndarray,
+        changed: Index,
         aux: Dict,
         to_subnet: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, Index]:
         batch, _, height, width = current.shape
         size, stride = step.size, step.stride
         out_h = (height - size) // stride + 1
@@ -576,10 +623,10 @@ class NetworkPlan:
         if pooled is None:
             pooled = np.zeros((batch, step.num_channels, out_h, out_w), dtype=self.dtype)
             aux[key] = pooled
-            update = np.where(step.in_levels <= to_subnet)[0]
+            update = step.active[to_subnet]
         else:
             update = changed
-        if update.size:
+        if update is not None:
             pooled[:, update] = self._pool_channels(current[:, update], step.kind, size, stride)
         return pooled, changed
 
@@ -614,11 +661,13 @@ class NetworkPlan:
         from_subnet: int,
         to_subnet: int,
     ) -> np.ndarray:
+        # The gathers use ``slab.units`` even for a run: a contiguous copy,
+        # because the product on a strided view can round differently.
         if from_subnet < 0 or logits is None:
             slab = step.slabs.pack(-1, to_subnet)
             return current[:, slab.units] @ slab.weight + step.bias
         slab = step.slabs.pack(from_subnet, to_subnet)
-        if slab.units.size == 0:
+        if slab.index is None:
             return logits.copy()
         return logits + current[:, slab.units] @ slab.weight
 
@@ -664,7 +713,7 @@ class NetworkPlan:
             if member.aux.pop("level", None) != from_subnet:
                 member.aux.clear()
             currents.append(current)
-        changeds: List[np.ndarray] = [_EMPTY] * len(members)
+        changeds: List[Index] = [None] * len(members)
         outs: List[Optional[np.ndarray]] = [None] * len(members)
         for step in self.steps:
             if isinstance(step, _HiddenStep):
@@ -696,18 +745,24 @@ class NetworkPlan:
 
     @staticmethod
     def _update_groups(
-        currents: Sequence[np.ndarray], updates: Sequence[np.ndarray]
-    ) -> Dict[Tuple[bytes, int], List[int]]:
+        currents: Sequence[np.ndarray], updates: Sequence[Index]
+    ) -> Dict[Tuple[object, int], List[int]]:
         """Members grouped by (update set, sample count) for shared packing.
 
         Lockstep batches have identical update sets, so this almost
         always yields one group; a member resuming with a rebuilt buffer
-        simply lands in its own group and packs solo.
+        simply lands in its own group and packs solo.  A slice is keyed
+        by its bounds, an index array by its bytes.
         """
-        groups: Dict[Tuple[bytes, int], List[int]] = {}
+        groups: Dict[Tuple[object, int], List[int]] = {}
         for index, (current, update) in enumerate(zip(currents, updates)):
-            if update.size:
-                groups.setdefault((update.tobytes(), current.shape[0]), []).append(index)
+            if update is None:
+                continue
+            if isinstance(update, slice):
+                key = (update.start, update.stop)
+            else:
+                key = update.tobytes()
+            groups.setdefault((key, current.shape[0]), []).append(index)
         return groups
 
     @classmethod
@@ -736,14 +791,14 @@ class NetworkPlan:
         step: _HiddenStep,
         members: Sequence[BatchMember],
         currents: List[np.ndarray],
-        changeds: List[np.ndarray],
+        changeds: List[Index],
         from_subnet: int,
         to_subnet: int,
-    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    ) -> Tuple[List[np.ndarray], List[Index]]:
         out_h, out_w = step.out_spatial
         cacheds: List[np.ndarray] = []
         colss: List[np.ndarray] = []
-        updates: List[np.ndarray] = []
+        updates: List[Index] = []
         for member, current, changed in zip(members, currents, changeds):
             batch = current.shape[0]
             cached = member.cache.get(step.param_index)
@@ -758,7 +813,7 @@ class NetworkPlan:
                     dtype=self.dtype,
                 )
                 member.aux[key] = cols
-                update = np.where(step.in_levels <= to_subnet)[0]
+                update = step.active[to_subnet]
             else:
                 update = changed
             cacheds.append(cached)
@@ -781,7 +836,7 @@ class NetworkPlan:
         self._pack_grouped(currents, updates, pack, write)
 
         slab = step.slabs.pack(from_subnet, to_subnet)
-        if slab.units.size:
+        if slab.index is not None:
             # One solo-shaped GEMM per member, not a stacked batched
             # matmul: the incremental slab is a few units wide while the
             # column buffers are full-width, so ``np.stack`` would copy
@@ -792,11 +847,11 @@ class NetworkPlan:
                 flat = cols.reshape(-1, cols.shape[3] * out_h * out_w)
                 z = slab.weight @ flat
                 z += slab.bias[:, None]
-                z = activation_infer(z, step.activation)
-                cached[:, slab.units] = z.reshape(
+                activation_infer(z, step.activation, out=z)
+                cached[:, slab.index] = z.reshape(
                     -1, cached.shape[0], out_h, out_w
                 ).transpose(1, 0, 2, 3)
-        return cacheds, [slab.units] * len(members)
+        return cacheds, [slab.index] * len(members)
 
     def _run_linear_batch(
         self,
@@ -805,7 +860,7 @@ class NetworkPlan:
         currents: List[np.ndarray],
         from_subnet: int,
         to_subnet: int,
-    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    ) -> Tuple[List[np.ndarray], List[Index]]:
         cacheds: List[np.ndarray] = []
         for member, current in zip(members, currents):
             cached = member.cache.get(step.param_index)
@@ -814,29 +869,31 @@ class NetworkPlan:
                 member.cache[step.param_index] = cached
             cacheds.append(cached)
         slab = step.slabs.pack(from_subnet, to_subnet)
-        if slab.units.size:
+        if slab.index is not None:
             if len({current.shape for current in currents}) == 1:
-                z = np.stack(currents) @ slab.weight.T + slab.bias
-                z = activation_infer(z, step.activation)
+                z = np.stack(currents) @ slab.weight.T
+                z += slab.bias
+                activation_infer(z, step.activation, out=z)
                 for cached, zb in zip(cacheds, z):
-                    cached[:, slab.units] = zb
+                    cached[:, slab.index] = zb
             else:
                 for cached, current in zip(cacheds, currents):
-                    z = current @ slab.weight.T + slab.bias
-                    cached[:, slab.units] = activation_infer(z, step.activation)
-        return cacheds, [slab.units] * len(members)
+                    z = current @ slab.weight.T
+                    z += slab.bias
+                    cached[:, slab.index] = activation_infer(z, step.activation, out=z)
+        return cacheds, [slab.index] * len(members)
 
     def _run_pool_batch(
         self,
         step: _PoolStep,
         members: Sequence[BatchMember],
         currents: List[np.ndarray],
-        changeds: List[np.ndarray],
+        changeds: List[Index],
         to_subnet: int,
-    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    ) -> Tuple[List[np.ndarray], List[Index]]:
         size, stride = step.size, step.stride
         pooleds: List[np.ndarray] = []
-        updates: List[np.ndarray] = []
+        updates: List[Index] = []
         for member, current, changed in zip(members, currents, changeds):
             batch, _, height, width = current.shape
             out_h = (height - size) // stride + 1
@@ -846,7 +903,7 @@ class NetworkPlan:
             if pooled is None:
                 pooled = np.zeros((batch, step.num_channels, out_h, out_w), dtype=self.dtype)
                 member.aux[key] = pooled
-                update = np.where(step.in_levels <= to_subnet)[0]
+                update = step.active[to_subnet]
             else:
                 update = changed
             pooleds.append(pooled)
@@ -884,7 +941,7 @@ class NetworkPlan:
                 return list(np.stack(gathered) @ slab.weight + step.bias)
             return [g @ slab.weight + step.bias for g in gathered]
         slab = step.slabs.pack(from_subnet, to_subnet)
-        if slab.units.size == 0:
+        if slab.index is None:
             return [member.logits.copy() for member in members]
         gathered = [current[:, slab.units] for current in currents]
         if len({g.shape for g in gathered}) == 1:

@@ -216,6 +216,21 @@ class ArchitectureSpec:
     def _has_conv(self) -> bool:
         return any(isinstance(layer, ConvSpec) for layer in self.layers)
 
+    def input_shape_problem(self, shape: Tuple[int, ...]) -> Optional[str]:
+        """Why an input array of ``shape`` is not a batch this network takes, or ``None``.
+
+        A batch is a leading axis of at least one sample of shape
+        ``input_shape``; a network without convolutions also takes
+        flattened samples.
+        """
+        expected = tuple(self.input_shape)
+        accepted = [expected] if self._has_conv() else [expected, (math.prod(expected),)]
+        if len(shape) < 2 or shape[0] < 1:
+            return f"need a batch axis of at least one sample, got shape {shape}"
+        if shape[1:] not in accepted:
+            return f"have per-sample shape {shape[1:]}, expected {expected}"
+        return None
+
     def describe(self) -> str:
         """Multi-line human-readable summary of the architecture."""
         lines = [f"{self.name}: input={self.input_shape}, classes={self.num_classes}"]

@@ -156,15 +156,25 @@ def conv2d(
     return Tensor._make(out, parents, backward)
 
 
-def activation_infer(x: np.ndarray, name: str) -> np.ndarray:
-    """Grad-free activation dispatch shared by the inference fast paths."""
+def activation_infer(
+    x: np.ndarray, name: str, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Grad-free activation dispatch shared by the inference fast paths.
+
+    ``out`` works as in a numpy ufunc (``out=x`` applies the activation in
+    place); each element goes through the same operations either way.
+    The identity returns ``x`` itself.
+    """
     name = (name or "none").lower()
     if name == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=out)
     if name == "tanh":
-        return np.tanh(x)
+        return np.tanh(x, out=out)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-x))
+        z = np.negative(x, out=out)
+        np.exp(z, out=z)
+        z += 1.0
+        return np.divide(1.0, z, out=z)
     if name in ("none", "linear", "identity"):
         return x
     raise ValueError(f"unknown activation '{name}'")
@@ -178,11 +188,17 @@ def im2col_channel_major(
 ) -> np.ndarray:
     """Patch view of ``images`` laid out channel-major: ``(C, kh, kw, N, out_h, out_w)``.
 
-    Returned as a read-only stride view (plus a pad copy when padding is
-    non-zero): with channels on the leading axis, the compiled inference
-    plan can scatter newly activated channels into a persistent
-    column buffer as contiguous row blocks and feed the buffer to BLAS
-    as ``(C*kh*kw, N*out_h*out_w)`` without any per-step transposition.
+    Returned as a read-only stride view over a C-contiguous copy of
+    ``images``: the zero-padded copy when padding is non-zero, else
+    ``images`` itself when already contiguous.  With channels on the
+    leading axis, the compiled inference plan can scatter newly activated
+    channels into a persistent column buffer as contiguous row blocks and
+    feed the buffer to BLAS as ``(C*kh*kw, N*out_h*out_w)`` without any
+    per-step transposition.  The view is built with the ``np.ndarray``
+    buffer constructor, several times cheaper per call than
+    ``as_strided`` at the plan's small shapes; the constructor needs a
+    contiguous buffer, hence the copy of a non-contiguous input (e.g. a
+    channel slice of a multi-sample map).
     """
     n, c, h, w = images.shape
     kh, kw = kernel_size
@@ -196,13 +212,18 @@ def im2col_channel_major(
         padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=images.dtype)
         padded[:, :, ph : ph + h, pw : pw + w] = images
         images = padded
+    else:
+        images = np.ascontiguousarray(images)
     s0, s1, s2, s3 = images.strides
-    return np.lib.stride_tricks.as_strided(
+    view = np.ndarray(
+        (c, kh, kw, n, out_h, out_w),
+        images.dtype,
         images,
-        shape=(c, kh, kw, n, out_h, out_w),
-        strides=(s1, s2, s3, s0, s2 * sh, s3 * sw),
-        writeable=False,
+        0,
+        (s1, s2, s3, s0, s2 * sh, s3 * sw),
     )
+    view.flags.writeable = False
+    return view
 
 
 def conv2d_infer(

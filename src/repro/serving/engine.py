@@ -920,16 +920,9 @@ class ServingRun:
 
         A network without convolutions also takes flattened samples.
         """
-        spec = self.engine.backend.network.spec
         inputs = np.asarray(request.inputs)
-        expected = tuple(spec.input_shape)
-        accepted = [expected] if spec._has_conv() else [expected, (math.prod(expected),)]
-        problem = None
-        if inputs.ndim < 2 or inputs.shape[0] < 1:
-            problem = f"need a batch axis of at least one sample, got shape {inputs.shape}"
-        elif inputs.shape[1:] not in accepted:
-            problem = f"have per-sample shape {inputs.shape[1:]}, expected {expected}"
-        elif inputs.dtype.kind not in "biuf" or not np.isfinite(inputs).all():
+        problem = self.engine.backend.network.spec.input_shape_problem(inputs.shape)
+        if problem is None and (inputs.dtype.kind not in "biuf" or not np.isfinite(inputs).all()):
             problem = "must be finite numbers"
         if problem is not None:
             raise ConfigError(f"request {request.request_id}: inputs {problem}")

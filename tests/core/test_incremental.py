@@ -6,7 +6,9 @@ import pytest
 from repro.core.assignment import prefix_assignment
 from repro.core.incremental import IncrementalInference, anytime_schedule
 from repro.core.network import SteppingNetwork
+from repro.models import vgg16
 from repro.nn.tensor import no_grad
+from repro.utils.errors import ConfigError
 
 
 @pytest.fixture
@@ -152,6 +154,22 @@ class TestErrors:
     def test_flat_input_rejected_for_conv_network(self, network):
         with pytest.raises(ValueError):
             IncrementalInference(network).run(np.zeros((2, 10)), subnet=0)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 4, 32, 32), (1, 3, 28, 28), (0, 3, 32, 32), (3, 32, 32)],
+        ids=["extra_channel", "wrong_spatial", "empty_batch", "no_batch_axis"],
+    )
+    def test_wrong_input_shape_rejected_at_run(self, shape):
+        """A 4-channel input used to return logits (the plan packed only
+        channels 0-2) and a 28x28 one failed deep in the pack."""
+        network = SteppingNetwork(
+            vgg16(num_classes=10, width_scale=0.25), num_subnets=4, rng=np.random.default_rng(0)
+        )
+        engine = IncrementalInference(network)
+        with pytest.raises(ConfigError, match="inputs"):
+            engine.run(np.zeros(shape), subnet=0)
+        assert engine.run(np.zeros((1, 3, 32, 32)), subnet=0).logits.shape == (1, 10)
 
 
 class TestMlpNetwork:

@@ -16,8 +16,10 @@ import pytest
 
 from repro.baselines.common import set_prefix_assignments
 from repro.core import IncrementalInference, NetworkPlan, SteppingNetwork
+from repro.core import plan as plan_module
+from repro.core.plan import BatchMember
 from repro.core.pruning import apply_unstructured_pruning
-from repro.models import mlp, tiny_cnn
+from repro.models import mlp, tiny_cnn, vgg16
 from repro.nn.tensor import no_grad
 from repro.serving.backend import RecomputeBackend, SteppingBackend
 
@@ -406,3 +408,102 @@ class TestPlanInvalidationHooks:
         )
         retrain_with_distillation(network, None, image_loader, config)
         assert self._cached(network) is not stale
+
+
+def _assigned_network(spec, assignment: str):
+    """``spec`` as a 4-level stepping net with prefix or shuffled unit levels."""
+    network = SteppingNetwork(spec, num_subnets=4, rng=np.random.default_rng(0))
+    if assignment == "prefix":
+        set_prefix_assignments(network, [0.25, 0.5, 0.75, 1.0])
+    else:
+        shuffle_rng = np.random.default_rng(7)
+        for block in network.parametric_blocks():
+            if not block.is_output:
+                levels = shuffle_rng.integers(0, 4, size=block.layer.assignment.num_units)
+                levels[0] = 0
+                block.layer.assignment.set_assignment(levels)
+    network.assignment.validate()
+    warm = np.random.default_rng(1).standard_normal((4,) + tuple(spec.input_shape))
+    network.train()
+    network.forward(warm, subnet=3)
+    network.eval()
+    return network
+
+
+def _unit_indices(plan):
+    """Every compiled unit-set index: slab indices and per-level active sets."""
+    for step in plan.steps:
+        if isinstance(step, plan_module._HiddenStep):
+            yield from (slab.index for slab in step.slabs.levels)
+        if isinstance(step, (plan_module._HiddenStep, plan_module._PoolStep)):
+            yield from step.active
+
+
+class TestSliceIndexOracle:
+    """Contiguous unit ranges index with basic slices; the same plan compiled
+    with every unit set forced to an index array is the bit-exact oracle.
+
+    A slice and an index array select the same elements, so every op is
+    bit-identical except a BLAS product on a strided view, whose result
+    can depend on the operand's layout — which is why the output head
+    gathers a contiguous copy.
+    """
+
+    MODELS = {
+        "tiny_cnn": lambda: tiny_cnn(num_classes=4, input_shape=(3, 12, 12), width_scale=0.5).expand(1.5),
+        "vgg16": lambda: vgg16(num_classes=10, width_scale=0.25),
+    }
+
+    @staticmethod
+    def _plans(network, dtype, monkeypatch):
+        sliced = NetworkPlan(network, dtype=dtype)
+        with monkeypatch.context() as patch:
+            patch.setattr(plan_module, "_as_slice", lambda units: None)
+            arrays = NetworkPlan(network, dtype=dtype)
+        return sliced, arrays
+
+    @staticmethod
+    def _walk_solo(plan, inputs, ladder):
+        cache, aux, logits, level, out = {}, {}, None, -1, []
+        for target in ladder:
+            logits = plan.execute(inputs, cache, aux, logits, level, target)
+            level = target
+            out.append(logits)
+        return out
+
+    @staticmethod
+    def _walk_batch(plan, inputs, ladder):
+        members = [BatchMember(inputs=x, cache={}, aux={}) for x in inputs]
+        level, out = -1, []
+        for position, target in enumerate(ladder):
+            if position == 1:
+                members[0].aux.clear()  # one member repacks from its cache, solo
+            logits = plan.execute_batch(members, level, target)
+            for member, member_logits in zip(members, logits):
+                member.logits = member_logits
+            level = target
+            out.extend(logits)
+        return out
+
+    @pytest.mark.parametrize("model_name", sorted(MODELS))
+    @pytest.mark.parametrize("assignment", ["prefix", "shuffled"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_slices_match_index_arrays_bit_for_bit(self, monkeypatch, model_name, assignment, dtype):
+        spec = self.MODELS[model_name]()
+        network = _assigned_network(spec, assignment)
+        sliced, arrays = self._plans(network, dtype, monkeypatch)
+        assert all(not isinstance(index, slice) for index in _unit_indices(arrays))
+        kinds = {type(index) for index in _unit_indices(sliced)} - {type(None)}
+        assert kinds == ({slice} if assignment == "prefix" else {slice, np.ndarray})
+
+        rng = np.random.default_rng(5)
+        for batch in (1, 3):
+            shape = (batch,) + tuple(spec.input_shape)
+            solo = rng.standard_normal(shape).astype(dtype)
+            group = [rng.standard_normal(shape).astype(dtype) for _ in range(3)]
+            for ladder in ([0, 1, 2, 3], [0, 2, 3], [1, 3]):
+                for walk, inputs in ((self._walk_solo, solo), (self._walk_batch, group)):
+                    got = walk(sliced, inputs, ladder)
+                    want = walk(arrays, inputs, ladder)
+                    for g, w in zip(got, want):
+                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (batch, ladder)

@@ -153,6 +153,38 @@ class TestInferenceFastPath:
         want = cols.reshape(2, out_h, out_w, 3, 3, 3).transpose(3, 4, 5, 0, 1, 2)
         np.testing.assert_array_equal(np.asarray(major), want)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("layout", ["contiguous", "channel_slice"])
+    def test_im2col_channel_major_matches_sliding_window_view(self, stride, padding, layout):
+        rng = np.random.default_rng(3)
+        if layout == "contiguous":
+            x = rng.standard_normal((2, 3, 7, 7))
+        else:
+            # A channel slice of a batch-3 map is not contiguous — the
+            # shape the compiled plan packs when a step activates a range.
+            x = rng.standard_normal((3, 5, 7, 7))[:, 1:4]
+            assert not x.flags.c_contiguous
+        major = F.im2col_channel_major(x, (3, 3), (stride, stride), (padding, padding))
+        padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        # (N, C, oh', ow', kh, kw) at stride 1, subsampled to the stride.
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(2, 3))
+        want = windows[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
+        assert major.shape == want.shape
+        np.testing.assert_array_equal(major, want)
+        assert not major.flags.writeable
+        with pytest.raises(ValueError):
+            major[0, 0, 0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", ["relu", "tanh", "sigmoid", "none"])
+    def test_activation_infer_in_place_is_bit_identical(self, name):
+        x = np.random.default_rng(4).standard_normal((5, 17)) * 4
+        want = F.activation_infer(x, name)
+        buffer = x.copy()
+        got = F.activation_infer(buffer, name, out=buffer)
+        assert np.shares_memory(got, buffer)
+        np.testing.assert_array_equal(got, want)
+
 
 class TestBatchNorm:
     def test_training_normalises_batch(self):
