@@ -77,6 +77,9 @@ def _check_one(artifact, path, op, arg):
         elif op == "le":
             if not isinstance(value, (int, float)) or value > arg:
                 return f"'{path}' must be <= {arg}, got {value!r}"
+        elif op == "lt":
+            if not isinstance(value, (int, float)) or value >= arg:
+                return f"'{path}' must be < {arg}, got {value!r}"
         elif op == "close":
             target, tolerance = arg
             if not isinstance(value, (int, float)) or not math.isclose(
@@ -115,6 +118,9 @@ INVARIANTS = {
         ("stepping.compiled", "exists"),
         # Wall-clock derived: loose floor only (CI noise).
         ("speedup.per_step", "ge", 0.5),
+        # Exact MAC counts: conv GEMMs multiply only the active depth.
+        ("gemm_macs.issued", "ge", 1),
+        ("gemm_macs.ratio", "lt", 1.0),
     ],
     "BENCH_batching.json": [
         ("runs.1", "exists"),

@@ -14,7 +14,9 @@ can run it as a smoke job::
 
 Results are written as machine-readable JSON (default
 ``benchmarks/results/BENCH_plan.json``) so per-PR perf regressions are
-visible as artefact diffs.
+visible as artefact diffs.  Its ``gemm_macs`` section is an exact count,
+not a timing: the conv GEMM MACs one prefix ladder issues against the
+full-depth count, which ``bench_check.py`` gates.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 
 from repro.baselines.common import set_prefix_assignments
 from repro.core import IncrementalInference, NetworkPlan, SteppingNetwork
+from repro.core.plan import _HiddenStep
 from repro.core.pruning import apply_unstructured_pruning
 from repro.models import lenet_3c1l
 from repro.runtime.platform import ResourceTrace
@@ -54,6 +57,33 @@ def build_network(width_scale: float, num_subnets: int):
     apply_unstructured_pruning(network, 3e-2)
     network.eval()
     return network
+
+
+def gemm_macs(network) -> dict:
+    """Exact per-sample conv GEMM MACs of one prefix ladder, from the compiled slabs.
+
+    A step to level ``t`` multiplies its slab's rows by its depth (the
+    im2col rows of the input channels active at ``t``) by the output
+    pixels; ``full_depth`` counts the same rows at the layer's full
+    im2col depth, the cost before depth truncation.
+    """
+    plan = NetworkPlan.for_network(network, dtype=DTYPE)
+    issued = full_depth = 0
+    for step in plan.steps:
+        if not (isinstance(step, _HiddenStep) and step.kind == "conv"):
+            continue
+        pixels = step.out_spatial[0] * step.out_spatial[1]
+        width = step.in_channels * step.kernel[0] * step.kernel[1]
+        for level in range(plan.num_subnets):
+            rows, depth = step.slabs.pack(level - 1, level).weight.shape
+            issued += rows * depth * pixels
+            full_depth += rows * width * pixels
+    return {
+        "ladder": list(range(plan.num_subnets)),
+        "issued": issued,
+        "full_depth": full_depth,
+        "ratio": issued / full_depth,
+    }
 
 
 def time_stepping(network, inputs, compiled: bool, repeats: int) -> dict:
@@ -145,6 +175,7 @@ def main() -> None:
             "smoke": bool(args.smoke),
         },
         "plan_build_seconds": plan_build_seconds,
+        "gemm_macs": gemm_macs(network),
         "stepping": {},
         "serving": {},
     }
@@ -162,6 +193,11 @@ def main() -> None:
     }
 
     print(f"plan build: {plan_build_seconds * 1e3:.1f} ms (amortised over every step)")
+    macs = results["gemm_macs"]
+    print(
+        f"conv GEMM MACs per ladder: {macs['issued']} issued vs "
+        f"{macs['full_depth']} at full depth ({macs['ratio']:.3f}x)"
+    )
     for label in ("legacy", "compiled"):
         row = step[label]
         print(

@@ -401,53 +401,6 @@ def serving_comparison(
     return results
 
 
-def run_serving_case(
-    model_name: str = "lenet-3c1l",
-    dataset: str = "cifar10",
-    scale: ExperimentScale = BENCH,
-    *,
-    num_requests: int = 200,
-    scheduler: str = "edf",
-    utilization: float = 0.7,
-    seed: int = 0,
-) -> Dict[str, object]:
-    """Train one SteppingNet and serve it under load in both scenarios.
-
-    Returns the anytime comparison (quality at the deadline) and the
-    full-quality comparison (tail latency under the recompute load
-    expansion) for the same trained network and request stream.
-    """
-    size = max(scale.image_size, minimum_image_size(model_name))
-    train_loader, test_loader, num_classes = prepare_data(dataset, scale, image_size=size)
-    spec = prepare_spec(model_name, num_classes, scale, image_size=size)
-    config = scaled_config(model_name, scale)
-    result = build_steppingnet(spec, train_loader, test_loader, config)
-    images, labels = test_loader.full_batch()
-    return {
-        "network": model_name,
-        "dataset": dataset,
-        "anytime": serving_comparison(
-            result.network,
-            images,
-            labels,
-            num_requests=num_requests,
-            scheduler=scheduler,
-            utilization=utilization,
-            seed=seed,
-        ),
-        "full_quality": serving_comparison(
-            result.network,
-            images,
-            labels,
-            num_requests=num_requests,
-            scheduler=scheduler,
-            utilization=utilization,
-            full_quality=True,
-            seed=seed,
-        ),
-    }
-
-
 # ----------------------------------------------------------------------
 # Supporting experiment: incremental-reuse accounting
 # ----------------------------------------------------------------------

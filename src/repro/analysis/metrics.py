@@ -103,19 +103,6 @@ class AccuracyMacCurve:
 # rows) and re-exported for the existing import surface.
 
 
-def latency_summary(values: Sequence[float], quantiles: Sequence[float] = (50.0, 95.0, 99.0)) -> dict:
-    """Mean/max plus the requested latency percentiles as ``{"p50": ...}`` keys."""
-    array = np.asarray(list(values), dtype=float)
-    summary = {
-        "count": int(array.size),
-        "mean": float(array.mean()) if array.size else float("nan"),
-        "max": float(array.max()) if array.size else float("nan"),
-    }
-    for q in quantiles:
-        summary[f"p{q:g}"] = percentile(array, q)
-    return summary
-
-
 def deadline_miss_rate(met_flags: Sequence[bool]) -> float:
     """Fraction of requests that missed their deadline (0.0 when empty)."""
     flags = list(met_flags)

@@ -14,7 +14,7 @@ an execution plan before taking traffic:
   the membership/incremental/pruning mask already applied, batch norm
   folded into the weights and bias (exact at eval time) and the result
   cast to the inference dtype (conv slabs are pre-flattened to the
-  ``(new_units, C*kh*kw)`` GEMM layout);
+  ``(new_units, depth)`` GEMM layout, see below);
 * the **new-unit indices** used to scatter freshly computed
   activations into the full-width layer cache, and per conv and pooling
   step the per-level set of input channels a fresh buffer packs;
@@ -37,6 +37,31 @@ every input channel is packed and pooled exactly once instead of once
 per step.  These buffers live in the engine's auxiliary state and move
 with suspend/resume; they are pure caches, rebuilt transparently when
 absent.
+
+A conv step multiplies only the inputs it can see.  Per conv layer and
+level the plan records the GEMM **depth** ``kh*kw*(last input channel
+active at the level + 1)`` (0 when none is): every weight column past it
+is masked to zero, and every column-buffer row past it holds a channel
+not yet computed.  A level's slab is stored at its own depth, the
+concatenated slab of a step ``from -> to`` is zero-padded to
+``depth[to]``, and the GEMM reads the buffer's leading ``depth[to]`` rows
+— a contiguous prefix, so no copy.  The depth is computed from the unit
+sets, not from whether they compile to a slice, and it is a function of
+``(from, to)`` alone, so solo, batched and rebuilt-buffer steps run the
+same product and stay bit-equal to each other.  Against a full-depth
+product of the same step, a shorter BLAS reduction can round
+differently (an ulp or so): compiled logits hold the documented
+tolerance against the legacy oracle (float64 rtol 1e-9, float32 rtol
+2e-3), not bit-identity with a full-depth plan.
+
+Packing allocates nothing either: each conv step owns a **scratch**
+padded input map whose border stays zero.  A pack writes only the
+updated channels into its interior and builds the patch view on it
+(:func:`~repro.nn.functional.im2col_channel_major`); the map grows to the
+largest sample count seen.  The scratch is plan state, not request
+state — it is not in ``aux`` and not in :meth:`NetworkPlan.state_nbytes`
+— so a plan is not re-entrant: it runs on one thread at a time, as every
+caller in this package does.
 
 Every unit set is compiled to the cheapest numpy index that selects it
 (:data:`Index`): a basic ``slice`` when the units form one ascending run
@@ -81,16 +106,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from weakref import WeakKeyDictionary, ref
 
 import numpy as np
 
 from ..nn.functional import (
-    activation_infer,
     avg_pool2d_infer,
     im2col_channel_major,
     max_pool2d_infer,
+    resolve_activation,
 )
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -121,6 +146,29 @@ def _active(in_levels: np.ndarray, num_subnets: int) -> Tuple[Index, ...]:
     return tuple(
         _index(np.where(in_levels <= level)[0]) for level in range(num_subnets)
     )
+
+
+def _depths(in_levels: np.ndarray, num_subnets: int, taps: int) -> Tuple[int, ...]:
+    """Per subnet level, the conv GEMM depth a step to it multiplies.
+
+    ``taps * (last input channel active at the level + 1)``, or 0 when no
+    input channel is active.  Past it every weight column is masked to
+    zero, and every column-buffer row holds a channel not yet computed.
+    """
+    depths = []
+    for level in range(num_subnets):
+        active = np.flatnonzero(in_levels <= level)
+        depths.append(taps * (int(active[-1]) + 1) if active.size else 0)
+    return tuple(depths)
+
+
+def _widen(weight: np.ndarray, depth: int) -> np.ndarray:
+    """``weight`` with zero columns appended up to ``depth`` columns."""
+    if weight.shape[1] == depth:
+        return weight
+    wide = np.zeros((weight.shape[0], depth), dtype=weight.dtype)
+    wide[:, : weight.shape[1]] = weight
+    return wide
 
 
 def _bn_fold(norm, units: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -155,10 +203,16 @@ class _RangeCache:
     distinct ranges is at most ``O(num_subnets^2)`` and in serving
     practice dominated by ``i -> i+1``; concatenations are built once on
     first use and reused for the lifetime of the plan.
+
+    With ``depths`` (conv steps) each level's slab holds only its first
+    ``depths[level]`` columns, and a range's rows are zero-padded to
+    ``depths[to]``: the depth of a step's GEMM is a function of
+    ``(from, to)`` alone.
     """
 
-    def __init__(self, levels: List[_Slab]) -> None:
+    def __init__(self, levels: List[_Slab], depths: Optional[Tuple[int, ...]] = None) -> None:
         self.levels = levels
+        self.depths = depths
         self._ranges: Dict[Tuple[int, int], _Slab] = {}
 
     def pack(self, from_subnet: int, to_subnet: int) -> _Slab:
@@ -167,12 +221,16 @@ class _RangeCache:
         if hit is not None:
             return hit
         slabs = [s for s in self.levels[from_subnet + 1 : to_subnet + 1] if s.units.size]
-        if len(slabs) == 1:
+        depth = None if self.depths is None else self.depths[to_subnet]
+        if len(slabs) == 1 and (depth is None or slabs[0].weight.shape[1] == depth):
             hit = slabs[0]
         elif slabs:
             hit = _Slab(
                 units=np.concatenate([s.units for s in slabs]),
-                weight=np.concatenate([s.weight for s in slabs], axis=0),
+                weight=np.concatenate(
+                    [s.weight if depth is None else _widen(s.weight, depth) for s in slabs],
+                    axis=0,
+                ),
                 bias=(
                     np.concatenate([s.bias for s in slabs])
                     if slabs[0].bias is not None
@@ -181,11 +239,12 @@ class _RangeCache:
             )
         else:
             empty = self.levels[0]
+            columns = empty.weight.shape[1:] if depth is None else (depth,)
             hit = _Slab(
                 units=_EMPTY,
-                weight=np.empty((0,) + empty.weight.shape[1:], dtype=empty.weight.dtype),
+                weight=np.empty((0,) + columns, dtype=empty.weight.dtype),
                 bias=(
-                    np.empty(0, dtype=empty.weight.dtype)
+                    np.empty((0,) + empty.bias.shape[1:], dtype=empty.weight.dtype)
                     if empty.bias is not None
                     else None
                 ),
@@ -200,16 +259,19 @@ class _HiddenStep:
 
     kind: str  # "conv" | "linear"
     param_index: int
-    activation: str
+    activate: Callable[..., np.ndarray]  # resolved activation, ``f(z, out)``
     num_units: int
     slabs: _RangeCache
     # conv only
     in_channels: int = 0
     active: Tuple[Index, ...] = ()  # per level: input channels to pack first
     kernel: Tuple[int, int] = (1, 1)
-    stride: int = 1
-    padding: int = 1
+    stride: Tuple[int, int] = (1, 1)
+    padding: Tuple[int, int] = (1, 1)
     out_spatial: Tuple[int, int] = (1, 1)
+    # Zero-bordered padded input map that im2col packs through, grown to
+    # the largest sample count seen: plan scratch, never request state.
+    scratch: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 @dataclass
@@ -260,8 +322,10 @@ class NetworkPlan:
     """Ahead-of-time compiled stepping-inference plan for one network.
 
     Build once per ``(network, dtype, apply_prune)`` and execute many
-    times; the plan is read-only at serving time, so any number of
-    engines, sessions and backends on one platform can share it.
+    times; the weights are read-only at serving time, so any number of
+    engines, sessions and backends on one platform can share it.  The
+    im2col scratch maps are the only state execution writes, so calls
+    must not overlap: one thread at a time.
     """
 
     _shared: "WeakKeyDictionary" = WeakKeyDictionary()
@@ -342,18 +406,21 @@ class NetworkPlan:
                 f"rule; hidden layer '{layer.layer_name}' was built with "
                 "enforce_incremental=False"
             )
-        in_subnet = network.input_unit_subnet(block.param_index)
+        in_subnet = np.asarray(network.input_unit_subnet(block.param_index))
         conv = block.kind == "conv"
-        step_in_width = (
-            layer.in_channels * layer.kernel_size * layer.kernel_size if conv else 0
-        )
+        depths = None
+        if conv:
+            taps = layer.kernel_size * layer.kernel_size
+            width = layer.in_channels * taps
+            depths = _depths(in_subnet, self.num_subnets, taps)
         levels: List[_Slab] = []
         for level in range(self.num_subnets):
             units = layer.assignment.units_in_exactly(level)
             weight = layer.weight_rows(units, level, in_subnet, self.apply_prune)
             if conv:
-                # GEMM layout (units, C*kh*kw)
-                weight = weight.reshape(units.size, step_in_width)
+                # GEMM layout (units, C*kh*kw), cut to the level's depth:
+                # the cut columns are masked to zero.
+                weight = weight.reshape(units.size, width)[:, : depths[level]]
             bias = layer.bias.data[units]
             if block.norm is not None:
                 scale, shift = _bn_fold(block.norm, units)
@@ -363,22 +430,25 @@ class NetworkPlan:
                 _Slab(
                     units=units,
                     weight=np.ascontiguousarray(weight, dtype=self.dtype),
-                    bias=np.ascontiguousarray(bias, dtype=self.dtype),
+                    # A conv bias is a column broadcasting over the pixels.
+                    bias=np.ascontiguousarray(
+                        bias[:, None] if conv else bias, dtype=self.dtype
+                    ),
                 )
             )
         step = _HiddenStep(
             kind=block.kind,
             param_index=block.param_index,
-            activation=block.activation,
+            activate=resolve_activation(block.activation),
             num_units=layer.assignment.num_units,
-            slabs=_RangeCache(levels),
+            slabs=_RangeCache(levels, depths),
         )
         if conv:
             step.in_channels = layer.in_channels
-            step.active = _active(np.asarray(in_subnet), self.num_subnets)
+            step.active = _active(in_subnet, self.num_subnets)
             step.kernel = (layer.kernel_size, layer.kernel_size)
-            step.stride = layer.stride
-            step.padding = layer.padding
+            step.stride = (layer.stride, layer.stride)
+            step.padding = (layer.padding, layer.padding)
             step.out_spatial = layer.output_spatial_size(*block.in_spatial)
         return step
 
@@ -567,22 +637,47 @@ class NetworkPlan:
         else:
             update = changed
         if update is not None:
-            cols[update] = im2col_channel_major(
-                current[:, update],
-                step.kernel,
-                (step.stride, step.stride),
-                (step.padding, step.padding),
-            )
+            cols[update] = self._im2col(step, current[:, update])
 
         slab = step.slabs.pack(from_subnet, to_subnet)
         if slab.index is not None:
-            # (new_units, C*kh*kw) @ (C*kh*kw, N*oh*ow): weights on the
-            # left keeps the activation, bias add and scatter contiguous.
-            z = slab.weight @ cols.reshape(-1, batch * out_h * out_w)
-            z += slab.bias[:, None]
-            activation_infer(z, step.activation, out=z)
-            cached[:, slab.index] = z.reshape(-1, batch, out_h, out_w).transpose(1, 0, 2, 3)
+            self._conv_gemm(step, slab, cols, cached)
         return cached, slab.index
+
+    def _im2col(self, step: _HiddenStep, images: np.ndarray) -> np.ndarray:
+        """Channel-major patches of ``images``, packed through the step's scratch.
+
+        The scratch map is allocated (zeroed) only when the sample count
+        outgrows it; afterwards a pack writes the interior and allocates
+        nothing.  The returned view aliases the scratch, so it must be
+        consumed before the step packs again.
+        """
+        scratch = step.scratch
+        if scratch is None or scratch.shape[0] < images.shape[0]:
+            (ph, pw), (samples, _, height, width) = step.padding, images.shape
+            scratch = np.zeros(
+                (samples, step.in_channels, height + 2 * ph, width + 2 * pw), dtype=self.dtype
+            )
+            step.scratch = scratch
+        return im2col_channel_major(images, step.kernel, step.stride, step.padding, scratch)
+
+    @staticmethod
+    def _conv_gemm(step: _HiddenStep, slab: _Slab, cols: np.ndarray, cached: np.ndarray) -> None:
+        """The one conv kernel: GEMM, bias, activation, scatter into ``cached``.
+
+        ``(new_units, depth) @ (depth, N*oh*ow)``: weights on the left keep
+        the activation, bias add and scatter contiguous, and the columns
+        are the buffer's leading ``depth`` rows — a contiguous prefix of
+        the channel-major buffer, so no copy.  Solo and batched steps both
+        run here with the depth fixed by ``(from, to)``, which is what
+        keeps them bit-equal.
+        """
+        batch, _, out_h, out_w = cached.shape
+        weight = slab.weight
+        z = weight @ cols.reshape(-1, batch * out_h * out_w)[: weight.shape[1]]
+        z += slab.bias
+        step.activate(z, z)
+        cached[:, slab.index] = z.reshape(-1, batch, out_h, out_w).transpose(1, 0, 2, 3)
 
     def _run_linear(
         self,
@@ -600,7 +695,7 @@ class NetworkPlan:
         if slab.index is not None:
             z = current @ slab.weight.T
             z += slab.bias
-            cached[:, slab.index] = activation_infer(z, step.activation, out=z)
+            cached[:, slab.index] = step.activate(z, z)
         # Unwritten units are exactly the ones outside ``to_subnet`` and
         # they are zero, so the cache *is* the combined activation map —
         # no masked full-width copy needed.
@@ -820,15 +915,11 @@ class NetworkPlan:
             colss.append(cols)
             updates.append(update)
 
-        # Shared packing: one pad + im2col call per group of members with
-        # the same update set — pure index movement, so splitting the
+        # Shared packing: one im2col call per group of members with the
+        # same update set — pure index movement, so splitting the
         # concatenated patch view back per member is bit-exact.
-        kernel = step.kernel
-        stride = (step.stride, step.stride)
-        padding = (step.padding, step.padding)
-
         def pack(images: np.ndarray) -> np.ndarray:
-            return im2col_channel_major(images, kernel, stride, padding)
+            return self._im2col(step, images)
 
         def write(index: int, update, packed, start: int, samples: int) -> None:
             colss[index][update] = packed[:, :, :, start : start + samples]
@@ -841,16 +932,10 @@ class NetworkPlan:
             # matmul: the incremental slab is a few units wide while the
             # column buffers are full-width, so ``np.stack`` would copy
             # far more bytes per member than the GEMM computes.  The
-            # per-member products are exactly the solo path's, keeping
-            # the batched step bit-equal by construction.
+            # per-member products run the solo kernel, keeping the
+            # batched step bit-equal by construction.
             for cached, cols in zip(cacheds, colss):
-                flat = cols.reshape(-1, cols.shape[3] * out_h * out_w)
-                z = slab.weight @ flat
-                z += slab.bias[:, None]
-                activation_infer(z, step.activation, out=z)
-                cached[:, slab.index] = z.reshape(
-                    -1, cached.shape[0], out_h, out_w
-                ).transpose(1, 0, 2, 3)
+                self._conv_gemm(step, slab, cols, cached)
         return cacheds, [slab.index] * len(members)
 
     def _run_linear_batch(
@@ -873,14 +958,14 @@ class NetworkPlan:
             if len({current.shape for current in currents}) == 1:
                 z = np.stack(currents) @ slab.weight.T
                 z += slab.bias
-                activation_infer(z, step.activation, out=z)
+                step.activate(z, z)
                 for cached, zb in zip(cacheds, z):
                     cached[:, slab.index] = zb
             else:
                 for cached, current in zip(cacheds, currents):
                     z = current @ slab.weight.T
                     z += slab.bias
-                    cached[:, slab.index] = activation_infer(z, step.activation, out=z)
+                    cached[:, slab.index] = step.activate(z, z)
         return cacheds, [slab.index] * len(members)
 
     def _run_pool_batch(

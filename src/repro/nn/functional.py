@@ -10,7 +10,7 @@ rather than Python loops.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -156,6 +156,48 @@ def conv2d(
     return Tensor._make(out, parents, backward)
 
 
+def _relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
+
+
+def _tanh(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.tanh(x, out=out)
+
+
+def _sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    z = np.negative(x, out=out)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
+def _identity(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return x
+
+
+_ACTIVATIONS: Dict[str, Callable[..., np.ndarray]] = {
+    "relu": _relu,
+    "tanh": _tanh,
+    "sigmoid": _sigmoid,
+    "none": _identity,
+    "linear": _identity,
+    "identity": _identity,
+}
+
+
+def resolve_activation(name: Optional[str]) -> Callable[..., np.ndarray]:
+    """The grad-free activation ``f(x, out=None)`` named ``name``.
+
+    Resolving once and calling the function skips the per-call name
+    normalisation and dispatch of :func:`activation_infer`; both run the
+    same function, so the results are bit-identical.
+    """
+    try:
+        return _ACTIVATIONS[(name or "none").lower()]
+    except KeyError:
+        raise ValueError(f"unknown activation '{name}'") from None
+
+
 def activation_infer(
     x: np.ndarray, name: str, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -165,19 +207,7 @@ def activation_infer(
     place); each element goes through the same operations either way.
     The identity returns ``x`` itself.
     """
-    name = (name or "none").lower()
-    if name == "relu":
-        return np.maximum(x, 0.0, out=out)
-    if name == "tanh":
-        return np.tanh(x, out=out)
-    if name == "sigmoid":
-        z = np.negative(x, out=out)
-        np.exp(z, out=z)
-        z += 1.0
-        return np.divide(1.0, z, out=z)
-    if name in ("none", "linear", "identity"):
-        return x
-    raise ValueError(f"unknown activation '{name}'")
+    return resolve_activation(name)(x, out)
 
 
 def im2col_channel_major(
@@ -185,20 +215,27 @@ def im2col_channel_major(
     kernel_size: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
+    scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Patch view of ``images`` laid out channel-major: ``(C, kh, kw, N, out_h, out_w)``.
 
-    Returned as a read-only stride view over a C-contiguous copy of
-    ``images``: the zero-padded copy when padding is non-zero, else
-    ``images`` itself when already contiguous.  With channels on the
-    leading axis, the compiled inference plan can scatter newly activated
-    channels into a persistent column buffer as contiguous row blocks and
-    feed the buffer to BLAS as ``(C*kh*kw, N*out_h*out_w)`` without any
-    per-step transposition.  The view is built with the ``np.ndarray``
-    buffer constructor, several times cheaper per call than
-    ``as_strided`` at the plan's small shapes; the constructor needs a
-    contiguous buffer, hence the copy of a non-contiguous input (e.g. a
-    channel slice of a multi-sample map).
+    Returned as a read-only stride view over a zero-bordered padded copy
+    of ``images``.  With channels on the leading axis, the compiled
+    inference plan can scatter newly activated channels into a persistent
+    column buffer as contiguous row blocks and feed the buffer to BLAS as
+    ``(C*kh*kw, N*out_h*out_w)`` without any per-step transposition.  The
+    view is built with the ``np.ndarray`` buffer constructor, several
+    times cheaper per call than ``as_strided`` at the plan's small shapes;
+    the constructor needs a contiguous buffer, hence the copy (the input
+    is often a non-contiguous channel slice of a multi-sample map).
+
+    ``scratch`` makes the call allocate nothing: a reusable C-contiguous
+    ``(N', C', h + 2*ph, w + 2*pw)`` buffer with ``N' >= N`` and
+    ``C' >= C`` whose border is zero.  ``images`` is written into the
+    interior of its first ``N`` samples and ``C`` channels only, so the
+    border stays zero and the rest of the buffer is never read; the view
+    aliases the buffer and is valid until its next write.  Without
+    ``scratch`` a zeroed buffer of exactly that size is allocated.
     """
     n, c, h, w = images.shape
     kh, kw = kernel_size
@@ -206,19 +243,16 @@ def im2col_channel_major(
     ph, pw = padding
     out_h = (h + 2 * ph - kh) // sh + 1
     out_w = (w + 2 * pw - kw) // sw + 1
-    if ph or pw:
+    if scratch is None:
         # Hand-rolled zero pad: np.pad's generality costs more python
         # than the rest of this function at interactive batch shapes.
-        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=images.dtype)
-        padded[:, :, ph : ph + h, pw : pw + w] = images
-        images = padded
-    else:
-        images = np.ascontiguousarray(images)
-    s0, s1, s2, s3 = images.strides
+        scratch = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=images.dtype)
+    scratch[:n, :c, ph : ph + h, pw : pw + w] = images
+    s0, s1, s2, s3 = scratch.strides
     view = np.ndarray(
         (c, kh, kw, n, out_h, out_w),
-        images.dtype,
-        images,
+        scratch.dtype,
+        scratch,
         0,
         (s1, s2, s3, s0, s2 * sh, s3 * sw),
     )

@@ -54,11 +54,6 @@ class Optimizer:
         for group in self.param_groups:
             group["lr"] = lr
 
-    def scale_lr(self, factors: Dict[int, float]) -> None:
-        """Scale the learning rate of group ``i`` by ``factors[i]`` (missing keys keep 1.0)."""
-        for index, group in enumerate(self.param_groups):
-            group["lr"] = group["base_lr"] * factors.get(index, 1.0) if "base_lr" in group else group["lr"] * factors.get(index, 1.0)
-
     @property
     def lr(self) -> float:
         return float(self.param_groups[0]["lr"])

@@ -50,7 +50,6 @@ from .traces import (
     duty_cycle_trace,
     power_mode_switch_trace,
     ramp_trace,
-    random_walk_trace,
     trace_library,
 )
 
@@ -78,6 +77,5 @@ __all__ = [
     "duty_cycle_trace",
     "power_mode_switch_trace",
     "ramp_trace",
-    "random_walk_trace",
     "trace_library",
 ]

@@ -80,11 +80,6 @@ def get_platform(name: str) -> "PlatformSpec":
         raise KeyError(f"unknown platform '{name}'; available: {sorted(PLATFORMS)}") from exc
 
 
-def available_platforms() -> List[str]:
-    """Names of all registered platforms."""
-    return sorted(PLATFORMS)
-
-
 # Representative platforms for the examples and benchmarks.  Numbers are
 # indicative of the classes of devices the paper's introduction mentions;
 # absolute values only set the time scale of the simulation.
@@ -270,27 +265,6 @@ class ResourceTrace:
             else:
                 deduplicated.append(phase)
         return ResourceTrace(deduplicated, name=name or f"{self.name}-shift{offset:g}")
-
-    def tiled(self, period: float, copies: int, name: Optional[str] = None) -> "ResourceTrace":
-        """Repeat the trace pattern every ``period`` seconds, ``copies`` times.
-
-        Serving workloads run for hundreds of requests; generators like
-        :func:`~repro.runtime.traces.duty_cycle_trace` produce a finite
-        number of cycles, and this helper extends any pattern to cover a
-        long horizon.  All phases must start inside ``[0, period)``.
-        """
-        if period <= 0:
-            raise ValueError("period must be positive")
-        if copies < 1:
-            raise ValueError("copies must be at least 1")
-        if any(phase.start_time >= period for phase in self.phases):
-            raise ValueError("all phases must start within [0, period) to tile")
-        phases = [
-            ResourcePhase(copy * period + phase.start_time, phase.macs_per_second, phase.label)
-            for copy in range(copies)
-            for phase in self.phases
-        ]
-        return ResourceTrace(phases, name=name or f"{self.name}-x{copies}")
 
     def mean_throughput(self, start_time: float, end_time: float) -> float:
         """Average MAC/s over a window."""

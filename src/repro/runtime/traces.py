@@ -141,42 +141,6 @@ def ramp_trace(
     return ResourceTrace(phases, name=name)
 
 
-def random_walk_trace(
-    mean_rate: float,
-    duration: float,
-    step: float,
-    volatility: float = 0.2,
-    floor_fraction: float = 0.05,
-    seed: Optional[int] = None,
-    name: str = "random-walk",
-) -> ResourceTrace:
-    """A mean-reverting random walk of the available throughput.
-
-    Models the aggregate effect of many small co-running tasks and
-    thermal jitter on a busy serving platform: every ``step`` seconds the
-    rate multiplier drifts toward 1.0 with gaussian noise of standard
-    deviation ``volatility``, clipped below at ``floor_fraction``.
-    """
-    if mean_rate <= 0:
-        raise ValueError("mean_rate must be positive")
-    if duration <= 0 or step <= 0:
-        raise ValueError("duration and step must be positive")
-    if volatility < 0:
-        raise ValueError("volatility must be non-negative")
-    if not 0.0 < floor_fraction <= 1.0:
-        raise ValueError("floor_fraction must be in (0, 1]")
-    rng = new_generator(seed)
-    phases = []
-    multiplier = 1.0
-    time = 0.0
-    while time < duration:
-        phases.append(ResourcePhase(time, mean_rate * multiplier, label="walk"))
-        multiplier += 0.5 * (1.0 - multiplier) + float(rng.normal(0.0, volatility))
-        multiplier = float(np.clip(multiplier, floor_fraction, 2.0))
-        time += step
-    return ResourceTrace(phases, name=name)
-
-
 def trace_library(platform: PlatformSpec, seed: int = 0) -> Dict[str, ResourceTrace]:
     """A small named collection of traces for one platform.
 

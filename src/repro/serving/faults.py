@@ -532,10 +532,6 @@ class FaultInjector:
                 current = end
         return current
 
-    def slow_windows(self, node: str) -> List[Tuple[float, float, float]]:
-        """Slowdown ``(start, end, factor)`` windows for ``node``."""
-        return list(self._slow[node])
-
     def clone(self) -> "FaultInjector":
         """A fresh injector (transient cursors reset) over the same spec."""
         return FaultInjector(self.spec, self.node_names)

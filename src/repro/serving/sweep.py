@@ -295,12 +295,6 @@ class SweepResult:
             }
         )
 
-    def save(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-        return path
-
 
 def _cell_row(spec, overrides, report, events, slo) -> Dict[str, Any]:
     report_dict = report.as_dict()

@@ -507,3 +507,102 @@ class TestSliceIndexOracle:
                     want = walk(arrays, inputs, ladder)
                     for g, w in zip(got, want):
                         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (batch, ladder)
+
+
+def _conv_steps(plan):
+    return [
+        step
+        for step in plan.steps
+        if isinstance(step, plan_module._HiddenStep) and step.kind == "conv"
+    ]
+
+
+class TestDepthOracle:
+    """A conv step to level ``t`` multiplies only the column rows of the
+    input channels active at ``t``: its GEMM depth is
+    ``kh*kw*(last active input channel + 1)``.  The full-depth product of
+    the same step is the oracle; it agrees within the tier-1 tolerances
+    (a shorter BLAS reduction can round differently)."""
+
+    @pytest.mark.parametrize("model_name", sorted(TestSliceIndexOracle.MODELS))
+    @pytest.mark.parametrize("assignment", ["prefix", "shuffled"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_depth_is_the_last_active_input_channel(self, model_name, assignment, dtype):
+        network = _assigned_network(TestSliceIndexOracle.MODELS[model_name](), assignment)
+        plan = NetworkPlan(network, dtype=dtype)
+        steps = _conv_steps(plan)
+        assert steps
+        truncated = False
+        for step in steps:
+            block = next(b for b in network.blocks if b.param_index == step.param_index)
+            in_levels = np.asarray(network.input_unit_subnet(step.param_index))
+            taps = step.kernel[0] * step.kernel[1]
+            full = step.in_channels * taps
+            for level in range(plan.num_subnets):
+                active = np.flatnonzero(in_levels <= level)
+                depth = taps * (int(active[-1]) + 1) if active.size else 0
+                truncated |= depth < full
+                assert step.slabs.depths[level] == depth
+                assert step.slabs.levels[level].weight.shape[1] == depth
+                for from_subnet in range(-1, level):
+                    assert step.slabs.pack(from_subnet, level).weight.shape[1] == depth
+                # Soundness: every masked weight past the depth is zero.
+                units = block.layer.assignment.units_in_exactly(level)
+                weight = block.layer.weight_rows(units, level, in_levels)
+                assert not weight.reshape(units.size, full)[:, depth:].any()
+        assert truncated
+
+    @pytest.mark.parametrize("model_name", sorted(TestSliceIndexOracle.MODELS))
+    @pytest.mark.parametrize("assignment", ["prefix", "shuffled"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_truncated_product_matches_full_depth(self, model_name, assignment, dtype):
+        spec = TestSliceIndexOracle.MODELS[model_name]()
+        network = _assigned_network(spec, assignment)
+        plan = NetworkPlan(network, dtype=dtype)
+        tol = TOLERANCES[np.dtype(dtype)]
+        inputs = np.random.default_rng(6).standard_normal((2,) + tuple(spec.input_shape))
+        cache, aux, logits, level = {}, {}, None, -1
+        for target in range(plan.num_subnets):
+            logits = plan.execute(inputs.astype(dtype), cache, aux, logits, level, target)
+            for step in _conv_steps(plan):
+                slab = step.slabs.pack(level, target)
+                cols = aux[("cols", step.param_index)]
+                flat = cols.reshape(-1, int(np.prod(cols.shape[3:])))
+                depth = slab.weight.shape[1]
+                wide = np.zeros((slab.weight.shape[0], flat.shape[0]), dtype=dtype)
+                wide[:, :depth] = slab.weight
+                assert not flat[depth:].any()  # rows past the depth are inactive
+                np.testing.assert_allclose(slab.weight @ flat[:depth], wide @ flat, **tol)
+            level = target
+
+
+class TestScratchReuseOracle:
+    """The im2col scratch pad is plan state shared by every request: a
+    ladder on a plan that already served other batch sizes is bit-equal
+    to the same ladder on a freshly built plan.  Catches pad state that
+    leaks across sample counts — a pad that does not grow, or a view
+    sized by a stale count.  A border dirtied by any pack shows within
+    one ladder, so the legacy-equivalence tests above catch it."""
+
+    @pytest.mark.parametrize("model_name", sorted(TestSliceIndexOracle.MODELS))
+    @pytest.mark.parametrize("assignment", ["prefix", "shuffled"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ladders_on_a_shared_plan_match_fresh_plans(self, model_name, assignment, dtype):
+        spec = TestSliceIndexOracle.MODELS[model_name]()
+        network = _assigned_network(spec, assignment)
+        shared = NetworkPlan(network, dtype=dtype)
+        rng = np.random.default_rng(8)
+        ladder = [0, 1, 2, 3]
+        for batch in (3, 1, 3):
+            shape = (batch,) + tuple(spec.input_shape)
+            solo = rng.standard_normal(shape).astype(dtype)
+            group = [rng.standard_normal(shape).astype(dtype) for _ in range(3)]
+            for walk, inputs in (
+                (TestSliceIndexOracle._walk_solo, solo),
+                (TestSliceIndexOracle._walk_batch, group),
+            ):
+                got = walk(shared, inputs, ladder)
+                want = walk(NetworkPlan(network, dtype=dtype), inputs, ladder)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes(), (batch, walk)
+        assert all(step.scratch.shape[0] == 9 for step in _conv_steps(shared))

@@ -156,7 +156,8 @@ class TestInferenceFastPath:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("layout", ["contiguous", "channel_slice"])
-    def test_im2col_channel_major_matches_sliding_window_view(self, stride, padding, layout):
+    @pytest.mark.parametrize("scratch", [False, True])
+    def test_im2col_channel_major_matches_sliding_window_view(self, stride, padding, layout, scratch):
         rng = np.random.default_rng(3)
         if layout == "contiguous":
             x = rng.standard_normal((2, 3, 7, 7))
@@ -165,7 +166,18 @@ class TestInferenceFastPath:
             # shape the compiled plan packs when a step activates a range.
             x = rng.standard_normal((3, 5, 7, 7))[:, 1:4]
             assert not x.flags.c_contiguous
-        major = F.im2col_channel_major(x, (3, 3), (stride, stride), (padding, padding))
+        buffer = None
+        if scratch:
+            # Larger than needed, zero border, stale values everywhere
+            # else: only the corner the call writes may be read.
+            side = 7 + 2 * padding
+            buffer = np.zeros((x.shape[0] + 2, x.shape[1] + 3, side, side))
+            buffer[:, :, padding : padding + 7, padding : padding + 7] = 9.0
+        major = F.im2col_channel_major(
+            x, (3, 3), (stride, stride), (padding, padding), scratch=buffer
+        )
+        if scratch:
+            assert np.shares_memory(major, buffer)
         padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
         # (N, C, oh', ow', kh, kw) at stride 1, subsampled to the stride.
         windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(2, 3))
