@@ -136,6 +136,9 @@ INVARIANTS = {
     "BENCH_memory.json": [
         ("unbounded.reuse_fraction", "ge", 0.0),
         ("sweep.*.completed", "ge", 1),
+        # Eviction and replay must never change an answer.
+        ("sweep.*.bit_equal_to_unbounded", "true"),
+        ("policies_at_tightest.*.bit_equal_to_unbounded", "true"),
         ("policies_at_tightest.lru", "exists"),
         ("policies_at_tightest.largest-first", "exists"),
         ("policies_at_tightest.lowest-progress", "exists"),
@@ -196,8 +199,23 @@ def _steal_improves_imbalance(artifact):
     return failures
 
 
+def _memory_within_budget(artifact):
+    """Custom check: no bounded run's resident peak exceeds its budget."""
+    failures = []
+    for section in ("sweep", "policies_at_tightest"):
+        for key, row in artifact.get(section, {}).items():
+            budget = row["memory_budget_bytes"]
+            if budget is not None and row["peak_resident_bytes"] > budget:
+                failures.append(
+                    f"{section}.{key}: peak resident bytes {row['peak_resident_bytes']} "
+                    f"exceed the budget of {budget}"
+                )
+    return failures
+
+
 #: Custom (whole-artifact) invariant callables per name.
 CUSTOM_INVARIANTS = {
+    "BENCH_memory.json": [_memory_within_budget],
     "BENCH_sweep.json": [_sweep_phase_fractions],
     "BENCH_steal.json": [_steal_improves_imbalance],
 }

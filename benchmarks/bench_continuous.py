@@ -263,6 +263,10 @@ class _StubSession:
     def next_subnet(self):
         return self._next
 
+    @property
+    def edge(self):
+        return self.current_subnet, self._next
+
     def next_step_macs(self):
         return self._macs
 

@@ -61,16 +61,16 @@ def _buffers_nbytes(
 
 @dataclass
 class InferenceState:
-    """Suspended execution state of one in-flight anytime inference.
+    """Execution state of one in-flight anytime inference.
 
     The serving engine multiplexes many requests over one accelerator;
     when a request is preempted at a subnet boundary its activation cache
-    must survive until it is scheduled again.  ``export_state`` /
-    ``import_state`` move this state in and out of an
-    :class:`IncrementalInference` engine in O(1) (references only), so a
-    single engine can context-switch between requests the way a real
-    accelerator swaps scratch memory.  Use :meth:`copy` when an isolated
-    snapshot (e.g. for speculative execution) is needed instead.
+    must survive until it is scheduled again, so every serving session
+    owns one of these for the request's whole life.  ``export_state`` /
+    ``import_state`` move a state in and out of an
+    :class:`IncrementalInference` engine in O(1) (references only), so
+    one engine can step many states in turn.  Use :meth:`copy` when an
+    isolated snapshot (e.g. for speculative execution) is needed instead.
     """
 
     input: Optional[np.ndarray]
@@ -91,12 +91,12 @@ class InferenceState:
     def fresh(cls, inputs: np.ndarray) -> "InferenceState":
         """A not-yet-started state for one input batch.
 
-        This is what backends hand to the shared-plan *batched* step
-        path (:meth:`~repro.core.plan.NetworkPlan.execute_batch`) for
-        requests whose first subnet level executes inside a batch:
-        semantically identical to ``run()`` on a fresh engine, but
-        without binding the shared engine at all.  ``inputs`` must
-        already be cast to the inference dtype.
+        Every serving session starts from one.  Stepping it from level
+        -1 — through :meth:`~repro.core.plan.NetworkPlan.execute_batch`,
+        or through ``import_state`` and ``step_to`` on an engine — is
+        semantically identical to ``run()`` on a fresh engine.
+        ``inputs`` must already be validated and cast to the inference
+        dtype, as ``run()`` does.
         """
         return cls(input=inputs, cache={}, logits=None, current_subnet=-1, steps=[])
 
@@ -278,8 +278,7 @@ class IncrementalInference:
         """Byte footprint of the currently resident execution state.
 
         Same accounting as :meth:`InferenceState.nbytes`, measured on the
-        engine's live buffers — what the bound context of a serving
-        backend occupies right now.
+        engine's live buffers.
         """
         return _buffers_nbytes(self._input, self._cache, self._logits, self._aux)
 

@@ -34,9 +34,8 @@ holds the im2col patches of its input in channel-major layout, and per
 pooling stage a persistent **pooled map** holds the downsampled cache —
 both updated only at the channels a step activates, so over a full walk
 every input channel is packed and pooled exactly once instead of once
-per step.  These buffers live in the engine's auxiliary state and move
-with suspend/resume; they are pure caches, rebuilt transparently when
-absent.
+per step.  These buffers live in the inference state's ``aux`` and move
+with it; they are pure caches, rebuilt transparently when absent.
 
 A conv step multiplies only the inputs it can see.  Per conv layer and
 level the plan records the GEMM **depth** ``kh*kw*(last input channel
@@ -566,15 +565,7 @@ class NetworkPlan:
         """
         timer = self.timer
         t0 = perf_counter() if timer is not None else 0.0
-        current = inputs
-        if self.flatten_input and current.ndim == 4:
-            current = current.reshape(current.shape[0], -1)
-        # The incremental buffers are valid only for the subnet level they
-        # were last advanced to.  If this state progressed through another
-        # path in between (e.g. legacy steps on an imported state), the
-        # buffers lag the cache: drop them and repack from the cache.
-        if aux.pop("level", None) != from_subnet:
-            aux.clear()
+        current = self._begin(inputs, aux, from_subnet)
         # Index of the current map's channels written by *this* step;
         # the network input itself never changes within a run.
         changed: Index = None
@@ -604,6 +595,84 @@ class NetworkPlan:
             timer.record(f"level{to_subnet}", perf_counter() - t0)
         return out
 
+    def _begin(self, inputs: np.ndarray, aux: Dict, from_subnet: int) -> np.ndarray:
+        """One member's entry into a step: its input map, and its aux buffers checked.
+
+        The incremental buffers are valid only for the subnet level they
+        were last advanced to.  If the state progressed through another
+        path in between (e.g. legacy steps on an imported state), the
+        buffers lag the cache: drop them and repack from the cache.
+        """
+        if aux.pop("level", None) != from_subnet:
+            aux.clear()
+        if self.flatten_input and inputs.ndim == 4:
+            return inputs.reshape(inputs.shape[0], -1)
+        return inputs
+
+    def _conv_buffers(
+        self,
+        step: _HiddenStep,
+        current: np.ndarray,
+        changed: Index,
+        cache: Dict[int, np.ndarray],
+        aux: Dict,
+        to_subnet: int,
+    ) -> Tuple[np.ndarray, np.ndarray, Index]:
+        """One member's conv output map and column buffer, created on first touch.
+
+        Returns ``(cached, cols, update)``: ``update`` indexes the input
+        channels the step must pack.  The persistent channel-major column
+        buffer is ``(C, kh, kw, N, oh, ow)``; only the channels this step
+        activated are re-packed, and a fresh buffer (new run, or state
+        produced by the legacy path) packs every channel active at
+        ``to_subnet`` once.
+        """
+        batch = current.shape[0]
+        out_h, out_w = step.out_spatial
+        cached = cache.get(step.param_index)
+        if cached is None:
+            cached = np.zeros((batch, step.num_units, out_h, out_w), dtype=self.dtype)
+            cache[step.param_index] = cached
+        key = ("cols", step.param_index)
+        cols = aux.get(key)
+        if cols is None:
+            cols = np.zeros(
+                (step.in_channels,) + step.kernel + (batch, out_h, out_w),
+                dtype=self.dtype,
+            )
+            aux[key] = cols
+            return cached, cols, step.active[to_subnet]
+        return cached, cols, changed
+
+    def _linear_cache(
+        self, step: _HiddenStep, current: np.ndarray, cache: Dict[int, np.ndarray]
+    ) -> np.ndarray:
+        """One member's linear output map, created (zeros) on first touch."""
+        cached = cache.get(step.param_index)
+        if cached is None:
+            cached = np.zeros((current.shape[0], step.num_units), dtype=self.dtype)
+            cache[step.param_index] = cached
+        return cached
+
+    def _pool_buffer(
+        self, step: _PoolStep, current: np.ndarray, changed: Index, aux: Dict, to_subnet: int
+    ) -> Tuple[np.ndarray, Index]:
+        """One member's pooled map, created on first touch, and the channels to pool.
+
+        A fresh map pools every channel active at ``to_subnet`` once; a
+        persistent one only the channels this step changed.
+        """
+        batch, _, height, width = current.shape
+        out_h = (height - step.size) // step.stride + 1
+        out_w = (width - step.size) // step.stride + 1
+        key = ("pool", step.index)
+        pooled = aux.get(key)
+        if pooled is None:
+            pooled = np.zeros((batch, step.num_channels, out_h, out_w), dtype=self.dtype)
+            aux[key] = pooled
+            return pooled, step.active[to_subnet]
+        return pooled, changed
+
     def _run_conv(
         self,
         step: _HiddenStep,
@@ -614,28 +683,7 @@ class NetworkPlan:
         from_subnet: int,
         to_subnet: int,
     ) -> Tuple[np.ndarray, Index]:
-        batch = current.shape[0]
-        out_h, out_w = step.out_spatial
-        cached = cache.get(step.param_index)
-        if cached is None:
-            cached = np.zeros((batch, step.num_units, out_h, out_w), dtype=self.dtype)
-            cache[step.param_index] = cached
-
-        # Persistent channel-major column buffer: (C, kh, kw, N, oh, ow).
-        # Only the channels activated by this step are re-packed; a fresh
-        # buffer (new run, or state produced by the legacy path) packs
-        # every channel active at ``to_subnet`` once.
-        key = ("cols", step.param_index)
-        cols = aux.get(key)
-        if cols is None:
-            cols = np.zeros(
-                (step.in_channels,) + step.kernel + (batch, out_h, out_w),
-                dtype=self.dtype,
-            )
-            aux[key] = cols
-            update = step.active[to_subnet]
-        else:
-            update = changed
+        cached, cols, update = self._conv_buffers(step, current, changed, cache, aux, to_subnet)
         if update is not None:
             cols[update] = self._im2col(step, current[:, update])
 
@@ -687,10 +735,7 @@ class NetworkPlan:
         from_subnet: int,
         to_subnet: int,
     ) -> Tuple[np.ndarray, Index]:
-        cached = cache.get(step.param_index)
-        if cached is None:
-            cached = np.zeros((current.shape[0], step.num_units), dtype=self.dtype)
-            cache[step.param_index] = cached
+        cached = self._linear_cache(step, current, cache)
         slab = step.slabs.pack(from_subnet, to_subnet)
         if slab.index is not None:
             z = current @ slab.weight.T
@@ -709,20 +754,11 @@ class NetworkPlan:
         aux: Dict,
         to_subnet: int,
     ) -> Tuple[np.ndarray, Index]:
-        batch, _, height, width = current.shape
-        size, stride = step.size, step.stride
-        out_h = (height - size) // stride + 1
-        out_w = (width - size) // stride + 1
-        key = ("pool", step.index)
-        pooled = aux.get(key)
-        if pooled is None:
-            pooled = np.zeros((batch, step.num_channels, out_h, out_w), dtype=self.dtype)
-            aux[key] = pooled
-            update = step.active[to_subnet]
-        else:
-            update = changed
+        pooled, update = self._pool_buffer(step, current, changed, aux, to_subnet)
         if update is not None:
-            pooled[:, update] = self._pool_channels(current[:, update], step.kind, size, stride)
+            pooled[:, update] = self._pool_channels(
+                current[:, update], step.kind, step.size, step.stride
+            )
         return pooled, changed
 
     @staticmethod
@@ -800,14 +836,7 @@ class NetworkPlan:
             ]
         timer = self.timer
         t0 = perf_counter() if timer is not None else 0.0
-        currents: List[np.ndarray] = []
-        for member in members:
-            current = member.inputs
-            if self.flatten_input and current.ndim == 4:
-                current = current.reshape(current.shape[0], -1)
-            if member.aux.pop("level", None) != from_subnet:
-                member.aux.clear()
-            currents.append(current)
+        currents = [self._begin(member.inputs, member.aux, from_subnet) for member in members]
         changeds: List[Index] = [None] * len(members)
         outs: List[Optional[np.ndarray]] = [None] * len(members)
         for step in self.steps:
@@ -885,35 +914,17 @@ class NetworkPlan:
         self,
         step: _HiddenStep,
         members: Sequence[BatchMember],
-        currents: List[np.ndarray],
-        changeds: List[Index],
+        currents: Sequence[np.ndarray],
+        changeds: Sequence[Index],
         from_subnet: int,
         to_subnet: int,
-    ) -> Tuple[List[np.ndarray], List[Index]]:
-        out_h, out_w = step.out_spatial
-        cacheds: List[np.ndarray] = []
-        colss: List[np.ndarray] = []
-        updates: List[Index] = []
-        for member, current, changed in zip(members, currents, changeds):
-            batch = current.shape[0]
-            cached = member.cache.get(step.param_index)
-            if cached is None:
-                cached = np.zeros((batch, step.num_units, out_h, out_w), dtype=self.dtype)
-                member.cache[step.param_index] = cached
-            key = ("cols", step.param_index)
-            cols = member.aux.get(key)
-            if cols is None:
-                cols = np.zeros(
-                    (step.in_channels,) + step.kernel + (batch, out_h, out_w),
-                    dtype=self.dtype,
-                )
-                member.aux[key] = cols
-                update = step.active[to_subnet]
-            else:
-                update = changed
-            cacheds.append(cached)
-            colss.append(cols)
-            updates.append(update)
+    ) -> Tuple[Sequence[np.ndarray], Sequence[Index]]:
+        cacheds, colss, updates = zip(
+            *(
+                self._conv_buffers(step, current, changed, member.cache, member.aux, to_subnet)
+                for member, current, changed in zip(members, currents, changeds)
+            )
+        )
 
         # Shared packing: one im2col call per group of members with the
         # same update set — pure index movement, so splitting the
@@ -942,17 +953,14 @@ class NetworkPlan:
         self,
         step: _HiddenStep,
         members: Sequence[BatchMember],
-        currents: List[np.ndarray],
+        currents: Sequence[np.ndarray],
         from_subnet: int,
         to_subnet: int,
-    ) -> Tuple[List[np.ndarray], List[Index]]:
-        cacheds: List[np.ndarray] = []
-        for member, current in zip(members, currents):
-            cached = member.cache.get(step.param_index)
-            if cached is None:
-                cached = np.zeros((current.shape[0], step.num_units), dtype=self.dtype)
-                member.cache[step.param_index] = cached
-            cacheds.append(cached)
+    ) -> Tuple[Sequence[np.ndarray], Sequence[Index]]:
+        cacheds = [
+            self._linear_cache(step, current, member.cache)
+            for member, current in zip(members, currents)
+        ]
         slab = step.slabs.pack(from_subnet, to_subnet)
         if slab.index is not None:
             if len({current.shape for current in currents}) == 1:
@@ -972,31 +980,20 @@ class NetworkPlan:
         self,
         step: _PoolStep,
         members: Sequence[BatchMember],
-        currents: List[np.ndarray],
-        changeds: List[Index],
+        currents: Sequence[np.ndarray],
+        changeds: Sequence[Index],
         to_subnet: int,
-    ) -> Tuple[List[np.ndarray], List[Index]]:
-        size, stride = step.size, step.stride
-        pooleds: List[np.ndarray] = []
-        updates: List[Index] = []
-        for member, current, changed in zip(members, currents, changeds):
-            batch, _, height, width = current.shape
-            out_h = (height - size) // stride + 1
-            out_w = (width - size) // stride + 1
-            key = ("pool", step.index)
-            pooled = member.aux.get(key)
-            if pooled is None:
-                pooled = np.zeros((batch, step.num_channels, out_h, out_w), dtype=self.dtype)
-                member.aux[key] = pooled
-                update = step.active[to_subnet]
-            else:
-                update = changed
-            pooleds.append(pooled)
-            updates.append(update)
+    ) -> Tuple[Sequence[np.ndarray], Sequence[Index]]:
+        pooleds, updates = zip(
+            *(
+                self._pool_buffer(step, current, changed, member.aux, to_subnet)
+                for member, current, changed in zip(members, currents, changeds)
+            )
+        )
         # Pooling is element/window-wise per sample: one call over the
         # sample-axis concatenation, split back per member, is bit-exact.
         def pack(channels: np.ndarray) -> np.ndarray:
-            return self._pool_channels(channels, step.kind, size, stride)
+            return self._pool_channels(channels, step.kind, step.size, step.stride)
 
         def write(index: int, update, packed, start: int, samples: int) -> None:
             pooleds[index][:, update] = packed[start : start + samples]

@@ -1,12 +1,13 @@
 """Execution backends: how one request's anytime inference is carried out.
 
 An :class:`ExecutionBackend` owns a trained network, a step-up policy and
-one :class:`~repro.core.incremental.IncrementalInference` engine.  It
-opens an :class:`ExecutionSession` per request; the session exposes the
-cost of the next subnet step (``next_step_macs``), executes it
-(``advance``) and survives preemption — between two of its steps, other
-sessions may use the engine, the accelerator's scratch state being moved
-in and out via the engine's ``export_state`` / ``import_state``.
+the executor every step runs through.  It opens an
+:class:`ExecutionSession` per request; the session owns that request's
+:class:`~repro.core.incremental.InferenceState` (input copy, activation
+caches, plan aux buffers, logits) for its whole life, exposes the cost
+of the next subnet step (``next_step_macs``), executes it (``advance``)
+and survives preemption — between two of its steps other sessions run,
+and its state simply waits on the session.
 
 Two concrete backends reproduce the paper's deployment comparison:
 
@@ -26,13 +27,14 @@ executors in :mod:`repro.runtime.executor` are one-request calls to the
 sessions, so "one batch on an idle device" and "hundreds of requests
 under contention" exercise one code path.
 
-Every backend also advances *groups*: sessions sitting at the same
-subnet edge step together through one shared-plan pass
-(:meth:`~repro.core.plan.NetworkPlan.execute_batch`).  Whether to group
+Every step is a *group* step: :meth:`ExecutionBackend.advance_group`
+advances sessions sitting at the same subnet edge through one
+shared-plan pass (:meth:`~repro.core.plan.NetworkPlan.execute_batch`),
+and :meth:`ExecutionSession.advance` is a group of one.  Whether to group
 is the serving engine's batching policy's call
 (:mod:`repro.serving.batching`), not the backend's; per-request logits
-are bit-equal to the solo path, so ``batch_policy="none"`` doubles as
-the batching correctness oracle.
+are bit-equal to solo :class:`~repro.core.incremental.IncrementalInference`
+steps, the numerics oracle the tests check every path against.
 
 Backends also accept a ``num_subnets`` cap: a node declaring
 ``num_subnets=2`` serves only the two smallest subnet levels —
@@ -83,17 +85,16 @@ class StepOutcome:
 class ExecutionSession:
     """One request's in-flight execution state on a backend.
 
-    Sessions are lazily bound to the backend's shared inference engine:
-    whenever a session advances it first re-imports its suspended state
-    (if another session ran in between), models the cost of the next
-    subnet level and records the outcome.  All state transfers are O(1).
+    The session owns the request's :class:`InferenceState` from its first
+    step until it is evicted or closed; no other session ever touches
+    it.  Advancing models the cost of the next subnet level, executes it
+    through the backend (a group of one) and records the outcome.
     """
 
     def __init__(self, backend: "ExecutionBackend", inputs: np.ndarray) -> None:
         self.backend = backend
         self.inputs = inputs
         self._state: Optional[InferenceState] = None
-        self._started = False
         self._current_subnet = -1
         self._last_logits: Optional[np.ndarray] = None
         #: Subnet levels executed so far, in order — the replay script
@@ -117,10 +118,13 @@ class ExecutionSession:
 
     def next_subnet(self) -> Optional[int]:
         """The level the next :meth:`advance` would execute (None when done)."""
-        if not self._started:
-            return 0
         target = self._current_subnet + 1
         return target if target < self.backend.num_subnets else None
+
+    @property
+    def edge(self) -> tuple:
+        """The ``(current, next)`` subnet edge — sessions sharing one share a pass."""
+        return self._current_subnet, self.next_subnet()
 
     def next_step_macs(self) -> Optional[float]:
         """Cost (MACs) the backend charges for the next step (None when done).
@@ -134,7 +138,7 @@ class ExecutionSession:
         target = self.next_subnet()
         if target is None:
             return None
-        cost = self.backend.step_cost(self._current_subnet if self._started else -1, target)
+        cost = self.backend.step_cost(self._current_subnet, target)
         return cost + self.pending_recompute_macs()
 
     # ------------------------------------------------------------------
@@ -145,12 +149,9 @@ class ExecutionSession:
 
         The delivered ``logits`` handed to the client are not counted —
         they live on the serving record either way; what is measured is
-        the engine-side state (input copy, activation caches, plan aux
-        buffers, working logits), whether suspended here or currently
-        bound in the shared engine.
+        the session's inference state (input copy, activation caches,
+        plan aux buffers, working logits).
         """
-        if self.backend._active is self:
-            return self.backend._engine.state_nbytes()
         if self._state is None:
             return 0
         return self._state.nbytes()
@@ -161,7 +162,6 @@ class ExecutionSession:
         Returns the bytes freed; the buffers rebuild from the activation
         cache on the next step, bit-for-bit and at no MAC charge.
         """
-        self.backend.unbind(self)
         if self._state is None:
             return 0
         return self._state.drop_aux()
@@ -174,18 +174,16 @@ class ExecutionSession:
         accelerator-side state is gone, so the next advance replays the
         executed levels first and the backend charges those MACs.
         """
-        self.backend.unbind(self)
         if self._state is None:
             return 0
         freed = self._state.nbytes()
         self._state = None
-        if self._started:
+        if self._current_subnet >= 0:
             self._recompute_pending = True
         return freed
 
     def close(self) -> int:
         """Release every resident buffer — the job left the system."""
-        self.backend.unbind(self)
         if self._state is None:
             return 0
         freed = self._state.nbytes()
@@ -207,14 +205,14 @@ class ExecutionSession:
     def restore(self, history: Sequence[int], logits: Optional[np.ndarray]) -> None:
         """Seed a fresh session with another session's checkpoint.
 
-        This is the failover half of the PR-5 eviction contract: the
+        This is the failover half of the eviction contract: the
         checkpoint is just the executed-level history plus the delivered
         logits — no accelerator state crosses nodes.  The restored
         session is marked recompute-pending, so its next advance replays
         the history on *this* backend (bit-equal by the replay
         invariant) and charges the recompute MACs honestly.
         """
-        if self._started or self._state is not None:
+        if self._current_subnet >= 0 or self._state is not None:
             raise RuntimeError("restore() requires a fresh session")
         levels = [int(level) for level in history]
         if levels and not 0 <= levels[-1] < self.backend.num_subnets:
@@ -224,87 +222,28 @@ class ExecutionSession:
             )
         self._level_history = levels
         if levels:
-            self._started = True
             self._current_subnet = levels[-1]
             self._recompute_pending = True
         self._last_logits = logits
 
-    def _rebuild(self, engine: IncrementalInference) -> None:
-        """Replay the executed level sequence on a fresh engine state.
-
-        The replay runs the exact ``run`` / ``step_to`` sequence the job
-        originally took (batched steps are bit-equal to solo ones, so
-        one replay script covers both), which restores the activation
-        caches, aux buffers and logits bit-for-bit.
-        """
-        levels = self._level_history
-        engine.run(self.inputs, subnet=levels[0])
-        for level in levels[1:]:
-            engine.step_to(level)
-        self._recompute_pending = False
-
     # ------------------------------------------------------------------
     def advance(self) -> StepOutcome:
         """Execute the next subnet level and return its outcome."""
-        target = self.next_subnet()
-        if target is None:
-            raise RuntimeError("session already reached the largest subnet")
-        cost = self.next_step_macs()
-        recomputed = self.pending_recompute_macs()
-        engine = self.backend.bind(self)
-        if self._recompute_pending:
-            self._rebuild(engine)
-            step = engine.step_to(target)
-        elif not self._started:
-            step = engine.run(self.inputs, subnet=target)
-        else:
-            step = engine.step_to(target)
-        self._note_step(step)
-        reused = float(step.macs_reused) if self.backend.reuses_activations else 0.0
-        if recomputed:
-            # The "reused" MACs of this step were just recomputed, not
-            # served from memory: report them as recompute, not reuse.
-            reused = 0.0
-        return StepOutcome(
-            subnet=step.subnet,
-            logits=step.logits,
-            macs_charged=float(cost),
-            macs_reused=reused,
-            macs_recomputed=float(recomputed),
-        )
-
-    def suspend(self) -> None:
-        """Explicitly detach this session's state from the shared engine."""
-        self.backend.unbind(self)
+        return self.backend.advance_group([self])[0]
 
     def _note_step(self, step: StepResult) -> None:
-        """Session-side bookkeeping of one executed level.
-
-        The single place the session's progress markers are written —
-        the solo :meth:`advance` and the backend's batched group advance
-        both go through it, so they can never drift apart.
-        """
-        self._started = True
+        """Session-side bookkeeping of one executed level (the backend's loop calls it)."""
         self._current_subnet = step.subnet
         self._last_logits = step.logits
         self._level_history.append(step.subnet)
 
-    # ------------------------------------------------------------------
-    # Used by the backend to move state in and out of the shared engine.
-    def _export(self, engine: IncrementalInference) -> None:
-        self._state = engine.export_state()
-
-    def _import(self, engine: IncrementalInference) -> None:
-        engine.import_state(self._state)
-        self._state = None
-
 
 class ExecutionBackend:
-    """A network + policy + shared inference engine that serves sessions.
+    """A network + policy + executor that serves sessions.
 
     Subclasses define :attr:`name`, :attr:`reuses_activations` and
-    :meth:`step_cost` — everything else (session lifecycle, state
-    swapping) is common.
+    :meth:`step_cost` — everything else (session lifecycle, replay,
+    step execution) is common.
     """
 
     name = "backend"
@@ -338,6 +277,8 @@ class ExecutionBackend:
                 network, apply_prune=apply_prune, dtype=self.dtype
             )
         self.plan = plan
+        #: Steps states when no plan can represent the network; sessions
+        #: pass through it, none stays resident.
         self._engine = IncrementalInference(
             network,
             apply_prune=apply_prune,
@@ -345,7 +286,6 @@ class ExecutionBackend:
             compiled=compiled,
             plan=plan,
         )
-        self._active: Optional[ExecutionSession] = None
 
     # ------------------------------------------------------------------
     @property
@@ -422,13 +362,7 @@ class ExecutionBackend:
         """
         if not sessions:
             raise ValueError("a session group must not be empty")
-        edges = {
-            (
-                session.current_subnet if session._started else -1,
-                session.next_subnet(),
-            )
-            for session in sessions
-        }
+        edges = {session.edge for session in sessions}
         if len(edges) != 1:
             raise ValueError(
                 f"sessions in one batch must share a subnet edge, got {sorted(edges)}"
@@ -439,96 +373,96 @@ class ExecutionBackend:
         return from_subnet, target
 
     def advance_group(self, sessions: Sequence[ExecutionSession]) -> List[StepOutcome]:
-        """Advance every session by one level through one shared plan pass.
+        """Advance every session by one level through one shared pass.
 
-        The stacking mechanic — detach every member's state, rebuild
-        evicted members, synthesise fresh state for unstarted ones, run
-        one :meth:`~repro.core.plan.NetworkPlan.execute_batch` walk and
-        write the results back through ``_note_step`` — is the same for
-        every cost model; only :meth:`step_cost` and
-        :attr:`reuses_activations` differ.  Logits are bit-equal (same
-        dtype) to each member's solo :meth:`ExecutionSession.advance`.
-        A lone session takes that solo path; networks a plan cannot
-        represent step each member solo after the edge check.
+        The only advance path, for groups of one or more: give each
+        unstarted or evicted member a fresh state (its input validated
+        and cast once), replay an evicted or restored member's executed
+        levels, run the edge's step over every member, and build each
+        outcome.  Only :meth:`step_cost` and :attr:`reuses_activations`
+        differ between cost models.  Logits are bit-equal (same dtype) to
+        each member's solo :class:`IncrementalInference` steps.
         """
-        if len(sessions) == 1:
-            return [sessions[0].advance()]
         from_subnet, target = self.group_edge(sessions)
-        if self.plan is None:
-            # Uncompiled network: no shared pass to run; step each member.
-            return [session.advance() for session in sessions]
-        cost = self.step_cost(from_subnet, target)
-        states: List[InferenceState] = []
-        recomputes: List[float] = []
         for session in sessions:
-            # An evicted member first replays its executed levels solo
-            # (bit-equal to the state it lost) and rejoins the batch with
-            # its caches restored; the replay MACs are charged to it.
-            recomputes.append(session.pending_recompute_macs())
+            if session._state is None:
+                session._state = self._fresh_state(session.inputs)
+        recomputes = [session.pending_recompute_macs() for session in sessions]
+        for session in sessions:
             if session._recompute_pending:
-                session._rebuild(self.bind(session))
-            # A group member may be the engine's resident context from an
-            # earlier solo step (or the rebuild above): detach it first so
-            # every member's state is owned by its session while the
-            # shared pass runs.
-            if self._active is session:
-                session._export(self._engine)
-                self._active = None
-            state = session._state
-            if state is None:
-                inputs = np.asarray(session.inputs, dtype=self.dtype)
-                if inputs.ndim == 2 and self.network.spec._has_conv():
-                    raise ValueError("convolutional network expects (N, C, H, W) input")
-                state = InferenceState.fresh(inputs)
-                session._state = state
-            states.append(state)
-        members = [
-            BatchMember(
-                inputs=state.input, cache=state.cache, aux=state.aux, logits=state.logits
-            )
-            for state in states
-        ]
-        batch_logits = self.plan.execute_batch(members, from_subnet, target)
-        macs_to = int(self.plan.subnet_macs[target])
-        macs_from = int(self.plan.subnet_macs[from_subnet]) if from_subnet >= 0 else 0
+                self._replay(session)
+        cost = self.step_cost(from_subnet, target)
         outcomes: List[StepOutcome] = []
-        for session, state, logits, recomputed in zip(
-            sessions, states, batch_logits, recomputes
+        for session, step, recomputed in zip(
+            sessions, self._execute(sessions, from_subnet, target), recomputes
         ):
-            step = StepResult.from_macs(target, logits, macs_to, macs_from)
-            state.logits = logits
-            state.current_subnet = target
-            state.steps.append(step)
             session._note_step(step)
-            reused = float(macs_from) if self.reuses_activations else 0.0
-            if recomputed:
-                reused = 0.0  # rebuilt this dispatch, not served from memory
+            # A replayed member's "reused" MACs were just recomputed, not
+            # served from memory: report them as recompute, not reuse.
+            reused = step.macs_reused if self.reuses_activations and not recomputed else 0
             outcomes.append(
                 StepOutcome(
                     subnet=target,
-                    logits=logits,
+                    logits=step.logits,
                     macs_charged=float(cost + recomputed),
-                    macs_reused=reused,
+                    macs_reused=float(reused),
                     macs_recomputed=float(recomputed),
                 )
             )
         return outcomes
 
-    # ------------------------------------------------------------------
-    # Engine context switching (accelerator scratch-memory model).
-    def bind(self, session: ExecutionSession) -> IncrementalInference:
-        """Make ``session`` the engine's resident context."""
-        if self._active is not session:
-            if self._active is not None:
-                self._active._export(self._engine)
-            session._import(self._engine)
-            self._active = session
-        return self._engine
+    def _fresh_state(self, inputs: np.ndarray) -> InferenceState:
+        """A not-yet-started state for ``inputs``, validated and cast once."""
+        inputs = np.asarray(inputs, dtype=self.dtype)
+        problem = self.network.spec.input_shape_problem(inputs.shape)
+        if problem is not None:
+            raise ConfigError(f"inputs {problem}")
+        return InferenceState.fresh(inputs)
 
-    def unbind(self, session: ExecutionSession) -> None:
-        if self._active is session:
-            session._export(self._engine)
-            self._active = None
+    def _replay(self, session: ExecutionSession) -> None:
+        """Rebuild an evicted or restored context from its level history.
+
+        The replay runs the job's original level sequence through the
+        same executor as every step (grouped steps are bit-equal to solo
+        ones, so one script covers both), restoring the activation
+        caches, aux buffers and logits bit-for-bit.
+        """
+        previous = -1
+        for level in session._level_history:
+            self._execute([session], previous, level)
+            previous = level
+        session._recompute_pending = False
+
+    def _execute(
+        self, sessions: Sequence[ExecutionSession], from_subnet: int, to_subnet: int
+    ) -> List[StepResult]:
+        """Step every session's state ``from_subnet -> to_subnet``: the one executor."""
+        if self.plan is None:
+            # Networks a plan cannot represent step each state through
+            # the legacy engine, one after another.
+            engine = self._engine
+            steps = []
+            for session in sessions:
+                engine.import_state(session._state)
+                steps.append(engine.step_to(to_subnet))
+                session._state = engine.export_state()
+            return steps
+        states = [session._state for session in sessions]
+        members = [
+            BatchMember(inputs=state.input, cache=state.cache, aux=state.aux, logits=state.logits)
+            for state in states
+        ]
+        batch_logits = self.plan.execute_batch(members, from_subnet, to_subnet)
+        macs_to = self.plan.subnet_macs[to_subnet]
+        macs_from = self.plan.subnet_macs[from_subnet] if from_subnet >= 0 else 0
+        steps = []
+        for state, logits in zip(states, batch_logits):
+            step = StepResult.from_macs(to_subnet, logits, macs_to, macs_from)
+            state.logits = logits
+            state.current_subnet = to_subnet
+            state.steps.append(step)
+            steps.append(step)
+        return steps
 
 
 class SteppingBackend(ExecutionBackend):
@@ -635,10 +569,7 @@ class ServingJob:
         """
         if self.session is None:
             return (-1, 0)
-        return (
-            self.session.current_subnet if self.started else -1,
-            self.session.next_subnet(),
-        )
+        return self.session.edge
 
     @property
     def pending_recompute_macs(self) -> float:

@@ -9,8 +9,8 @@ a discrete-event simulator whose unit of work is one *subnet step*:
 2. at every step boundary the pluggable
    :class:`~repro.serving.scheduler.Scheduler` picks which ready job
    runs next — so any job can be preempted between subnet levels and
-   resumed later, its activation cache surviving via the incremental
-   engine's suspend/resume state;
+   resumed later, its activation cache waiting on the job's own
+   execution session (the session owns its inference state);
 3. the selected job executes exactly one subnet level — or, under a
    batching policy (:mod:`repro.serving.batching`), one *shared* subnet
    level together with every compatible ready job at the same subnet
@@ -1452,7 +1452,7 @@ class ServingRun:
         session = job.session
         backend = self.engine.backend
         macs = session.pending_recompute_macs()
-        prev = session.current_subnet if job.started else -1
+        prev = session.current_subnet
         for level in range(prev + 1, target + 1):
             macs += backend.step_cost(prev, level)
             prev = level
@@ -1565,7 +1565,7 @@ class ServingRun:
         # passes ran.  Execution consumes no *simulated* time (the trace
         # query is pure), so the reorder changes no timing.
         self._wave += 1
-        from_level = job.session.current_subnet if job.started else -1
+        from_level = job.session.current_subnet
         executed, joined, early_stops = self._catch_up(job, members)
         group = members + joined
         executed.extend(zip(group, self._pass(group)))

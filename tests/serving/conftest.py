@@ -11,6 +11,7 @@ import pytest
 
 from repro.baselines.common import set_prefix_assignments
 from repro.core import SteppingNetwork
+from repro.core.incremental import IncrementalInference
 
 
 @pytest.fixture
@@ -26,3 +27,21 @@ def sample_pool(image_dataset):
     images = np.stack([image_dataset[i][0] for i in range(16)])
     labels = np.array([image_dataset[i][1] for i in range(16)])
     return images, labels
+
+
+@pytest.fixture
+def solo_logits():
+    """Per-level logits of solo ``IncrementalInference`` steps: the numerics oracle.
+
+    ``solo_logits(network, inputs, levels)`` runs ``levels[0]`` then
+    ``step_to`` each later level on a fresh engine of its own, so no
+    serving path is its own reference.
+    """
+
+    def run(network, inputs, levels, dtype=np.float32, compiled=True):
+        engine = IncrementalInference(network, dtype=dtype, compiled=compiled)
+        logits = [engine.run(inputs, subnet=levels[0]).logits]
+        logits.extend(engine.step_to(level).logits for level in levels[1:])
+        return logits
+
+    return run

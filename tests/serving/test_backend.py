@@ -8,6 +8,7 @@ from repro.serving.backend import (
     RecomputeBackend,
     SteppingBackend,
 )
+from repro.utils.errors import ConfigError
 
 
 @pytest.fixture
@@ -87,24 +88,19 @@ class TestRecomputeBackend:
 
 
 class TestSessionPreemption:
-    """Interleaved sessions on one shared engine must not corrupt state."""
+    """Interleaved sessions on one backend must not corrupt each other's state."""
 
-    def test_interleaved_sessions_match_solo_sessions(self, stepping_network, image_batch):
+    def test_interleaved_sessions_match_solo_sessions(
+        self, stepping_network, image_batch, solo_logits
+    ):
         images, _ = image_batch
         batch_a, batch_b = images[:3], images[3:6]
         backend = SteppingBackend(stepping_network, dtype=np.float64)
+        levels = list(range(stepping_network.num_subnets))
+        ref_a = solo_logits(stepping_network, batch_a, levels, dtype=np.float64)
+        ref_b = solo_logits(stepping_network, batch_b, levels, dtype=np.float64)
 
-        # Reference: run each batch alone through a fresh backend.
-        solo = SteppingBackend(stepping_network, dtype=np.float64)
-        ref_a, ref_b = [], []
-        session = solo.open(batch_a)
-        while session.next_subnet() is not None:
-            ref_a.append(session.advance().logits)
-        session = solo.open(batch_b)
-        while session.next_subnet() is not None:
-            ref_b.append(session.advance().logits)
-
-        # Interleave two sessions step by step on one shared engine.
+        # Interleave two sessions step by step on one backend.
         session_a, session_b = backend.open(batch_a), backend.open(batch_b)
         got_a, got_b = [], []
         while session_a.next_subnet() is not None or session_b.next_subnet() is not None:
@@ -113,17 +109,20 @@ class TestSessionPreemption:
             if session_b.next_subnet() is not None:
                 got_b.append(session_b.advance().logits)
 
-        for ref, got in zip(ref_a, got_a):
-            np.testing.assert_allclose(ref, got, rtol=1e-10)
-        for ref, got in zip(ref_b, got_b):
-            np.testing.assert_allclose(ref, got, rtol=1e-10)
+        assert len(got_a) == len(got_b) == len(levels)
+        for ref, got in zip(ref_a + ref_b, got_a + got_b):
+            assert np.array_equal(ref, got)
 
-    def test_suspend_releases_engine(self, stepping_network, inputs):
+
+class TestInputValidation:
+    def test_bad_member_shape_raises_config_error_in_a_group(self, stepping_network, inputs):
+        """A malformed member fails at the boundary, whatever the group size."""
         backend = SteppingBackend(stepping_network)
-        session = backend.open(inputs)
-        session.advance()
-        session.suspend()
-        assert backend._active is None
-        # The session resumes transparently on its next advance.
-        outcome = session.advance()
-        assert outcome.subnet == 1
+        bad = backend.open(np.zeros((1, 3, 10, 10)))
+        good = backend.open(inputs)
+        with pytest.raises(ConfigError, match=r"per-sample shape \(3, 10, 10\)"):
+            backend.advance_group([bad, good])
+        with pytest.raises(ConfigError, match=r"per-sample shape \(3, 10, 10\)"):
+            bad.advance()
+        # The well-formed member is untouched and still steps.
+        assert good.advance().subnet == 0

@@ -3,9 +3,10 @@
 The load-bearing property: batched execution is *bit-equal* (same dtype)
 to the unbatched compiled path per request — ``batch_policy="none"`` is
 the correctness oracle for every coalescing policy.  Verified at the
-backend level (``advance_group`` vs solo sessions, group sizes 2/4/8,
-conv and MLP networks, both dtypes, ragged member batch sizes) and at
-the engine level (whole Poisson streams under FIFO/EDF).
+backend level (``advance_group`` vs solo ``IncrementalInference``
+steps, group sizes 2/4/8, conv and MLP networks, both dtypes, ragged
+member batch sizes) and at the engine level (whole Poisson streams
+under FIFO/EDF).
 """
 
 import math
@@ -86,44 +87,54 @@ class TestBatchPolicyRegistry:
 # Backend-level group advance: the bit-equality property
 # ----------------------------------------------------------------------
 class TestAdvanceGroup:
+    @staticmethod
+    def _assert_step_macs(backend, outcome, level):
+        """MAC fields of an un-evicted step against the cost model itself."""
+        previous = level - 1
+        assert outcome.macs_charged == backend.step_cost(previous, level)
+        expected_reused = (
+            backend.subnet_macs(previous) if previous >= 0 and backend.reuses_activations else 0.0
+        )
+        assert outcome.macs_reused == expected_reused
+        assert outcome.macs_recomputed == 0.0
+
     @pytest.mark.parametrize("group_size", [2, 4, 8])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("model", ["conv", "mlp"])
     def test_bit_equal_to_solo_sessions(
-        self, stepping_network, mlp_network, rng, group_size, dtype, model
+        self, stepping_network, mlp_network, rng, solo_logits, group_size, dtype, model
     ):
         network = stepping_network if model == "conv" else mlp_network
         shape = (3, 12, 12) if model == "conv" else (16,)
         inputs = [rng.standard_normal((1,) + shape) for _ in range(group_size)]
-        solo_backend = SteppingBackend(network, dtype=dtype)
-        group_backend = SteppingBackend(network, dtype=dtype)
-        solo = [solo_backend.open(batch) for batch in inputs]
-        grouped = [group_backend.open(batch) for batch in inputs]
-        for _ in range(network.num_subnets):
-            solo_outcomes = [session.advance() for session in solo]
-            group_outcomes = group_backend.advance_group(grouped)
-            for reference, outcome in zip(solo_outcomes, group_outcomes):
-                assert outcome.subnet == reference.subnet
-                assert outcome.macs_charged == reference.macs_charged
-                assert outcome.macs_reused == reference.macs_reused
+        levels = list(range(network.num_subnets))
+        references = [solo_logits(network, batch, levels, dtype=dtype) for batch in inputs]
+        backend = SteppingBackend(network, dtype=dtype)
+        grouped = [backend.open(batch) for batch in inputs]
+        for level in levels:
+            outcomes = backend.advance_group(grouped)
+            for reference, outcome in zip(references, outcomes):
+                assert outcome.subnet == level
+                self._assert_step_macs(backend, outcome, level)
                 assert outcome.logits.dtype == np.dtype(dtype)
-                assert np.array_equal(outcome.logits, reference.logits)
+                assert np.array_equal(outcome.logits, reference[level])
 
-    def test_ragged_member_batch_sizes(self, stepping_network, rng):
+    def test_ragged_member_batch_sizes(self, stepping_network, rng, solo_logits):
         """Members with different per-request sample counts still bit-match."""
         sizes = [1, 2, 1, 3]
         inputs = [rng.standard_normal((n, 3, 12, 12)) for n in sizes]
-        solo_backend = SteppingBackend(stepping_network)
-        group_backend = SteppingBackend(stepping_network)
-        solo = [solo_backend.open(batch) for batch in inputs]
-        grouped = [group_backend.open(batch) for batch in inputs]
-        for _ in range(stepping_network.num_subnets):
-            references = [session.advance() for session in solo]
-            outcomes = group_backend.advance_group(grouped)
+        levels = list(range(stepping_network.num_subnets))
+        references = [solo_logits(stepping_network, batch, levels) for batch in inputs]
+        backend = SteppingBackend(stepping_network)
+        grouped = [backend.open(batch) for batch in inputs]
+        for level in levels:
+            outcomes = backend.advance_group(grouped)
             for reference, outcome in zip(references, outcomes):
-                assert np.array_equal(outcome.logits, reference.logits)
+                assert np.array_equal(outcome.logits, reference[level])
 
-    def test_member_can_leave_the_batch_and_continue_solo(self, stepping_network, rng):
+    def test_member_can_leave_the_batch_and_continue_solo(
+        self, stepping_network, rng, solo_logits
+    ):
         inputs = [rng.standard_normal((1, 3, 12, 12)) for _ in range(3)]
         backend = SteppingBackend(stepping_network)
         sessions = [backend.open(batch) for batch in inputs]
@@ -131,11 +142,9 @@ class TestAdvanceGroup:
         # One member steps alone, the rest keep batching: both stay exact.
         alone = sessions[0].advance()
         rest = backend.advance_group(sessions[1:])
-        reference_backend = SteppingBackend(stepping_network)
-        for index, outcome in zip([0, 1, 2], [alone, *rest]):
-            reference = reference_backend.open(inputs[index])
-            reference.advance()
-            assert np.array_equal(reference.advance().logits, outcome.logits)
+        for batch, outcome in zip(inputs, [alone, *rest]):
+            assert np.array_equal(solo_logits(stepping_network, batch, [0, 1])[1], outcome.logits)
+            self._assert_step_macs(backend, outcome, 1)
 
     def test_mixed_edges_rejected(self, stepping_network, rng):
         backend = SteppingBackend(stepping_network)
@@ -150,29 +159,33 @@ class TestAdvanceGroup:
             SteppingBackend(stepping_network).advance_group([])
 
     @pytest.mark.parametrize("backend_cls", [SteppingBackend, RecomputeBackend])
-    def test_uncompiled_group_matches_solo(self, stepping_network, rng, backend_cls):
-        """Without a plan, a group steps its members solo, evicted ones too."""
+    def test_uncompiled_group_matches_solo(self, stepping_network, rng, solo_logits, backend_cls):
+        """Without a plan, a group steps its members one by one, evicted ones too."""
         inputs = [rng.standard_normal((1, 3, 12, 12)) for _ in range(2)]
-        group_backend = backend_cls(stepping_network, compiled=False)
-        solo_backend = backend_cls(stepping_network, compiled=False)
-        assert group_backend.plan is None
-        grouped = [group_backend.open(batch) for batch in inputs]
-        solo = [solo_backend.open(batch) for batch in inputs]
-        for level in range(stepping_network.num_subnets):
+        backend = backend_cls(stepping_network, compiled=False)
+        assert backend.plan is None
+        levels = list(range(stepping_network.num_subnets))
+        references = [
+            solo_logits(stepping_network, batch, levels, compiled=False) for batch in inputs
+        ]
+        grouped = [backend.open(batch) for batch in inputs]
+        for level in levels:
             if level == 2:
-                # One member loses its context before the step: both
-                # paths replay it and charge the same recompute MACs.
+                # One member loses its context before the step: it replays
+                # levels 0..1 and is charged their recompute MACs.
                 grouped[1].drop_state()
-                solo[1].drop_state()
-            outcomes = group_backend.advance_group(grouped)
-            references = [session.advance() for session in solo]
-            for reference, outcome in zip(references, outcomes):
-                assert outcome.subnet == reference.subnet == level
-                assert np.array_equal(outcome.logits, reference.logits)
-                assert outcome.macs_charged == reference.macs_charged
-                assert outcome.macs_reused == reference.macs_reused
-                assert outcome.macs_recomputed == reference.macs_recomputed
-            if level == 2 and group_backend.reuses_activations:
+            outcomes = backend.advance_group(grouped)
+            for index, (reference, outcome) in enumerate(zip(references, outcomes)):
+                assert outcome.subnet == level
+                assert np.array_equal(outcome.logits, reference[level])
+                if level == 2 and index == 1:
+                    replayed = backend.recompute_macs(1)
+                    assert outcome.macs_recomputed == replayed
+                    assert outcome.macs_charged == backend.step_cost(1, 2) + replayed
+                    assert outcome.macs_reused == 0.0  # rebuilt, not served from memory
+                else:
+                    self._assert_step_macs(backend, outcome, level)
+            if level == 2 and backend.reuses_activations:
                 assert outcomes[1].macs_recomputed > 0
         assert grouped[1].current_subnet == stepping_network.num_subnets - 1
 

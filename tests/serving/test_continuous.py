@@ -430,6 +430,10 @@ class _StubSession:
     def next_subnet(self):
         return self._next
 
+    @property
+    def edge(self):
+        return self.current_subnet, self._next
+
     def pending_recompute_macs(self):
         return self._recompute
 

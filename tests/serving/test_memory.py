@@ -247,7 +247,6 @@ class TestEvictionPolicies:
             session = backend.open(images[:batch])
             for _ in range(level + 1):
                 session.advance()
-            session.suspend()
             jobs.append(
                 ServingJob(
                     request=Request(request_id=index, arrival_time=0.0, inputs=images[:batch]),

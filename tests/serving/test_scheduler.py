@@ -211,13 +211,17 @@ class TestReadyQueueFuzz:
 
         class _Session:
             def __init__(self):
-                self.current_subnet = 0
+                self.current_subnet = -1
                 self._next = 0
                 self._recompute = 0.0
                 self._macs = 1.0
 
             def next_subnet(self):
                 return self._next
+
+            @property
+            def edge(self):
+                return self.current_subnet, self._next
 
             def pending_recompute_macs(self):
                 return self._recompute
