@@ -14,9 +14,12 @@ can run it as a smoke job::
 
 Results are written as machine-readable JSON (default
 ``benchmarks/results/BENCH_plan.json``) so per-PR perf regressions are
-visible as artefact diffs.  Its ``gemm_macs`` section is an exact count,
-not a timing: the conv GEMM MACs one prefix ladder issues against the
-full-depth count, which ``bench_check.py`` gates.
+visible as artefact diffs.  Two sections are exact, not timings, and
+``bench_check.py`` gates both: ``gemm_macs`` counts the conv GEMM MACs
+one prefix ladder issues against the full-depth count, and
+``equivalence`` checks that the ladder's logits are bit-equal whether
+each step runs its warm edge program, its cold one (``aux`` dropped
+before every step), or as one member of a 3-member ``execute_batch``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from repro.baselines.common import set_prefix_assignments
 from repro.core import IncrementalInference, NetworkPlan, SteppingNetwork
-from repro.core.plan import _HiddenStep
+from repro.core.plan import BatchMember, _HiddenStep
 from repro.core.pruning import apply_unstructured_pruning
 from repro.models import lenet_3c1l
 from repro.runtime.platform import ResourceTrace
@@ -84,6 +87,52 @@ def gemm_macs(network) -> dict:
         "full_depth": full_depth,
         "ratio": issued / full_depth,
     }
+
+
+def equivalence(network, inputs) -> dict:
+    """Exact: the prefix ladder's logits, bit-equal three ways.
+
+    Against warm steps (each step's buffers left by the last), the same
+    ladder with ``aux`` dropped before every step runs each edge's cold
+    program, and the same inputs as one member of a 3-member
+    ``execute_batch`` run the batched walk.  Checked at one sample and
+    at the benchmark's batch, so the in-place single-sample conv GEMM is
+    covered too.
+    """
+    plan = NetworkPlan.for_network(network, dtype=DTYPE)
+    ladder = range(plan.num_subnets)
+
+    def solo(samples, drop_aux):
+        cache, aux, logits, level, out = {}, {}, None, -1, []
+        for target in ladder:
+            if drop_aux:
+                aux.clear()
+            logits = plan.execute(samples, cache, aux, logits, level, target)
+            level = target
+            out.append(logits.tobytes())
+        return out
+
+    def batched(samples):
+        members = [
+            BatchMember(inputs=x, cache={}, aux={})
+            for x in (samples, samples[::-1].copy(), -samples)
+        ]
+        level, out = -1, []
+        for target in ladder:
+            logits = plan.execute_batch(members, level, target)
+            for member, member_logits in zip(members, logits):
+                member.logits = member_logits
+            level = target
+            out.append(logits[0].tobytes())
+        return out
+
+    cold = batch = True
+    for samples in (inputs[:1], inputs):
+        samples = samples.astype(DTYPE)
+        warm = solo(samples, drop_aux=False)
+        cold &= solo(samples, drop_aux=True) == warm
+        batch &= batched(samples) == warm
+    return {"warm_equals_cold": cold, "warm_equals_batched": batch}
 
 
 def time_stepping(network, inputs, compiled: bool, repeats: int) -> dict:
@@ -176,6 +225,7 @@ def main() -> None:
         },
         "plan_build_seconds": plan_build_seconds,
         "gemm_macs": gemm_macs(network),
+        "equivalence": equivalence(network, inputs),
         "stepping": {},
         "serving": {},
     }
@@ -197,6 +247,11 @@ def main() -> None:
     print(
         f"conv GEMM MACs per ladder: {macs['issued']} issued vs "
         f"{macs['full_depth']} at full depth ({macs['ratio']:.3f}x)"
+    )
+    print(
+        "ladder logits bit-equal: cold rebuild "
+        f"{results['equivalence']['warm_equals_cold']}, batched member "
+        f"{results['equivalence']['warm_equals_batched']}"
     )
     for label in ("legacy", "compiled"):
         row = step[label]

@@ -316,13 +316,16 @@ class IncrementalInference:
         """Execute ``subnet`` from scratch on a new input batch.
 
         Raises :class:`~repro.utils.errors.ConfigError` unless ``inputs``
-        is a batch of samples of the network's input shape.
+        is a batch of samples of the network's input shape and ``subnet``
+        an integer level (:class:`IndexError` when it is out of range).
+        A rejected call leaves the engine as it was.
         """
-        self.reset()
+        subnet = self._level(subnet)
         inputs = np.asarray(inputs, dtype=self.dtype)
         problem = self.network.spec.input_shape_problem(inputs.shape)
         if problem is not None:
             raise ConfigError(f"inputs {problem}")
+        self.reset()
         self._input = inputs
         return self._expand(-1, subnet)
 
@@ -330,6 +333,7 @@ class IncrementalInference:
         """Expand the current execution to a larger subnet, reusing the cache."""
         if self._input is None:
             raise RuntimeError("call run() before step_to()")
+        subnet = self._level(subnet)
         if subnet <= self._current_subnet:
             raise ValueError(
                 f"step_to target ({subnet}) must be larger than the current subnet "
@@ -342,10 +346,21 @@ class IncrementalInference:
         return self.step_to(self._current_subnet + 1)
 
     # ------------------------------------------------------------------
+    def _level(self, subnet) -> int:
+        """``subnet`` as a level index, checked before any state changes.
+
+        A ``bool`` or a float (even ``2.0``) is a caller's mistake, not a
+        level: it raises :class:`ConfigError` instead of failing deep in
+        the plan or aliasing level ``int(subnet)``.
+        """
+        if isinstance(subnet, (bool, np.bool_)) or not isinstance(subnet, (int, np.integer)):
+            raise ConfigError(f"subnet must be an integer level, got {subnet!r}")
+        if not 0 <= subnet < self.network.num_subnets:
+            raise IndexError(f"subnet index {subnet} out of range")
+        return int(subnet)
+
     def _expand(self, from_subnet: int, to_subnet: int) -> StepResult:
         network = self.network
-        if not 0 <= to_subnet < network.num_subnets:
-            raise IndexError(f"subnet index {to_subnet} out of range")
         if self.compiled:
             # Fast path: pure numpy over the pre-packed plan.  Weights,
             # masks, folded batch norm and MAC counts were all prepared

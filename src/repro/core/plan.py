@@ -62,6 +62,37 @@ state — it is not in ``aux`` and not in :meth:`NetworkPlan.state_nbytes`
 — so a plan is not re-entrant: it runs on one thread at a time, as every
 caller in this package does.
 
+A solo step runs a compiled **edge program**.  The first step over an
+edge ``(from, to)`` compiles a flat tuple of ops, which the plan keeps
+for reuse.  Each op is a closure over one kernel, and its slab, unit
+index, GEMM depth, update set and ``cache``/``aux`` keys are fixed at
+compile time.  A step is then one dict lookup and a loop of calls, with
+no per-block dispatch.  Each edge has two programs, built by one
+compiler from the same kernels:
+
+* The **warm** program runs when ``aux``'s ``"level"`` tag equals
+  ``from``.  The tag is written only after a complete pass, and dropping
+  ``aux`` clears it, so every buffer exists.  The program leaves out
+  every op with nothing to do: a pack whose input channels did not
+  change, a GEMM over an empty slab, a pool of unchanged channels.  On a
+  32-level ladder most edges add no unit to a narrow first layer, and
+  some add none anywhere.
+* The **cold** program serves fresh, dropped and imported states.  It
+  creates any missing buffer and packs every channel active at ``to``,
+  as a rebuilt buffer always has.
+
+Both programs run the same kernels on the same values, so they are
+bit-equal to each other and to the batched walk.  Two kernels write in
+place, where that stores the same values:
+
+* A one-sample conv whose new units form a slice runs its GEMM with
+  ``out=`` set to its contiguous cache block ``cached[0, units]``.  Bias
+  and activation then run there: no temporary and no scatter.  It is the
+  same BLAS call on the same operands; only the output lands elsewhere.
+* A 2x2/stride-2 max pool over a slice of channels writes its second
+  ``np.maximum`` straight into the pooled map.  An element-wise max
+  gives the same values wherever it stores them.
+
 Every unit set is compiled to the cheapest numpy index that selects it
 (:data:`Index`): a basic ``slice`` when the units form one ascending run
 — always the case for prefix assignments, and for the concatenation of
@@ -91,7 +122,10 @@ dispatches one GEMM per member with exactly the solo shapes.  Members are never
 column-concatenated: a BLAS GEMM is not bit-deterministic under
 column-block slicing.  So the batched path is bit-equal (same dtype) to
 :meth:`NetworkPlan.execute` per request, which keeps the
-single-request path usable as the batching correctness oracle.
+single-request path usable as the batching correctness oracle.  The
+batched walk is its own walk, not an edge program.  When every member
+kept its buffers it skips a conv or pool block with nothing to do for
+any of them.
 
 Plans assume eval-mode semantics (batch-norm running statistics) and the
 structural no-new-to-old-synapse rule that makes stepping inference
@@ -103,7 +137,7 @@ weights, masks or assignments and a new plan must be built (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from weakref import WeakKeyDictionary, ref
@@ -298,6 +332,93 @@ class _FlattenStep:
     pass
 
 
+def _fold(x: np.ndarray, op, size: int, axis: int) -> np.ndarray:
+    """``op``-reduce non-overlapping windows of ``size`` along ``axis`` (pairwise)."""
+    lead = (slice(None),) * axis
+    out = x[lead + (slice(0, None, size),)]
+    for offset in range(1, size):
+        out = op(out, x[lead + (slice(offset, None, size),)])
+    return out
+
+
+def _head_full(current: np.ndarray, slab: _Slab, bias: np.ndarray) -> np.ndarray:
+    """Logits from scratch.  The gather uses ``slab.units`` even for a run:
+    a contiguous copy, because the product on a strided view can round
+    differently."""
+    return current[:, slab.units] @ slab.weight + bias
+
+
+def _head_delta(current: np.ndarray, slab: _Slab, logits: np.ndarray) -> np.ndarray:
+    """Logits updated with the contribution of the features ``slab`` adds."""
+    if slab.index is None:
+        return logits.copy()
+    return logits + current[:, slab.units] @ slab.weight
+
+
+#: One op of an edge program, ``op(inputs, cache, aux)``: it reads and
+#: writes one member's buffers under keys fixed at compile time.
+_Op = Callable[[np.ndarray, Dict[int, np.ndarray], Dict], None]
+#: Where an op reads its input map: ``source(inputs, cache, aux)``.
+_Source = Callable[[np.ndarray, Dict[int, np.ndarray], Dict], np.ndarray]
+#: The classifier head, ``head(inputs, cache, aux, logits) -> logits``.
+_Head = Callable[[np.ndarray, Dict[int, np.ndarray], Dict, Optional[np.ndarray]], np.ndarray]
+
+
+@dataclass(frozen=True)
+class _Program:
+    """One ``(from, to)`` edge compiled to a flat op list (warm or cold)."""
+
+    ops: Tuple[_Op, ...]
+    head: _Head
+
+
+def _input_map(inputs: np.ndarray, cache: Dict, aux: Dict) -> np.ndarray:
+    return inputs
+
+
+# Sources are interned: every program reading the same map shares one.
+@lru_cache(maxsize=None)
+def _cache_map(param_index: int) -> _Source:
+    return lambda inputs, cache, aux: cache[param_index]
+
+
+@lru_cache(maxsize=None)
+def _aux_map(key: Tuple[str, int]) -> _Source:
+    return lambda inputs, cache, aux: aux[key]
+
+
+@lru_cache(maxsize=None)
+def _flat_map(source: _Source) -> _Source:
+    def flat(inputs: np.ndarray, cache: Dict, aux: Dict) -> np.ndarray:
+        current = source(inputs, cache, aux)
+        return current.reshape(current.shape[0], -1)
+
+    return flat
+
+
+def _head_op(step: _OutputStep, source: _Source, from_subnet: int, to_subnet: int) -> _Head:
+    """The head of one edge: from scratch at a run's start, else a delta.
+
+    A caller that steps a started state without its logits gets them
+    from scratch, as the legacy path does.
+    """
+    full, bias = step.slabs.pack(-1, to_subnet), step.bias
+
+    def start(inputs: np.ndarray, cache: Dict, aux: Dict, logits) -> np.ndarray:
+        return _head_full(source(inputs, cache, aux), full, bias)
+
+    if from_subnet < 0:
+        return start
+    delta = step.slabs.pack(from_subnet, to_subnet)
+
+    def head(inputs: np.ndarray, cache: Dict, aux: Dict, logits) -> np.ndarray:
+        if logits is None:
+            return start(inputs, cache, aux, logits)
+        return _head_delta(source(inputs, cache, aux), delta, logits)
+
+    return head
+
+
 @dataclass
 class BatchMember:
     """One request's execution state inside a shared batched step.
@@ -353,6 +474,8 @@ class NetworkPlan:
         #: timing calls; attach via the serving backend so the shared
         #: plan semantics are documented in one place.
         self.timer = None
+        #: Compiled edge programs, built on first use: ``(from, to, warm)``.
+        self._programs: Dict[Tuple[int, int, bool], _Program] = {}
         self._compile(network)
 
     # ------------------------------------------------------------------
@@ -562,38 +685,164 @@ class NetworkPlan:
         (column buffers, pooled maps); missing entries are rebuilt from
         the cache, so an empty dict — e.g. state produced by the legacy
         path — is always valid.  Returns the logits of ``to_subnet``.
+
+        The step runs the edge's compiled program: the warm one when
+        ``aux`` was last advanced to ``from_subnet`` by a complete pass,
+        else the cold one, which rebuilds ``aux`` from the cache.
         """
         timer = self.timer
         t0 = perf_counter() if timer is not None else 0.0
-        current = self._begin(inputs, aux, from_subnet)
-        # Index of the current map's channels written by *this* step;
-        # the network input itself never changes within a run.
-        changed: Index = None
-        out: Optional[np.ndarray] = None
-        for step in self.steps:
-            if isinstance(step, _HiddenStep):
-                if step.kind == "conv":
-                    current, changed = self._run_conv(
-                        step, current, changed, cache, aux, from_subnet, to_subnet
-                    )
-                else:
-                    current, changed = self._run_linear(
-                        step, current, cache, from_subnet, to_subnet
-                    )
-            elif isinstance(step, _OutputStep):
-                out = self._run_output(step, current, logits, from_subnet, to_subnet)
-            elif isinstance(step, _PoolStep):
-                current, changed = self._run_pool(
-                    step, current, changed, aux, to_subnet
-                )
-            else:  # flatten
-                current = current.reshape(current.shape[0], -1)
-        if out is None:
-            raise RuntimeError("network has no output layer")
+        warm = from_subnet >= 0 and aux.pop("level", None) == from_subnet
+        if not warm:
+            aux.clear()
+        program = self._programs.get((from_subnet, to_subnet, warm))
+        if program is None:
+            program = self._compile_program(from_subnet, to_subnet, warm)
+        if self.flatten_input and inputs.ndim == 4:
+            inputs = inputs.reshape(inputs.shape[0], -1)
+        for op in program.ops:
+            op(inputs, cache, aux)
+        out = program.head(inputs, cache, aux, logits)
         aux["level"] = to_subnet
         if timer is not None:
             timer.record(f"level{to_subnet}", perf_counter() - t0)
         return out
+
+    def _compile_program(self, from_subnet: int, to_subnet: int, warm: bool) -> _Program:
+        """Compile (and memoise) the warm or cold program of one edge.
+
+        The walk threads, per block, where its input map lives and which
+        of that map's channels this step changed; both are fixed by
+        ``(from, to, warm)``, so every op's slab, index, depth, update set
+        and buffer keys are too.  A warm program omits every op with
+        nothing to do; a cold one allocates ``aux`` and packs every
+        channel active at ``to_subnet``.
+        """
+        ops: List[_Op] = []
+        source: _Source = _input_map
+        changed: Index = None  # the network input never changes within a run
+        head: Optional[_Head] = None
+        for step in self.steps:
+            if isinstance(step, _HiddenStep):
+                slab = step.slabs.pack(from_subnet, to_subnet)
+                if step.kind == "conv":
+                    update = changed if warm else step.active[to_subnet]
+                    ops.extend(self._conv_ops(step, slab, source, update, warm, to_subnet))
+                else:
+                    ops.extend(self._linear_ops(step, slab, source, warm))
+                source, changed = _cache_map(step.param_index), slab.index
+            elif isinstance(step, _PoolStep):
+                update = changed if warm else step.active[to_subnet]
+                ops.extend(self._pool_ops(step, source, update, warm, to_subnet))
+                source = _aux_map(("pool", step.index))
+            elif isinstance(step, _OutputStep):
+                head = _head_op(step, source, from_subnet, to_subnet)
+            else:  # flatten
+                source = _flat_map(source)
+        if head is None:
+            raise RuntimeError("network has no output layer")
+        program = _Program(tuple(ops), head)
+        self._programs[(from_subnet, to_subnet, warm)] = program
+        return program
+
+    def _conv_ops(
+        self,
+        step: _HiddenStep,
+        slab: _Slab,
+        source: _Source,
+        update: Index,
+        warm: bool,
+        to_subnet: int,
+    ) -> List[_Op]:
+        """A conv block's ops: buffer set-up (cold), im2col pack, GEMM."""
+        ops: List[_Op] = []
+        param, key = step.param_index, ("cols", step.param_index)
+        if not warm:
+
+            def buffers(x: np.ndarray, cache: Dict, aux: Dict) -> None:
+                self._conv_buffers(step, x, None, cache, aux, to_subnet)
+
+            ops.append(buffers)
+        if update is not None:
+
+            def pack(x: np.ndarray, cache: Dict, aux: Dict) -> None:
+                aux[key][update] = self._im2col(step, source(x, cache, aux)[:, update])
+
+            ops.append(pack)
+        if slab.index is not None:
+
+            def gemm(x: np.ndarray, cache: Dict, aux: Dict) -> None:
+                self._conv_gemm(step, slab, aux[key], cache[param])
+
+            ops.append(gemm)
+        return ops
+
+    def _linear_ops(
+        self, step: _HiddenStep, slab: _Slab, source: _Source, warm: bool
+    ) -> List[_Op]:
+        """A linear block's ops: cache set-up (cold) and GEMM.
+
+        Unwritten units are exactly the ones outside ``to_subnet`` and
+        they are zero, so the cache *is* the combined activation map.
+        """
+        ops: List[_Op] = []
+        param = step.param_index
+        if not warm:
+
+            def buffer(x: np.ndarray, cache: Dict, aux: Dict) -> None:
+                self._linear_cache(step, x, cache)
+
+            ops.append(buffer)
+        if slab.index is not None:
+            index, weight_t, bias, activate = slab.index, slab.weight.T, slab.bias, step.activate
+
+            def gemm(x: np.ndarray, cache: Dict, aux: Dict) -> None:
+                z = source(x, cache, aux) @ weight_t
+                z += bias
+                cache[param][:, index] = activate(z, z)
+
+            ops.append(gemm)
+        return ops
+
+    def _pool_ops(
+        self, step: _PoolStep, source: _Source, update: Index, warm: bool, to_subnet: int
+    ) -> List[_Op]:
+        """A pooling block's ops: pooled-map set-up (cold) and the pool itself.
+
+        A 2x2/stride-2 max pool over a slice of channels writes its second
+        ``np.maximum`` straight into the pooled map: an element-wise max
+        moves the same values wherever it stores them.
+        """
+        ops: List[_Op] = []
+        key = ("pool", step.index)
+        if not warm:
+
+            def buffer(x: np.ndarray, cache: Dict, aux: Dict) -> None:
+                self._pool_buffer(step, x, None, aux, to_subnet)
+
+            ops.append(buffer)
+        if update is None:
+            return ops
+        channels = (slice(None), update)
+        if isinstance(update, slice) and step.kind == "max" and step.size == step.stride == 2:
+            height, width = (2 * extent for extent in step.out_spatial)
+            even = channels + (slice(0, height, 2), slice(0, width))
+            odd = channels + (slice(1, height, 2), slice(0, width))
+
+            def pool(x: np.ndarray, cache: Dict, aux: Dict) -> None:
+                current = source(x, cache, aux)
+                rows = np.maximum(current[even], current[odd])
+                np.maximum(rows[..., 0::2], rows[..., 1::2], out=aux[key][channels])
+
+        else:
+
+            def pool(x: np.ndarray, cache: Dict, aux: Dict) -> None:
+                aux[key][channels] = self._pool_channels(
+                    source(x, cache, aux)[channels], step.kind, step.size, step.stride
+                )
+
+        ops.append(pool)
+        return ops
 
     def _begin(self, inputs: np.ndarray, aux: Dict, from_subnet: int) -> np.ndarray:
         """One member's entry into a step: its input map, and its aux buffers checked.
@@ -660,37 +909,19 @@ class NetworkPlan:
         """One member's pooled map, created on first touch, and the channels to pool.
 
         A fresh map pools every channel active at ``to_subnet`` once; a
-        persistent one only the channels this step changed.
+        persistent one only the channels this step changed.  Only the
+        sample count of ``current`` is read, so a cold program passes the
+        network input.
         """
-        batch, _, height, width = current.shape
-        out_h = (height - step.size) // step.stride + 1
-        out_w = (width - step.size) // step.stride + 1
         key = ("pool", step.index)
         pooled = aux.get(key)
         if pooled is None:
-            pooled = np.zeros((batch, step.num_channels, out_h, out_w), dtype=self.dtype)
+            pooled = np.zeros(
+                (current.shape[0], step.num_channels) + step.out_spatial, dtype=self.dtype
+            )
             aux[key] = pooled
             return pooled, step.active[to_subnet]
         return pooled, changed
-
-    def _run_conv(
-        self,
-        step: _HiddenStep,
-        current: np.ndarray,
-        changed: Index,
-        cache: Dict[int, np.ndarray],
-        aux: Dict,
-        from_subnet: int,
-        to_subnet: int,
-    ) -> Tuple[np.ndarray, Index]:
-        cached, cols, update = self._conv_buffers(step, current, changed, cache, aux, to_subnet)
-        if update is not None:
-            cols[update] = self._im2col(step, current[:, update])
-
-        slab = step.slabs.pack(from_subnet, to_subnet)
-        if slab.index is not None:
-            self._conv_gemm(step, slab, cols, cached)
-        return cached, slab.index
 
     def _im2col(self, step: _HiddenStep, images: np.ndarray) -> np.ndarray:
         """Channel-major patches of ``images``, packed through the step's scratch.
@@ -711,7 +942,7 @@ class NetworkPlan:
 
     @staticmethod
     def _conv_gemm(step: _HiddenStep, slab: _Slab, cols: np.ndarray, cached: np.ndarray) -> None:
-        """The one conv kernel: GEMM, bias, activation, scatter into ``cached``.
+        """The one conv kernel: GEMM, bias, activation, written into ``cached``.
 
         ``(new_units, depth) @ (depth, N*oh*ow)``: weights on the left keep
         the activation, bias add and scatter contiguous, and the columns
@@ -719,47 +950,25 @@ class NetworkPlan:
         the channel-major buffer, so no copy.  Solo and batched steps both
         run here with the depth fixed by ``(from, to)``, which is what
         keeps them bit-equal.
+
+        For one sample and a slice of units the product's layout
+        ``(units, oh*ow)`` *is* the cache block ``cached[0, units]``, so
+        the GEMM writes there (``out=``) and bias and activation run in
+        place: the same BLAS call on the same operands, only its output
+        stored elsewhere, so no temporary and no scatter.
         """
         batch, _, out_h, out_w = cached.shape
-        weight = slab.weight
-        z = weight @ cols.reshape(-1, batch * out_h * out_w)[: weight.shape[1]]
+        weight, index = slab.weight, slab.index
+        columns = cols.reshape(-1, batch * out_h * out_w)[: weight.shape[1]]
+        if batch == 1 and isinstance(index, slice):
+            z = np.matmul(weight, columns, out=cached[0, index].reshape(weight.shape[0], -1))
+            z += slab.bias
+            step.activate(z, z)
+            return
+        z = weight @ columns
         z += slab.bias
         step.activate(z, z)
-        cached[:, slab.index] = z.reshape(-1, batch, out_h, out_w).transpose(1, 0, 2, 3)
-
-    def _run_linear(
-        self,
-        step: _HiddenStep,
-        current: np.ndarray,
-        cache: Dict[int, np.ndarray],
-        from_subnet: int,
-        to_subnet: int,
-    ) -> Tuple[np.ndarray, Index]:
-        cached = self._linear_cache(step, current, cache)
-        slab = step.slabs.pack(from_subnet, to_subnet)
-        if slab.index is not None:
-            z = current @ slab.weight.T
-            z += slab.bias
-            cached[:, slab.index] = step.activate(z, z)
-        # Unwritten units are exactly the ones outside ``to_subnet`` and
-        # they are zero, so the cache *is* the combined activation map —
-        # no masked full-width copy needed.
-        return cached, slab.index
-
-    def _run_pool(
-        self,
-        step: _PoolStep,
-        current: np.ndarray,
-        changed: Index,
-        aux: Dict,
-        to_subnet: int,
-    ) -> Tuple[np.ndarray, Index]:
-        pooled, update = self._pool_buffer(step, current, changed, aux, to_subnet)
-        if update is not None:
-            pooled[:, update] = self._pool_channels(
-                current[:, update], step.kind, step.size, step.stride
-            )
-        return pooled, changed
+        cached[:, index] = z.reshape(-1, batch, out_h, out_w).transpose(1, 0, 2, 3)
 
     @staticmethod
     def _pool_channels(x: np.ndarray, kind: str, size: int, stride: int) -> np.ndarray:
@@ -768,39 +977,12 @@ class NetworkPlan:
             # pairwise strided ufunc calls — an order of magnitude faster
             # than a multi-axis reduce, and no im2col materialisation.
             _, _, h, w = x.shape
-            out_h, out_w = h // size, w // size
-            x = x[:, :, : out_h * size, : out_w * size]
+            x = x[:, :, : h // size * size, : w // size * size]
             op = np.maximum if kind == "max" else np.add
-
-            def fold(a: np.ndarray, axis: int) -> np.ndarray:
-                lead = (slice(None),) * axis
-                out = a[lead + (slice(0, None, size),)]
-                for offset in range(1, size):
-                    out = op(out, a[lead + (slice(offset, None, size),)])
-                return out
-
-            out = fold(fold(x, 2), 3)
+            out = _fold(_fold(x, op, size, 2), op, size, 3)
             return out if kind == "max" else out / (size * size)
         pool = max_pool2d_infer if kind == "max" else avg_pool2d_infer
         return pool(x, size, stride)
-
-    def _run_output(
-        self,
-        step: _OutputStep,
-        current: np.ndarray,
-        logits: Optional[np.ndarray],
-        from_subnet: int,
-        to_subnet: int,
-    ) -> np.ndarray:
-        # The gathers use ``slab.units`` even for a run: a contiguous copy,
-        # because the product on a strided view can round differently.
-        if from_subnet < 0 or logits is None:
-            slab = step.slabs.pack(-1, to_subnet)
-            return current[:, slab.units] @ slab.weight + step.bias
-        slab = step.slabs.pack(from_subnet, to_subnet)
-        if slab.index is None:
-            return logits.copy()
-        return logits + current[:, slab.units] @ slab.weight
 
     # ------------------------------------------------------------------
     # Batched execution (shared pass over several in-flight requests)
@@ -837,13 +1019,16 @@ class NetworkPlan:
         timer = self.timer
         t0 = perf_counter() if timer is not None else 0.0
         currents = [self._begin(member.inputs, member.aux, from_subnet) for member in members]
+        # Every member kept its buffers: a block whose slab is empty and
+        # whose input did not change has nothing to do for any of them.
+        warm = all(member.aux for member in members)
         changeds: List[Index] = [None] * len(members)
         outs: List[Optional[np.ndarray]] = [None] * len(members)
         for step in self.steps:
             if isinstance(step, _HiddenStep):
                 if step.kind == "conv":
                     currents, changeds = self._run_conv_batch(
-                        step, members, currents, changeds, from_subnet, to_subnet
+                        step, members, currents, changeds, from_subnet, to_subnet, warm
                     )
                 else:
                     currents, changeds = self._run_linear_batch(
@@ -855,7 +1040,7 @@ class NetworkPlan:
                 )
             elif isinstance(step, _PoolStep):
                 currents, changeds = self._run_pool_batch(
-                    step, members, currents, changeds, to_subnet
+                    step, members, currents, changeds, to_subnet, warm
                 )
             else:  # flatten
                 currents = [c.reshape(c.shape[0], -1) for c in currents]
@@ -918,7 +1103,11 @@ class NetworkPlan:
         changeds: Sequence[Index],
         from_subnet: int,
         to_subnet: int,
+        warm: bool,
     ) -> Tuple[Sequence[np.ndarray], Sequence[Index]]:
+        slab = step.slabs.pack(from_subnet, to_subnet)
+        if warm and slab.index is None and all(changed is None for changed in changeds):
+            return [member.cache[step.param_index] for member in members], changeds
         cacheds, colss, updates = zip(
             *(
                 self._conv_buffers(step, current, changed, member.cache, member.aux, to_subnet)
@@ -937,7 +1126,6 @@ class NetworkPlan:
 
         self._pack_grouped(currents, updates, pack, write)
 
-        slab = step.slabs.pack(from_subnet, to_subnet)
         if slab.index is not None:
             # One solo-shaped GEMM per member, not a stacked batched
             # matmul: the incremental slab is a few units wide while the
@@ -983,7 +1171,10 @@ class NetworkPlan:
         currents: Sequence[np.ndarray],
         changeds: Sequence[Index],
         to_subnet: int,
+        warm: bool,
     ) -> Tuple[Sequence[np.ndarray], Sequence[Index]]:
+        if warm and all(changed is None for changed in changeds):
+            return [member.aux[("pool", step.index)] for member in members], changeds
         pooleds, updates = zip(
             *(
                 self._pool_buffer(step, current, changed, member.aux, to_subnet)
@@ -1012,9 +1203,13 @@ class NetworkPlan:
         initial = [from_subnet < 0 or member.logits is None for member in members]
         if any(initial) and not all(initial):
             # Heterogeneous batch (should not happen at one edge): solo heads.
+            full = step.slabs.pack(-1, to_subnet)
+            delta = step.slabs.pack(from_subnet, to_subnet)
             return [
-                self._run_output(step, current, member.logits, from_subnet, to_subnet)
-                for member, current in zip(members, currents)
+                _head_full(current, full, step.bias)
+                if start
+                else _head_delta(current, delta, member.logits)
+                for member, current, start in zip(members, currents, initial)
             ]
         if all(initial):
             slab = step.slabs.pack(-1, to_subnet)

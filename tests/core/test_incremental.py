@@ -147,6 +147,53 @@ class TestErrors:
         with pytest.raises(IndexError):
             engine.step_to(10)
 
+    @pytest.mark.parametrize("subnet", [1.5, 2.0, True, np.float64(1.0), np.bool_(True)])
+    def test_non_integer_subnet_rejected(self, network, inputs, subnet):
+        """``run(x, 1.5)`` and ``step_to(2.0)`` used to fail deep in the plan
+        with a TypeError, and ``run(x, True)`` returned ``subnet=True``."""
+        engine = IncrementalInference(network)
+        with pytest.raises(ConfigError, match="integer level"):
+            engine.run(inputs, subnet)
+        assert engine.current_subnet == -1
+        engine.run(inputs, 0)
+        with pytest.raises(ConfigError, match="integer level"):
+            engine.step_to(subnet)
+        assert engine.current_subnet == 0
+
+    def test_numpy_integer_subnet_accepted(self, network, inputs):
+        engine = IncrementalInference(network)
+        first = engine.run(inputs, np.int64(0))
+        stepped = engine.step_to(np.int32(2))
+        assert type(first.subnet) is int and type(stepped.subnet) is int
+        oracle = IncrementalInference(network)
+        oracle.run(inputs, 0)
+        assert stepped.logits.tobytes() == oracle.step_to(2).logits.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad_call, error",
+        [
+            (lambda engine, x: engine.run(x, 9), IndexError),
+            (lambda engine, x: engine.run(x, -1), IndexError),
+            (lambda engine, x: engine.run(x, 1.0), ConfigError),
+            (lambda engine, x: engine.run(x[:, :2], 1), ConfigError),
+        ],
+        ids=["out_of_range", "negative", "float", "bad_shape"],
+    )
+    def test_rejected_run_leaves_the_engine_unchanged(self, network, inputs, bad_call, error):
+        """A rejected ``run`` used to reset the engine first: after
+        ``run(x, 1)`` it left ``_input`` set and ``current_subnet == -1``,
+        so a following ``step_to(2)`` silently ran from scratch."""
+        engine = IncrementalInference(network)
+        engine.run(inputs, 1)
+        other = np.random.default_rng(11).standard_normal(inputs.shape)
+        with pytest.raises(error):
+            bad_call(engine, other)
+        assert engine.current_subnet == 1
+        assert [step.subnet for step in engine.steps] == [1]
+        oracle = IncrementalInference(network)
+        oracle.run(inputs, 1)
+        assert engine.step_to(2).logits.tobytes() == oracle.step_to(2).logits.tobytes()
+
     def test_anytime_schedule_requires_levels(self, network, inputs):
         with pytest.raises(ValueError):
             anytime_schedule(network, inputs, subnets=[])

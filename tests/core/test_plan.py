@@ -606,3 +606,113 @@ class TestScratchReuseOracle:
                 for g, w in zip(got, want):
                     assert g.tobytes() == w.tobytes(), (batch, walk)
         assert all(step.scratch.shape[0] == 9 for step in _conv_steps(shared))
+
+
+def _ladder_network(spec, levels: int, assignment: str):
+    """``spec`` as a pruned ``levels``-level stepping net, prefix or shuffled.
+
+    The prefix fractions are the 32-level serving ladder's: a 1/16 entry
+    subnet, then equal steps, so most edges add no unit to the narrow
+    first layers.
+    """
+    network = SteppingNetwork(spec, num_subnets=levels, rng=np.random.default_rng(0))
+    if assignment == "prefix":
+        entry = 1.0 / 16.0 if levels > 4 else 1.0 / levels
+        set_prefix_assignments(
+            network, [entry + level * (1.0 - entry) / (levels - 1) for level in range(levels)]
+        )
+    else:
+        shuffle_rng = np.random.default_rng(7)
+        for block in network.parametric_blocks():
+            if not block.is_output:
+                drawn = shuffle_rng.integers(0, levels, size=block.layer.assignment.num_units)
+                drawn[0] = 0
+                block.layer.assignment.set_assignment(drawn)
+    network.assignment.validate()
+    warm = np.random.default_rng(1).standard_normal((4,) + tuple(spec.input_shape))
+    network.train()
+    network.forward(warm, subnet=levels - 1)
+    network.eval()
+    apply_unstructured_pruning(network, 3e-2)
+    return network
+
+
+class TestEdgeProgramOracle:
+    """Every ``(from, to)`` edge, jumps included, three ways, byte for byte:
+
+    * the warm program, on a state a complete pass left at ``from``;
+    * the cold program, on the same state after ``drop_aux`` — it
+      rebuilds every column buffer and pooled map from the cache;
+    * the same state as one member of a 3-member ``execute_batch``, whose
+      walk is independent of the compiled programs.
+
+    Logits, activation caches and rebuilt ``aux`` buffers must all agree.
+    A warm program that leaves out an op with work to do (say, a pool's
+    update) or runs one on the wrong channels breaks the first two apart.
+    """
+
+    NETWORKS = {
+        "vgg16": (lambda: vgg16(num_classes=10, width_scale=0.25), 4),
+        "tiny_cnn32": (
+            lambda: tiny_cnn(num_classes=10, input_shape=(3, 12, 12), width_scale=0.5).expand(1.5),
+            32,
+        ),
+    }
+
+    @staticmethod
+    def _state_bytes(state):
+        arrays = [state.logits] + [state.cache[key] for key in sorted(state.cache)]
+        arrays += [state.aux[key] for key in sorted(state.aux, key=repr) if key != "level"]
+        return [(array.dtype.str, array.shape, array.tobytes()) for array in arrays]
+
+    @staticmethod
+    def _step(plan, state, to_subnet):
+        state.logits = plan.execute(
+            state.input, state.cache, state.aux, state.logits, state.current_subnet, to_subnet
+        )
+        state.current_subnet = to_subnet
+        return state
+
+    @pytest.mark.parametrize("model_name", sorted(NETWORKS))
+    @pytest.mark.parametrize("assignment", ["prefix", "shuffled"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_warm_cold_and_batched_agree_on_every_edge(self, model_name, assignment, dtype):
+        from repro.core.incremental import InferenceState
+
+        make, levels = self.NETWORKS[model_name]
+        spec = make()
+        network = _ladder_network(spec, levels, assignment)
+        plan = NetworkPlan(network, dtype=dtype)
+        rng = np.random.default_rng(9)
+        for batch in (1, 3):
+            shape = (batch,) + tuple(spec.input_shape)
+            states = [
+                InferenceState.fresh(rng.standard_normal(shape).astype(dtype)) for _ in range(3)
+            ]
+            for from_subnet in range(-1, levels - 1):
+                for to_subnet in range(from_subnet + 1, levels):
+                    warm = self._step(plan, states[0].copy(), to_subnet)
+                    cold = states[0].copy()
+                    cold.drop_aux()
+                    cold = self._step(plan, cold, to_subnet)
+                    group = [state.copy() for state in states]
+                    members = [
+                        BatchMember(inputs=s.input, cache=s.cache, aux=s.aux, logits=s.logits)
+                        for s in group
+                    ]
+                    batched = group[0]
+                    batched.logits = plan.execute_batch(members, from_subnet, to_subnet)[0]
+                    want = self._state_bytes(warm)
+                    edge = (batch, from_subnet, to_subnet)
+                    assert self._state_bytes(cold) == want, edge
+                    assert self._state_bytes(batched) == want, edge
+                # Walk the ladder one warm step to reach the next ``from``.
+                states = [self._step(plan, state, from_subnet + 1) for state in states]
+        warm_ops = {key[:2]: len(p.ops) for key, p in plan._programs.items() if key[2]}
+        cold_ops = {key[:2]: len(p.ops) for key, p in plan._programs.items() if not key[2]}
+        assert len(cold_ops) == levels * (levels + 1) // 2
+        assert len(warm_ops) == levels * (levels - 1) // 2
+        assert all(warm_ops[edge] < cold_ops[edge] for edge in warm_ops)
+        if model_name == "tiny_cnn32" and assignment == "prefix":
+            # Elision is real here: some edges skip whole layers, some all of them.
+            assert len(set(warm_ops.values())) > 1 and min(warm_ops.values()) == 0
