@@ -3,15 +3,16 @@
 
 The production question behind `repro.serving.batching`: when many
 single-image requests hit one accelerator, what does coalescing
-same-level requests into shared-plan forward passes buy?  The *same*
+same-level requests into shared dispatches buy?  The *same*
 Poisson stream is served by the same network, trace and FIFO scheduler
 under ``batch_policy="none"`` (the correctness oracle) and
 ``"same-level"`` at max batch sizes 4 / 8 / 16, measuring
 
 * host wall-clock of the whole serving run and executed subnet steps
-  per wall-second — the shared passes replace ``B`` plan walks with
-  one, which is the real-hardware analogue of kernel-launch and
-  weight-reload amortisation;
+  per wall-second — each member still runs its own compiled edge
+  program, so the gain is engine-dispatch amortisation: one scheduling
+  decision, one event and one overhead charge per group instead of per
+  request;
 * simulated makespan / p95 latency — batches charge the sum of member
   MACs but a single per-step overhead, so coalescing also helps the
   modelled accelerator;

@@ -4,7 +4,7 @@
 The production question behind ``ContinuousBatching``: early-exit
 workloads make lockstep waves *decay* — most requests stop after their
 first level, so a wave that dispatched 16-wide drags on as a skinny
-survivor chain, and windowed batching burns one plan walk per near-empty
+survivor chain, and windowed batching burns one dispatch per near-empty
 pass.  Continuous batching instead tops the in-flight wave back up at
 every step boundary with ready laggards, which catch up inside the
 dispatch and ride the shared pass, bit-equal per request to solo

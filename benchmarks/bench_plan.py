@@ -95,7 +95,7 @@ def equivalence(network, inputs) -> dict:
     Against warm steps (each step's buffers left by the last), the same
     ladder with ``aux`` dropped before every step runs each edge's cold
     program, and the same inputs as one member of a 3-member
-    ``execute_batch`` run the batched walk.  Checked at one sample and
+    ``execute_batch`` run through the group entry point.  Checked at one sample and
     at the benchmark's batch, so the in-place single-sample conv GEMM is
     covered too.
     """

@@ -1,11 +1,12 @@
-"""Batched serving: coalescing same-level requests into shared passes.
+"""Batched serving: coalescing same-level requests into shared dispatches.
 
 Under heavy multi-tenant traffic the serving engine's queue fills with
-requests that all need the *same* per-level slab matmul — the compiled
-plan makes that work identical per request, so the batching policies in
-:mod:`repro.serving.batching` fuse it: the scheduler's winner and every
-compatible ready job at its subnet edge advance through one
-``NetworkPlan.execute_batch`` pass, bit-equal per request to unbatched
+requests that all need the *same* subnet step — the compiled plan runs
+one edge program per ``(current -> next)`` edge, so the batching
+policies in :mod:`repro.serving.batching` coalesce them: the
+scheduler's winner and every compatible ready job at its subnet edge
+advance in one ``NetworkPlan.execute_batch`` dispatch (each member
+through the edge's program), bit-equal per request to unbatched
 serving.
 
 This example pushes one oversubscribed Poisson stream of single-image
@@ -57,7 +58,7 @@ def build_network():
 
 
 def main() -> None:
-    print(format_experiment_header("Batched serving: shared-plan forward passes"))
+    print(format_experiment_header("Batched serving: shared dispatches"))
     network = build_network()
     largest = float(network.subnet_macs(network.num_subnets - 1))
     trace = ResourceTrace.constant(largest / 0.04, name="steady")

@@ -93,8 +93,10 @@ class InferenceState:
 
         Every serving session starts from one.  Stepping it from level
         -1 — through :meth:`~repro.core.plan.NetworkPlan.execute_batch`,
-        or through ``import_state`` and ``step_to`` on an engine — is
-        semantically identical to ``run()`` on a fresh engine.
+        which runs each member through the compiled edge program
+        ``run()`` runs, or through ``import_state`` and ``step_to`` on an
+        engine — is semantically identical to ``run()`` on a fresh
+        engine.
         ``inputs`` must already be validated and cast to the inference
         dtype, as ``run()`` does.
         """

@@ -46,8 +46,8 @@ concatenated slab of a step ``from -> to`` is zero-padded to
 ``depth[to]``, and the GEMM reads the buffer's leading ``depth[to]`` rows
 — a contiguous prefix, so no copy.  The depth is computed from the unit
 sets, not from whether they compile to a slice, and it is a function of
-``(from, to)`` alone, so solo, batched and rebuilt-buffer steps run the
-same product and stay bit-equal to each other.  Against a full-depth
+``(from, to)`` alone, so warm and rebuilt-buffer steps run the same
+product and stay bit-equal to each other.  Against a full-depth
 product of the same step, a shorter BLAS reduction can round
 differently (an ulp or so): compiled logits hold the documented
 tolerance against the legacy oracle (float64 rtol 1e-9, float32 rtol
@@ -62,7 +62,7 @@ state — it is not in ``aux`` and not in :meth:`NetworkPlan.state_nbytes`
 — so a plan is not re-entrant: it runs on one thread at a time, as every
 caller in this package does.
 
-A solo step runs a compiled **edge program**.  The first step over an
+Every step runs a compiled **edge program**.  The first step over an
 edge ``(from, to)`` compiles a flat tuple of ops, which the plan keeps
 for reuse.  Each op is a closure over one kernel, and its slab, unit
 index, GEMM depth, update set and ``cache``/``aux`` keys are fixed at
@@ -82,8 +82,8 @@ compiler from the same kernels:
   as a rebuilt buffer always has.
 
 Both programs run the same kernels on the same values, so they are
-bit-equal to each other and to the batched walk.  Two kernels write in
-place, where that stores the same values:
+bit-equal to each other.  Two kernels write in place, where that stores
+the same values:
 
 * A one-sample conv whose new units form a slice runs its GEMM with
   ``out=`` set to its contiguous cache block ``cached[0, units]``.  Bias
@@ -107,25 +107,12 @@ the output head: it gathers its delta features as a contiguous *copy*
 strided view can round differently from the same product on a
 contiguous operand (observed on float64 logits).
 
-Because the packed slabs are read-only and identical for every request
-at the same subnet edge, a plan can also advance *several* in-flight
-inferences in one shared pass (:meth:`NetworkPlan.execute_batch`): the
-layer walk and the slab lookup are shared, and so are im2col packing and
-pooling (members with the same update set go through one call over
-their sample-axis concatenation), while each member's slab product and
-the scatter into its private cache stay per request.  A conv slab
-runs one solo-shaped GEMM per member over that member's column buffer —
-stacking the full-width buffers would copy more bytes than the narrow
-incremental slab computes — while linear slabs and the output-head
-delta run one stacked 3-D matmul when the members' shapes agree, which
-dispatches one GEMM per member with exactly the solo shapes.  Members are never
-column-concatenated: a BLAS GEMM is not bit-deterministic under
-column-block slicing.  So the batched path is bit-equal (same dtype) to
-:meth:`NetworkPlan.execute` per request, which keeps the
-single-request path usable as the batching correctness oracle.  The
-batched walk is its own walk, not an edge program.  When every member
-kept its buffers it skips a conv or pool block with nothing to do for
-any of them.
+A group of in-flight inferences at one subnet edge advances in one call
+(:meth:`NetworkPlan.execute_batch`), the unit a serving backend
+dispatches.  The call runs each member through the edge's program on
+the member's own ``cache`` and ``aux``, so every member's logits are
+:meth:`NetworkPlan.execute`'s by construction.  No host work is shared
+between members: packing, pooling and every GEMM run per member.
 
 Plans assume eval-mode semantics (batch-norm running statistics) and the
 structural no-new-to-old-synapse rule that makes stepping inference
@@ -421,7 +408,7 @@ def _head_op(step: _OutputStep, source: _Source, from_subnet: int, to_subnet: in
 
 @dataclass
 class BatchMember:
-    """One request's execution state inside a shared batched step.
+    """One request's execution state inside a batched step.
 
     Holds *references* to the request's live state (the same arrays an
     :class:`~repro.core.incremental.InferenceState` carries): ``cache``
@@ -692,6 +679,62 @@ class NetworkPlan:
         """
         timer = self.timer
         t0 = perf_counter() if timer is not None else 0.0
+        out = self._run(inputs, cache, aux, logits, from_subnet, to_subnet)
+        if timer is not None:
+            timer.record(f"level{to_subnet}", perf_counter() - t0)
+        return out
+
+    def execute_batch(
+        self,
+        members: Sequence[BatchMember],
+        from_subnet: int,
+        to_subnet: int,
+    ) -> List[np.ndarray]:
+        """Advance every member from ``from_subnet`` to ``to_subnet``.
+
+        All members sit at the same subnet edge (the batching policy
+        guarantees this).  Each member runs the edge's compiled program
+        on its own ``cache``/``aux``, exactly as :meth:`execute` would, so
+        the returned logits are :meth:`execute`'s by construction and a
+        member may differ from the others in sample count or in whether
+        its buffers are warm.  A lone member enters through
+        :meth:`execute` and is timed as ``level{to}``; a larger group
+        runs the same program per member without calling
+        :meth:`execute`, so a wrapper counting work on both entry points
+        counts each member once, and is timed once as
+        ``batch_level{to}``.
+        """
+        if not members:
+            raise ValueError("execute_batch needs at least one member")
+        if len(members) == 1:
+            member = members[0]
+            return [
+                self.execute(
+                    member.inputs, member.cache, member.aux, member.logits,
+                    from_subnet, to_subnet,
+                )
+            ]
+        timer = self.timer
+        t0 = perf_counter() if timer is not None else 0.0
+        outs = [
+            self._run(m.inputs, m.cache, m.aux, m.logits, from_subnet, to_subnet)
+            for m in members
+        ]
+        if timer is not None:
+            timer.record(f"batch_level{to_subnet}", perf_counter() - t0)
+        return outs
+
+    def _run(
+        self,
+        inputs: np.ndarray,
+        cache: Dict[int, np.ndarray],
+        aux: Dict,
+        logits: Optional[np.ndarray],
+        from_subnet: int,
+        to_subnet: int,
+    ) -> np.ndarray:
+        """Run one member's step over its edge program (the untimed body of
+        :meth:`execute`, which :meth:`execute_batch` loops)."""
         warm = from_subnet >= 0 and aux.pop("level", None) == from_subnet
         if not warm:
             aux.clear()
@@ -704,8 +747,6 @@ class NetworkPlan:
             op(inputs, cache, aux)
         out = program.head(inputs, cache, aux, logits)
         aux["level"] = to_subnet
-        if timer is not None:
-            timer.record(f"level{to_subnet}", perf_counter() - t0)
         return out
 
     def _compile_program(self, from_subnet: int, to_subnet: int, warm: bool) -> _Program:
@@ -727,13 +768,13 @@ class NetworkPlan:
                 slab = step.slabs.pack(from_subnet, to_subnet)
                 if step.kind == "conv":
                     update = changed if warm else step.active[to_subnet]
-                    ops.extend(self._conv_ops(step, slab, source, update, warm, to_subnet))
+                    ops.extend(self._conv_ops(step, slab, source, update, warm))
                 else:
                     ops.extend(self._linear_ops(step, slab, source, warm))
                 source, changed = _cache_map(step.param_index), slab.index
             elif isinstance(step, _PoolStep):
                 update = changed if warm else step.active[to_subnet]
-                ops.extend(self._pool_ops(step, source, update, warm, to_subnet))
+                ops.extend(self._pool_ops(step, source, update, warm))
                 source = _aux_map(("pool", step.index))
             elif isinstance(step, _OutputStep):
                 head = _head_op(step, source, from_subnet, to_subnet)
@@ -746,13 +787,7 @@ class NetworkPlan:
         return program
 
     def _conv_ops(
-        self,
-        step: _HiddenStep,
-        slab: _Slab,
-        source: _Source,
-        update: Index,
-        warm: bool,
-        to_subnet: int,
+        self, step: _HiddenStep, slab: _Slab, source: _Source, update: Index, warm: bool
     ) -> List[_Op]:
         """A conv block's ops: buffer set-up (cold), im2col pack, GEMM."""
         ops: List[_Op] = []
@@ -760,7 +795,7 @@ class NetworkPlan:
         if not warm:
 
             def buffers(x: np.ndarray, cache: Dict, aux: Dict) -> None:
-                self._conv_buffers(step, x, None, cache, aux, to_subnet)
+                self._conv_buffers(step, x.shape[0], cache, aux)
 
             ops.append(buffers)
         if update is not None:
@@ -790,7 +825,7 @@ class NetworkPlan:
         if not warm:
 
             def buffer(x: np.ndarray, cache: Dict, aux: Dict) -> None:
-                self._linear_cache(step, x, cache)
+                self._linear_cache(step, x.shape[0], cache)
 
             ops.append(buffer)
         if slab.index is not None:
@@ -805,7 +840,7 @@ class NetworkPlan:
         return ops
 
     def _pool_ops(
-        self, step: _PoolStep, source: _Source, update: Index, warm: bool, to_subnet: int
+        self, step: _PoolStep, source: _Source, update: Index, warm: bool
     ) -> List[_Op]:
         """A pooling block's ops: pooled-map set-up (cold) and the pool itself.
 
@@ -818,7 +853,7 @@ class NetworkPlan:
         if not warm:
 
             def buffer(x: np.ndarray, cache: Dict, aux: Dict) -> None:
-                self._pool_buffer(step, x, None, aux, to_subnet)
+                self._pool_buffer(step, x.shape[0], aux)
 
             ops.append(buffer)
         if update is None:
@@ -844,84 +879,35 @@ class NetworkPlan:
         ops.append(pool)
         return ops
 
-    def _begin(self, inputs: np.ndarray, aux: Dict, from_subnet: int) -> np.ndarray:
-        """One member's entry into a step: its input map, and its aux buffers checked.
+    # Cold set-up: a cold program runs on a cleared ``aux``, and the
+    # network input's sample count is every buffer's batch axis.
+    def _conv_buffers(self, step: _HiddenStep, samples: int, cache: Dict, aux: Dict) -> None:
+        """One member's conv output map (if missing) and a fresh column buffer.
 
-        The incremental buffers are valid only for the subnet level they
-        were last advanced to.  If the state progressed through another
-        path in between (e.g. legacy steps on an imported state), the
-        buffers lag the cache: drop them and repack from the cache.
+        The persistent channel-major column buffer is
+        ``(C, kh, kw, N, oh, ow)``; a warm step re-packs only the channels
+        it activated, and a fresh one every channel active at the step's
+        target level, once.
         """
-        if aux.pop("level", None) != from_subnet:
-            aux.clear()
-        if self.flatten_input and inputs.ndim == 4:
-            return inputs.reshape(inputs.shape[0], -1)
-        return inputs
-
-    def _conv_buffers(
-        self,
-        step: _HiddenStep,
-        current: np.ndarray,
-        changed: Index,
-        cache: Dict[int, np.ndarray],
-        aux: Dict,
-        to_subnet: int,
-    ) -> Tuple[np.ndarray, np.ndarray, Index]:
-        """One member's conv output map and column buffer, created on first touch.
-
-        Returns ``(cached, cols, update)``: ``update`` indexes the input
-        channels the step must pack.  The persistent channel-major column
-        buffer is ``(C, kh, kw, N, oh, ow)``; only the channels this step
-        activated are re-packed, and a fresh buffer (new run, or state
-        produced by the legacy path) packs every channel active at
-        ``to_subnet`` once.
-        """
-        batch = current.shape[0]
         out_h, out_w = step.out_spatial
-        cached = cache.get(step.param_index)
-        if cached is None:
-            cached = np.zeros((batch, step.num_units, out_h, out_w), dtype=self.dtype)
-            cache[step.param_index] = cached
-        key = ("cols", step.param_index)
-        cols = aux.get(key)
-        if cols is None:
-            cols = np.zeros(
-                (step.in_channels,) + step.kernel + (batch, out_h, out_w),
-                dtype=self.dtype,
+        if step.param_index not in cache:
+            cache[step.param_index] = np.zeros(
+                (samples, step.num_units, out_h, out_w), dtype=self.dtype
             )
-            aux[key] = cols
-            return cached, cols, step.active[to_subnet]
-        return cached, cols, changed
+        aux[("cols", step.param_index)] = np.zeros(
+            (step.in_channels,) + step.kernel + (samples, out_h, out_w), dtype=self.dtype
+        )
 
-    def _linear_cache(
-        self, step: _HiddenStep, current: np.ndarray, cache: Dict[int, np.ndarray]
-    ) -> np.ndarray:
-        """One member's linear output map, created (zeros) on first touch."""
-        cached = cache.get(step.param_index)
-        if cached is None:
-            cached = np.zeros((current.shape[0], step.num_units), dtype=self.dtype)
-            cache[step.param_index] = cached
-        return cached
+    def _linear_cache(self, step: _HiddenStep, samples: int, cache: Dict) -> None:
+        """One member's linear output map, created (zeros) if missing."""
+        if step.param_index not in cache:
+            cache[step.param_index] = np.zeros((samples, step.num_units), dtype=self.dtype)
 
-    def _pool_buffer(
-        self, step: _PoolStep, current: np.ndarray, changed: Index, aux: Dict, to_subnet: int
-    ) -> Tuple[np.ndarray, Index]:
-        """One member's pooled map, created on first touch, and the channels to pool.
-
-        A fresh map pools every channel active at ``to_subnet`` once; a
-        persistent one only the channels this step changed.  Only the
-        sample count of ``current`` is read, so a cold program passes the
-        network input.
-        """
-        key = ("pool", step.index)
-        pooled = aux.get(key)
-        if pooled is None:
-            pooled = np.zeros(
-                (current.shape[0], step.num_channels) + step.out_spatial, dtype=self.dtype
-            )
-            aux[key] = pooled
-            return pooled, step.active[to_subnet]
-        return pooled, changed
+    def _pool_buffer(self, step: _PoolStep, samples: int, aux: Dict) -> None:
+        """One member's fresh pooled map."""
+        aux[("pool", step.index)] = np.zeros(
+            (samples, step.num_channels) + step.out_spatial, dtype=self.dtype
+        )
 
     def _im2col(self, step: _HiddenStep, images: np.ndarray) -> np.ndarray:
         """Channel-major patches of ``images``, packed through the step's scratch.
@@ -947,7 +933,7 @@ class NetworkPlan:
         ``(new_units, depth) @ (depth, N*oh*ow)``: weights on the left keep
         the activation, bias add and scatter contiguous, and the columns
         are the buffer's leading ``depth`` rows — a contiguous prefix of
-        the channel-major buffer, so no copy.  Solo and batched steps both
+        the channel-major buffer, so no copy.  Warm and cold programs both
         run here with the depth fixed by ``(from, to)``, which is what
         keeps them bit-equal.
 
@@ -983,248 +969,6 @@ class NetworkPlan:
             return out if kind == "max" else out / (size * size)
         pool = max_pool2d_infer if kind == "max" else avg_pool2d_infer
         return pool(x, size, stride)
-
-    # ------------------------------------------------------------------
-    # Batched execution (shared pass over several in-flight requests)
-    # ------------------------------------------------------------------
-    def execute_batch(
-        self,
-        members: Sequence[BatchMember],
-        from_subnet: int,
-        to_subnet: int,
-    ) -> List[np.ndarray]:
-        """Advance every member from ``from_subnet`` to ``to_subnet`` in one pass.
-
-        All members must sit at the same subnet edge (the batching policy
-        guarantees this); each member's ``cache``/``aux`` are updated in
-        place with the same layout as :meth:`execute`, and the returned
-        logits are bit-equal (same dtype) to what one :meth:`execute`
-        call per member would produce — the slab matmuls are *stacked*
-        on a leading member axis rather than column-concatenated, so
-        every member runs through a GEMM of exactly the solo shape.
-        Members whose array shapes differ (mixed request batch sizes)
-        transparently fall back to a per-member loop inside the single
-        shared plan walk.
-        """
-        if not members:
-            raise ValueError("execute_batch needs at least one member")
-        if len(members) == 1:
-            member = members[0]
-            return [
-                self.execute(
-                    member.inputs, member.cache, member.aux, member.logits,
-                    from_subnet, to_subnet,
-                )
-            ]
-        timer = self.timer
-        t0 = perf_counter() if timer is not None else 0.0
-        currents = [self._begin(member.inputs, member.aux, from_subnet) for member in members]
-        # Every member kept its buffers: a block whose slab is empty and
-        # whose input did not change has nothing to do for any of them.
-        warm = all(member.aux for member in members)
-        changeds: List[Index] = [None] * len(members)
-        outs: List[Optional[np.ndarray]] = [None] * len(members)
-        for step in self.steps:
-            if isinstance(step, _HiddenStep):
-                if step.kind == "conv":
-                    currents, changeds = self._run_conv_batch(
-                        step, members, currents, changeds, from_subnet, to_subnet, warm
-                    )
-                else:
-                    currents, changeds = self._run_linear_batch(
-                        step, members, currents, from_subnet, to_subnet
-                    )
-            elif isinstance(step, _OutputStep):
-                outs = self._run_output_batch(
-                    step, members, currents, from_subnet, to_subnet
-                )
-            elif isinstance(step, _PoolStep):
-                currents, changeds = self._run_pool_batch(
-                    step, members, currents, changeds, to_subnet, warm
-                )
-            else:  # flatten
-                currents = [c.reshape(c.shape[0], -1) for c in currents]
-        if outs[0] is None:
-            raise RuntimeError("network has no output layer")
-        for member in members:
-            member.aux["level"] = to_subnet
-        if timer is not None:
-            timer.record(f"batch_level{to_subnet}", perf_counter() - t0)
-        return outs  # type: ignore[return-value]
-
-    @staticmethod
-    def _update_groups(
-        currents: Sequence[np.ndarray], updates: Sequence[Index]
-    ) -> Dict[Tuple[object, int], List[int]]:
-        """Members grouped by (update set, sample count) for shared packing.
-
-        Lockstep batches have identical update sets, so this almost
-        always yields one group; a member resuming with a rebuilt buffer
-        simply lands in its own group and packs solo.  A slice is keyed
-        by its bounds, an index array by its bytes.
-        """
-        groups: Dict[Tuple[object, int], List[int]] = {}
-        for index, (current, update) in enumerate(zip(currents, updates)):
-            if update is None:
-                continue
-            if isinstance(update, slice):
-                key = (update.start, update.stop)
-            else:
-                key = update.tobytes()
-            groups.setdefault((key, current.shape[0]), []).append(index)
-        return groups
-
-    @classmethod
-    def _pack_grouped(cls, currents, updates, pack, write) -> None:
-        """One shared packing call per update group, split back per member.
-
-        ``pack`` runs on the sample-axis concatenation of a group's
-        changed channels (pure indexing / per-sample arithmetic, so the
-        per-member slices are bit-exact); ``write(index, update, packed,
-        start, samples)`` scatters member ``index``'s slice into its
-        persistent buffer.  Shared by the conv im2col and pooling steps.
-        """
-        for (_, samples), group in cls._update_groups(currents, updates).items():
-            update = updates[group[0]]
-            if len(group) == 1:
-                packed = pack(currents[group[0]][:, update])
-            else:
-                packed = pack(
-                    np.concatenate([currents[i][:, update] for i in group], axis=0)
-                )
-            for position, index in enumerate(group):
-                write(index, update, packed, position * samples, samples)
-
-    def _run_conv_batch(
-        self,
-        step: _HiddenStep,
-        members: Sequence[BatchMember],
-        currents: Sequence[np.ndarray],
-        changeds: Sequence[Index],
-        from_subnet: int,
-        to_subnet: int,
-        warm: bool,
-    ) -> Tuple[Sequence[np.ndarray], Sequence[Index]]:
-        slab = step.slabs.pack(from_subnet, to_subnet)
-        if warm and slab.index is None and all(changed is None for changed in changeds):
-            return [member.cache[step.param_index] for member in members], changeds
-        cacheds, colss, updates = zip(
-            *(
-                self._conv_buffers(step, current, changed, member.cache, member.aux, to_subnet)
-                for member, current, changed in zip(members, currents, changeds)
-            )
-        )
-
-        # Shared packing: one im2col call per group of members with the
-        # same update set — pure index movement, so splitting the
-        # concatenated patch view back per member is bit-exact.
-        def pack(images: np.ndarray) -> np.ndarray:
-            return self._im2col(step, images)
-
-        def write(index: int, update, packed, start: int, samples: int) -> None:
-            colss[index][update] = packed[:, :, :, start : start + samples]
-
-        self._pack_grouped(currents, updates, pack, write)
-
-        if slab.index is not None:
-            # One solo-shaped GEMM per member, not a stacked batched
-            # matmul: the incremental slab is a few units wide while the
-            # column buffers are full-width, so ``np.stack`` would copy
-            # far more bytes per member than the GEMM computes.  The
-            # per-member products run the solo kernel, keeping the
-            # batched step bit-equal by construction.
-            for cached, cols in zip(cacheds, colss):
-                self._conv_gemm(step, slab, cols, cached)
-        return cacheds, [slab.index] * len(members)
-
-    def _run_linear_batch(
-        self,
-        step: _HiddenStep,
-        members: Sequence[BatchMember],
-        currents: Sequence[np.ndarray],
-        from_subnet: int,
-        to_subnet: int,
-    ) -> Tuple[Sequence[np.ndarray], Sequence[Index]]:
-        cacheds = [
-            self._linear_cache(step, current, member.cache)
-            for member, current in zip(members, currents)
-        ]
-        slab = step.slabs.pack(from_subnet, to_subnet)
-        if slab.index is not None:
-            if len({current.shape for current in currents}) == 1:
-                z = np.stack(currents) @ slab.weight.T
-                z += slab.bias
-                step.activate(z, z)
-                for cached, zb in zip(cacheds, z):
-                    cached[:, slab.index] = zb
-            else:
-                for cached, current in zip(cacheds, currents):
-                    z = current @ slab.weight.T
-                    z += slab.bias
-                    cached[:, slab.index] = step.activate(z, z)
-        return cacheds, [slab.index] * len(members)
-
-    def _run_pool_batch(
-        self,
-        step: _PoolStep,
-        members: Sequence[BatchMember],
-        currents: Sequence[np.ndarray],
-        changeds: Sequence[Index],
-        to_subnet: int,
-        warm: bool,
-    ) -> Tuple[Sequence[np.ndarray], Sequence[Index]]:
-        if warm and all(changed is None for changed in changeds):
-            return [member.aux[("pool", step.index)] for member in members], changeds
-        pooleds, updates = zip(
-            *(
-                self._pool_buffer(step, current, changed, member.aux, to_subnet)
-                for member, current, changed in zip(members, currents, changeds)
-            )
-        )
-        # Pooling is element/window-wise per sample: one call over the
-        # sample-axis concatenation, split back per member, is bit-exact.
-        def pack(channels: np.ndarray) -> np.ndarray:
-            return self._pool_channels(channels, step.kind, step.size, step.stride)
-
-        def write(index: int, update, packed, start: int, samples: int) -> None:
-            pooleds[index][:, update] = packed[start : start + samples]
-
-        self._pack_grouped(currents, updates, pack, write)
-        return pooleds, changeds
-
-    def _run_output_batch(
-        self,
-        step: _OutputStep,
-        members: Sequence[BatchMember],
-        currents: List[np.ndarray],
-        from_subnet: int,
-        to_subnet: int,
-    ) -> List[np.ndarray]:
-        initial = [from_subnet < 0 or member.logits is None for member in members]
-        if any(initial) and not all(initial):
-            # Heterogeneous batch (should not happen at one edge): solo heads.
-            full = step.slabs.pack(-1, to_subnet)
-            delta = step.slabs.pack(from_subnet, to_subnet)
-            return [
-                _head_full(current, full, step.bias)
-                if start
-                else _head_delta(current, delta, member.logits)
-                for member, current, start in zip(members, currents, initial)
-            ]
-        if all(initial):
-            slab = step.slabs.pack(-1, to_subnet)
-            gathered = [current[:, slab.units] for current in currents]
-            if len({g.shape for g in gathered}) == 1:
-                return list(np.stack(gathered) @ slab.weight + step.bias)
-            return [g @ slab.weight + step.bias for g in gathered]
-        slab = step.slabs.pack(from_subnet, to_subnet)
-        if slab.index is None:
-            return [member.logits.copy() for member in members]
-        gathered = [current[:, slab.units] for current in currents]
-        if len({g.shape for g in gathered}) == 1:
-            deltas = np.stack(gathered) @ slab.weight
-            return [member.logits + delta for member, delta in zip(members, deltas)]
-        return [member.logits + g @ slab.weight for member, g in zip(members, gathered)]
 
     # ------------------------------------------------------------------
     # Sharing

@@ -14,8 +14,8 @@ configs.
   combining streams with globally unique ids;
 * :mod:`repro.serving.backend` — the :class:`ExecutionBackend` protocol
   with the SteppingNet (reuse) and recompute (slimmable) backends behind
-  the :data:`BACKENDS` registry, each advancing same-edge groups through
-  one shared-plan pass;
+  the :data:`BACKENDS` registry, each advancing same-edge groups in one
+  dispatch;
 * :mod:`repro.serving.scheduler` — FIFO / EDF / priority plus the
   cost-signal-aware batch-aware / least-recompute / utility-per-mac
   scheduling of subnet steps behind the :data:`SCHEDULERS` registry,
@@ -24,7 +24,7 @@ configs.
 * :mod:`repro.serving.batching` — batching policies
   (:data:`BATCH_POLICIES`: none / same-level / windowed / continuous)
   that coalesce ready requests at one subnet edge into a single
-  shared-plan forward pass, bit-equal per request to unbatched serving;
+  dispatch, bit-equal per request to unbatched serving;
 * :mod:`repro.serving.memory` — the bounded resident-context budget:
   :class:`MemoryBudget` plus pluggable eviction policies
   (:data:`EVICTION_POLICIES`: lru / largest-first / lowest-progress)

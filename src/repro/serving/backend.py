@@ -28,9 +28,10 @@ sessions, so "one batch on an idle device" and "hundreds of requests
 under contention" exercise one code path.
 
 Every step is a *group* step: :meth:`ExecutionBackend.advance_group`
-advances sessions sitting at the same subnet edge through one
-shared-plan pass (:meth:`~repro.core.plan.NetworkPlan.execute_batch`),
-and :meth:`ExecutionSession.advance` is a group of one.  Whether to group
+advances sessions sitting at the same subnet edge in one dispatch
+(:meth:`~repro.core.plan.NetworkPlan.execute_batch`, which runs the
+edge's compiled program once per member), and
+:meth:`ExecutionSession.advance` is a group of one.  Whether to group
 is the serving engine's batching policy's call
 (:mod:`repro.serving.batching`), not the backend's; per-request logits
 are bit-equal to solo :class:`~repro.core.incremental.IncrementalInference`
@@ -373,13 +374,13 @@ class ExecutionBackend:
         return from_subnet, target
 
     def advance_group(self, sessions: Sequence[ExecutionSession]) -> List[StepOutcome]:
-        """Advance every session by one level through one shared pass.
+        """Advance every session by one level in one dispatch.
 
         The only advance path, for groups of one or more: give each
         unstarted or evicted member a fresh state (its input validated
         and cast once), replay an evicted or restored member's executed
-        levels, run the edge's step over every member, and build each
-        outcome.  Only :meth:`step_cost` and :attr:`reuses_activations`
+        levels, run the edge's step on every member (one compiled edge
+        program per member), and build each outcome.  Only :meth:`step_cost` and :attr:`reuses_activations`
         differ between cost models.  Logits are bit-equal (same dtype) to
         each member's solo :class:`IncrementalInference` steps.
         """

@@ -1,11 +1,11 @@
-"""Batching policies: which ready jobs share one forward pass.
+"""Batching policies: which ready jobs share one dispatch.
 
 The serving engine's unit of work is one subnet step, and the compiled
-plan executes the *same* packed slab matmul for every request at the
-same ``(current -> next)`` subnet edge.  A :class:`BatchPolicy` decides,
-at each dispatch boundary, how many of the scheduler's compatible ready
-jobs ride the winner's step as one shared
-:meth:`~repro.core.plan.NetworkPlan.execute_batch` pass:
+plan runs the *same* edge program (the same packed slabs) for every
+request at the same ``(current -> next)`` subnet edge.  A
+:class:`BatchPolicy` decides, at each dispatch boundary, how many of the
+scheduler's compatible ready jobs ride the winner's step as one
+:meth:`~repro.core.plan.NetworkPlan.execute_batch` dispatch:
 
 * :class:`NoBatching` (``"none"``) — one job per step, the pre-batching
   engine behaviour and the correctness oracle (per-request logits of any
@@ -31,15 +31,17 @@ at the winner's edge that its continuation checks would actually
 advance, winner first, companions in scheduler order); the policy only
 chooses how many to take or how long to wait, so scheduling mechanics
 stay in one place.  Mixed-edge jobs are never offered — a request at
-another level can not join the pass, which is what makes the shared
-matmul sound.
+another level can not join the pass, which is what lets one dispatch
+run one edge program for every member.
 
 Simulated-time semantics of a batch: the accelerator charges the *sum*
 of the members' step MACs (the work is real) but only one
 ``overhead_per_step`` (the kernel launch is shared), and every member
-finishes at the same instant.  Wall-clock-wise the simulation itself
-gets faster because one plan walk replaces ``B`` of them — that is the
-speedup :mod:`benchmarks.bench_batching` measures.
+finishes at the same instant.  On the host each member still runs its
+own compiled edge program, so a batch shares no plan work; the
+simulation gets faster wall-clock-wise because the engine schedules,
+books and charges one dispatch instead of ``B`` — the engine-dispatch
+amortisation :mod:`benchmarks.bench_batching` measures.
 """
 
 from __future__ import annotations

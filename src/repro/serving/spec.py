@@ -187,7 +187,7 @@ class ServingSpec:
         (greedy plus mid-wave refills at every step boundary);
         ``max_batch_size`` caps members per shared pass.  Any backend
         runs any policy: grouping is a scheduling choice, and every
-        backend advances a group through one shared plan pass.
+        backend advances a group in one dispatch.
     num_subnets:
         Optional cap on the subnet levels this node serves (shallow
         nodes in heterogeneous fleets); ``None`` serves every level of

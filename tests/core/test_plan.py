@@ -22,6 +22,7 @@ from repro.core.pruning import apply_unstructured_pruning
 from repro.models import mlp, tiny_cnn, vgg16
 from repro.nn.tensor import no_grad
 from repro.serving.backend import RecomputeBackend, SteppingBackend
+from repro.utils.timing import Timer
 
 TOLERANCES = {
     np.dtype(np.float64): dict(rtol=1e-9, atol=1e-10),
@@ -195,6 +196,47 @@ class TestPlanObject:
         want = legacy.run(inputs, subnet=3).logits
         np.testing.assert_allclose(after, want, rtol=1e-9, atol=1e-10)
         assert not np.allclose(after, before)
+
+
+class TestBatchEntryPoints:
+    """The entry rules the span tracer's work counter relies on: a lone
+    member enters through the public ``execute`` and is timed as
+    ``level{t}``; a group never calls it (its MACs would count twice) and
+    is timed once, as ``batch_level{t}``."""
+
+    @staticmethod
+    def _counted_step(monkeypatch, size):
+        network, inputs = _conv_network()
+        plan = NetworkPlan(network, dtype=np.float64)
+        members = [BatchMember(inputs=inputs[i : i + 1], cache={}, aux={}) for i in range(size)]
+        for member, logits in zip(members, plan.execute_batch(members, -1, 0)):
+            member.logits = logits
+        calls = []
+        execute = NetworkPlan.execute
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return execute(self, *args, **kwargs)
+
+        monkeypatch.setattr(NetworkPlan, "execute", counted)
+        plan.timer = Timer()
+        plan.execute_batch(members, 0, 1)
+        return len(calls), plan.timer
+
+    def test_lone_member_enters_through_execute(self, monkeypatch):
+        calls, timer = self._counted_step(monkeypatch, 1)
+        assert calls == 1
+        assert timer.count("level1") == 1 and timer.count("batch_level1") == 0
+
+    def test_group_bypasses_execute_and_is_timed_once(self, monkeypatch):
+        calls, timer = self._counted_step(monkeypatch, 3)
+        assert calls == 0
+        assert timer.count("batch_level1") == 1 and timer.count("level1") == 0
+
+    def test_empty_group_rejected(self):
+        network, _ = _conv_network()
+        with pytest.raises(ValueError):
+            NetworkPlan(network).execute_batch([], -1, 0)
 
 
 class TestPlanStructuralLimits:
@@ -593,7 +635,7 @@ class TestScratchReuseOracle:
         shared = NetworkPlan(network, dtype=dtype)
         rng = np.random.default_rng(8)
         ladder = [0, 1, 2, 3]
-        for batch in (3, 1, 3):
+        for batch in (1, 3, 1):
             shape = (batch,) + tuple(spec.input_shape)
             solo = rng.standard_normal(shape).astype(dtype)
             group = [rng.standard_normal(shape).astype(dtype) for _ in range(3)]
@@ -605,7 +647,7 @@ class TestScratchReuseOracle:
                 want = walk(NetworkPlan(network, dtype=dtype), inputs, ladder)
                 for g, w in zip(got, want):
                     assert g.tobytes() == w.tobytes(), (batch, walk)
-        assert all(step.scratch.shape[0] == 9 for step in _conv_steps(shared))
+        assert all(step.scratch.shape[0] == 3 for step in _conv_steps(shared))
 
 
 def _ladder_network(spec, levels: int, assignment: str):
