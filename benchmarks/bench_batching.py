@@ -8,8 +8,9 @@ Poisson stream is served by the same network, trace and FIFO scheduler
 under ``batch_policy="none"`` (the correctness oracle) and
 ``"same-level"`` at max batch sizes 4 / 8 / 16, measuring
 
-* host wall-clock of the whole serving run and executed subnet steps
-  per wall-second — each member still runs its own compiled edge
+* host wall-clock of the whole serving run (every batch size timed in
+  the same interleaved best-of rounds, ``timing.time_engines``) and
+  executed subnet steps per wall-second — each member still runs its own compiled edge
   program, so the gain is engine-dispatch amortisation: one scheduling
   decision, one event and one overhead charge per group instead of per
   request;
@@ -34,9 +35,15 @@ are visible as artefact diffs.
 
 from __future__ import annotations
 
+import os
+
+# Pin BLAS to one thread *before* numpy loads: the per-member GEMMs are
+# interactive-sized, where thread fan-out only adds dispatch jitter.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import json
-import time
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +59,7 @@ from repro.serving import (
     get_batch_policy,
     poisson_stream,
 )
+from timing import time_engines
 
 DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_batching.json"
 DTYPE = np.float32  # the serving default
@@ -94,32 +102,28 @@ def build_workload(network, num_requests: int):
     return trace, requests
 
 
-def time_serving(network, trace, requests, batch_size: int, repeats: int) -> dict:
-    """Wall-clock of full ServingEngine runs at one batching setting."""
+def make_engine(network, trace, batch_size: int) -> ServingEngine:
+    """A FIFO engine coalescing same-level requests up to ``batch_size``."""
     policy = (
         "none" if batch_size == 1 else get_batch_policy("same-level", max_batch_size=batch_size)
     )
-    engine = ServingEngine(
+    return ServingEngine(
         SteppingBackend(network, dtype=DTYPE),
         trace,
         "fifo",
         batch_policy=policy,
         overhead_per_step=5e-4,
     )
-    walls = []
-    report = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        report = engine.serve(requests)
-        walls.append(time.perf_counter() - start)
-    wall = min(walls)  # best-of: immune to host noise, same simulated result
+
+
+def run_row(report, wall: float, batch_size: int, num_requests: int) -> dict:
     steps = sum(len(job.steps) for job in report.jobs)
     return {
         "max_batch_size": batch_size,
         "batch_policy": report.batch_policy_name,
         "wall_seconds": wall,
         "steps_per_second_wall": steps / wall,
-        "requests_per_second_wall": len(requests) / wall,
+        "requests_per_second_wall": num_requests / wall,
         "completed": len(report.completed_jobs),
         "executed_steps": steps,
         "dispatches": report.num_dispatches,
@@ -130,7 +134,7 @@ def time_serving(network, trace, requests, batch_size: int, repeats: int) -> dic
         "simulated_makespan": report.makespan,
         "simulated_p95_latency": report.p95_latency,
         "simulated_throughput_rps": report.throughput,
-    }, report
+    }
 
 
 def main() -> None:
@@ -171,14 +175,16 @@ def main() -> None:
         "bit_equal_to_none": {},
     }
 
-    oracle = None
-    for batch_size in (1, 4, 8, 16):
-        row, report = time_serving(network, trace, requests, batch_size, repeats)
-        key = str(batch_size)
+    # Every batch size is timed in the same interleaved rounds, so a slow
+    # host period cannot favour one of them.
+    engines = {str(size): make_engine(network, trace, size) for size in (1, 4, 8, 16)}
+    reports, walls = time_engines(engines, requests, repeats)
+    oracle = reports["1"]
+    for key, report in reports.items():
+        batch_size = int(key)
+        row = run_row(report, walls[key], batch_size, num_requests)
         results["runs"][key] = row
-        if batch_size == 1:
-            oracle = report
-        else:
+        if batch_size > 1:
             results["speedup_vs_none"][key] = (
                 results["runs"]["1"]["wall_seconds"] / row["wall_seconds"]
             )
@@ -202,6 +208,11 @@ def main() -> None:
             f" ({'bit-equal' if results['bit_equal_to_none'][key] else 'MISMATCH'})"
         )
 
+    # Written before the checks so a failing run still leaves its numbers.
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    args.out.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"wrote {args.out}")
+
     assert all(results["bit_equal_to_none"].values()), "batched logits diverged from oracle"
     for row in results["runs"].values():
         assert row["completed"] == num_requests, "requests went missing"
@@ -210,10 +221,6 @@ def main() -> None:
     else:
         speedup = results["speedup_vs_none"]["8"]
         assert speedup >= 1.5, f"batch-8 serving speedup {speedup:.2f}x < 1.5x"
-
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {args.out}")
 
 
 if __name__ == "__main__":

@@ -51,7 +51,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
-import gc
 import json
 import time
 from pathlib import Path
@@ -73,6 +72,7 @@ from repro.serving import (
     poisson_stream,
 )
 from repro.serving.request import Request
+from timing import time_engines
 
 DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_continuous.json"
 DTYPE = np.float32  # the serving default
@@ -177,54 +177,6 @@ def make_engine(network, trace, policy_name: str):
         batch_policy=batch_policy,
         overhead_per_step=5e-4,
     )
-
-
-def time_engines(engines: dict, requests, repeats: int, settle_rounds: int = 6):
-    """Interleaved best-of-N walls per engine, GC parked.
-
-    One warm-up serve per engine first (buffer allocation, BLAS
-    warm-up), then each round times every engine back to back so slow
-    host periods hit all of them alike; the GC is collected before each
-    timed serve and disabled during it — a mid-run generational sweep
-    otherwise dominates the millisecond-scale differences measured here.
-
-    The per-engine wall is the *minimum* over rounds — the floor is the
-    only estimator immune to one-sided host noise.  After the base
-    ``repeats`` rounds, timing continues until no engine's floor has
-    improved for ``settle_rounds`` consecutive rounds (capped at
-    ``4 * repeats``): on a contended host the mins keep sharpening,
-    while on a quiet one this exits after exactly ``settle_rounds``
-    extra rounds.  More rounds can only lower floors, never manufacture
-    a difference that is not there.
-    """
-    reports = {name: engine.serve(requests) for name, engine in engines.items()}
-    walls = {name: [] for name in engines}
-
-    def one_round() -> bool:
-        improved = False
-        for name, engine in engines.items():
-            gc.collect()
-            start = time.perf_counter()
-            engine.serve(requests)
-            wall = time.perf_counter() - start
-            if not walls[name] or wall < min(walls[name]):
-                improved = True
-            walls[name].append(wall)
-        return improved
-
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            one_round()
-        stale = 0
-        for _ in range(max(3 * repeats, settle_rounds)):
-            if stale >= settle_rounds:
-                break
-            stale = 0 if one_round() else stale + 1
-    finally:
-        gc.enable()
-    return reports, {name: min(times) for name, times in walls.items()}
 
 
 def run_row(report, wall: float, num_requests: int) -> dict:
@@ -432,6 +384,11 @@ def main() -> None:
             f"({row['index_speedup']:.1f}x)"
         )
 
+    # Written before the checks so a failing run still leaves its numbers.
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    args.out.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"wrote {args.out}")
+
     assert all(results["bit_equal_to_none"].values()), "batched logits diverged from oracle"
     for row in results["runs"].values():
         assert row["completed"] == num_requests, "requests went missing"
@@ -455,10 +412,6 @@ def main() -> None:
     if not args.smoke:
         speedup = results["speedup_vs_windowed"]
         assert speedup >= 1.3, f"continuous vs windowed speedup {speedup:.2f}x < 1.3x"
-
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {args.out}")
 
 
 if __name__ == "__main__":

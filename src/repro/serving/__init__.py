@@ -75,7 +75,9 @@ configs.
 * :mod:`repro.serving.spec` — declarative configs:
   :class:`ServingSpec` (one node), :class:`ClusterSpec` (a fleet) and
   :class:`StreamSpec`, each JSON-round-trippable via
-  ``to_dict``/``from_dict``;
+  ``to_dict``/``from_dict``/``from_json``;
+* :mod:`repro.serving.codec` — the one JSON codec every spec
+  subclasses; a bad config raises :class:`~repro.utils.errors.ConfigError`;
 * :mod:`repro.serving.cluster` — the fleet layer: request routers
   (round-robin, join-shortest-queue, least-loaded over four load
   signals) behind the :data:`ROUTERS` registry, the

@@ -28,7 +28,9 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..utils.errors import ConfigError
 from ..utils.metrics import percentile
+from .codec import Spec
 from .engine import _json_safe
 from .observe import EventSource, coerce_events, events_by_request, events_by_type
 
@@ -614,7 +616,7 @@ def critical_path(
 # SLO specs and scorecards
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class SLOSpec:
+class SLOSpec(Spec):
     """Service-level objectives for a serving run, JSON round-trippable.
 
     Every target is optional; only configured targets are evaluated.
@@ -636,7 +638,7 @@ class SLOSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
-            raise ValueError("SLOSpec.name must be a non-empty string")
+            raise ConfigError("SLOSpec.name must be a non-empty string")
         for spec_field in fields(self):
             if spec_field.name == "name":
                 continue
@@ -644,19 +646,19 @@ class SLOSpec:
             if value is None:
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(
+                raise ConfigError(
                     f"SLOSpec.{spec_field.name} must be a number or None, got {value!r}"
                 )
             value = float(value)
             if not math.isfinite(value) or value < 0.0:
-                raise ValueError(
+                raise ConfigError(
                     f"SLOSpec.{spec_field.name} must be finite and non-negative"
                 )
             object.__setattr__(self, spec_field.name, value)
         for rate_field in ("min_deadline_hit_rate", "max_loss_rate"):
             value = getattr(self, rate_field)
             if value is not None and value > 1.0:
-                raise ValueError(f"SLOSpec.{rate_field} must lie in [0, 1]")
+                raise ConfigError(f"SLOSpec.{rate_field} must lie in [0, 1]")
 
     def targets(self) -> Dict[str, float]:
         """The configured (non-``None``) objectives."""
@@ -665,19 +667,6 @@ class SLOSpec:
             for spec_field in fields(self)
             if spec_field.name != "name" and getattr(self, spec_field.name) is not None
         }
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {spec_field.name: getattr(self, spec_field.name) for spec_field in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SLOSpec":
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown SLOSpec field(s) {sorted(unknown)}; expected a subset of {sorted(known)}"
-            )
-        return cls(**dict(data))
 
     def replace(self, **overrides: Any) -> "SLOSpec":
         return replace(self, **overrides)
@@ -830,12 +819,3 @@ def evaluate_slo(
         summary=metrics,
         decomposition=decomposition,
     )
-
-
-def _coerce_slo(value: Any) -> Optional[SLOSpec]:
-    """``None`` | ``SLOSpec`` | mapping -> ``Optional[SLOSpec]`` (for specs)."""
-    if value is None or isinstance(value, SLOSpec):
-        return value
-    if isinstance(value, Mapping):
-        return SLOSpec.from_dict(value)
-    raise ValueError(f"expected an SLOSpec, mapping, or None, got {type(value).__name__}")

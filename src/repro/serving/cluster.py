@@ -56,13 +56,16 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from ..utils.errors import ConfigError
 from ..utils.logging import get_logger
 from ..utils.metrics import MetricsRegistry
+from .codec import coerce
 from .engine import (
     CrashedNodeWork,
     InterruptedJob,
@@ -73,9 +76,11 @@ from .engine import (
     ServingRun,
 )
 from .faults import FaultSpec, RetryPolicy
-from .observe import ObservabilitySpec, TraceRecorder, _coerce_observe
+from .observe import ObservabilitySpec, TraceRecorder
 from .request import Request
-from .spec import ClusterSpec
+
+if TYPE_CHECKING:
+    from .spec import ClusterSpec
 
 _LOG = get_logger("repro.serving")
 
@@ -1276,9 +1281,9 @@ class ServingCluster:
                 f"publish_interval must be a non-negative number, got {publish_interval!r}"
             )
         self.publish_interval = float(publish_interval)
-        from .rebalance import _coerce_rebalance
+        from .rebalance import RebalanceSpec  # rebalance.py imports this module
 
-        self.rebalance = _coerce_rebalance(rebalance)
+        self.rebalance = coerce(RebalanceSpec, rebalance)
         if (
             self.rebalance is not None
             and self.rebalance.enabled
@@ -1292,7 +1297,7 @@ class ServingCluster:
         self.engines = list(engines)
         #: Fleet-wide observability: one shared recorder per ``serve()``
         #: call (single global event sequence across every node).
-        self.observe = _coerce_observe(observe)
+        self.observe = coerce(ObservabilitySpec, observe)
         self.router = get_router(router) if isinstance(router, str) else router
         if names is None:
             names = [f"node{index}" for index in range(len(self.engines))]
@@ -1301,9 +1306,7 @@ class ServingCluster:
         self.node_names = list(names)
         self.name = name
         self.spec = spec
-        if isinstance(faults, Mapping):
-            faults = FaultSpec.from_dict(faults)
-        self.faults = faults
+        self.faults = coerce(FaultSpec, faults)
         if admission not in ADMISSION_POLICIES:
             raise ConfigError(
                 f"unknown admission policy '{admission}'; "
@@ -1337,8 +1340,9 @@ class ServingCluster:
         per ``(dtype, prune)`` via the plan cache; each node gets its own
         engine, trace and scheduler.
         """
-        if not isinstance(spec, ClusterSpec):
-            spec = ClusterSpec.from_dict(spec)
+        from .spec import ClusterSpec  # spec.py imports this module
+
+        spec = coerce(ClusterSpec, spec)
         network = _resolve_network(network_or_result)
         if network is None:
             network = spec.build_network()

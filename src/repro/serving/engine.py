@@ -52,9 +52,10 @@ from ..utils.logging import get_logger
 from ..utils.metrics import MetricsRegistry
 from .backend import ExecutionBackend, ServingJob, StepOutcome
 from .batching import BatchPolicy, NoBatching, get_batch_policy
+from .codec import coerce
 from .faults import FaultInjector, RetryPolicy
 from .memory import EvictionEvent, EvictionPolicy, MemoryBudget
-from .observe import ObservabilitySpec, TraceRecorder, _coerce_observe
+from .observe import ObservabilitySpec, TraceRecorder
 from .request import Request
 from .scheduler import FIFOScheduler, Scheduler, get_scheduler
 
@@ -632,7 +633,7 @@ class ServingEngine:
         self.enforce_deadline = enforce_deadline
         self.max_service_time = max_service_time
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.observe = _coerce_observe(observe)
+        self.observe = coerce(ObservabilitySpec, observe)
 
     def _new_scheduler(self) -> Scheduler:
         """Instantiate a fresh ready queue from the configured factory."""

@@ -20,8 +20,8 @@ entries that the cluster coordinator replays deterministically:
   ``[time, time + duration)``; the node keeps executing what it already
   holds, but receives no new work.
 
-Everything is frozen, JSON-round-trippable (:meth:`FaultSpec.to_dict` /
-:meth:`FaultSpec.from_dict`) and seedable (:meth:`FaultSpec.random`), so
+Everything is frozen, JSON-round-trippable through the spec codec
+(:mod:`repro.serving.codec`) and seedable (:meth:`FaultSpec.random`), so
 a chaos schedule is as declarative as the :class:`ClusterSpec` it
 attacks.  The stateful :class:`FaultInjector` is built per serve; it
 answers point queries (``alive`` / ``reachable`` / ``consume_transient``)
@@ -33,16 +33,15 @@ All times are simulated seconds on the same clock as
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..runtime.platform import ResourcePhase, ResourceTrace
 from ..utils import new_generator
 from ..utils.errors import ConfigError
 from ..utils.logging import get_logger
+from .codec import Kinds, Spec, Tagged, nested
 
 _LOG = get_logger("repro.serving")
 
@@ -67,7 +66,7 @@ _TIME_EPS = 1e-9
 # Fault events
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class CrashFault:
+class CrashFault(Tagged):
     """Node ``node`` dies at ``time``; optionally rejoins at ``recover_time``.
 
     A crash drops every resident execution context on the node.  Started
@@ -92,7 +91,7 @@ class CrashFault:
 
 
 @dataclass(frozen=True)
-class TransientFault:
+class TransientFault(Tagged):
     """The next step dispatched on ``node`` at or after ``time`` fails.
 
     The attempt consumes its execution time on the trace (the work ran
@@ -111,7 +110,7 @@ class TransientFault:
 
 
 @dataclass(frozen=True)
-class SlowdownFault:
+class SlowdownFault(Tagged):
     """Derate ``node``'s trace by ``factor`` inside ``[time, time+duration)``."""
 
     node: str
@@ -135,7 +134,7 @@ class SlowdownFault:
 
 
 @dataclass(frozen=True)
-class PartitionFault:
+class PartitionFault(Tagged):
     """Router cannot reach ``node`` inside ``[time, time+duration)``."""
 
     node: str
@@ -158,37 +157,12 @@ class PartitionFault:
 FaultEvent = Union[CrashFault, TransientFault, SlowdownFault, PartitionFault]
 
 #: Registry of fault kinds, mirroring BACKENDS / SCHEDULERS / ROUTERS.
-FAULT_KINDS: Dict[str, type] = {
-    CrashFault.kind: CrashFault,
-    TransientFault.kind: TransientFault,
-    SlowdownFault.kind: SlowdownFault,
-    PartitionFault.kind: PartitionFault,
-}
+FAULT_KINDS = Kinds("fault", CrashFault, TransientFault, SlowdownFault, PartitionFault)
 
 
 def fault_from_dict(data: Mapping[str, object]) -> FaultEvent:
     """Instantiate a fault event from its dict form (``kind`` selects the class)."""
-    payload = dict(data)
-    kind = payload.pop("kind", None)
-    if kind not in FAULT_KINDS:
-        raise ConfigError(
-            f"unknown fault kind {kind!r}; available: {sorted(FAULT_KINDS)}"
-        )
-    cls = FAULT_KINDS[kind]
-    valid = {f.name for f in fields(cls)}
-    unknown = set(payload) - valid
-    if unknown:
-        raise ConfigError(
-            f"unknown {kind} fault key(s) {sorted(unknown)}; valid: {sorted(valid)}"
-        )
-    return cls(**payload)
-
-
-def _fault_to_dict(event: FaultEvent) -> Dict[str, object]:
-    data: Dict[str, object] = {"kind": event.kind}
-    for f in fields(event):
-        data[f.name] = getattr(event, f.name)
-    return data
+    return FAULT_KINDS.from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +172,7 @@ RETRY_KINDS: Tuple[str, ...] = ("exponential", "fixed", "none")
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Spec):
     """Capped exponential backoff in simulated time with a retry budget.
 
     ``backoff(attempt)`` is the delay before retry ``attempt`` (0-based
@@ -242,68 +216,16 @@ class RetryPolicy:
             return self.base_delay
         return min(self.base_delay * self.multiplier ** attempt, self.max_delay)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "base_delay": self.base_delay,
-            "multiplier": self.multiplier,
-            "max_delay": self.max_delay,
-            "max_retries": self.max_retries,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "RetryPolicy":
-        payload = dict(data)
-        valid = {f.name for f in fields(cls)}
-        unknown = set(payload) - valid
-        if unknown:
-            raise ConfigError(
-                f"unknown retry policy key(s) {sorted(unknown)}; valid: {sorted(valid)}"
-            )
-        return cls(**payload)
-
 
 # ---------------------------------------------------------------------------
 # Fault spec
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Spec):
     """A declarative, seeded, JSON-round-trippable chaos schedule."""
 
-    events: Tuple[FaultEvent, ...] = ()
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-
-    def __post_init__(self) -> None:
-        converted = tuple(
-            event if not isinstance(event, Mapping) else fault_from_dict(event)
-            for event in self.events
-        )
-        object.__setattr__(self, "events", converted)
-        if isinstance(self.retry, Mapping):
-            object.__setattr__(self, "retry", RetryPolicy.from_dict(self.retry))
-
-    # -- serialisation --------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "events": [_fault_to_dict(event) for event in self.events],
-            "retry": self.retry.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "FaultSpec":
-        payload = dict(data)
-        unknown = set(payload) - {"events", "retry"}
-        if unknown:
-            raise ConfigError(
-                f"unknown fault spec key(s) {sorted(unknown)}; valid: ['events', 'retry']"
-            )
-        events = tuple(fault_from_dict(event) for event in payload.get("events", ()))
-        retry = RetryPolicy.from_dict(payload.get("retry", {}))
-        return cls(events=events, retry=retry)
-
-    @classmethod
-    def from_json(cls, path: Union[str, Path]) -> "FaultSpec":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+    events: Tuple[FaultEvent, ...] = nested(FAULT_KINDS, many=True)
+    retry: RetryPolicy = nested(RetryPolicy, default_factory=RetryPolicy)
 
     # -- seeded generation ----------------------------------------------
     @classmethod

@@ -32,13 +32,14 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..utils.errors import ConfigError
 from ..utils.metrics import MetricsRegistry
 from ..utils.timing import Timer
+from .codec import Spec
 
 __all__ = [
     "EVENT_TYPES",
@@ -208,7 +209,7 @@ _SINKS = ("memory", "jsonl")
 
 
 @dataclass(frozen=True)
-class ObservabilitySpec:
+class ObservabilitySpec(Spec):
     """Declarative switch for the tracing subsystem.
 
     Default-constructed (``enabled=False``) specs build no recorder at
@@ -263,40 +264,6 @@ class ObservabilitySpec:
             sinks = (MemorySink(capacity=self.capacity),)
         timer = Timer() if self.time_plan_levels else None
         return TraceRecorder(sinks, events=self.events, plan_timer=timer)
-
-    def to_dict(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "sink": self.sink,
-            "path": self.path,
-            "capacity": self.capacity,
-            "time_plan_levels": self.time_plan_levels,
-            "events": list(self.events) if self.events is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ObservabilitySpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown ObservabilitySpec fields {sorted(unknown)}; valid: {sorted(known)}"
-            )
-        payload = dict(data)
-        if payload.get("events") is not None:
-            payload["events"] = tuple(payload["events"])
-        return cls(**payload)
-
-
-def _coerce_observe(
-    observe: Union[None, ObservabilitySpec, Mapping],
-) -> Optional[ObservabilitySpec]:
-    """Accept a spec, a mapping, or None (shared by ServingSpec/ClusterSpec)."""
-    if observe is None or isinstance(observe, ObservabilitySpec):
-        return observe
-    if isinstance(observe, Mapping):
-        return ObservabilitySpec.from_dict(observe)
-    raise ConfigError(f"observe must be an ObservabilitySpec or mapping, got {type(observe)!r}")
 
 
 # ----------------------------------------------------------------------

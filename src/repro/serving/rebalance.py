@@ -31,16 +31,15 @@ and a shard *is* the request the engine serves.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..utils.errors import ConfigError
 from .cluster import ROUTERS, NodeState, Router
+from .codec import Spec
 from .request import Request
 
 __all__ = [
@@ -56,7 +55,7 @@ __all__ = [
 # The declarative knob set
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class RebalanceSpec:
+class RebalanceSpec(Spec):
     """Work-stealing and batch-sharding configuration for a fleet.
 
     Attributes
@@ -156,56 +155,6 @@ class RebalanceSpec:
                 f"rebalance.shard_max_batch must be a positive integer or null, "
                 f"got {self.shard_max_batch!r}"
             )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "enabled": self.enabled,
-            "interval": self.interval,
-            "imbalance_ratio": self.imbalance_ratio,
-            "starvation_depth": self.starvation_depth,
-            "max_steals": self.max_steals,
-            "steal_in_flight": self.steal_in_flight,
-            "shard_max_batch": self.shard_max_batch,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RebalanceSpec":
-        known = {
-            "enabled",
-            "interval",
-            "imbalance_ratio",
-            "starvation_depth",
-            "max_steals",
-            "steal_in_flight",
-            "shard_max_batch",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown RebalanceSpec keys {sorted(unknown)}; "
-                f"known: {sorted(known)}"
-            )
-        return cls(**dict(data))
-
-    @classmethod
-    def from_json(cls, source: Union[str, Path]) -> "RebalanceSpec":
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            text = Path(source).read_text()
-        return cls.from_dict(json.loads(text))
-
-
-def _coerce_rebalance(
-    value: Optional[Union["RebalanceSpec", Mapping[str, Any]]]
-) -> Optional["RebalanceSpec"]:
-    """``None`` | mapping | spec -> ``None`` | :class:`RebalanceSpec`."""
-    if value is None or isinstance(value, RebalanceSpec):
-        return value
-    if isinstance(value, Mapping):
-        return RebalanceSpec.from_dict(value)
-    raise ConfigError(
-        f"rebalance must be a RebalanceSpec or mapping, got {type(value).__name__}"
-    )
 
 
 # ----------------------------------------------------------------------

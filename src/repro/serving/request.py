@@ -270,7 +270,7 @@ def get_stream(name: str) -> Callable[..., List[Request]]:
     try:
         return STREAMS[name.lower()]
     except KeyError as exc:
-        raise KeyError(f"unknown stream '{name}'; available: {sorted(STREAMS)}") from exc
+        raise ConfigError(f"unknown stream '{name}'; available: {sorted(STREAMS)}") from exc
 
 
 def merge_streams(*streams: Sequence[Request]) -> List[Request]:

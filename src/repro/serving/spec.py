@@ -18,18 +18,21 @@ systems describe deployments in config files rather than builder calls:
   from one JSON file.
 
 Every spec validates its registry names eagerly (a typo fails at config
-load, not mid-simulation) and offers ``to_dict`` / ``from_dict`` whose
-output is plain-JSON serialisable, so benchmarks and CI can check
-cluster definitions into the repository and replay them bit-for-bit.
+load, not mid-simulation).  Serialisation lives in one place, the codec
+of :mod:`repro.serving.codec` that every spec subclasses: ``to_dict``
+output is plain-JSON serialisable, ``from_dict`` / ``from_json`` (text
+or path) rebuild the spec, and nested specs accept an instance or its
+dict form — so benchmarks and CI can check cluster definitions into the
+repository and replay them bit-for-bit.  A bad config — an unknown key
+at any depth, an unknown registry name, a missing node — raises
+:class:`~repro.utils.errors.ConfigError` at load.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -46,12 +49,15 @@ from ..runtime.policies import (
 from ..runtime.traces import trace_library
 from ..utils.errors import ConfigError
 from ..utils.rng import new_generator
+from .analyze import SLOSpec
 from .backend import ExecutionBackend, get_backend
 from .batching import BATCH_POLICIES, get_batch_policy
+from .cluster import ADMISSION_POLICIES, ROUTERS
+from .codec import Spec, coerce, nested
 from .faults import FaultSpec
 from .memory import MemoryBudget
-from .analyze import SLOSpec, _coerce_slo
-from .observe import ObservabilitySpec, _coerce_observe
+from .observe import ObservabilitySpec
+from .rebalance import RebalanceSpec
 from .request import Request, get_stream
 from .scheduler import SCHEDULERS, Scheduler, get_scheduler
 
@@ -85,19 +91,8 @@ def get_policy(name: str, **params) -> SteppingPolicy:
     return factory(**params)
 
 
-def _check_fields(cls, data: Mapping[str, Any]) -> Dict[str, Any]:
-    """Validate config keys against the dataclass fields (typo safety)."""
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(
-            f"unknown {cls.__name__} keys {sorted(unknown)}; known: {sorted(known)}"
-        )
-    return dict(data)
-
-
 @dataclass(frozen=True)
-class StreamSpec:
+class StreamSpec(Spec):
     """One request stream by generator name plus its parameters.
 
     ``params`` is passed through to the registered generator (see
@@ -132,21 +127,9 @@ class StreamSpec:
             images = rng.standard_normal((self.pool_size,) + tuple(input_shape))
         return get_stream(self.kind)(images, labels, **dict(self.params))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "params": dict(self.params),
-            "pool_size": self.pool_size,
-            "pool_seed": self.pool_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StreamSpec":
-        return cls(**_check_fields(cls, data))
-
 
 @dataclass(frozen=True)
-class ServingSpec:
+class ServingSpec(Spec):
     """Declarative description of one serving node.
 
     Everything the hand-wired path assembled imperatively — backend,
@@ -230,10 +213,10 @@ class ServingSpec:
     #: Observability switch (:class:`~repro.serving.observe.ObservabilitySpec`
     #: or its dict form).  ``None``/disabled builds no recorder at all —
     #: every instrumentation hook stays a no-op ``None`` check.
-    observe: Optional[ObservabilitySpec] = None
+    observe: Optional[ObservabilitySpec] = nested(ObservabilitySpec)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "observe", _coerce_observe(self.observe))
+        super().__post_init__()
         # Fail at config load, not mid-simulation.
         get_backend(self.backend)
         # Instantiating validates both the name and the params (a typo'd
@@ -241,7 +224,7 @@ class ServingSpec:
         get_scheduler(self.scheduler, **dict(self.scheduler_params))
         get_platform(self.platform)
         if self.policy.lower() not in POLICIES:
-            raise KeyError(f"unknown policy '{self.policy}'; available: {sorted(POLICIES)}")
+            raise ConfigError(f"unknown policy '{self.policy}'; available: {sorted(POLICIES)}")
         if self.trace == "constant" and self.trace_rate is None:
             raise ValueError("trace 'constant' requires an explicit trace_rate (MAC/s)")
         if self.trace_scale <= 0:
@@ -250,7 +233,7 @@ class ServingSpec:
             raise ValueError("overhead_per_step must be non-negative")
         np.dtype(self.dtype)  # raises on unknown dtype names
         if self.batch_policy.lower() not in BATCH_POLICIES:
-            raise KeyError(
+            raise ConfigError(
                 f"unknown batch policy '{self.batch_policy}'; "
                 f"available: {sorted(BATCH_POLICIES)}"
             )
@@ -293,7 +276,7 @@ class ServingSpec:
             try:
                 trace = library[self.trace]
             except KeyError as exc:
-                raise KeyError(
+                raise ConfigError(
                     f"unknown trace '{self.trace}' for platform '{self.platform}'; "
                     f"available: {sorted(library)} or 'constant'"
                 ) from exc
@@ -348,23 +331,9 @@ class ServingSpec:
             observe=self.observe,
         )
 
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["policy_params"] = dict(self.policy_params)
-        data["scheduler_params"] = dict(self.scheduler_params)
-        data["observe"] = None if self.observe is None else self.observe.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ServingSpec":
-        return cls(**_check_fields(cls, data))
-
 
 @dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(Spec):
     """Declarative description of a serving fleet.
 
     ``nodes`` are the per-node :class:`ServingSpec`\\ s (heterogeneous
@@ -377,15 +346,17 @@ class ClusterSpec:
     ``ServingCluster.from_spec(ClusterSpec.from_dict(json.load(f))).serve()``
     """
 
+    #: Node specs or their dict forms; a node dict may carry a ``count``
+    #: that replicates it (see :meth:`_expand_nodes`).
     nodes: Tuple[ServingSpec, ...] = ()
     router: str = "round-robin"
-    streams: Tuple[StreamSpec, ...] = ()
+    streams: Tuple[StreamSpec, ...] = nested(StreamSpec, many=True)
     model: Mapping[str, Any] = field(default_factory=dict)
     name: str = "cluster"
     #: Optional chaos schedule (crashes, transients, slowdowns,
     #: partitions) the fleet serves under; see
     #: :class:`~repro.serving.faults.FaultSpec`.
-    faults: Optional[FaultSpec] = None
+    faults: Optional[FaultSpec] = nested(FaultSpec)
     #: Fleet admission control: ``"none"`` admits everything verbatim,
     #: ``"degrade"`` caps an arrival's target subnet when the routed
     #: node's predicted finish misses its deadline (or its context would
@@ -396,7 +367,7 @@ class ClusterSpec:
     #: (:class:`~repro.serving.observe.ObservabilitySpec` or its dict
     #: form): one shared recorder per ``serve()`` call, all nodes
     #: emitting into a single globally sequenced event stream.
-    observe: Optional[ObservabilitySpec] = None
+    observe: Optional[ObservabilitySpec] = nested(ObservabilitySpec)
     #: Queue-depth publish granularity (simulated seconds).  ``0.0``
     #: publishes live depths on every router consult; a positive
     #: interval makes depth-reading routers see epoch snapshots that
@@ -407,24 +378,17 @@ class ClusterSpec:
     #: (:class:`~repro.serving.analyze.SLOSpec` or its dict form)
     #: carried with the deployment so sweeps and benchmarks can score
     #: every run against the same declarative targets.
-    slo: Optional[SLOSpec] = None
+    slo: Optional[SLOSpec] = nested(SLOSpec)
     #: Proactive fleet rebalancing
     #: (:class:`~repro.serving.rebalance.RebalanceSpec` or its dict
     #: form): load-triggered work-stealing between healthy nodes and
     #: batch sharding of oversized arrivals.  ``None`` (the default)
     #: keeps the fleet purely reactive, exactly as before.
-    rebalance: Optional[Any] = None
+    rebalance: Optional[RebalanceSpec] = nested(RebalanceSpec)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "observe", _coerce_observe(self.observe))
-        # Lazy import: rebalance.py imports cluster.py imports this module.
-        from .rebalance import _coerce_rebalance
-
-        object.__setattr__(self, "rebalance", _coerce_rebalance(self.rebalance))
-        try:
-            object.__setattr__(self, "slo", _coerce_slo(self.slo))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        super().__post_init__()
+        object.__setattr__(self, "nodes", self._expand_nodes(self.nodes))
         interval = self.publish_interval
         if (
             isinstance(interval, bool)
@@ -437,23 +401,16 @@ class ClusterSpec:
             )
         object.__setattr__(self, "publish_interval", float(interval))
         if not self.nodes:
-            raise ValueError("a ClusterSpec needs at least one node")
-        # Lazy import: cluster.py imports this module at load time.
-        from .cluster import ADMISSION_POLICIES, ROUTERS
-
+            raise ConfigError("a ClusterSpec needs at least one node")
         if self.router.lower() not in ROUTERS:
             raise ConfigError(
                 f"unknown router '{self.router}'; available: {sorted(ROUTERS)}"
             )
-        if isinstance(self.faults, Mapping):
-            object.__setattr__(self, "faults", FaultSpec.from_dict(self.faults))
         if self.admission.lower() not in ADMISSION_POLICIES:
             raise ConfigError(
                 f"unknown admission policy '{self.admission}'; "
                 f"available: {sorted(ADMISSION_POLICIES)}"
             )
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "streams", tuple(self.streams))
         names = [node.node_name for node in self.nodes]
         if len(set(names)) != len(names):
             # Auto-disambiguate repeated platform/backend combinations —
@@ -472,7 +429,7 @@ class ClusterSpec:
             )
             names = [node.node_name for node in self.nodes]
             if len(set(names)) != len(names):
-                raise ValueError(f"node names must be unique, got {names}")
+                raise ConfigError(f"node names must be unique, got {names}")
 
     # ------------------------------------------------------------------
     def build_network(self):
@@ -499,7 +456,7 @@ class ClusterSpec:
         )
         model_params = dict(config.pop("model_params", {}))
         if config:
-            raise KeyError(f"unknown model keys {sorted(config)}")
+            raise ConfigError(f"unknown model keys {sorted(config)}")
         spec = get_model_spec(model_name, **model_params)
         network = SteppingNetwork(
             spec.expand(expansion), num_subnets=num_subnets, rng=new_generator(seed)
@@ -525,39 +482,20 @@ class ClusterSpec:
         ]
         return merge_streams(*built)
 
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "nodes": [node.to_dict() for node in self.nodes],
-            "router": self.router,
-            "streams": [stream.to_dict() for stream in self.streams],
-            "model": dict(self.model),
-            "name": self.name,
-            "faults": None if self.faults is None else self.faults.to_dict(),
-            "admission": self.admission,
-            "observe": None if self.observe is None else self.observe.to_dict(),
-            "publish_interval": self.publish_interval,
-            "slo": None if self.slo is None else self.slo.to_dict(),
-            "rebalance": None if self.rebalance is None else self.rebalance.to_dict(),
-        }
-
     @staticmethod
     def _expand_nodes(raw_nodes) -> Tuple[ServingSpec, ...]:
         """Resolve node dicts, replicating any that carry a ``count``."""
         nodes: List[ServingSpec] = []
         for raw in raw_nodes:
-            if isinstance(raw, ServingSpec):
-                nodes.append(raw)
-                continue
-            payload = dict(raw)
-            count = payload.pop("count", 1)
+            count = 1
+            if isinstance(raw, Mapping):
+                raw = dict(raw)
+                count = raw.pop("count", 1)
             if isinstance(count, bool) or not isinstance(count, int) or count <= 0:
-                raise ValueError(
+                raise ConfigError(
                     f"node key 'count' must be a positive integer, got {count!r}"
                 )
-            node = ServingSpec.from_dict(payload)
+            node = coerce(ServingSpec, raw)
             for index in range(count):
                 if count > 1 and node.name:
                     nodes.append(replace(node, name=f"{node.name}#{index}"))
@@ -566,24 +504,3 @@ class ClusterSpec:
                     # name; ClusterSpec auto-disambiguates those.
                     nodes.append(node)
         return tuple(nodes)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ClusterSpec":
-        data = _check_fields(cls, data)
-        data["nodes"] = cls._expand_nodes(data.get("nodes", ()))
-        data["streams"] = tuple(
-            stream if isinstance(stream, StreamSpec) else StreamSpec.from_dict(stream)
-            for stream in data.get("streams", ())
-        )
-        faults = data.get("faults")
-        if faults is not None and not isinstance(faults, FaultSpec):
-            data["faults"] = FaultSpec.from_dict(faults)
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, source: Union[str, Path]) -> "ClusterSpec":
-        """Load a cluster definition from a JSON string or file path."""
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            text = Path(source).read_text()
-        return cls.from_dict(json.loads(text))

@@ -34,18 +34,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import MISSING, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..utils.errors import ConfigError
-from .analyze import (
-    SLOSpec,
-    _coerce_slo,
-    decompose_latency,
-    decomposition_summary,
-    evaluate_slo,
-)
+from .analyze import SLOSpec, decompose_latency, decomposition_summary, evaluate_slo
+from .codec import Spec, coerce, nested
 from .engine import _json_safe
 from .observe import ObservabilitySpec, staleness_curve
 from .spec import ClusterSpec
@@ -161,7 +155,7 @@ def apply_overrides(base: ClusterSpec, overrides: Mapping[str, Any]) -> ClusterS
 # The sweep spec
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Spec):
     """A base cluster times a grid of dotted-path override axes.
 
     ``grid`` maps override paths to the values each axis takes; cells
@@ -169,24 +163,16 @@ class SweepSpec:
     slowest).  JSON-round-trippable like every other spec.
     """
 
-    base: ClusterSpec
+    base: ClusterSpec = nested(ClusterSpec, default=MISSING)
     grid: Mapping[str, Tuple[Any, ...]] = field(default_factory=dict)
     name: str = "sweep"
     #: Objectives applied to every cell; falls back to ``base.slo``.
-    slo: Optional[SLOSpec] = None
+    slo: Optional[SLOSpec] = nested(SLOSpec)
 
     def __post_init__(self) -> None:
-        if isinstance(self.base, Mapping):
-            object.__setattr__(self, "base", ClusterSpec.from_dict(self.base))
-        if not isinstance(self.base, ClusterSpec):
-            raise ConfigError(
-                f"SweepSpec.base must be a ClusterSpec or mapping, "
-                f"got {type(self.base).__name__}"
-            )
-        try:
-            object.__setattr__(self, "slo", _coerce_slo(self.slo))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        super().__post_init__()
+        if self.base is None:
+            raise ConfigError("SweepSpec.base must be a ClusterSpec or mapping, got None")
         axes: Dict[str, Tuple[Any, ...]] = {}
         for path, values in dict(self.grid).items():
             if not isinstance(path, str) or not path:
@@ -227,34 +213,6 @@ class SweepSpec:
             dict(zip(paths, combo))
             for combo in itertools.product(*(self.grid[path] for path in paths))
         ]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "base": self.base.to_dict(),
-            "grid": {path: list(values) for path, values in self.grid.items()},
-            "slo": None if self.slo is None else self.slo.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
-        known = {"name", "base", "grid", "slo"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown SweepSpec keys {sorted(unknown)}; known: {sorted(known)}"
-            )
-        payload = dict(data)
-        if "base" not in payload:
-            raise ConfigError("SweepSpec needs a 'base' cluster config")
-        return cls(**payload)
-
-    @classmethod
-    def from_json(cls, source: Union[str, Path]) -> "SweepSpec":
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            text = Path(source).read_text()
-        return cls.from_dict(json.loads(text))
 
 
 # ----------------------------------------------------------------------
@@ -332,9 +290,8 @@ def run_sweep(
     """
     from .cluster import ServingCluster
 
-    if not isinstance(sweep, SweepSpec):
-        sweep = SweepSpec.from_dict(sweep)
-    slo = _coerce_slo(slo) if slo is not None else (sweep.slo or sweep.base.slo)
+    sweep = coerce(SweepSpec, sweep)
+    slo = coerce(SLOSpec, slo) or sweep.slo or sweep.base.slo
     touches_model = any(path.split(".")[0] == "model" for path in sweep.grid)
     cells = sweep.cells()
     shared_network = network_or_result

@@ -1,0 +1,147 @@
+"""Tests for the spec codec (`repro.serving.codec`) and boundary errors.
+
+Every declarative spec shares one JSON codec: ``to_dict`` output
+round-trips through ``from_json`` (text or path), and an unknown key —
+top-level or nested — raises :class:`ConfigError` naming its class.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.serving import (
+    ClusterSpec,
+    CrashFault,
+    FaultSpec,
+    ObservabilitySpec,
+    PartitionFault,
+    RebalanceSpec,
+    RetryPolicy,
+    ServingSpec,
+    SlowdownFault,
+    SLOSpec,
+    StreamSpec,
+    SweepSpec,
+    TransientFault,
+    get_stream,
+)
+from repro.utils.errors import ConfigError
+
+CONFIG_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
+
+_FLEET = ClusterSpec(
+    nodes=(ServingSpec(name="a"), ServingSpec(name="b", observe={"enabled": True})),
+    streams=(StreamSpec("poisson", {"rate": 50.0, "num_requests": 4}),),
+    model={"name": "tiny-cnn", "num_subnets": 3},
+    faults={"events": [{"kind": "crash", "node": "b", "time": 0.1}]},
+    slo={"max_p95_latency": 0.5},
+    rebalance={"enabled": True, "interval": 0.01},
+)
+
+SPECS = [
+    StreamSpec("bursty", {"num_bursts": 2, "burst_size": 3, "mean_gap": 0.1}),
+    ServingSpec(name="edge", scheduler="edf", policy_params={"threshold": 0.9}),
+    _FLEET,
+    RebalanceSpec(enabled=True, interval=0.01, shard_max_batch=4),
+    ObservabilitySpec(enabled=True, capacity=32, events=("step", "finalize")),
+    RetryPolicy(kind="fixed", max_retries=2),
+    CrashFault(node="a", time=0.1, recover_time=0.2),
+    TransientFault(node="a", time=0.1),
+    SlowdownFault(node="a", time=0.0, duration=0.1, factor=0.5),
+    PartitionFault(node="a", time=0.0, duration=0.1),
+    FaultSpec.random(["a", "b"], horizon=1.0, seed=1, crash_rate=2.0, transient_rate=2.0,
+                     slowdown_rate=2.0, partition_rate=2.0),
+    SLOSpec(name="tight", max_p99_latency=0.2, min_deadline_hit_rate=0.9),
+    SweepSpec(base=_FLEET, grid={"router": ("round-robin", "least-loaded")}, slo={}),
+]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [pytest.param(spec, id=type(spec).__name__) for spec in SPECS]
+    + [pytest.param(path, id=path.name) for path in CONFIGS],
+)
+def test_codec_round_trip_path_and_unknown_key(source, tmp_path):
+    if isinstance(source, Path):
+        cls, text = ClusterSpec, source.read_text()
+    else:
+        cls, text = type(source), json.dumps(source.to_dict())
+    spec = cls.from_json(text)
+    assert cls.from_json(json.dumps(spec.to_dict())) == spec
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert cls.from_json(path) == spec
+    assert cls.from_json(str(path)) == spec
+    with pytest.raises(ConfigError, match=rf"unknown {cls.__name__} keys \['bogus'\]"):
+        cls.from_dict(dict(json.loads(text), bogus=1))
+
+
+@pytest.mark.parametrize(
+    "path, owner",
+    [
+        ("nodes.0", "ServingSpec"),
+        ("nodes.1.observe", "ObservabilitySpec"),
+        ("streams.0", "StreamSpec"),
+        ("faults", "FaultSpec"),
+        ("faults.events.0", "CrashFault"),
+        ("faults.retry", "RetryPolicy"),
+        ("slo", "SLOSpec"),
+        ("rebalance", "RebalanceSpec"),
+    ],
+)
+def test_nested_unknown_key_names_its_class(path, owner):
+    data = _FLEET.to_dict()
+    target = data
+    for segment in path.split("."):
+        target = target[int(segment)] if isinstance(target, list) else target[segment]
+    target["bogus"] = 1
+    with pytest.raises(ConfigError, match=rf"unknown {owner} keys \['bogus'\]"):
+        ClusterSpec.from_dict(data)
+
+
+def test_missing_required_key_and_non_mapping_rejected():
+    with pytest.raises(ConfigError, match=r"SweepSpec needs keys \['base'\]"):
+        SweepSpec.from_dict({"grid": {}})
+    with pytest.raises(ConfigError, match="ClusterSpec needs a mapping"):
+        ClusterSpec.from_dict([1, 2])
+    with pytest.raises(ConfigError, match="unknown fault kind"):
+        FaultSpec(events=({"node": "a", "time": 0.0},))
+
+
+# ----------------------------------------------------------------------
+# Boundary errors are ConfigError (still KeyError / ValueError)
+# ----------------------------------------------------------------------
+class TestBoundaryErrors:
+    def test_unknown_stream(self):
+        with pytest.raises(ConfigError, match="stream"):
+            get_stream("trickle")
+
+    @pytest.mark.parametrize("knob", ["policy", "batch_policy"])
+    def test_unknown_node_policy(self, knob):
+        with pytest.raises(ConfigError, match="oracle"):
+            ServingSpec(**{knob: "oracle"})
+
+    def test_unknown_trace(self):
+        with pytest.raises(ConfigError, match="solar-flare"):
+            ServingSpec(trace="solar-flare").build_trace()
+
+    def test_unknown_model_keys(self):
+        spec = ClusterSpec(nodes=(ServingSpec(),), model={"depth": 3})
+        with pytest.raises(ConfigError, match="depth"):
+            spec.build_network()
+
+    def test_cluster_without_nodes(self):
+        with pytest.raises(ConfigError, match="at least one node"):
+            ClusterSpec()
+
+    def test_duplicate_node_names(self):
+        with pytest.raises(ConfigError, match="unique"):
+            ClusterSpec(nodes=(ServingSpec(name="a"), ServingSpec(name="a")))
+
+    @pytest.mark.parametrize("count", [0, -1, 1.5, True])
+    def test_bad_node_count(self, count):
+        with pytest.raises(ConfigError, match="count"):
+            ClusterSpec.from_dict({"nodes": [{"name": "a", "count": count}]})
+

@@ -127,7 +127,7 @@ class TestFaultSpec:
             fault_from_dict({"kind": "meteor", "node": "a", "time": 0.0})
 
     def test_unknown_fault_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown crash fault key"):
+        with pytest.raises(ConfigError, match=r"unknown CrashFault keys \['blast'\]"):
             fault_from_dict({"kind": "crash", "node": "a", "time": 0.0, "blast": 1})
 
     def test_unknown_retry_kind_rejected(self):
