@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..utils.errors import ConfigError
+
 
 @dataclass(frozen=True)
 class PlatformSpec:
@@ -77,7 +79,7 @@ def get_platform(name: str) -> "PlatformSpec":
     try:
         return PLATFORMS[name.lower()]
     except KeyError as exc:
-        raise KeyError(f"unknown platform '{name}'; available: {sorted(PLATFORMS)}") from exc
+        raise ConfigError(f"unknown platform '{name}'; available: {sorted(PLATFORMS)}") from exc
 
 
 # Representative platforms for the examples and benchmarks.  Numbers are

@@ -104,19 +104,25 @@ class SteppingPolicy:
     name = "policy"
 
     def decide(self, state: PolicyState) -> PolicyDecision:
+        """The step-up verdict for ``state``.
+
+        Contract: the verdict is a pure function of ``state`` — no
+        counters, clocks or randomness of the policy's own.  The serving
+        run relies on it to memoise verdicts, re-asking only when a field
+        the verdict can read has changed.
+        """
         raise NotImplementedError
 
     @property
     def time_sensitive(self) -> bool:
         """Whether :meth:`decide` can change between calls at one level.
 
-        A time-sensitive verdict reads the clock, the deadline or the
-        queue, so callers must re-ask at every boundary.  A
+        A time-sensitive verdict reads the clock, the deadline, the queue
+        or the next step's cost, so callers key it on all of them.  A
         time-insensitive one depends only on the logits at the current
         level, so a caller may skip pricing the next step (the serving
-        run passes no finish estimate) and memoise the verdict per level
-        (continuous batching re-asks the same question for every refill
-        candidate).  Defaults to True: caching is an opt-in for policies
+        run passes no finish estimate) and memoise the verdict per level.
+        Defaults to True: the level-only memo is an opt-in for policies
         that can prove their verdict is stable.
         """
         return True

@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Type
 
 import numpy as np
 
-from ..core.incremental import IncrementalInference, InferenceState, StepResult
+from ..core.incremental import IncrementalInference, InferenceState
 from ..core.plan import BatchMember, NetworkPlan
 from ..runtime.policies import GreedyPolicy, SteppingPolicy
 from ..utils.errors import ConfigError
@@ -119,13 +119,12 @@ class ExecutionSession:
 
     def next_subnet(self) -> Optional[int]:
         """The level the next :meth:`advance` would execute (None when done)."""
-        target = self._current_subnet + 1
-        return target if target < self.backend.num_subnets else None
+        return self.backend._edges[self._current_subnet + 1][1]
 
     @property
     def edge(self) -> tuple:
         """The ``(current, next)`` subnet edge — sessions sharing one share a pass."""
-        return self._current_subnet, self.next_subnet()
+        return self.backend._edges[self._current_subnet + 1]
 
     def next_step_macs(self) -> Optional[float]:
         """Cost (MACs) the backend charges for the next step (None when done).
@@ -136,10 +135,9 @@ class ExecutionSession:
         work is charged here — schedulers, policies and the trace all
         see the true cost of resuming an evicted job.
         """
-        target = self.next_subnet()
-        if target is None:
-            return None
-        cost = self.backend.step_cost(self._current_subnet, target)
+        cost = self.backend._step_macs[self._current_subnet + 1]
+        if cost is None or not self._recompute_pending:
+            return cost
         return cost + self.pending_recompute_macs()
 
     # ------------------------------------------------------------------
@@ -232,12 +230,6 @@ class ExecutionSession:
         """Execute the next subnet level and return its outcome."""
         return self.backend.advance_group([self])[0]
 
-    def _note_step(self, step: StepResult) -> None:
-        """Session-side bookkeeping of one executed level (the backend's loop calls it)."""
-        self._current_subnet = step.subnet
-        self._last_logits = step.logits
-        self._level_history.append(step.subnet)
-
 
 class ExecutionBackend:
     """A network + policy + executor that serves sessions.
@@ -266,10 +258,6 @@ class ExecutionBackend:
         self.dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
         if num_subnets is not None and int(num_subnets) < 1:
             raise ValueError("num_subnets cap must be at least 1")
-        #: Optional cap on the served subnet levels: a node with a cap of
-        #: ``k`` refines requests no further than subnet ``k - 1``
-        #: (shallow nodes in heterogeneous fleets).
-        self._num_subnets_cap = None if num_subnets is None else int(num_subnets)
         # One compiled plan per (network, dtype, prune) platform: every
         # backend, engine and session serving this network shares the
         # same read-only packed weights (build once, serve many).
@@ -287,16 +275,27 @@ class ExecutionBackend:
             compiled=compiled,
             plan=plan,
         )
+        #: Served subnet levels: the network's, shrunk by the optional
+        #: node cap (a node capped at ``k`` refines no further than
+        #: subnet ``k - 1`` — shallow nodes in heterogeneous fleets).
+        count = network.num_subnets
+        self.num_subnets = count if num_subnets is None else min(int(num_subnets), count)
+        # Per-level tables, fixed here and indexed by a session's current
+        # level + 1: its ``(current, next)`` edge, the MACs its next step
+        # charges (None at the top) and the MACs its context holds — what
+        # a warm step from it reuses and what rebuilding it replays.
+        levels = range(-1, self.num_subnets)
+        top = self.num_subnets - 1
+        self._edges = tuple((level, level + 1 if level < top else None) for level in levels)
+        self._step_macs = tuple(
+            self.step_cost(level, level + 1) if level < top else None for level in levels
+        )
+        self._held_macs = tuple(
+            self.subnet_macs(level) if level >= 0 and self.reuses_activations else 0.0
+            for level in levels
+        )
 
     # ------------------------------------------------------------------
-    @property
-    def num_subnets(self) -> int:
-        """Served subnet levels (the network's, shrunk by the node cap)."""
-        total = self.network.num_subnets
-        if self._num_subnets_cap is None:
-            return total
-        return min(self._num_subnets_cap, total)
-
     def subnet_macs(self, subnet: int) -> float:
         if self.plan is not None:
             return float(self.plan.subnet_macs[subnet])
@@ -314,9 +313,7 @@ class ExecutionBackend:
         the full subnet on every step anyway, so it has no cached work to
         lose (the paper-level story: reuse is what memory buys).
         """
-        if subnet < 0 or not self.reuses_activations:
-            return 0.0
-        return self.subnet_macs(subnet)
+        return self._held_macs[subnet + 1] if subnet >= 0 else 0.0
 
     def context_nbytes(self, batch_size: int = 1) -> Optional[int]:
         """Predicted resident footprint of one started context.
@@ -344,35 +341,13 @@ class ExecutionBackend:
         recorder — which is exactly what a fleet-wide trace wants.  The
         run that attached the timer detaches it when it finishes.
         """
-        plan = getattr(self, "plan", None)
-        if plan is not None:
-            plan.timer = timer
+        if self.plan is not None:
+            self.plan.timer = timer
 
     def detach_plan_timer(self) -> None:
-        plan = getattr(self, "plan", None)
-        if plan is not None:
-            plan.timer = None
+        self.attach_plan_timer(None)
 
     # ------------------------------------------------------------------
-    def group_edge(self, sessions: Sequence[ExecutionSession]) -> tuple:
-        """The single ``(current, next)`` subnet edge shared by ``sessions``.
-
-        Raises when the group is empty, mixes edges, or contains a
-        finished session — batching policies must only group compatible
-        work, so a violation here is a scheduling bug, not bad input.
-        """
-        if not sessions:
-            raise ValueError("a session group must not be empty")
-        edges = {session.edge for session in sessions}
-        if len(edges) != 1:
-            raise ValueError(
-                f"sessions in one batch must share a subnet edge, got {sorted(edges)}"
-            )
-        from_subnet, target = edges.pop()
-        if target is None:
-            raise RuntimeError("session already reached the largest subnet")
-        return from_subnet, target
-
     def advance_group(self, sessions: Sequence[ExecutionSession]) -> List[StepOutcome]:
         """Advance every session by one level in one dispatch.
 
@@ -380,11 +355,29 @@ class ExecutionBackend:
         unstarted or evicted member a fresh state (its input validated
         and cast once), replay an evicted or restored member's executed
         levels, run the edge's step on every member (one compiled edge
-        program per member), and build each outcome.  Only :meth:`step_cost` and :attr:`reuses_activations`
+        program per member), and build each outcome from the per-level
+        tables.  Only :meth:`step_cost` and :attr:`reuses_activations`
         differ between cost models.  Logits are bit-equal (same dtype) to
         each member's solo :class:`IncrementalInference` steps.
+
+        Raises when the group is empty, mixes edges, or contains a
+        finished session — batching policies must only group compatible
+        work, so a violation here is a scheduling bug, not bad input.
         """
-        from_subnet, target = self.group_edge(sessions)
+        if len(sessions) == 1:
+            edge = sessions[0].edge
+        else:
+            edges = {session.edge for session in sessions}
+            if len(edges) != 1:
+                raise ValueError(
+                    f"sessions in one batch must share a subnet edge, got {sorted(edges)}"
+                    if edges
+                    else "a session group must not be empty"
+                )
+            edge = edges.pop()
+        from_subnet, target = edge
+        if target is None:
+            raise RuntimeError("session already reached the largest subnet")
         for session in sessions:
             if session._state is None:
                 session._state = self._fresh_state(session.inputs)
@@ -392,24 +385,19 @@ class ExecutionBackend:
         for session in sessions:
             if session._recompute_pending:
                 self._replay(session)
-        cost = self.step_cost(from_subnet, target)
+        cost = self._step_macs[from_subnet + 1]
+        held = self._held_macs[from_subnet + 1]
         outcomes: List[StepOutcome] = []
-        for session, step, recomputed in zip(
+        for session, logits, recomputed in zip(
             sessions, self._execute(sessions, from_subnet, target), recomputes
         ):
-            session._note_step(step)
+            session._current_subnet = target
+            session._last_logits = logits
+            session._level_history.append(target)
             # A replayed member's "reused" MACs were just recomputed, not
             # served from memory: report them as recompute, not reuse.
-            reused = step.macs_reused if self.reuses_activations and not recomputed else 0
-            outcomes.append(
-                StepOutcome(
-                    subnet=target,
-                    logits=step.logits,
-                    macs_charged=float(cost + recomputed),
-                    macs_reused=float(reused),
-                    macs_recomputed=float(recomputed),
-                )
-            )
+            reused = 0.0 if recomputed else held
+            outcomes.append(StepOutcome(target, logits, cost + recomputed, reused, recomputed))
         return outcomes
 
     def _fresh_state(self, inputs: np.ndarray) -> InferenceState:
@@ -436,34 +424,28 @@ class ExecutionBackend:
 
     def _execute(
         self, sessions: Sequence[ExecutionSession], from_subnet: int, to_subnet: int
-    ) -> List[StepResult]:
-        """Step every session's state ``from_subnet -> to_subnet``: the one executor."""
+    ) -> List[np.ndarray]:
+        """Step every session's state ``from_subnet -> to_subnet``; return their logits."""
+        states = [session._state for session in sessions]
         if self.plan is None:
             # Networks a plan cannot represent step each state through
             # the legacy engine, one after another.
-            engine = self._engine
-            steps = []
-            for session in sessions:
-                engine.import_state(session._state)
-                steps.append(engine.step_to(to_subnet))
-                session._state = engine.export_state()
-            return steps
-        states = [session._state for session in sessions]
-        members = [
-            BatchMember(inputs=state.input, cache=state.cache, aux=state.aux, logits=state.logits)
-            for state in states
-        ]
-        batch_logits = self.plan.execute_batch(members, from_subnet, to_subnet)
-        macs_to = self.plan.subnet_macs[to_subnet]
-        macs_from = self.plan.subnet_macs[from_subnet] if from_subnet >= 0 else 0
-        steps = []
-        for state, logits in zip(states, batch_logits):
-            step = StepResult.from_macs(to_subnet, logits, macs_to, macs_from)
+            for session, state in zip(sessions, states):
+                self._engine.import_state(state)
+                self._engine.step_to(to_subnet)
+                session._state = self._engine.export_state()
+            return [session._state.logits for session in sessions]
+        if len(states) == 1:  # a lone member skips the batch wrapper
+            state = states[0]
+            args = (state.input, state.cache, state.aux, state.logits, from_subnet, to_subnet)
+            outs = [self.plan.execute(*args)]
+        else:
+            members = [BatchMember(s.input, s.cache, s.aux, s.logits) for s in states]
+            outs = self.plan.execute_batch(members, from_subnet, to_subnet)
+        for state, logits in zip(states, outs):
             state.logits = logits
             state.current_subnet = to_subnet
-            state.steps.append(step)
-            steps.append(step)
-        return steps
+        return outs
 
 
 class SteppingBackend(ExecutionBackend):
@@ -536,11 +518,13 @@ class ServingJob:
     #: Simulated finish time of the job's last executed step — the
     #: recency signal LRU eviction orders on.
     last_executed_at: Optional[float] = None
-    #: Memoised ``(level, stop_reason)`` of the last continuation check,
-    #: valid only while the policy is not time-sensitive (the verdict at
-    #: one level cannot change until the session advances).  Continuous
-    #: batching re-asks the same question for every refill candidate at
-    #: every round; the memo turns those re-asks into a tuple compare.
+    #: Memoised ``(key, stop_reason)`` of the last continuation verdict.
+    #: The key is everything the verdict reads that can change while the
+    #: job waits at one level — ``(level, now, scheduler depth, next-step
+    #: MACs)``, or the level alone under a time-insensitive policy — so a
+    #: hit is exact: the verdict a dispatch's settle computed serves the
+    #: next pick at the same clock, and continuous batching's re-asks for
+    #: refill candidates become a tuple compare.
     stop_memo: Optional[tuple] = None
     #: Retry attempts consumed so far (transient failures + failovers).
     #: Travels with the job across nodes; the retry budget is per

@@ -12,7 +12,7 @@ decision: how a spec maps to JSON-shaped data.  Four rules:
 * nested specs are resolved in exactly one place, :func:`coerce`, which
   :meth:`Spec.__post_init__` applies to every :func:`nested` field — so
   constructors take spec instances and their mapping form alike;
-* :meth:`Spec.from_json` accepts JSON text or a file path.
+* :meth:`Spec.from_json` accepts JSON text (an object) or a file path.
 
 Value checks stay in each spec's own ``__post_init__``; a spec with
 :func:`nested` fields calls ``super().__post_init__()`` first.
@@ -99,11 +99,20 @@ class Spec:
 
     @classmethod
     def from_json(cls, source: Union[str, Path]):
-        """Load from JSON text or from the path of a JSON file."""
+        """Load from JSON text or from the path of a JSON file.
+
+        Text whose first non-space character is ``{`` or ``[`` is JSON;
+        anything else names a file.  Malformed JSON, or a value that is
+        not an object, raises :class:`ConfigError` naming the class.
+        """
         text = str(source)
-        if not text.lstrip().startswith("{"):
+        if not text.lstrip().startswith(("{", "[")):
             text = Path(source).read_text()
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{cls.__name__}: invalid JSON ({exc})") from None
+        return cls.from_dict(data)
 
 
 class Tagged(Spec):

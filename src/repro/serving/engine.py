@@ -46,7 +46,7 @@ import numpy as np
 from ..analysis.metrics import deadline_miss_rate as _deadline_miss_rate
 from ..utils.metrics import percentile
 from ..runtime.platform import ResourceTrace
-from ..runtime.policies import PolicyState, softmax
+from ..runtime.policies import PolicyState
 from ..utils.errors import ConfigError
 from ..utils.logging import get_logger
 from ..utils.metrics import MetricsRegistry
@@ -790,7 +790,8 @@ class ServingRun:
         self._obs = recorder
         self._plan_timer(attach=True)
         #: Always-on deterministic metrics; the report's scalar counters
-        #: are read off this registry at :meth:`finish`.
+        #: are read off this registry at :meth:`finish`, which also fills
+        #: the per-pass ones (dispatches, occupancy) from the pass log.
         self.metrics = MetricsRegistry()
         self._m_retries = self.metrics.counter("retries")
         self._m_refills = self.metrics.counter("refilled_jobs")
@@ -801,6 +802,8 @@ class ServingRun:
         self._m_evictions = self.metrics.counter("evictions")
         self._m_occupancy = self.metrics.histogram("batch_occupancy")
         self._wave = 0
+        #: ``((macs, now), finish)`` of the last :meth:`_finish_time`.
+        self._price: Tuple[tuple, float] = ((), math.nan)
         #: Chaos wiring: the shared injector answers "does this node's
         #: next dispatch fail?"; ``node`` is this run's name in it.
         self.fault_injector = fault_injector
@@ -1013,6 +1016,9 @@ class ServingRun:
         )
         report.jobs = [self._records[request_id] for request_id in sorted(self._records)]
         report.batch_sizes = list(self._batch_sizes)
+        self._m_dispatches.add(len(self._batch_sizes))
+        for size in self._batch_sizes:
+            self._m_occupancy.observe(size)
         # Scalar counters are *consumed* from the metrics registry — the
         # registry is the single writer, the report a snapshot reader.
         report.refilled_jobs = self._m_refills.value
@@ -1140,8 +1146,6 @@ class ServingRun:
 
     def _run_watchdog(self) -> None:
         """Finalise jobs whose per-request service-time budget elapsed."""
-        if self.engine.max_service_time is None:
-            return
         for request_id in self._due(self._watchdog):
             job = self.scheduler.get(request_id)
             if job is None:
@@ -1160,62 +1164,65 @@ class ServingRun:
     def _finish_time(self, macs: float) -> float:
         """When ``macs`` started now would finish, launch overhead included.
 
-        ``inf`` when the trace never grants enough throughput again.
+        ``inf`` when the trace never grants enough throughput again.  A
+        run's trace is fixed, so the last price is kept: a dispatch that
+        charges exactly the MACs its verdict priced, at the same clock,
+        reuses it.
         """
+        key = (macs, self.now)
+        if key == self._price[0]:
+            return self._price[1]
         finish = self.engine.trace.time_to_execute(float(macs), self.now)
         if math.isfinite(finish):
             finish += self.engine.overhead_per_step
+        self._price = (key, finish)
         return finish
 
     def _stop_reason(self, job: ServingJob) -> Optional[str]:
         """Why ``job`` should be finalised now, or None to keep refining.
 
         Judged at the run's clock and queue depth, from the confidence
-        the job's last pass computed.  A time-insensitive policy's verdict
-        depends only on the logits, so unless a deadline is enforced the
-        next step is not priced and the verdict is memoised per level
-        (continuous batching re-asks it for every refill candidate).
+        the job's last pass computed.  The policy's verdict is memoised
+        on the job (:attr:`ServingJob.stop_memo`) under a key holding
+        everything the verdict reads that can change while the job waits
+        at one level: the level, the clock, the scheduler depth and the
+        next step's MACs (an eviction adds its replay).  A time-insensitive
+        policy's key is the level alone, and its next step is not priced.
         """
         engine = self.engine
-        policy = engine.backend.policy
+        backend = engine.backend
         session = job.session
-        deadline = job.request.deadline
-        if session.next_subnet() is None:
+        level = session.current_subnet
+        if level + 1 >= backend.num_subnets:
             return "largest subnet reached"
         cap = job.request.max_subnet
-        if cap is not None and session.current_subnet >= cap:
+        if cap is not None and level >= cap:
             return "admission-capped subnet reached"
-        enforced = engine.enforce_deadline and deadline is not None
-        if enforced and self.now >= deadline - _TIME_EPS:
+        deadline = job.request.deadline
+        if engine.enforce_deadline and deadline is not None and self.now >= deadline - _TIME_EPS:
             return "deadline reached"
-        cacheable = not policy.time_sensitive and not enforced
-        if cacheable:
-            memo = job.stop_memo
-            if memo is not None and memo[0] == session.current_subnet:
-                return memo[1]
-        if policy.time_sensitive:
-            next_macs = float(session.next_step_macs())
-            estimated = self._finish_time(next_macs)
-        else:
-            next_macs = math.nan
-            estimated = math.inf
-        decision = policy.decide(
+        timed = backend.policy.time_sensitive
+        next_macs = session.next_step_macs() if timed else math.nan
+        key = (level, self.now, len(self.scheduler), next_macs) if timed else level
+        memo = job.stop_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        decision = backend.policy.decide(
             PolicyState(
-                current_subnet=session.current_subnet,
-                num_subnets=engine.backend.num_subnets,
+                current_subnet=level,
+                num_subnets=backend.num_subnets,
                 logits=session.logits,
                 current_time=self.now,
                 deadline=deadline,
                 next_step_macs=next_macs,
-                estimated_finish_time=estimated,
+                estimated_finish_time=self._finish_time(next_macs) if timed else math.inf,
                 queue_depth=max(len(self.scheduler) - 1, 0),
                 confidence_value=job.confidence,
                 start_time=job.request.arrival_time,
             )
         )
         reason = None if decision.step_up else decision.reason
-        if cacheable:
-            job.stop_memo = (session.current_subnet, reason)
+        job.stop_memo = (key, reason)
         return reason
 
     def _fail_step(self, job: ServingJob) -> None:
@@ -1451,12 +1458,10 @@ class ServingRun:
         direction for the deadline guard.
         """
         session = job.session
-        backend = self.engine.backend
+        step_macs = self.engine.backend._step_macs
         macs = session.pending_recompute_macs()
-        prev = session.current_subnet
-        for level in range(prev + 1, target + 1):
-            macs += backend.step_cost(prev, level)
-            prev = level
+        for index in range(session.current_subnet + 1, target + 1):
+            macs += step_macs[index]
         return macs
 
     def _refill_laggards(
@@ -1492,6 +1497,8 @@ class ServingRun:
                 # later instead of trickling in through a skinny replay.
                 continue
             pool.extend(scheduler.jobs_at_edge(edge, slots + len(taken)))
+        if not pool:
+            return pool
         pool.sort(key=scheduler.key)
         bound = math.inf
         if engine.enforce_deadline:
@@ -1539,16 +1546,19 @@ class ServingRun:
         coalescing wait) ends it.
         """
         self._admit(self.now)
-        self._release_delayed()
-        self._run_watchdog()
+        if self._delayed_heap:
+            self._release_delayed()
+        if self._watchdog:
+            self._run_watchdog()
         if not len(self.scheduler):
             when = self.next_event_time()
             if when is not None:
                 self.now = when
             return
-        self._expire()
-        if not len(self.scheduler):
-            return
+        if self._expiry:
+            self._expire()
+            if not len(self.scheduler):
+                return
         job = self._pick()
         if job is None:
             return
@@ -1663,27 +1673,30 @@ class ServingRun:
     def _pass(self, jobs: List[ServingJob], catch_up: bool = False) -> List[StepOutcome]:
         """One forward pass of ``jobs`` (all at one subnet edge), logged as one batch.
 
-        Each member's confidence comes from one softmax over the pass's
-        stacked logits, split by row count; softmax, row max and mean are
-        per-row reductions, so it is bit-identical to the member's own
+        Each member's confidence comes from one pass over the stacked
+        float64 logits, split by row count.  A row's top softmax
+        probability is ``1 / sum(exp(x - max(x)))``: its largest shifted
+        entry is exactly 0, whose exp is exactly 1, and exp and division
+        are monotone, so the value is bit-identical to the member's own
         :func:`prediction_confidence`.  It lands on the outcome and the
         job, where every later continuation verdict reads it.
         """
         outcomes = self.engine.backend.advance_group([job.session for job in jobs])
-        logits = [np.asarray(outcome.logits, dtype=np.float64) for outcome in outcomes]
-        maxes = softmax(logits[0] if len(logits) == 1 else np.concatenate(logits)).max(axis=-1)
-        values = maxes.tolist()
+        logits = [outcome.logits for outcome in outcomes]
+        shifted = (logits[0] if len(logits) == 1 else np.concatenate(logits)).astype(np.float64)
+        shifted -= np.maximum.reduce(shifted, axis=-1, keepdims=True)
+        sums = np.add.reduce(np.exp(shifted, out=shifted), axis=-1)
+        values = sums.tolist()
         row = 0
         for job, outcome, rows in zip(jobs, outcomes, logits):
             count = rows.shape[0]
-            # A one-row mean is exactly its row's value; skip the numpy call.
-            value = values[row] if count == 1 else float(maxes[row : row + count].mean())
+            value = 1.0 / values[row]
+            if count > 1:  # a one-row mean is exactly its row's value
+                value = float((1.0 / sums[row : row + count]).mean())
             outcome.confidence = job.confidence = value
             row += count
             job.steps_executed += 1
         self._batch_sizes.append(len(jobs))
-        self._m_dispatches.add()
-        self._m_occupancy.observe(len(jobs))
         if self._obs is not None:
             flags = {"catch_up": True} if catch_up else {}
             self._obs.emit(

@@ -83,9 +83,9 @@ class CrashFault(Tagged):
 
     def __post_init__(self) -> None:
         if self.time < 0:
-            raise ValueError(f"crash time must be >= 0, got {self.time}")
+            raise ConfigError(f"crash time must be >= 0, got {self.time}")
         if self.recover_time is not None and self.recover_time <= self.time:
-            raise ValueError(
+            raise ConfigError(
                 f"recover_time ({self.recover_time}) must be after the crash ({self.time})"
             )
 
@@ -106,7 +106,7 @@ class TransientFault(Tagged):
 
     def __post_init__(self) -> None:
         if self.time < 0:
-            raise ValueError(f"transient fault time must be >= 0, got {self.time}")
+            raise ConfigError(f"transient fault time must be >= 0, got {self.time}")
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,11 @@ class SlowdownFault(Tagged):
 
     def __post_init__(self) -> None:
         if self.time < 0:
-            raise ValueError(f"slowdown start must be >= 0, got {self.time}")
+            raise ConfigError(f"slowdown start must be >= 0, got {self.time}")
         if self.duration <= 0:
-            raise ValueError(f"slowdown duration must be > 0, got {self.duration}")
+            raise ConfigError(f"slowdown duration must be > 0, got {self.duration}")
         if not 0.0 < self.factor <= 1.0:
-            raise ValueError(f"slowdown factor must be in (0, 1], got {self.factor}")
+            raise ConfigError(f"slowdown factor must be in (0, 1], got {self.factor}")
 
     @property
     def end(self) -> float:
@@ -145,9 +145,9 @@ class PartitionFault(Tagged):
 
     def __post_init__(self) -> None:
         if self.time < 0:
-            raise ValueError(f"partition start must be >= 0, got {self.time}")
+            raise ConfigError(f"partition start must be >= 0, got {self.time}")
         if self.duration <= 0:
-            raise ValueError(f"partition duration must be > 0, got {self.duration}")
+            raise ConfigError(f"partition duration must be > 0, got {self.duration}")
 
     @property
     def end(self) -> float:
@@ -193,15 +193,15 @@ class RetryPolicy(Spec):
                 f"unknown retry policy {self.kind!r}; available: {sorted(RETRY_KINDS)}"
             )
         if self.base_delay < 0:
-            raise ValueError(f"base_delay must be >= 0, got {self.base_delay}")
+            raise ConfigError(f"base_delay must be >= 0, got {self.base_delay}")
         if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
+            raise ConfigError(f"multiplier must be >= 1, got {self.multiplier}")
         if self.max_delay < self.base_delay:
-            raise ValueError(
+            raise ConfigError(
                 f"max_delay ({self.max_delay}) must be >= base_delay ({self.base_delay})"
             )
         if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
 
     @property
     def budget(self) -> int:

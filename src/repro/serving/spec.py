@@ -111,7 +111,7 @@ class StreamSpec(Spec):
     def __post_init__(self) -> None:
         get_stream(self.kind)  # fail fast on unknown generator names
         if self.pool_size <= 0:
-            raise ValueError("pool_size must be positive")
+            raise ConfigError("pool_size must be positive")
 
     def build(
         self,
@@ -226,25 +226,28 @@ class ServingSpec(Spec):
         if self.policy.lower() not in POLICIES:
             raise ConfigError(f"unknown policy '{self.policy}'; available: {sorted(POLICIES)}")
         if self.trace == "constant" and self.trace_rate is None:
-            raise ValueError("trace 'constant' requires an explicit trace_rate (MAC/s)")
+            raise ConfigError("trace 'constant' requires an explicit trace_rate (MAC/s)")
         if self.trace_scale <= 0:
-            raise ValueError("trace_scale must be positive")
+            raise ConfigError("trace_scale must be positive")
         if self.overhead_per_step is not None and self.overhead_per_step < 0:
-            raise ValueError("overhead_per_step must be non-negative")
-        np.dtype(self.dtype)  # raises on unknown dtype names
+            raise ConfigError("overhead_per_step must be non-negative")
+        try:
+            np.dtype(self.dtype)
+        except TypeError:
+            raise ConfigError(f"unknown dtype {self.dtype!r}") from None
         if self.batch_policy.lower() not in BATCH_POLICIES:
             raise ConfigError(
                 f"unknown batch policy '{self.batch_policy}'; "
                 f"available: {sorted(BATCH_POLICIES)}"
             )
         if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be at least 1")
+            raise ConfigError("max_batch_size must be at least 1")
         if self.batch_window < 0:
-            raise ValueError("batch_window must be non-negative")
+            raise ConfigError("batch_window must be non-negative")
         if self.num_subnets is not None and self.num_subnets < 1:
-            raise ValueError("num_subnets cap must be at least 1")
+            raise ConfigError("num_subnets cap must be at least 1")
         if self.max_service_time is not None and self.max_service_time <= 0:
-            raise ValueError("max_service_time must be positive when set")
+            raise ConfigError("max_service_time must be positive when set")
         # Delegate to the single source of truth for the memory knobs:
         # the constructor build_engine will call anyway (a ConfigError on
         # an unknown eviction policy propagates with its registry
@@ -254,7 +257,7 @@ class ServingSpec(Spec):
         except ConfigError:
             raise
         except ValueError as exc:
-            raise ValueError(f"memory_budget_bytes: {exc}") from None
+            raise ConfigError(f"memory_budget_bytes: {exc}") from None
 
     # ------------------------------------------------------------------
     # Builders
@@ -476,7 +479,7 @@ class ClusterSpec(Spec):
         from .request import merge_streams
 
         if not self.streams:
-            raise ValueError(f"cluster '{self.name}' declares no request streams")
+            raise ConfigError(f"cluster '{self.name}' declares no request streams")
         built = [
             stream.build(images, labels, input_shape=input_shape) for stream in self.streams
         ]

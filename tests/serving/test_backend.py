@@ -126,3 +126,63 @@ class TestInputValidation:
             bad.advance()
         # The well-formed member is untouched and still steps.
         assert good.advance().subnet == 0
+
+
+# ----------------------------------------------------------------------
+# Per-level tables: every session read agrees with its definition
+# ----------------------------------------------------------------------
+def _check_level(backend, session):
+    """The table-backed session reads at ``session``'s current level."""
+    level = session.current_subnet
+    top = backend.num_subnets - 1
+    target = level + 1 if level < top else None
+    assert session.next_subnet() == target
+    assert session.edge == (level, target)
+    if target is None:
+        assert session.next_step_macs() is None
+        return
+    expected = backend.step_cost(level, target) + session.pending_recompute_macs()
+    assert session.next_step_macs() == expected
+    held = backend.subnet_macs(level) if level >= 0 and backend.reuses_activations else 0.0
+    assert backend.recompute_macs(level) == held
+
+
+@pytest.mark.parametrize("backend_cls", [SteppingBackend, RecomputeBackend])
+@pytest.mark.parametrize("cap", [None, 2])
+class TestLevelTables:
+    def test_every_level(self, backend_cls, cap, stepping_network, inputs):
+        backend = backend_cls(stepping_network, num_subnets=cap)
+        assert backend.num_subnets == (cap or stepping_network.num_subnets)
+        session = backend.open(inputs)
+        _check_level(backend, session)
+        levels = []
+        while session.next_subnet() is not None:
+            levels.append(session.advance().subnet)
+            _check_level(backend, session)
+        assert levels == list(range(backend.num_subnets))
+
+    def test_after_drop_state(self, backend_cls, cap, stepping_network, inputs):
+        backend = backend_cls(stepping_network, num_subnets=cap)
+        session = backend.open(inputs)
+        while session.next_subnet() is not None:
+            session.advance()
+            session.drop_state()
+            assert (session.pending_recompute_macs() > 0) == backend.reuses_activations
+            _check_level(backend, session)
+        assert session.current_subnet == backend.num_subnets - 1
+
+    def test_after_restore(self, backend_cls, cap, stepping_network, inputs):
+        backend = backend_cls(stepping_network, num_subnets=cap)
+        source = backend.open(inputs)
+        while source.next_subnet() is not None:
+            source.advance()
+            restored = backend.open(inputs)
+            restored.restore(source.level_history, source.logits)
+            _check_level(backend, restored)
+            if restored.next_subnet() is not None:
+                outcome = restored.advance()
+                assert outcome.macs_charged == (
+                    backend.step_cost(source.current_subnet, outcome.subnet)
+                    + backend.recompute_macs(source.current_subnet)
+                )
+                _check_level(backend, restored)

@@ -145,3 +145,66 @@ class TestBoundaryErrors:
         with pytest.raises(ConfigError, match="count"):
             ClusterSpec.from_dict({"nodes": [{"name": "a", "count": count}]})
 
+
+
+# ----------------------------------------------------------------------
+# Value checks raise ConfigError too, so one ``except ConfigError`` at the
+# config boundary catches every bad knob
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "cls, data, match",
+    [
+        (ServingSpec, {"trace_scale": 0}, "trace_scale"),
+        (ServingSpec, {"trace": "constant"}, "trace_rate"),
+        (ServingSpec, {"overhead_per_step": -1.0}, "overhead_per_step"),
+        (ServingSpec, {"max_batch_size": 0}, "max_batch_size"),
+        (ServingSpec, {"batch_window": -1.0}, "batch_window"),
+        (ServingSpec, {"num_subnets": 0}, "num_subnets"),
+        (ServingSpec, {"max_service_time": 0.0}, "max_service_time"),
+        (ServingSpec, {"memory_budget_bytes": -5}, "memory_budget_bytes"),
+        (ServingSpec, {"dtype": "float-ish"}, "dtype"),
+        (ServingSpec, {"platform": "toaster"}, "platform"),
+        (StreamSpec, {"pool_size": 0}, "pool_size"),
+        (RetryPolicy, {"base_delay": -1.0}, "base_delay"),
+        (RetryPolicy, {"multiplier": 0.5}, "multiplier"),
+        (RetryPolicy, {"base_delay": 0.1, "max_delay": 0.01}, "max_delay"),
+        (RetryPolicy, {"max_retries": -1}, "max_retries"),
+        (CrashFault, {"node": "a", "time": -1.0}, "crash time"),
+        (CrashFault, {"node": "a", "time": 1.0, "recover_time": 0.5}, "recover_time"),
+        (TransientFault, {"node": "a", "time": -1.0}, "transient"),
+        (SlowdownFault, {"node": "a", "time": -1.0, "duration": 1.0, "factor": 0.5}, "start"),
+        (SlowdownFault, {"node": "a", "time": 0.0, "duration": 0.0, "factor": 0.5}, "duration"),
+        (SlowdownFault, {"node": "a", "time": 0.0, "duration": 1.0, "factor": 1.5}, "factor"),
+        (PartitionFault, {"node": "a", "time": -1.0, "duration": 1.0}, "partition start"),
+        (PartitionFault, {"node": "a", "time": 0.0, "duration": 0.0}, "duration"),
+    ],
+)
+def test_value_checks_raise_config_error(cls, data, match):
+    with pytest.raises(ConfigError, match=match):
+        cls.from_dict(data)
+
+
+def test_bad_nested_value_is_config_error_through_from_json():
+    with pytest.raises(ConfigError, match="trace_scale"):
+        ClusterSpec.from_json('{"nodes": [{"trace_scale": 0}]}')
+    event = {"kind": "slowdown", "node": "a", "time": 0, "duration": 1, "factor": 2}
+    events = json.dumps({"events": [event]})
+    with pytest.raises(ConfigError, match="factor"):
+        FaultSpec.from_json(events)
+
+
+@pytest.mark.parametrize("cls", [ClusterSpec, FaultSpec, ServingSpec])
+@pytest.mark.parametrize("text", ["[1, 2]", "  [\n]"])
+def test_from_json_non_object_names_its_class(cls, text):
+    with pytest.raises(ConfigError, match=rf"{cls.__name__} needs a mapping, got list"):
+        cls.from_json(text)
+
+
+def test_serving_a_fleet_without_streams_is_config_error():
+    with pytest.raises(ConfigError, match="declares no request streams"):
+        ClusterSpec.from_json('{"nodes": [{}]}').build_requests(input_shape=(3, 12, 12))
+
+
+def test_from_json_malformed_text_is_config_error():
+    with pytest.raises(ConfigError, match="ClusterSpec: invalid JSON"):
+        ClusterSpec.from_json('{"nodes": [')

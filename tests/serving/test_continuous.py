@@ -709,3 +709,14 @@ class TestStepConfidence:
             for step, solo in zip(job.steps, reference.steps):
                 assert step.confidence == prediction_confidence(step.logits)
                 assert step.confidence == solo.confidence
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e2, 1e4])
+    def test_confidence_bit_equal_across_logit_scales(self, stepping_network, sample_pool, scale):
+        """``1 / sum(exp(x - max))`` is the softmax's top probability, bit for bit."""
+        images, _ = sample_pool
+        requests = self._ragged_stream(images * scale)
+        report = _serve(stepping_network, requests, policy="same-level", max_batch_size=4)
+        steps = [step for job in report.jobs for step in job.steps]
+        assert len(steps) == len(requests) * stepping_network.num_subnets
+        for step in steps:
+            assert step.confidence == prediction_confidence(step.logits)
