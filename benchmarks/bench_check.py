@@ -121,7 +121,8 @@ INVARIANTS = {
         # Exact MAC counts: conv GEMMs multiply only the active depth.
         ("gemm_macs.issued", "ge", 1),
         ("gemm_macs.ratio", "lt", 1.0),
-        # Exact: warm, cold and batched ladders give bit-equal logits.
+        # Exact: warm, cold and batched ladders give bit-equal logits
+        # and byte-identical aux buffers (``aux_equal``).
         ("equivalence.*", "true"),
     ],
     "BENCH_batching.json": [

@@ -19,10 +19,18 @@ visible as artefact diffs.  Two sections are exact, not timings, and
 one prefix ladder issues against the full-depth count, and
 ``equivalence`` checks that the ladder's logits are bit-equal whether
 each step runs its warm edge program, its cold one (``aux`` dropped
-before every step), or as one member of a 3-member ``execute_batch``.
+before every step), or as one member of a 3-member ``execute_batch``,
+and that all three leave byte-identical column buffers and pooled maps.
 """
 
 from __future__ import annotations
+
+import os
+
+# Pin BLAS to one thread *before* numpy loads: a ladder's GEMMs are
+# interactive-sized, where thread fan-out only adds dispatch jitter.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import argparse
 import json
@@ -90,49 +98,59 @@ def gemm_macs(network) -> dict:
 
 
 def equivalence(network, inputs) -> dict:
-    """Exact: the prefix ladder's logits, bit-equal three ways.
+    """Exact: the prefix ladder's logits and ``aux`` buffers, bit-equal three ways.
 
     Against warm steps (each step's buffers left by the last), the same
     ladder with ``aux`` dropped before every step runs each edge's cold
     program, and the same inputs as one member of a 3-member
-    ``execute_batch`` run through the group entry point.  Checked at one sample and
-    at the benchmark's batch, so the in-place single-sample conv GEMM is
-    covered too.
+    ``execute_batch`` run through the group entry point.  After every
+    step all three must hold byte-identical column buffers and pooled
+    maps (``aux_equal``): a cold step zeroes only the column rows it does
+    not pack.  Checked at one sample and at the benchmark's batch, so the
+    in-place single-sample conv GEMM is covered too.
     """
     plan = NetworkPlan.for_network(network, dtype=DTYPE)
     ladder = range(plan.num_subnets)
 
+    def aux_bytes(aux):
+        return [aux[key].tobytes() for key in sorted(aux, key=repr) if key != "level"]
+
     def solo(samples, drop_aux):
-        cache, aux, logits, level, out = {}, {}, None, -1, []
+        cache, aux, logits, level, out, buffers = {}, {}, None, -1, [], []
         for target in ladder:
             if drop_aux:
                 aux.clear()
             logits = plan.execute(samples, cache, aux, logits, level, target)
             level = target
             out.append(logits.tobytes())
-        return out
+            buffers.append(aux_bytes(aux))
+        return out, buffers
 
     def batched(samples):
         members = [
             BatchMember(inputs=x, cache={}, aux={})
             for x in (samples, samples[::-1].copy(), -samples)
         ]
-        level, out = -1, []
+        level, out, buffers = -1, [], []
         for target in ladder:
             logits = plan.execute_batch(members, level, target)
             for member, member_logits in zip(members, logits):
                 member.logits = member_logits
             level = target
             out.append(logits[0].tobytes())
-        return out
+            buffers.append(aux_bytes(members[0].aux))
+        return out, buffers
 
-    cold = batch = True
+    cold = batch = aux = True
     for samples in (inputs[:1], inputs):
         samples = samples.astype(DTYPE)
-        warm = solo(samples, drop_aux=False)
-        cold &= solo(samples, drop_aux=True) == warm
-        batch &= batched(samples) == warm
-    return {"warm_equals_cold": cold, "warm_equals_batched": batch}
+        warm, warm_aux = solo(samples, drop_aux=False)
+        cold_logits, cold_aux = solo(samples, drop_aux=True)
+        batch_logits, batch_aux = batched(samples)
+        cold &= cold_logits == warm
+        batch &= batch_logits == warm
+        aux &= cold_aux == warm_aux == batch_aux
+    return {"warm_equals_cold": cold, "warm_equals_batched": batch, "aux_equal": aux}
 
 
 def time_stepping(network, inputs, compiled: bool, repeats: int) -> dict:
@@ -251,7 +269,8 @@ def main() -> None:
     print(
         "ladder logits bit-equal: cold rebuild "
         f"{results['equivalence']['warm_equals_cold']}, batched member "
-        f"{results['equivalence']['warm_equals_batched']}"
+        f"{results['equivalence']['warm_equals_batched']}; aux buffers "
+        f"{results['equivalence']['aux_equal']}"
     )
     for label in ("legacy", "compiled"):
         row = step[label]

@@ -54,29 +54,44 @@ tolerance against the legacy oracle (float64 rtol 1e-9, float32 rtol
 2e-3), not bit-identity with a full-depth plan.
 
 Packing allocates nothing either: each conv step owns a **scratch**
-padded input map whose border stays zero.  A pack writes only the
-updated channels into its interior and builds the patch view on it
-(:func:`~repro.nn.functional.im2col_channel_major`); the map grows to the
-largest sample count seen.  The scratch is plan state, not request
-state — it is not in ``aux`` and not in :meth:`NetworkPlan.state_nbytes`
-— so a plan is not re-entrant: it runs on one thread at a time, as every
-caller in this package does.
+full-channel padded input map whose border stays zero, grown to the
+largest sample count seen.  Per sample count the plan builds two views
+of it once — its interior, and the channel-major patch view
+(:func:`~repro.nn.functional.channel_major_view`, the stride formula of
+:func:`~repro.nn.functional.im2col_channel_major`) — and rebuilds them
+only when the map grows.  A pack copies just the updated channels into
+the interior at their own positions, ``interior[:, update] =
+src[:, update]``, then their patches into the column buffer,
+``cols[update] = patches[update]``; other channels' stale interior is
+never read.  The scratch is plan state, not request state — it is not
+in ``aux`` and not in :meth:`NetworkPlan.state_nbytes` — so a plan is
+not re-entrant: it runs on one thread at a time, as every caller in
+this package does.
+
+A cold step takes a fresh column buffer from ``np.empty`` and zeroes
+only the rows of the input channels inactive at ``to``: its pack writes
+every other row, so the buffer holds the bytes a zeroed one would.
+Zeroing less is unsound: a gap row of a shuffled assignment lies inside
+the GEMM depth, where a zero weight times garbage (NaN, inf) is not
+zero, and a row past the depth would change the buffer's bytes, which
+warm, cold and batched steps must agree on.
 
 Every step runs a compiled **edge program**.  The first step over an
 edge ``(from, to)`` compiles a flat tuple of ops, which the plan keeps
-for reuse.  Each op is a closure over one kernel, and its slab, unit
-index, GEMM depth, update set and ``cache``/``aux`` keys are fixed at
-compile time.  A step is then one dict lookup and a loop of calls, with
+for reuse.  Each op is a closure whose slab, unit index, GEMM depth,
+pixel count, update set and ``cache``/``aux`` keys are fixed at compile
+time; a conv block is **one** op (cold set-up, pack, and GEMM + bias +
+activation).  A step is then one dict lookup and a loop of calls, with
 no per-block dispatch.  Each edge has two programs, built by one
 compiler from the same kernels:
 
 * The **warm** program runs when ``aux``'s ``"level"`` tag equals
   ``from``.  The tag is written only after a complete pass, and dropping
   ``aux`` clears it, so every buffer exists.  The program leaves out
-  every op with nothing to do: a pack whose input channels did not
-  change, a GEMM over an empty slab, a pool of unchanged channels.  On a
-  32-level ladder most edges add no unit to a narrow first layer, and
-  some add none anywhere.
+  every op with nothing to do, and a conv op its pack when no input
+  channel changed or its GEMM when the slab is empty.  On a 32-level
+  ladder most edges add no unit to a narrow first layer, and some add
+  none anywhere.
 * The **cold** program serves fresh, dropped and imported states.  It
   creates any missing buffer and packs every channel active at ``to``,
   as a rebuilt buffer always has.
@@ -133,7 +148,7 @@ import numpy as np
 
 from ..nn.functional import (
     avg_pool2d_infer,
-    im2col_channel_major,
+    channel_major_view,
     max_pool2d_infer,
     resolve_activation,
 )
@@ -161,10 +176,10 @@ def _index(units: np.ndarray) -> Index:
     return units if contiguous is None else contiguous
 
 
-def _active(in_levels: np.ndarray, num_subnets: int) -> Tuple[Index, ...]:
-    """Per subnet level, the index of the incoming channels active at it."""
+def _active(in_levels: np.ndarray, num_subnets: int, active: bool = True) -> Tuple[Index, ...]:
+    """Per subnet level, the index of the incoming channels active (or not) at it."""
     return tuple(
-        _index(np.where(in_levels <= level)[0]) for level in range(num_subnets)
+        _index(np.where((in_levels <= level) == active)[0]) for level in range(num_subnets)
     )
 
 
@@ -285,13 +300,17 @@ class _HiddenStep:
     # conv only
     in_channels: int = 0
     active: Tuple[Index, ...] = ()  # per level: input channels to pack first
+    inactive: Tuple[Index, ...] = ()  # per level: column rows a cold step zeroes
     kernel: Tuple[int, int] = (1, 1)
     stride: Tuple[int, int] = (1, 1)
     padding: Tuple[int, int] = (1, 1)
+    in_spatial: Tuple[int, int] = (1, 1)
     out_spatial: Tuple[int, int] = (1, 1)
-    # Zero-bordered padded input map that im2col packs through, grown to
-    # the largest sample count seen: plan scratch, never request state.
+    # Zero-bordered full-channel padded input map that packs go through,
+    # grown to the largest sample count seen, and per sample count its
+    # (interior, patch) views: plan scratch, never request state.
     scratch: Optional[np.ndarray] = field(default=None, repr=False)
+    views: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -555,9 +574,11 @@ class NetworkPlan:
         if conv:
             step.in_channels = layer.in_channels
             step.active = _active(in_subnet, self.num_subnets)
+            step.inactive = _active(in_subnet, self.num_subnets, active=False)
             step.kernel = (layer.kernel_size, layer.kernel_size)
             step.stride = (layer.stride, layer.stride)
             step.padding = (layer.padding, layer.padding)
+            step.in_spatial = tuple(block.in_spatial)
             step.out_spatial = layer.output_spatial_size(*block.in_spatial)
         return step
 
@@ -768,7 +789,7 @@ class NetworkPlan:
                 slab = step.slabs.pack(from_subnet, to_subnet)
                 if step.kind == "conv":
                     update = changed if warm else step.active[to_subnet]
-                    ops.extend(self._conv_ops(step, slab, source, update, warm))
+                    ops.extend(self._conv_ops(step, slab, source, update, warm, to_subnet))
                 else:
                     ops.extend(self._linear_ops(step, slab, source, warm))
                 source, changed = _cache_map(step.param_index), slab.index
@@ -787,30 +808,58 @@ class NetworkPlan:
         return program
 
     def _conv_ops(
-        self, step: _HiddenStep, slab: _Slab, source: _Source, update: Index, warm: bool
+        self, step: _HiddenStep, slab: _Slab, source: _Source, update: Index, warm: bool, to: int
     ) -> List[_Op]:
-        """A conv block's ops: buffer set-up (cold), im2col pack, GEMM."""
-        ops: List[_Op] = []
-        param, key = step.param_index, ("cols", step.param_index)
-        if not warm:
+        """A conv block as one op: buffer set-up (cold), pack, GEMM + bias + activation.
 
-            def buffers(x: np.ndarray, cache: Dict, aux: Dict) -> None:
-                self._conv_buffers(step, x.shape[0], cache, aux)
+        The persistent channel-major column buffer is
+        ``(C, kh, kw, N, oh, ow)``.  A cold op takes it from ``np.empty``
+        and zeroes the rows of the channels inactive at ``to``;
+        its pack writes every other row, so the buffer holds what a
+        zeroed one packed would.  The pack copies the updated channels
+        into the scratch map's interior at their own positions, then
+        their patches into the buffer (see :meth:`_patch_views`).
 
-            ops.append(buffers)
-        if update is not None:
+        The GEMM is ``(new_units, depth) @ (depth, N*oh*ow)``, over the
+        buffer's leading ``depth`` rows: a contiguous prefix, so no copy.
+        Weights on the left keep the bias add, activation and scatter
+        contiguous.  For one sample and a slice of units the product's
+        layout *is* the cache block ``cached[0, units]``, so the GEMM
+        writes there (``out=``): the same BLAS call, only stored
+        elsewhere.
+        """
+        pack, gemm = update is not None, slab.index is not None
+        if warm and not (pack or gemm):
+            return []
+        param, key, dtype = step.param_index, ("cols", step.param_index), self.dtype
+        zero, units, out = step.inactive[to], step.num_units, step.out_spatial
+        shape, pixels = (step.in_channels,) + step.kernel, out[0] * out[1]
+        weight, bias, index, activate = slab.weight, slab.bias, slab.index, step.activate
+        rows, depth, in_place = weight.shape[0], weight.shape[1], isinstance(index, slice)
 
-            def pack(x: np.ndarray, cache: Dict, aux: Dict) -> None:
-                aux[key][update] = self._im2col(step, source(x, cache, aux)[:, update])
+        def conv(x: np.ndarray, cache: Dict, aux: Dict) -> None:
+            samples = x.shape[0]
+            if not warm:
+                if param not in cache:
+                    cache[param] = np.zeros((samples, units) + out, dtype=dtype)
+                aux[key] = np.empty(shape + (samples,) + out, dtype=dtype)
+                if zero is not None:
+                    aux[key][zero] = 0
+            cols = aux[key]
+            if pack:
+                interior, patches = step.views.get(samples) or self._patch_views(step, samples)
+                interior[:, update] = source(x, cache, aux)[:, update]
+                cols[update] = patches[update]
+            if gemm:
+                cached = cache[param]
+                block = cached[0, index].reshape(rows, -1) if samples == 1 and in_place else None
+                z = np.matmul(weight, cols.reshape(-1, samples * pixels)[:depth], out=block)
+                z += bias
+                activate(z, z)
+                if block is None:
+                    cached[:, index] = z.reshape(rows, samples, *out).transpose(1, 0, 2, 3)
 
-            ops.append(pack)
-        if slab.index is not None:
-
-            def gemm(x: np.ndarray, cache: Dict, aux: Dict) -> None:
-                self._conv_gemm(step, slab, aux[key], cache[param])
-
-            ops.append(gemm)
-        return ops
+        return [conv]
 
     def _linear_ops(
         self, step: _HiddenStep, slab: _Slab, source: _Source, warm: bool
@@ -881,23 +930,6 @@ class NetworkPlan:
 
     # Cold set-up: a cold program runs on a cleared ``aux``, and the
     # network input's sample count is every buffer's batch axis.
-    def _conv_buffers(self, step: _HiddenStep, samples: int, cache: Dict, aux: Dict) -> None:
-        """One member's conv output map (if missing) and a fresh column buffer.
-
-        The persistent channel-major column buffer is
-        ``(C, kh, kw, N, oh, ow)``; a warm step re-packs only the channels
-        it activated, and a fresh one every channel active at the step's
-        target level, once.
-        """
-        out_h, out_w = step.out_spatial
-        if step.param_index not in cache:
-            cache[step.param_index] = np.zeros(
-                (samples, step.num_units, out_h, out_w), dtype=self.dtype
-            )
-        aux[("cols", step.param_index)] = np.zeros(
-            (step.in_channels,) + step.kernel + (samples, out_h, out_w), dtype=self.dtype
-        )
-
     def _linear_cache(self, step: _HiddenStep, samples: int, cache: Dict) -> None:
         """One member's linear output map, created (zeros) if missing."""
         if step.param_index not in cache:
@@ -909,52 +941,25 @@ class NetworkPlan:
             (samples, step.num_channels) + step.out_spatial, dtype=self.dtype
         )
 
-    def _im2col(self, step: _HiddenStep, images: np.ndarray) -> np.ndarray:
-        """Channel-major patches of ``images``, packed through the step's scratch.
+    def _patch_views(self, step: _HiddenStep, samples: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The scratch map's interior and its patch view for ``samples`` samples.
 
-        The scratch map is allocated (zeroed) only when the sample count
-        outgrows it; afterwards a pack writes the interior and allocates
-        nothing.  The returned view aliases the scratch, so it must be
-        consumed before the step packs again.
+        Built once per sample count, and again only after the scratch map
+        grows (zeroed) to a larger one.  A pack writes just its channels'
+        interior and reads back just their patches, so the border stays
+        zero and other channels' stale values are never read.
         """
+        (ph, pw), (height, width) = step.padding, step.in_spatial
+        if step.scratch is None or step.scratch.shape[0] < samples:
+            shape = (samples, step.in_channels, height + 2 * ph, width + 2 * pw)
+            step.scratch, step.views = np.zeros(shape, dtype=self.dtype), {}
         scratch = step.scratch
-        if scratch is None or scratch.shape[0] < images.shape[0]:
-            (ph, pw), (samples, _, height, width) = step.padding, images.shape
-            scratch = np.zeros(
-                (samples, step.in_channels, height + 2 * ph, width + 2 * pw), dtype=self.dtype
-            )
-            step.scratch = scratch
-        return im2col_channel_major(images, step.kernel, step.stride, step.padding, scratch)
-
-    @staticmethod
-    def _conv_gemm(step: _HiddenStep, slab: _Slab, cols: np.ndarray, cached: np.ndarray) -> None:
-        """The one conv kernel: GEMM, bias, activation, written into ``cached``.
-
-        ``(new_units, depth) @ (depth, N*oh*ow)``: weights on the left keep
-        the activation, bias add and scatter contiguous, and the columns
-        are the buffer's leading ``depth`` rows — a contiguous prefix of
-        the channel-major buffer, so no copy.  Warm and cold programs both
-        run here with the depth fixed by ``(from, to)``, which is what
-        keeps them bit-equal.
-
-        For one sample and a slice of units the product's layout
-        ``(units, oh*ow)`` *is* the cache block ``cached[0, units]``, so
-        the GEMM writes there (``out=``) and bias and activation run in
-        place: the same BLAS call on the same operands, only its output
-        stored elsewhere, so no temporary and no scatter.
-        """
-        batch, _, out_h, out_w = cached.shape
-        weight, index = slab.weight, slab.index
-        columns = cols.reshape(-1, batch * out_h * out_w)[: weight.shape[1]]
-        if batch == 1 and isinstance(index, slice):
-            z = np.matmul(weight, columns, out=cached[0, index].reshape(weight.shape[0], -1))
-            z += slab.bias
-            step.activate(z, z)
-            return
-        z = weight @ columns
-        z += slab.bias
-        step.activate(z, z)
-        cached[:, index] = z.reshape(-1, batch, out_h, out_w).transpose(1, 0, 2, 3)
+        interior = scratch[:samples, :, ph : ph + height, pw : pw + width]
+        patches = channel_major_view(
+            scratch, step.in_channels, samples, step.kernel, step.stride, step.out_spatial
+        )
+        step.views[samples] = (interior, patches)
+        return interior, patches
 
     @staticmethod
     def _pool_channels(x: np.ndarray, kind: str, size: int, stride: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
 
@@ -216,6 +217,13 @@ class ArchitectureSpec:
     def _has_conv(self) -> bool:
         return any(isinstance(layer, ConvSpec) for layer in self.layers)
 
+    @cached_property
+    def _accepted_sample_shapes(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per-sample input shapes the network takes, ``input_shape`` first
+        (computed once: the spec is frozen)."""
+        expected = tuple(self.input_shape)
+        return (expected,) if self._has_conv() else (expected, (math.prod(expected),))
+
     def input_shape_problem(self, shape: Tuple[int, ...]) -> Optional[str]:
         """Why an input array of ``shape`` is not a batch this network takes, or ``None``.
 
@@ -223,12 +231,11 @@ class ArchitectureSpec:
         ``input_shape``; a network without convolutions also takes
         flattened samples.
         """
-        expected = tuple(self.input_shape)
-        accepted = [expected] if self._has_conv() else [expected, (math.prod(expected),)]
+        accepted = self._accepted_sample_shapes
         if len(shape) < 2 or shape[0] < 1:
             return f"need a batch axis of at least one sample, got shape {shape}"
         if shape[1:] not in accepted:
-            return f"have per-sample shape {shape[1:]}, expected {expected}"
+            return f"have per-sample shape {shape[1:]}, expected {accepted[0]}"
         return None
 
     def describe(self) -> str:

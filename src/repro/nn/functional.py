@@ -248,16 +248,35 @@ def im2col_channel_major(
         # than the rest of this function at interactive batch shapes.
         scratch = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=images.dtype)
     scratch[:n, :c, ph : ph + h, pw : pw + w] = images
-    s0, s1, s2, s3 = scratch.strides
-    view = np.ndarray(
-        (c, kh, kw, n, out_h, out_w),
-        scratch.dtype,
-        scratch,
+    view = channel_major_view(scratch, c, n, kernel_size, stride, (out_h, out_w))
+    view.flags.writeable = False
+    return view
+
+
+def channel_major_view(
+    padded: np.ndarray,
+    channels: int,
+    samples: int,
+    kernel_size: Tuple[int, int],
+    stride: Tuple[int, int],
+    out_size: Tuple[int, int],
+) -> np.ndarray:
+    """The ``(channels, kh, kw, samples, out_h, out_w)`` patch view of a padded map.
+
+    ``padded`` is a C-contiguous ``(N', C', H, W)`` map, already padded,
+    with ``N' >= samples`` and ``C' >= channels``; the view reads its
+    first ``samples`` samples and ``channels`` channels and aliases it,
+    so it shows every later write (see :func:`im2col_channel_major`).
+    """
+    (kh, kw), (sh, sw) = kernel_size, stride
+    s0, s1, s2, s3 = padded.strides
+    return np.ndarray(
+        (channels, kh, kw, samples) + tuple(out_size),
+        padded.dtype,
+        padded,
         0,
         (s1, s2, s3, s0, s2 * sh, s3 * sw),
     )
-    view.flags.writeable = False
-    return view
 
 
 def conv2d_infer(

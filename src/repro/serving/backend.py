@@ -92,9 +92,14 @@ class ExecutionSession:
     through the backend (a group of one) and records the outcome.
     """
 
-    def __init__(self, backend: "ExecutionBackend", inputs: np.ndarray) -> None:
+    def __init__(
+        self, backend: "ExecutionBackend", inputs: np.ndarray, checked: bool = False
+    ) -> None:
         self.backend = backend
         self.inputs = inputs
+        #: Whether the input shape was validated (by the opener, or by
+        #: this session's first step); replays do not check it again.
+        self._checked = checked
         self._state: Optional[InferenceState] = None
         self._current_subnet = -1
         self._last_logits: Optional[np.ndarray] = None
@@ -327,9 +332,17 @@ class ExecutionBackend:
             return None
         return self.plan.state_nbytes(batch_size)
 
-    def open(self, inputs: np.ndarray) -> ExecutionSession:
-        """Start a new session for one request's input batch."""
-        return ExecutionSession(self, np.asarray(inputs))
+    def open(self, inputs: np.ndarray, *, checked: bool = False) -> ExecutionSession:
+        """Start a new session for one request's input batch.
+
+        Its first step raises :class:`ConfigError` on a batch the network
+        does not take.  ``checked=True`` says the caller already validated
+        the shape with
+        :meth:`~repro.models.spec.ArchitectureSpec.input_shape_problem`,
+        as a serving run does when a request is pushed, so no step checks
+        it again.
+        """
+        return ExecutionSession(self, np.asarray(inputs), checked)
 
     # ------------------------------------------------------------------
     # Observability: per-level wall-clock timing on the compiled plan.
@@ -380,7 +393,7 @@ class ExecutionBackend:
             raise RuntimeError("session already reached the largest subnet")
         for session in sessions:
             if session._state is None:
-                session._state = self._fresh_state(session.inputs)
+                session._state = self._fresh_state(session)
         recomputes = [session.pending_recompute_macs() for session in sessions]
         for session in sessions:
             if session._recompute_pending:
@@ -400,12 +413,18 @@ class ExecutionBackend:
             outcomes.append(StepOutcome(target, logits, cost + recomputed, reused, recomputed))
         return outcomes
 
-    def _fresh_state(self, inputs: np.ndarray) -> InferenceState:
-        """A not-yet-started state for ``inputs``, validated and cast once."""
-        inputs = np.asarray(inputs, dtype=self.dtype)
-        problem = self.network.spec.input_shape_problem(inputs.shape)
-        if problem is not None:
-            raise ConfigError(f"inputs {problem}")
+    def _fresh_state(self, session: ExecutionSession) -> InferenceState:
+        """A not-yet-started state for ``session``'s inputs, cast once.
+
+        The shape is checked once per session, at its first step, unless
+        the opener already checked it; a replay does not check again.
+        """
+        inputs = np.asarray(session.inputs, dtype=self.dtype)
+        if not session._checked:
+            problem = self.network.spec.input_shape_problem(inputs.shape)
+            if problem is not None:
+                raise ConfigError(f"inputs {problem}")
+            session._checked = True
         return InferenceState.fresh(inputs)
 
     def _replay(self, session: ExecutionSession) -> None:

@@ -892,7 +892,7 @@ class ServingRun:
         self._check_inputs(request)
         flags = {}
         if checkpoint is not None:
-            session = self.engine.backend.open(request.inputs)
+            session = self.engine.backend.open(request.inputs, checked=True)
             session.restore(checkpoint.history, checkpoint.logits)
             job = ServingJob(
                 request=request,
@@ -922,7 +922,8 @@ class ServingRun:
     def _check_inputs(self, request: Request) -> None:
         """Raise :class:`ConfigError` unless the inputs are a finite batch the network takes.
 
-        A network without convolutions also takes flattened samples.
+        A network without convolutions also takes flattened samples.  The
+        request's session is opened ``checked``: this is its one check.
         """
         inputs = np.asarray(request.inputs)
         problem = self.engine.backend.network.spec.input_shape_problem(inputs.shape)
@@ -1045,7 +1046,9 @@ class ServingRun:
             request_id = request.request_id
             resumed = self._resumed.pop(request_id, None)
             if resumed is None:
-                job = ServingJob(request=request, session=engine.backend.open(request.inputs))
+                job = ServingJob(
+                    request=request, session=engine.backend.open(request.inputs, checked=True)
+                )
                 steps: List[ServedStep] = []
             else:
                 job, steps = resumed
@@ -1478,24 +1481,29 @@ class ServingRun:
         order.  A candidate is skipped when its own policy already says
         stop, or when its catch-up work — which rides the same dispatch
         and therefore delays everyone — would push the projected finish
-        past any accepted member's (or its own) deadline.
+        past any accepted member's (or its own) deadline.  Most calls
+        find no ready edge below the wave within the catch-up cap and
+        return before reading the members or fetching a candidate.
         """
         engine = self.engine
         scheduler = self.scheduler
         from_level = winner.session.current_subnet
-        target = winner.session.next_subnet()
         catchup_cap = getattr(engine.batch_policy, "max_catchup_levels", None)
+        # Past the cap the replay distance is too long: let the job keep
+        # its queue position and open a fresh, wide wave later instead of
+        # trickling in through a skinny replay.
+        lowest = -math.inf if catchup_cap is None else from_level - catchup_cap
+        edges = [
+            edge
+            for edge in scheduler.edges()
+            if edge[1] is not None and lowest <= edge[0] < from_level
+        ]
+        if not edges:
+            return []
+        target = winner.session.next_subnet()
         taken = {member.request.request_id for member in members}
         pool: List[ServingJob] = []
-        for edge in scheduler.edges():
-            level, next_level = edge
-            if next_level is None or level >= from_level:
-                continue
-            if catchup_cap is not None and from_level - level > catchup_cap:
-                # Replay distance exceeds the admission cap: let the job
-                # keep its queue position and open a fresh, wide wave
-                # later instead of trickling in through a skinny replay.
-                continue
+        for edge in edges:
             pool.extend(scheduler.jobs_at_edge(edge, slots + len(taken)))
         if not pool:
             return pool

@@ -559,6 +559,14 @@ def _conv_steps(plan):
     ]
 
 
+def _poison_heap(plan, samples, dtype):
+    """Fill and free a block the size of each column buffer.  A buffer
+    taken from ``np.empty`` next likely reuses one, so a row a cold step
+    leaves unwritten shows as NaN, not as the zeros a freed buffer held."""
+    for step in _conv_steps(plan):
+        np.full((step.in_channels,) + step.kernel + (samples,) + step.out_spatial, np.nan, dtype)
+
+
 class TestDepthOracle:
     """A conv step to level ``t`` multiplies only the column rows of the
     input channels active at ``t``: its GEMM depth is
@@ -616,6 +624,55 @@ class TestDepthOracle:
                 assert not flat[depth:].any()  # rows past the depth are inactive
                 np.testing.assert_allclose(slab.weight @ flat[:depth], wide @ flat, **tol)
             level = target
+
+    @pytest.mark.parametrize("model_name", sorted(TestSliceIndexOracle.MODELS))
+    @pytest.mark.parametrize("assignment", ["prefix", "shuffled"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inactive_column_rows_are_zero(self, model_name, assignment, dtype):
+        """Every column-buffer row of an input channel inactive at the
+        member's level is zero: the shuffled assignment's gap rows too, not
+        only the rows past the depth.  A cold step zeroes just these rows
+        of an uninitialised buffer and packs the rest, so this holds after
+        warm steps, cold rebuilds and batched steps, at 1, 3, 1 and 3
+        samples (the plan's scratch map grows, then serves a smaller count)."""
+        spec = TestSliceIndexOracle.MODELS[model_name]()
+        network = _assigned_network(spec, assignment)
+        plan = NetworkPlan(network, dtype=dtype)
+        input_levels = {
+            step.param_index: np.asarray(network.input_unit_subnet(step.param_index))
+            for step in _conv_steps(plan)
+        }
+        gaps = False
+
+        def check(aux, level):
+            nonlocal gaps
+            for param, in_levels in input_levels.items():
+                cols = aux[("cols", param)]
+                rows = np.flatnonzero(in_levels > level)
+                assert not cols[rows].any(), (param, level)
+                active = np.flatnonzero(in_levels <= level)
+                gaps |= bool(rows.size and active.size and rows[0] < active[-1])
+
+        rng = np.random.default_rng(10)
+        for batch, cold_at in ((1, (1, 3)), (3, (2,)), (1, (2,)), (3, (1, 3))):
+            shape = (batch,) + tuple(spec.input_shape)
+            inputs = [rng.standard_normal(shape).astype(dtype) for _ in range(3)]
+            cache, aux, logits, level = {}, {}, None, -1
+            members = [BatchMember(inputs=x, cache={}, aux={}) for x in inputs]
+            for target in range(plan.num_subnets):
+                if target in cold_at:
+                    aux.clear()  # a cold rebuild; the next step runs warm on it
+                    members[1].aux.clear()  # one cold member in a batched step
+                    _poison_heap(plan, batch, dtype)
+                logits = plan.execute(inputs[0], cache, aux, logits, level, target)
+                check(aux, target)
+                for member, member_logits in zip(
+                    members, plan.execute_batch(members, level, target)
+                ):
+                    member.logits = member_logits
+                    check(member.aux, target)
+                level = target
+        assert gaps == (assignment == "shuffled")
 
 
 class TestScratchReuseOracle:

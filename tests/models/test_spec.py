@@ -45,6 +45,34 @@ class TestValidation:
             )
 
 
+class TestInputShapeProblem:
+    def test_accepted_shapes(self):
+        conv = simple_spec()
+        assert conv.input_shape_problem((2, 3, 8, 8)) is None
+        assert "per-sample shape (192,)" in conv.input_shape_problem((2, 192))
+        assert "batch axis" in conv.input_shape_problem((0, 3, 8, 8))
+        dense = mlp(num_classes=4, input_dim=16, hidden=(8,))
+        assert dense.input_shape_problem((2, 16)) is None
+        assert dense.input_shape_problem((2, 16, 1, 1)) is None
+        assert "expected (16, 1, 1)" in dense.input_shape_problem((2, 4, 4))
+
+    def test_layers_are_scanned_once_per_spec(self, monkeypatch):
+        scans = []
+        original = ArchitectureSpec._has_conv
+        monkeypatch.setattr(
+            ArchitectureSpec, "_has_conv", lambda self: scans.append(self) or original(self)
+        )
+        spec = simple_spec()
+        for _ in range(5):
+            assert spec.input_shape_problem((1, 3, 8, 8)) is None
+            assert spec.input_shape_problem((1, 3, 8, 9)) is not None
+        assert scans == [spec]
+        # A derived spec is a new frozen object with its own answer.
+        wide = spec.expand(2.0)
+        assert wide.input_shape_problem((1, 3, 8, 8)) is None
+        assert scans == [spec, wide]
+
+
 class TestExpansion:
     def test_expand_scales_hidden_layers_only(self):
         spec = simple_spec()

@@ -127,6 +127,28 @@ class TestInputValidation:
         # The well-formed member is untouched and still steps.
         assert good.advance().subnet == 0
 
+    def test_a_session_checks_its_shape_once(self, stepping_network, inputs, monkeypatch):
+        """The first step checks the shape; replays after an eviction or a
+        restore do not, and a session opened ``checked`` never does."""
+        calls = []
+        original = type(stepping_network.spec).input_shape_problem
+        monkeypatch.setattr(
+            type(stepping_network.spec),
+            "input_shape_problem",
+            lambda spec, shape: calls.append(shape) or original(spec, shape),
+        )
+        backend = SteppingBackend(stepping_network)
+        session = backend.open(inputs)
+        while session.next_subnet() is not None:
+            session.advance()
+            session.drop_state()  # the next advance replays from a fresh state
+        assert calls == [inputs.shape]
+        restored = backend.open(inputs, checked=True)
+        restored.restore(session.level_history[:-1], None)
+        restored.advance()
+        assert calls == [inputs.shape]
+        assert np.array_equal(restored.logits, session.logits)
+
 
 # ----------------------------------------------------------------------
 # Per-level tables: every session read agrees with its definition

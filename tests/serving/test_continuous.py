@@ -457,6 +457,52 @@ def _started(request_id, arrival, level, **kwargs):
     return _job(request_id, arrival, session=session, steps=level + 1, **kwargs)
 
 
+class _Unread(list):
+    """A member list that fails the test if anything iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("the members were read")
+
+
+class TestRefillEarlyReturn:
+    """``_refill_laggards`` returns before it reads the members or fetches
+    a candidate when no ready edge lies below the winner's level within
+    ``max_catchup_levels``; with one such edge it admits the laggard."""
+
+    @staticmethod
+    def _run(network, cap, jobs):
+        policy = ContinuousBatching(max_batch_size=4, max_catchup_levels=cap)
+        engine = ServingEngine(
+            SteppingBackend(network), _calibrated_trace(network), "fifo", batch_policy=policy
+        )
+        run = engine.open_run()
+        for job in jobs:
+            run.scheduler.add(job)
+        return run
+
+    @pytest.mark.parametrize("cap", [None, 1])
+    def test_returns_before_reading_members(self, stepping_network, monkeypatch, cap):
+        winner = _started(0, 0.0, level=1)
+        entry = _job(1, 0.0)  # edge (-1, 0): two levels below the wave
+        peer = _started(2, 0.0, level=1)  # the wave's own edge
+        ahead = _started(3, 0.0, level=2)  # above the wave
+        jobs = [winner, peer, ahead] + ([entry] if cap is not None else [])
+        run = self._run(stepping_network, cap, jobs)
+
+        def fetch(*args, **kwargs):
+            raise AssertionError("a candidate was fetched")
+
+        monkeypatch.setattr(run.scheduler, "jobs_at_edge", fetch)
+        assert run._refill_laggards(winner, _Unread([winner]), 3) == []
+
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_admits_a_laggard_within_the_cap(self, stepping_network, cap):
+        winner = _started(0, 0.0, level=1)
+        entry = _job(1, 0.0)
+        run = self._run(stepping_network, cap, [winner, entry, _started(2, 0.0, level=2)])
+        assert run._refill_laggards(winner, [winner], 3) == [entry]
+
+
 class TestBatchAwareScheduler:
     def test_serves_fullest_edge(self):
         scheduler = BatchAwareScheduler()

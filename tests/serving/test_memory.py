@@ -309,6 +309,23 @@ class TestBitEqualityUnderEviction:
         assert bounded.aux_evictions > 0
         _assert_bit_equal(oracle, bounded)
 
+    def test_inputs_checked_once_per_request(self, stepping_network, sample_pool, monkeypatch):
+        """The run checks each request's shape at push; the replays of
+        evicted contexts do not check it again."""
+        images, _ = sample_pool
+        requests = _random_requests(np.random.default_rng(2), images, 14)
+        calls = []
+        original = type(stepping_network.spec).input_shape_problem
+        monkeypatch.setattr(
+            type(stepping_network.spec),
+            "input_shape_problem",
+            lambda spec, shape: calls.append(shape) or original(spec, shape),
+        )
+        context = _context_bytes(stepping_network)
+        bounded = _serve(stepping_network, requests, budget=int(context * 1.2))
+        assert bounded.cache_evictions > 0  # replays genuinely happened
+        assert len(calls) == len(requests)
+
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_batched_backend_bit_equal(self, stepping_network, sample_pool, policy, dtype):
