@@ -28,9 +28,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..utils.errors import ConfigError
 from ..utils.metrics import percentile
-from .codec import Spec
+from .codec import Spec, number, text
 from .engine import _json_safe
 from .observe import EventSource, coerce_events, events_by_request, events_by_type
 
@@ -627,38 +626,14 @@ class SLOSpec(Spec):
     delivered to completed requests — the anytime-degradation floor.
     """
 
-    name: str = "slo"
-    max_p50_latency: Optional[float] = None
-    max_p95_latency: Optional[float] = None
-    max_p99_latency: Optional[float] = None
-    min_deadline_hit_rate: Optional[float] = None
-    min_throughput_rps: Optional[float] = None
-    max_loss_rate: Optional[float] = None
-    min_delivered_levels: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise ConfigError("SLOSpec.name must be a non-empty string")
-        for spec_field in fields(self):
-            if spec_field.name == "name":
-                continue
-            value = getattr(self, spec_field.name)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(
-                    f"SLOSpec.{spec_field.name} must be a number or None, got {value!r}"
-                )
-            value = float(value)
-            if not math.isfinite(value) or value < 0.0:
-                raise ConfigError(
-                    f"SLOSpec.{spec_field.name} must be finite and non-negative"
-                )
-            object.__setattr__(self, spec_field.name, value)
-        for rate_field in ("min_deadline_hit_rate", "max_loss_rate"):
-            value = getattr(self, rate_field)
-            if value is not None and value > 1.0:
-                raise ConfigError(f"SLOSpec.{rate_field} must lie in [0, 1]")
+    name: str = text("slo", nonempty=True)
+    max_p50_latency: Optional[float] = number(None, ge=0)
+    max_p95_latency: Optional[float] = number(None, ge=0)
+    max_p99_latency: Optional[float] = number(None, ge=0)
+    min_deadline_hit_rate: Optional[float] = number(None, ge=0, le=1)
+    min_throughput_rps: Optional[float] = number(None, ge=0)
+    max_loss_rate: Optional[float] = number(None, ge=0, le=1)
+    min_delivered_levels: Optional[float] = number(None, ge=0)
 
     def targets(self) -> Dict[str, float]:
         """The configured (non-``None``) objectives."""
@@ -703,13 +678,6 @@ def _report_get(report: Any, key: str, attr: Optional[str] = None) -> Optional[f
     return value if math.isfinite(value) else None
 
 
-def _delivered_levels(report: Any) -> Optional[float]:
-    if isinstance(report, Mapping):
-        value = report.get("mean_delivered_levels")
-        return float(value) if value is not None else None
-    return _report_get(report, "mean_delivered_levels")
-
-
 def _report_metrics(report: Any) -> Dict[str, Optional[float]]:
     num_jobs = _report_get(report, "num_jobs")
     rejected = _report_get(report, "rejected") or 0.0
@@ -728,7 +696,7 @@ def _report_metrics(report: Any) -> Dict[str, Optional[float]]:
         "throughput_rps": _report_get(report, "throughput_rps", attr="throughput"),
         "deadline_hit_rate": (1.0 - miss) if miss is not None else None,
         "loss_rate": loss_rate,
-        "mean_delivered_levels": _delivered_levels(report),
+        "mean_delivered_levels": _report_get(report, "mean_delivered_levels"),
     }
 
 

@@ -65,7 +65,7 @@ import numpy as np
 from ..utils.errors import ConfigError
 from ..utils.logging import get_logger
 from ..utils.metrics import MetricsRegistry
-from .codec import coerce
+from .codec import check_field, coerce
 from .engine import (
     CrashedNodeWork,
     InterruptedJob,
@@ -1276,12 +1276,11 @@ class ServingCluster:
     ) -> None:
         if not engines:
             raise ValueError("a ServingCluster needs at least one engine")
-        if not (isinstance(publish_interval, (int, float)) and publish_interval >= 0.0):
-            raise ConfigError(
-                f"publish_interval must be a non-negative number, got {publish_interval!r}"
-            )
-        self.publish_interval = float(publish_interval)
         from .rebalance import RebalanceSpec  # rebalance.py imports this module
+        from .spec import ClusterSpec  # spec.py imports this module
+
+        check_field(ClusterSpec, "publish_interval", publish_interval)
+        self.publish_interval = float(publish_interval)
 
         self.rebalance = coerce(RebalanceSpec, rebalance)
         if (

@@ -14,24 +14,35 @@ decision: how a spec maps to JSON-shaped data.  Four rules:
   constructors take spec instances and their mapping form alike;
 * :meth:`Spec.from_json` accepts JSON text (an object) or a file path.
 
-Value checks stay in each spec's own ``__post_init__``; a spec with
-:func:`nested` fields calls ``super().__post_init__()`` first.
+Each scalar field declares its kind and bound once, through
+:func:`number`, :func:`integer`, :func:`flag` or :func:`text`, and
+:meth:`Spec.__post_init__` checks every such field: a bad value raises
+``ConfigError("<Class>.<field> must be ..., got <value!r>")``.  Values
+are stored as given.  Registry-name lookups and cross-field rules stay
+in each spec's own ``__post_init__``, which calls
+``super().__post_init__()`` first.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
-from dataclasses import MISSING, Field, field, fields
+from dataclasses import MISSING, Field, dataclass, field, fields
 from functools import lru_cache
+from numbers import Integral, Real
 from pathlib import Path
-from typing import Any, ClassVar, Dict, Tuple, Union
+from typing import Any, ClassVar, Dict, Optional, Tuple, Union
 
 from ..utils.errors import ConfigError
 
-__all__ = ["Spec", "Tagged", "Kinds", "nested", "coerce"]
+__all__ = [
+    "Spec", "Tagged", "Kinds", "nested", "coerce", "check_field",
+    "number", "integer", "flag", "text",
+]
 
 _NESTED = "spec"
+_CHECK = "check"
 
 
 def nested(spec: Union[type, "Kinds"], *, many: bool = False, **kwargs: Any):
@@ -47,9 +58,90 @@ def nested(spec: Union[type, "Kinds"], *, many: bool = False, **kwargs: Any):
     return field(metadata={_NESTED: (spec, many)}, **kwargs)
 
 
+@dataclass(frozen=True)
+class _Rule:
+    """A scalar field's accepted type, its name in messages, and its bound."""
+
+    kind: type  # Real, Integral, bool or str
+    noun: str
+    optional: bool
+    gt: Optional[float] = None
+    ge: Optional[float] = None
+    le: Optional[float] = None
+    nonempty: bool = False
+
+    def admits(self, value: Any) -> bool:
+        if value is None:
+            return self.optional
+        # A bool is an int to Python; only bool fields take one.
+        if isinstance(value, bool) != (self.kind is bool) or not isinstance(value, self.kind):
+            return False
+        if self.kind is str:
+            return bool(value) or not self.nonempty
+        if self.kind is Real and not math.isfinite(value):
+            return False
+        return (
+            (self.gt is None or value > self.gt)
+            and (self.ge is None or value >= self.ge)
+            and (self.le is None or value <= self.le)
+        )
+
+    def describe(self) -> str:
+        words = self.noun
+        if self.le is not None:
+            low = f"[{self.ge:g}" if self.ge is not None else f"({self.gt:g}"
+            words += f" in {low}, {self.le:g}]"
+        elif self.gt is not None:
+            words += f" > {self.gt:g}"
+        elif self.ge is not None:
+            words += f" >= {self.ge:g}"
+        return words + (" or None" if self.optional else "")
+
+    def check(self, owner: str, name: str, value: Any) -> None:
+        if not self.admits(value):
+            raise ConfigError(f"{owner}.{name} must be {self.describe()}, got {value!r}")
+
+
+def _scalar(kind: type, noun: str, default: Any, **bound: Any):
+    rule = _Rule(kind, noun, optional=default is None, **bound)
+    return field(default=default, metadata={_CHECK: rule})
+
+
+def number(default: Any = MISSING, *, gt=None, ge=None, le=None):
+    """A finite real field (ints pass, bools do not) bounded by ``gt``/``ge``/``le``.
+
+    ``le`` is an upper bound over a ``gt`` or ``ge`` lower one.
+    Like every scalar helper, a ``None`` default makes ``None`` valid;
+    no default makes the field required.
+    """
+    return _scalar(Real, "a finite number", default, gt=gt, ge=ge, le=le)
+
+
+def integer(default: Any = MISSING, *, ge=None):
+    """An ``int`` field (no bools, no floats), at least ``ge`` if given."""
+    return _scalar(Integral, "an integer", default, ge=ge)
+
+
+def flag(default: Any = MISSING):
+    """A ``bool`` field: only ``True`` or ``False``."""
+    return _scalar(bool, "a bool", default)
+
+
+def text(default: Any = MISSING, *, nonempty: bool = False):
+    """A ``str`` field, non-empty if ``nonempty``."""
+    noun = "a non-empty string" if nonempty else "a string"
+    return _scalar(str, noun, default, nonempty=nonempty)
+
+
 @lru_cache(maxsize=None)
 def _fields(cls: type) -> Tuple[Field, ...]:
     return fields(cls)
+
+
+def check_field(spec: type, name: str, value: Any) -> None:
+    """Apply the rule ``spec`` declares for field ``name`` to ``value``."""
+    rule = next(f.metadata[_CHECK] for f in _fields(spec) if f.name == name)
+    rule.check(spec.__name__, name, value)
 
 
 def coerce(spec: Union[type, "Kinds"], value: Any) -> Any:
@@ -64,11 +156,14 @@ class Spec:
     """Base of the frozen spec dataclasses: the JSON codec lives here."""
 
     def __post_init__(self) -> None:
+        owner = type(self).__name__
         for spec_field in _fields(type(self)):
+            value = getattr(self, spec_field.name)
+            if _CHECK in spec_field.metadata:
+                spec_field.metadata[_CHECK].check(owner, spec_field.name, value)
             if _NESTED not in spec_field.metadata:
                 continue
             spec, many = spec_field.metadata[_NESTED]
-            value = getattr(self, spec_field.name)
             if many:
                 value = tuple(coerce(spec, item) for item in value)
             else:

@@ -41,7 +41,7 @@ from ..runtime.platform import ResourcePhase, ResourceTrace
 from ..utils import new_generator
 from ..utils.errors import ConfigError
 from ..utils.logging import get_logger
-from .codec import Kinds, Spec, Tagged, nested
+from .codec import Kinds, Spec, Tagged, integer, nested, number, text
 
 _LOG = get_logger("repro.serving")
 
@@ -75,15 +75,14 @@ class CrashFault(Tagged):
     back empty and routable.
     """
 
-    node: str
-    time: float
-    recover_time: Optional[float] = None
+    node: str = text()
+    time: float = number(ge=0)
+    recover_time: Optional[float] = number(None)
 
     kind = "crash"
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ConfigError(f"crash time must be >= 0, got {self.time}")
+        super().__post_init__()
         if self.recover_time is not None and self.recover_time <= self.time:
             raise ConfigError(
                 f"recover_time ({self.recover_time}) must be after the crash ({self.time})"
@@ -99,34 +98,22 @@ class TransientFault(Tagged):
     untouched; the job retries under the :class:`RetryPolicy`.
     """
 
-    node: str
-    time: float
+    node: str = text()
+    time: float = number(ge=0)
 
     kind = "transient"
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ConfigError(f"transient fault time must be >= 0, got {self.time}")
 
 
 @dataclass(frozen=True)
 class SlowdownFault(Tagged):
     """Derate ``node``'s trace by ``factor`` inside ``[time, time+duration)``."""
 
-    node: str
-    time: float
-    duration: float
-    factor: float
+    node: str = text()
+    time: float = number(ge=0)
+    duration: float = number(gt=0)
+    factor: float = number(gt=0, le=1)
 
     kind = "slowdown"
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ConfigError(f"slowdown start must be >= 0, got {self.time}")
-        if self.duration <= 0:
-            raise ConfigError(f"slowdown duration must be > 0, got {self.duration}")
-        if not 0.0 < self.factor <= 1.0:
-            raise ConfigError(f"slowdown factor must be in (0, 1], got {self.factor}")
 
     @property
     def end(self) -> float:
@@ -137,17 +124,11 @@ class SlowdownFault(Tagged):
 class PartitionFault(Tagged):
     """Router cannot reach ``node`` inside ``[time, time+duration)``."""
 
-    node: str
-    time: float
-    duration: float
+    node: str = text()
+    time: float = number(ge=0)
+    duration: float = number(gt=0)
 
     kind = "partition"
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ConfigError(f"partition start must be >= 0, got {self.time}")
-        if self.duration <= 0:
-            raise ConfigError(f"partition duration must be > 0, got {self.duration}")
 
     @property
     def end(self) -> float:
@@ -181,27 +162,22 @@ class RetryPolicy(Spec):
     for ``fixed``.  ``kind="none"`` disables retries entirely (budget 0).
     """
 
-    kind: str = "exponential"
-    base_delay: float = 0.001
-    multiplier: float = 2.0
-    max_delay: float = 0.05
-    max_retries: int = 3
+    kind: str = text("exponential")
+    base_delay: float = number(0.001, ge=0)
+    multiplier: float = number(2.0, ge=1)
+    max_delay: float = number(0.05, ge=0)
+    max_retries: int = integer(3, ge=0)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.kind not in RETRY_KINDS:
             raise ConfigError(
                 f"unknown retry policy {self.kind!r}; available: {sorted(RETRY_KINDS)}"
             )
-        if self.base_delay < 0:
-            raise ConfigError(f"base_delay must be >= 0, got {self.base_delay}")
-        if self.multiplier < 1.0:
-            raise ConfigError(f"multiplier must be >= 1, got {self.multiplier}")
         if self.max_delay < self.base_delay:
             raise ConfigError(
                 f"max_delay ({self.max_delay}) must be >= base_delay ({self.base_delay})"
             )
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
 
     @property
     def budget(self) -> int:
@@ -453,7 +429,3 @@ class FaultInjector:
             if start <= current < end:
                 current = end
         return current
-
-    def clone(self) -> "FaultInjector":
-        """A fresh injector (transient cursors reset) over the same spec."""
-        return FaultInjector(self.spec, self.node_names)

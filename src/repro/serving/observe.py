@@ -39,7 +39,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from ..utils.errors import ConfigError
 from ..utils.metrics import MetricsRegistry
 from ..utils.timing import Timer
-from .codec import Spec
+from .codec import Spec, flag, integer, text
 
 __all__ = [
     "EVENT_TYPES",
@@ -234,14 +234,15 @@ class ObservabilitySpec(Spec):
         Optional whitelist restricting which event types are recorded.
     """
 
-    enabled: bool = False
-    sink: str = "memory"
-    path: Optional[str] = None
-    capacity: Optional[int] = None
-    time_plan_levels: bool = False
+    enabled: bool = flag(False)
+    sink: str = text("memory")
+    path: Optional[str] = text(None)
+    capacity: Optional[int] = integer(None, ge=1)
+    time_plan_levels: bool = flag(False)
     events: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.sink not in _SINKS:
             raise ConfigError(f"unknown observability sink {self.sink!r}; valid: {_SINKS}")
         if self.enabled and self.sink == "jsonl" and not self.path:

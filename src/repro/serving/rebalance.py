@@ -31,7 +31,6 @@ and a shard *is* the request the engine serves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -39,7 +38,7 @@ import numpy as np
 
 from ..utils.errors import ConfigError
 from .cluster import ROUTERS, NodeState, Router
-from .codec import Spec
+from .codec import Spec, flag, integer, number
 from .request import Request
 
 __all__ = [
@@ -93,68 +92,13 @@ class RebalanceSpec(Spec):
         parent's answer (:meth:`~repro.serving.cluster.ClusterReport.gathered_logits`).
     """
 
-    enabled: bool = False
-    interval: float = 0.0
-    imbalance_ratio: float = 2.0
-    starvation_depth: int = 0
-    max_steals: int = 4
-    steal_in_flight: bool = False
-    shard_max_batch: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.enabled, bool):
-            raise ConfigError(
-                f"rebalance.enabled must be a bool, got {self.enabled!r}"
-            )
-        if (
-            not isinstance(self.interval, (int, float))
-            or isinstance(self.interval, bool)
-            or not math.isfinite(self.interval)
-            or self.interval < 0
-        ):
-            raise ConfigError(
-                f"rebalance.interval must be a finite non-negative number, "
-                f"got {self.interval!r}"
-            )
-        object.__setattr__(self, "interval", float(self.interval))
-        if (
-            not isinstance(self.imbalance_ratio, (int, float))
-            or isinstance(self.imbalance_ratio, bool)
-            or not self.imbalance_ratio >= 1.0
-        ):
-            raise ConfigError(
-                f"rebalance.imbalance_ratio must be a number >= 1, "
-                f"got {self.imbalance_ratio!r}"
-            )
-        object.__setattr__(self, "imbalance_ratio", float(self.imbalance_ratio))
-        if not isinstance(self.starvation_depth, int) or isinstance(
-            self.starvation_depth, bool
-        ) or self.starvation_depth < 0:
-            raise ConfigError(
-                f"rebalance.starvation_depth must be a non-negative integer, "
-                f"got {self.starvation_depth!r}"
-            )
-        if not isinstance(self.max_steals, int) or isinstance(
-            self.max_steals, bool
-        ) or self.max_steals < 1:
-            raise ConfigError(
-                f"rebalance.max_steals must be a positive integer, "
-                f"got {self.max_steals!r}"
-            )
-        if not isinstance(self.steal_in_flight, bool):
-            raise ConfigError(
-                f"rebalance.steal_in_flight must be a bool, "
-                f"got {self.steal_in_flight!r}"
-            )
-        if self.shard_max_batch is not None and (
-            not isinstance(self.shard_max_batch, int)
-            or isinstance(self.shard_max_batch, bool)
-            or self.shard_max_batch < 1
-        ):
-            raise ConfigError(
-                f"rebalance.shard_max_batch must be a positive integer or null, "
-                f"got {self.shard_max_batch!r}"
-            )
+    enabled: bool = flag(False)
+    interval: float = number(0.0, ge=0)
+    imbalance_ratio: float = number(2.0, ge=1)
+    starvation_depth: int = integer(0, ge=0)
+    max_steals: int = integer(4, ge=1)
+    steal_in_flight: bool = flag(False)
+    shard_max_batch: Optional[int] = integer(None, ge=1)
 
 
 # ----------------------------------------------------------------------

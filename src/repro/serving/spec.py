@@ -24,7 +24,8 @@ output is plain-JSON serialisable, ``from_dict`` / ``from_json`` (text
 or path) rebuild the spec, and nested specs accept an instance or its
 dict form — so benchmarks and CI can check cluster definitions into the
 repository and replay them bit-for-bit.  A bad config — an unknown key
-at any depth, an unknown registry name, a missing node — raises
+at any depth, an unknown registry name, a missing node, a knob of the
+wrong type or out of its declared bound — raises
 :class:`~repro.utils.errors.ConfigError` at load.
 """
 
@@ -53,9 +54,9 @@ from .analyze import SLOSpec
 from .backend import ExecutionBackend, get_backend
 from .batching import BATCH_POLICIES, get_batch_policy
 from .cluster import ADMISSION_POLICIES, ROUTERS
-from .codec import Spec, coerce, nested
+from .codec import Spec, coerce, flag, integer, nested, number, text
 from .faults import FaultSpec
-from .memory import MemoryBudget
+from .memory import get_eviction_policy
 from .observe import ObservabilitySpec
 from .rebalance import RebalanceSpec
 from .request import Request, get_stream
@@ -103,15 +104,14 @@ class StreamSpec(Spec):
     straight from a config file, no dataset required.
     """
 
-    kind: str = "poisson"
+    kind: str = text("poisson")
     params: Mapping[str, Any] = field(default_factory=dict)
-    pool_size: int = 16
-    pool_seed: int = 0
+    pool_size: int = integer(16, ge=1)
+    pool_seed: int = integer(0, ge=0)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         get_stream(self.kind)  # fail fast on unknown generator names
-        if self.pool_size <= 0:
-            raise ConfigError("pool_size must be positive")
 
     def build(
         self,
@@ -185,31 +185,32 @@ class ServingSpec(Spec):
         MACs.
     """
 
-    name: str = ""
-    backend: str = "stepping"
-    scheduler: str = "fifo"
+    name: str = text("")
+    backend: str = text("stepping")
+    scheduler: str = text("fifo")
     scheduler_params: Mapping[str, Any] = field(default_factory=dict)
-    platform: str = "mobile-soc"
-    trace: str = "steady-high"
-    trace_rate: Optional[float] = None
-    trace_scale: float = 1.0
-    trace_seed: int = 0
-    policy: str = "greedy"
+    platform: str = text("mobile-soc")
+    trace: str = text("steady-high")
+    trace_rate: Optional[float] = number(None, gt=0)
+    trace_scale: float = number(1.0, gt=0)
+    trace_seed: int = integer(0, ge=0)
+    policy: str = text("greedy")
     policy_params: Mapping[str, Any] = field(default_factory=dict)
-    overhead_per_step: Optional[float] = None
-    drop_expired: bool = False
-    enforce_deadline: bool = True
-    dtype: str = "float32"
-    batch_policy: str = "none"
-    max_batch_size: int = 8
-    batch_window: float = 0.0
-    num_subnets: Optional[int] = None
-    memory_budget_bytes: Optional[float] = None
-    eviction_policy: str = "lru"
+    overhead_per_step: Optional[float] = number(None, ge=0)
+    drop_expired: bool = flag(False)
+    enforce_deadline: bool = flag(True)
+    dtype: str = text("float32")
+    batch_policy: str = text("none")
+    max_batch_size: int = integer(8, ge=1)
+    batch_window: float = number(0.0, ge=0)
+    num_subnets: Optional[int] = integer(None, ge=1)
+    #: At least one byte: ``MemoryBudget`` truncates to whole bytes.
+    memory_budget_bytes: Optional[float] = number(None, ge=1)
+    eviction_policy: str = text("lru")
     #: Per-request watchdog (simulated seconds): a job still resident
     #: this long after arrival is finalised with its best-so-far anytime
     #: prediction and flagged ``timed_out``.  ``None`` disables it.
-    max_service_time: Optional[float] = None
+    max_service_time: Optional[float] = number(None, gt=0)
     #: Observability switch (:class:`~repro.serving.observe.ObservabilitySpec`
     #: or its dict form).  ``None``/disabled builds no recorder at all —
     #: every instrumentation hook stays a no-op ``None`` check.
@@ -227,37 +228,18 @@ class ServingSpec(Spec):
             raise ConfigError(f"unknown policy '{self.policy}'; available: {sorted(POLICIES)}")
         if self.trace == "constant" and self.trace_rate is None:
             raise ConfigError("trace 'constant' requires an explicit trace_rate (MAC/s)")
-        if self.trace_scale <= 0:
-            raise ConfigError("trace_scale must be positive")
-        if self.overhead_per_step is not None and self.overhead_per_step < 0:
-            raise ConfigError("overhead_per_step must be non-negative")
         try:
-            np.dtype(self.dtype)
+            floating = np.issubdtype(np.dtype(self.dtype), np.floating)
         except TypeError:
-            raise ConfigError(f"unknown dtype {self.dtype!r}") from None
+            floating = False
+        if not floating:
+            raise ConfigError(f"ServingSpec.dtype must name a floating dtype, got {self.dtype!r}")
         if self.batch_policy.lower() not in BATCH_POLICIES:
             raise ConfigError(
                 f"unknown batch policy '{self.batch_policy}'; "
                 f"available: {sorted(BATCH_POLICIES)}"
             )
-        if self.max_batch_size < 1:
-            raise ConfigError("max_batch_size must be at least 1")
-        if self.batch_window < 0:
-            raise ConfigError("batch_window must be non-negative")
-        if self.num_subnets is not None and self.num_subnets < 1:
-            raise ConfigError("num_subnets cap must be at least 1")
-        if self.max_service_time is not None and self.max_service_time <= 0:
-            raise ConfigError("max_service_time must be positive when set")
-        # Delegate to the single source of truth for the memory knobs:
-        # the constructor build_engine will call anyway (a ConfigError on
-        # an unknown eviction policy propagates with its registry
-        # message; other bad values get the knob-name prefix).
-        try:
-            MemoryBudget(self.memory_budget_bytes, self.eviction_policy)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"memory_budget_bytes: {exc}") from None
+        get_eviction_policy(self.eviction_policy)
 
     # ------------------------------------------------------------------
     # Builders
@@ -352,10 +334,10 @@ class ClusterSpec(Spec):
     #: Node specs or their dict forms; a node dict may carry a ``count``
     #: that replicates it (see :meth:`_expand_nodes`).
     nodes: Tuple[ServingSpec, ...] = ()
-    router: str = "round-robin"
+    router: str = text("round-robin")
     streams: Tuple[StreamSpec, ...] = nested(StreamSpec, many=True)
     model: Mapping[str, Any] = field(default_factory=dict)
-    name: str = "cluster"
+    name: str = text("cluster")
     #: Optional chaos schedule (crashes, transients, slowdowns,
     #: partitions) the fleet serves under; see
     #: :class:`~repro.serving.faults.FaultSpec`.
@@ -365,7 +347,7 @@ class ClusterSpec(Spec):
     #: node's predicted finish misses its deadline (or its context would
     #: thrash a bounded memory budget) and rejects only when even the
     #: minimum subnet cannot land.
-    admission: str = "none"
+    admission: str = text("none")
     #: Fleet-wide observability
     #: (:class:`~repro.serving.observe.ObservabilitySpec` or its dict
     #: form): one shared recorder per ``serve()`` call, all nodes
@@ -376,7 +358,7 @@ class ClusterSpec(Spec):
     #: interval makes depth-reading routers see epoch snapshots that
     #: refresh only once per interval — the staleness knob of the
     #: staleness-vs-placement-quality study.
-    publish_interval: float = 0.0
+    publish_interval: float = number(0.0, ge=0)
     #: Optional service-level objectives
     #: (:class:`~repro.serving.analyze.SLOSpec` or its dict form)
     #: carried with the deployment so sweeps and benchmarks can score
@@ -392,17 +374,6 @@ class ClusterSpec(Spec):
     def __post_init__(self) -> None:
         super().__post_init__()
         object.__setattr__(self, "nodes", self._expand_nodes(self.nodes))
-        interval = self.publish_interval
-        if (
-            isinstance(interval, bool)
-            or not isinstance(interval, (int, float))
-            or not np.isfinite(interval)
-            or interval < 0.0
-        ):
-            raise ConfigError(
-                f"publish_interval must be a finite non-negative number, got {interval!r}"
-            )
-        object.__setattr__(self, "publish_interval", float(interval))
         if not self.nodes:
             raise ConfigError("a ClusterSpec needs at least one node")
         if self.router.lower() not in ROUTERS:

@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..utils.errors import ConfigError
 from .analyze import SLOSpec, decompose_latency, decomposition_summary, evaluate_slo
-from .codec import Spec, coerce, nested
+from .codec import Spec, coerce, nested, text
 from .engine import _json_safe
 from .observe import ObservabilitySpec, staleness_curve
 from .spec import ClusterSpec
@@ -165,7 +165,7 @@ class SweepSpec(Spec):
 
     base: ClusterSpec = nested(ClusterSpec, default=MISSING)
     grid: Mapping[str, Tuple[Any, ...]] = field(default_factory=dict)
-    name: str = "sweep"
+    name: str = text("sweep")
     #: Objectives applied to every cell; falls back to ``base.slo``.
     slo: Optional[SLOSpec] = nested(SLOSpec)
 

@@ -10,6 +10,7 @@ just the happy path.
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -356,6 +357,15 @@ class TestSLOSpec:
         card = evaluate_slo(SLOSpec(min_delivered_levels=2.0), {"num_jobs": 5})
         assert card.ok
         assert card.skipped == 1
+
+    def test_nan_delivered_levels_is_skipped_on_mapping_and_object(self):
+        mapping = {"num_jobs": 5, "mean_delivered_levels": float("nan")}
+        slo = SLOSpec(min_delivered_levels=2.0)
+        for report in (mapping, SimpleNamespace(**mapping)):
+            card = evaluate_slo(slo, report)
+            assert card.ok
+            assert card.skipped == 1
+            assert card.summary["mean_delivered_levels"] is None
 
     def test_scorecard_to_dict_is_strict_json(self):
         card = evaluate_slo(SLOSpec(max_p95_latency=1.0), {"num_jobs": 0, "p95_latency": float("nan")})

@@ -248,6 +248,14 @@ class TestServingCluster:
         assert report.num_jobs == 10
         assert sum(len(node.jobs) for node in report.node_reports) == 10
 
+    @pytest.mark.parametrize("interval", [True, float("inf"), float("nan"), -0.1, "0"])
+    def test_bad_publish_interval_rejected_like_cluster_spec(
+        self, stepping_network, calibrated_rate, interval
+    ):
+        engines = [_engine(stepping_network, calibrated_rate)]
+        with pytest.raises(ConfigError, match=r"^ClusterSpec\.publish_interval must be"):
+            ServingCluster(engines, publish_interval=interval)
+
     def test_serve_requires_streams_or_requests(self, stepping_network):
         spec = ClusterSpec(nodes=(ServingSpec(),))
         with pytest.raises(ValueError, match="streams"):

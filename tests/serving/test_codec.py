@@ -5,7 +5,11 @@ round-trips through ``from_json`` (text or path), and an unknown key —
 top-level or nested — raises :class:`ConfigError` naming its class.
 """
 
+import dataclasses
 import json
+import math
+import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -26,6 +30,7 @@ from repro.serving import (
     TransientFault,
     get_stream,
 )
+from repro.serving.codec import Spec, Tagged
 from repro.utils.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "configs"
@@ -163,24 +168,102 @@ class TestBoundaryErrors:
         (ServingSpec, {"max_service_time": 0.0}, "max_service_time"),
         (ServingSpec, {"memory_budget_bytes": -5}, "memory_budget_bytes"),
         (ServingSpec, {"dtype": "float-ish"}, "dtype"),
+        (ServingSpec, {"dtype": "int8"}, "ServingSpec.dtype must name a floating dtype"),
+        (ServingSpec, {"dtype": "bool"}, "ServingSpec.dtype must name a floating dtype"),
+        (ServingSpec, {"dtype": "complex64"}, "ServingSpec.dtype must name a floating dtype"),
         (ServingSpec, {"platform": "toaster"}, "platform"),
         (StreamSpec, {"pool_size": 0}, "pool_size"),
         (RetryPolicy, {"base_delay": -1.0}, "base_delay"),
         (RetryPolicy, {"multiplier": 0.5}, "multiplier"),
         (RetryPolicy, {"base_delay": 0.1, "max_delay": 0.01}, "max_delay"),
         (RetryPolicy, {"max_retries": -1}, "max_retries"),
-        (CrashFault, {"node": "a", "time": -1.0}, "crash time"),
+        (CrashFault, {"node": "a", "time": -1.0}, "CrashFault.time"),
         (CrashFault, {"node": "a", "time": 1.0, "recover_time": 0.5}, "recover_time"),
-        (TransientFault, {"node": "a", "time": -1.0}, "transient"),
-        (SlowdownFault, {"node": "a", "time": -1.0, "duration": 1.0, "factor": 0.5}, "start"),
+        (TransientFault, {"node": "a", "time": -1.0}, "TransientFault.time"),
+        (SlowdownFault, {"node": "a", "time": -1.0, "duration": 1.0, "factor": 0.5},
+         "SlowdownFault.time"),
         (SlowdownFault, {"node": "a", "time": 0.0, "duration": 0.0, "factor": 0.5}, "duration"),
         (SlowdownFault, {"node": "a", "time": 0.0, "duration": 1.0, "factor": 1.5}, "factor"),
-        (PartitionFault, {"node": "a", "time": -1.0, "duration": 1.0}, "partition start"),
+        (PartitionFault, {"node": "a", "time": -1.0, "duration": 1.0}, "PartitionFault.time"),
         (PartitionFault, {"node": "a", "time": 0.0, "duration": 0.0}, "duration"),
     ],
 )
 def test_value_checks_raise_config_error(cls, data, match):
     with pytest.raises(ConfigError, match=match):
+        cls.from_dict(data)
+
+
+# ----------------------------------------------------------------------
+# Every scalar field is checked by the codec against its declared kind
+# ----------------------------------------------------------------------
+def _concrete_specs(cls=Spec):
+    for sub in cls.__subclasses__():
+        if sub is not Tagged:
+            yield sub
+        yield from _concrete_specs(sub)
+
+
+def _scalar_fields(spec):
+    """``(name, kind)`` of each bool/int/float/str (or Optional) field."""
+    hints = typing.get_type_hints(type(spec))
+    for spec_field in dataclasses.fields(spec):
+        kinds = set(typing.get_args(hints[spec_field.name]) or [hints[spec_field.name]])
+        kinds.discard(type(None))
+        if len(kinds) == 1 and kinds <= {bool, int, float, str}:
+            yield spec_field.name, kinds.pop()
+
+
+def test_specs_cover_every_spec_class():
+    assert set(_concrete_specs()) == {type(spec) for spec in SPECS}
+
+
+@pytest.mark.parametrize(
+    "spec, name, kind",
+    [
+        pytest.param(spec, name, kind, id=f"{type(spec).__name__}.{name}")
+        for spec in SPECS
+        for name, kind in _scalar_fields(spec)
+    ],
+)
+def test_every_scalar_field_rejects_wrong_kinds(spec, name, kind):
+    bad = [math.nan, math.inf]
+    if kind is not str:
+        bad.append("2")
+    if kind in (int, float):
+        bad.append(True)
+    for value in bad:
+        message = rf"^{type(spec).__name__}\.{name} must be .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(spec, **{name: value})
+
+
+_CRASH = {"node": "a", "time": 0.0}
+_SLOWDOWN = {"node": "a", "time": 0.0, "duration": 1.0, "factor": 0.5}
+
+
+@pytest.mark.parametrize(
+    "cls, data, name",
+    [
+        (ServingSpec, {"trace_scale": math.nan}, "trace_scale"),
+        (ServingSpec, {"batch_window": math.nan}, "batch_window"),
+        (ServingSpec, {"max_service_time": math.nan}, "max_service_time"),
+        (ServingSpec, {"max_batch_size": 2.5}, "max_batch_size"),
+        (ServingSpec, {"max_batch_size": True}, "max_batch_size"),
+        (ServingSpec, {"num_subnets": 1.5}, "num_subnets"),
+        (ServingSpec, {"drop_expired": "no"}, "drop_expired"),
+        (ServingSpec, {"trace": "constant", "trace_rate": -5.0}, "trace_rate"),
+        (StreamSpec, {"pool_size": 2.5}, "pool_size"),
+        (CrashFault, dict(_CRASH, time=math.nan), "time"),
+        (SlowdownFault, dict(_SLOWDOWN, duration=math.inf), "duration"),
+        (RetryPolicy, {"base_delay": math.nan}, "base_delay"),
+        (RetryPolicy, {"max_retries": 1.5}, "max_retries"),
+        (ServingSpec, {"trace_scale": "2"}, "trace_scale"),
+        (CrashFault, dict(_CRASH, time="x"), "time"),
+        (RetryPolicy, {"max_retries": "2"}, "max_retries"),
+    ],
+)
+def test_mistyped_or_non_finite_knob_is_config_error(cls, data, name):
+    with pytest.raises(ConfigError, match=rf"^{cls.__name__}\.{name} must be "):
         cls.from_dict(data)
 
 
