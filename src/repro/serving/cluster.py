@@ -15,11 +15,14 @@ arrivals, reroutes, failover retries, rebalance ticks and injected
 crash/recover transitions that drives one resumable
 :class:`~repro.serving.engine.ServingRun` per node on a shared simulated
 clock.  The router places each request at its arrival time from the
-nodes' advertised load: a deterministic fluid model that charges each
-placed request its largest-subnet service demand against the node's
-trace (exact for run-to-completion FIFO service; an admission-time
-estimate, as in real load balancers, when schedulers preempt or policies
-stop early), or measured node state for live-state routers.
+nodes' advertised load.  Each load signal has one source: the
+jobs-in-system count and the completion estimate come from a
+deterministic fluid model that charges each placed request its
+largest-subnet service demand against the node's trace (exact for
+run-to-completion FIFO service; an admission-time estimate, as in real
+load balancers, when schedulers preempt or policies stop early); the
+published depth, resident bytes and entry-edge occupancy come only from
+the node's attached run, and reading them forces live delivery.
 
 The coordinator delivers work to the nodes under one of two rules,
 derived from the configuration rather than chosen:
@@ -102,16 +105,15 @@ _COORDINATOR_COUNTERS = (
 class NodeState:
     """Router-visible view of one fleet node.
 
-    Wraps the node's engine together with the fluid-model load signals a
-    placement policy may inspect: predicted jobs in system
-    (:meth:`queue_length`), predicted busy horizon
-    (:meth:`backlog_seconds`) and the MAC/latency-aware completion
-    estimate for a further request (:meth:`predicted_finish`).  Under live
-    delivery the coordinator attaches the node's
-    :class:`~repro.serving.engine.ServingRun`, and the live signals
+    Wraps the node's engine together with the load signals a placement
+    policy may inspect, each read from one source.  The fluid model
+    serves predicted jobs in system (:meth:`queue_length`) and the
+    MAC/latency-aware completion estimate for a further request
+    (:meth:`predicted_finish`).  The live signals
     (:meth:`published_depth`, :meth:`resident_bytes`,
-    :meth:`batch_potential`) report measured state at the node's last
-    step boundary instead of the analytic estimate.
+    :meth:`batch_potential`) read the node's
+    :class:`~repro.serving.engine.ServingRun`, which the coordinator
+    attaches to every node, as of the node's last step boundary.
     """
 
     def __init__(
@@ -139,18 +141,8 @@ class NodeState:
         self.expected_macs = float(engine.backend.subnet_macs(num_subnets - 1))
         self.assigned: List[Request] = []
         self._completions: List[float] = []  # predicted, non-decreasing
-        #: Predicted first-pass start time per assigned request (parallel
-        #: to ``_completions``, also non-decreasing under FIFO fluid
-        #: service): the entry-edge signal — a request whose predicted
-        #: start is still in the future has not left the entry subnet
-        #: edge yet.
-        self._starts: List[float] = []
-        #: Predicted resident bytes per assigned in-system request
-        #: (parallel to ``_completions``): the plan-based context
-        #: footprint of each placed request, the analytic memory signal.
-        self._resident: List[int] = []
         self._busy_until = 0.0
-        #: Live event loop, attached only under live delivery.
+        #: The node's event loop, the one source of the live signals.
         self.run: Optional[ServingRun] = None
 
     # ------------------------------------------------------------------
@@ -159,10 +151,6 @@ class NodeState:
     def queue_length(self, now: float) -> int:
         """Predicted number of assigned requests still in the system."""
         return len(self._completions) - bisect_right(self._completions, now)
-
-    def backlog_seconds(self, now: float) -> float:
-        """Predicted time until the node drains its assigned work."""
-        return max(self._busy_until - now, 0.0)
 
     def predicted_finish(self, macs: float, now: float) -> float:
         """Completion estimate for ``macs`` of new work placed now.
@@ -177,17 +165,15 @@ class NodeState:
     def published_depth(self, now: float) -> int:
         """The node's published ready-queue length.
 
-        With a live run attached this is the *actual* scheduler depth as
-        of the node's last step boundary — stale by at most the one step
-        currently in flight, like a real load balancer's published queue
-        length.  A positive :attr:`publish_interval` coarsens the
-        signal: the depth is snapshotted once per interval epoch and the
-        router reads the last snapshot between epochs, exactly like a
-        load balancer polling node stats on a timer.  Without a live run
-        (closed-loop delivery) it falls back to the fluid-model
-        jobs-in-system estimate.
+        The run's *actual* scheduler depth as of the node's last step
+        boundary — stale by at most the one step currently in flight,
+        like a real load balancer's published queue length.  A positive
+        :attr:`publish_interval` coarsens the signal: the depth is
+        snapshotted once per interval epoch and the router reads the
+        last snapshot between epochs, exactly like a load balancer
+        polling node stats on a timer.
         """
-        if self.run is not None and self.publish_interval > 0.0:
+        if self.publish_interval > 0.0:
             epoch = math.floor(now / self.publish_interval)
             if epoch > self._published_epoch:
                 self._published_epoch = epoch
@@ -202,55 +188,40 @@ class NodeState:
         snapshot epoch state byte-identical between traced and untraced
         runs even for routers that never consult the depth at all.
         """
-        if self.run is not None:
-            if self.publish_interval <= 0.0:
-                return self.run.queue_depth
-            epoch = math.floor(now / self.publish_interval)
-            if epoch > self._published_epoch:
-                return self.run.queue_depth
+        if (
+            self.publish_interval > 0.0
+            and math.floor(now / self.publish_interval) <= self._published_epoch
+        ):
             return self._published_snapshot
-        return self.queue_length(now)
+        return self.run.queue_depth
 
     def resident_bytes(self, now: float) -> int:
         """Bytes of inference contexts resident on this node.
 
-        With a live run attached, the *measured* residency of the node's
-        in-flight contexts as of its last step boundary (the same
-        staleness as :meth:`published_depth`); otherwise the fluid-model
-        estimate — each assigned in-system request charged its plan-based
-        context footprint.  The signal a memory-aware router places on:
-        heterogeneous nodes differ in both speed *and* memory headroom,
-        and a node serving under a tight
+        The run's residency ledger as of the node's last step boundary
+        (the same staleness as :meth:`published_depth`).  The signal a
+        memory-aware router places on: heterogeneous nodes differ in both
+        speed *and* memory headroom, and a node serving under a tight
         :attr:`~repro.serving.spec.ServingSpec.memory_budget_bytes` pays
         recompute MACs for every context beyond its budget.
         """
-        if self.run is not None:
-            return self.run.resident_bytes
-        start = bisect_right(self._completions, now)
-        return sum(self._resident[start:])
+        return self.run.resident_bytes
 
     def batch_potential(self, now: float) -> int:
         """Ready jobs a newly placed request could share its first pass with.
 
-        With a live run attached, the measured number of queued jobs
-        still at the entry subnet edge (the scheduler's per-edge index,
-        same one-event staleness as :meth:`published_depth`) — the
-        occupancy signal: routing a request to the node where the most
-        first steps wait lets coalescing policies fill their shared
-        passes instead of fragmenting waves across the fleet.  Without a
-        live run, the fluid-model count of assigned requests whose
-        predicted first pass has not yet started — jobs already past
-        their predicted start are mid-ladder and cannot share an entry
-        pass, so counting them (as jobs-in-system would) over-reports
-        the coalescing opportunity on a busy node.
+        The run's count of queued jobs still at the entry subnet edge
+        (the scheduler's per-edge index, same one-event staleness as
+        :meth:`published_depth`) — the occupancy signal: routing a
+        request to the node where the most first steps wait lets
+        coalescing policies fill their shared passes instead of
+        fragmenting waves across the fleet.
         """
-        if self.run is not None:
-            return self.run.entry_edge_depth
-        return len(self._starts) - bisect_right(self._starts, now)
+        return self.run.entry_edge_depth
 
     # ------------------------------------------------------------------
     def attach_run(self, run: ServingRun) -> None:
-        """Bind the node's live event loop (live delivery)."""
+        """Bind the node's event loop, the source of the live signals."""
         self.run = run
 
     def assign(self, request: Request) -> None:
@@ -264,13 +235,9 @@ class NodeState:
 
     def _charge(self, request: Request) -> None:
         """Roll the fluid model forward by one placed request."""
-        start = max(request.arrival_time, self._busy_until)
         finish = self.predicted_finish(self.expected_macs, request.arrival_time)
         self._busy_until = finish
-        self._starts.append(start)
         self._completions.append(finish)
-        context = self.engine.backend.context_nbytes(request.batch_size)
-        self._resident.append(0 if context is None else context)
 
     def retract(self, request_id: int) -> bool:
         """Forget a placement: the request left this node before finishing.
@@ -283,11 +250,11 @@ class NodeState:
         matching placement (a request re-placed after failover may have
         visited the same node twice).  Placements before it are
         unaffected, since each charge depends only on the ones before
-        it, so the predicted start/completion/residency ledgers are cut
-        at the departed placement, the busy horizon is restored from the
-        last surviving completion, and only the later placements are
-        replayed in order — identical to a fresh model that never saw
-        the departed request.  Returns whether a placement was found.
+        it, so the predicted completions are cut at the departed
+        placement, the busy horizon is restored from the last surviving
+        completion, and only the later placements are replayed in order
+        — identical to a fresh model that never saw the departed
+        request.  Returns whether a placement was found.
         """
         for position in range(len(self.assigned) - 1, -1, -1):
             if self.assigned[position].request_id == request_id:
@@ -296,9 +263,7 @@ class NodeState:
             return False
         later = self.assigned[position + 1 :]
         del self.assigned[position:]
-        del self._starts[position:]
         del self._completions[position:]
-        del self._resident[position:]
         self._busy_until = self._completions[-1] if self._completions else 0.0
         for request in later:
             self.assigned.append(request)
@@ -312,24 +277,25 @@ class NodeState:
 class Router:
     """Base class for request-placement policies.
 
-    A router sees each request at its arrival time together with every
-    node's advertised load (:class:`NodeState`) and returns the index of
-    the node that takes it.  Tie-breaking must be deterministic (node
-    index) so fleet simulations are exactly reproducible.
+    A router sees each request at its arrival time together with the
+    candidate nodes' advertised load (:class:`NodeState`, in node order)
+    and returns the candidate that takes it.  Tie-breaking must be
+    deterministic (the first candidate wins) so fleet simulations are
+    exactly reproducible.
     """
 
     name = "router"
     #: Whether placements read measured node state (published queue
-    #: depth, resident bytes, entry-edge occupancy) instead of the
-    #: analytic fluid model.  The one flag the coordinator reads: a
-    #: router that sets it gets live delivery.
+    #: depth, resident bytes, entry-edge occupancy), which only the
+    #: nodes' runs hold.  The one flag the coordinator reads: a router
+    #: that sets it gets live delivery.
     needs_live_state = False
 
     def reset(self, nodes: Sequence[NodeState]) -> None:
         """Forget all routing state (start of a ``serve()`` run)."""
 
-    def route(self, request: Request, nodes: Sequence[NodeState], now: float) -> int:
-        """Index of the node that takes ``request``."""
+    def route(self, request: Request, nodes: Sequence[NodeState], now: float) -> NodeState:
+        """The node of ``nodes`` that takes ``request``."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -347,10 +313,10 @@ class RoundRobinRouter(Router):
     def reset(self, nodes: Sequence[NodeState]) -> None:
         self._next = 0
 
-    def route(self, request: Request, nodes: Sequence[NodeState], now: float) -> int:
-        index = self._next % len(nodes)
+    def route(self, request: Request, nodes: Sequence[NodeState], now: float) -> NodeState:
+        node = nodes[self._next % len(nodes)]
         self._next += 1
-        return index
+        return node
 
 
 class JoinShortestQueueRouter(Router):
@@ -364,8 +330,8 @@ class JoinShortestQueueRouter(Router):
 
     name = "join-shortest-queue"
 
-    def route(self, request: Request, nodes: Sequence[NodeState], now: float) -> int:
-        return min(nodes, key=lambda node: (node.queue_length(now), node.index)).index
+    def route(self, request: Request, nodes: Sequence[NodeState], now: float) -> NodeState:
+        return min(nodes, key=lambda node: node.queue_length(now))
 
 
 class LeastLoadedRouter(Router):
@@ -419,15 +385,14 @@ class LeastLoadedRouter(Router):
         self.name, self._primary = self.SIGNALS[signal]
         self.needs_live_state = signal != "predicted-finish"
 
-    def route(self, request: Request, nodes: Sequence[NodeState], now: float) -> int:
+    def route(self, request: Request, nodes: Sequence[NodeState], now: float) -> NodeState:
         return min(
             nodes,
             key=lambda node: (
                 self._primary(node, now),
                 node.predicted_finish(node.expected_macs, now),
-                node.index,
             ),
-        ).index
+        )
 
 
 #: Name-based registry of router factories, mirroring ``SCHEDULERS``.
@@ -732,12 +697,12 @@ def _publish_signals(
     The published value is read through a mutation-free peek so tracing
     cannot perturb the snapshot epochs a depth router will refresh.
 
-    Only emitted under live delivery, where every node has a run on the
-    shared clock: each event is stamped at the node's visible clock — a
-    node cannot observe a routing consult before its own time, which
+    Only emitted under live delivery, where every node's run advances on
+    the shared clock: each event is stamped at the node's visible clock —
+    a node cannot observe a routing consult before its own time, which
     keeps per-node timestamps monotone even when a consult lands
     mid-step.  Closed-loop delivery runs no node before routing is done,
-    so its fluid-only samples have no node timeline to live on.
+    so its samples would have no node timeline to live on.
     """
     for node in nodes:
         recorder.emit(
@@ -758,26 +723,14 @@ def _arrival_order(request: Request) -> Tuple[float, int]:
 def _route(
     router: Router, request: Request, candidates: Sequence[NodeState], now: float
 ) -> NodeState:
-    """The candidate node ``router`` places ``request`` on.
-
-    Routers answer with :attr:`NodeState.index`; the candidate list is
-    renumbered positionally for the call (order-preserving, so index
-    tie-breaks are unchanged) and restored afterwards.
-    """
-    original = [node.index for node in candidates]
-    for position, node in enumerate(candidates):
-        node.index = position
-    try:
-        choice = router.route(request, candidates, now)
-    finally:
-        for node, index in zip(candidates, original):
-            node.index = index
-    if not 0 <= choice < len(candidates):
-        raise IndexError(
-            f"router '{router.name}' returned node index {choice} "
-            f"for {len(candidates)} candidate nodes"
+    """The candidate node ``router`` places ``request`` on."""
+    choice = router.route(request, candidates, now)
+    if not any(choice is node for node in candidates):
+        raise ValueError(
+            f"router '{router.name}' returned {choice!r}, not one of the "
+            f"{len(candidates)} candidate nodes"
         )
-    return candidates[choice]
+    return choice
 
 
 def _departures(
@@ -860,15 +813,15 @@ class Coordinator:
         #: Records no node serves: rejected, lost and best-effort jobs.
         self.extra: List[JobRecord] = []
         self.nodes = cluster._new_nodes()
-        #: One run per node for the whole call: a crash empties it and a
-        #: recovery brings it back in place, so its report spans both.
+        #: One run per node for the whole call, attached to the node under
+        #: either delivery rule: a crash empties it and a recovery brings
+        #: it back in place, so its report spans both.
         self.runs: List[ServingRun] = [
             node.engine.open_run(fault_injector=self.injector, node=node.name, recorder=recorder)
             for node in self.nodes
         ]
-        if self.live:
-            for node, run in zip(self.nodes, self.runs):
-                node.attach_run(run)
+        for node, run in zip(self.nodes, self.runs):
+            node.attach_run(run)
         self.router.reset(self.nodes)
         self._events: List[Tuple[float, int, str, Any]] = []
         self._sequence = itertools.count()
@@ -963,7 +916,7 @@ class Coordinator:
             plan = steal_plan([node.published_depth(now) for node in ready], self.rebalance)
             if plan is not None:
                 victim = ready[plan[0]]
-                work = self.runs[victim.index].steal(
+                work = victim.run.steal(
                     plan[1], now, include_started=self.rebalance.steal_in_flight
                 )
                 for request, checkpoint in _departures(work):
@@ -978,14 +931,14 @@ class Coordinator:
                         request_id=request.request_id,
                         inflight=checkpoint is not None,
                     )
-                    self.place(request, now, checkpoint=checkpoint, exclude=victim.index)
+                    self.place(request, now, checkpoint=checkpoint, exclude=victim)
         # Re-arm while any work remains anywhere; the last tick dies with
         # the fleet drained, ending the event loop.
         if self._events or any(run.next_event_time() is not None for run in self.runs):
             self._push(now + self.tick, "rebalance", None)
 
     def _on_crash(self, node: NodeState, now: float) -> None:
-        run = self.runs[node.index]
+        run = node.run
         if run.crashed:
             return
         work = run.crash(now)
@@ -1009,7 +962,7 @@ class Coordinator:
                     self.counters["failovers"].add()
 
     def _on_recover(self, node: NodeState, now: float) -> None:
-        run = self.runs[node.index]
+        run = node.run
         if not run.crashed:
             return
         run.recover(now)
@@ -1025,7 +978,7 @@ class Coordinator:
         request: Request,
         now: float,
         checkpoint: Optional[InterruptedJob] = None,
-        exclude: Optional[int] = None,
+        exclude: Optional[NodeState] = None,
     ) -> None:
         """Route ``request`` (resuming ``checkpoint``, if any) onto a node.
 
@@ -1042,7 +995,7 @@ class Coordinator:
             top = checkpoint.history[-1]
             candidates = [node for node in reachable if node.engine.backend.num_subnets > top]
         if exclude is not None:
-            others = [node for node in candidates if node.index != exclude]
+            others = [node for node in candidates if node is not exclude]
             if others:
                 candidates = others
         if not candidates:
@@ -1056,9 +1009,8 @@ class Coordinator:
             if node is None:
                 return
         node.assign(request)
-        run = self.runs[node.index]
         if checkpoint is None:
-            run.push(request, not_before=now)
+            node.run.push(request, not_before=now)
             return
         self._emit_at(
             node,
@@ -1068,7 +1020,7 @@ class Coordinator:
             resume_levels=len(checkpoint.history),
             attempt=checkpoint.retries,
         )
-        run.push_resumed(checkpoint, resume_at=now)
+        node.run.push_resumed(checkpoint, resume_at=now)
 
     def _unplaceable(
         self,
@@ -1173,7 +1125,7 @@ class Coordinator:
         return [
             node
             for node in self.nodes
-            if not self.runs[node.index].crashed
+            if not node.run.crashed
             and (self.injector is None or self.injector.reachable(node.name, now))
         ]
 
@@ -1239,7 +1191,7 @@ class Coordinator:
         time, which keeps per-node timestamps monotone.
         """
         if self.recorder is not None:
-            self.recorder.emit(kind, max(now, self.runs[node.index].now), node=node.name, **fields)
+            self.recorder.emit(kind, max(now, node.run.now), node=node.name, **fields)
 
 
 # ----------------------------------------------------------------------
@@ -1306,6 +1258,7 @@ class ServingCluster:
         self.name = name
         self.spec = spec
         self.faults = coerce(FaultSpec, faults)
+        admission = admission.lower()
         if admission not in ADMISSION_POLICIES:
             raise ConfigError(
                 f"unknown admission policy '{admission}'; "
@@ -1379,11 +1332,18 @@ class ServingCluster:
         exactly the partition closed-loop delivery serves: when
         :meth:`serve` delivers closed-loop (see the module docstring) and
         no batch is sharded, node ``i`` receives
-        ``route_requests(requests)[i]``.  Request ids
-        must be unique across the whole fleet workload
+        ``route_requests(requests)[i]``.  A router that reads live node
+        state has no such partition — :meth:`serve` always delivers live
+        under it — and raises :class:`~repro.utils.errors.ConfigError`.
+        Request ids must be unique across the whole fleet workload
         (:func:`~repro.serving.request.merge_streams` guarantees this for
         merged streams).
         """
+        if self.router.needs_live_state:
+            raise ConfigError(
+                f"router '{self.router.name}' reads live node state, so no "
+                "closed-loop partition exists; serve() delivers live under it"
+            )
         self._check_unique_ids(requests)
         nodes = self._new_nodes()
         self.router.reset(nodes)

@@ -824,13 +824,13 @@ class ServingRun:
         self._expiry: List[Tuple[float, int]] = []
         self._batch_sizes: List[int] = []
         #: Fresh per-run resident-context budget (counters start at zero);
-        #: enforcement runs after every dispatch, so between events the
-        #: residency never exceeds the configured bound.
+        #: enforcement runs after every dispatch that overshoots it, so
+        #: between events the residency never exceeds the configured bound.
         self.memory = engine.memory_budget.clone()
-        # Unbounded runs track residency incrementally (a per-executed-job
-        # ledger) instead of re-summing every queued context per dispatch
-        # — the peak stays exact and dispatch cost stays independent of
-        # the queue length.  Bounded runs keep the full eviction scan.
+        # The residency ledger: bytes per live context, updated as jobs
+        # execute, are evicted and leave, instead of re-summing every
+        # queued context per dispatch — the peak stays exact and dispatch
+        # cost stays independent of the queue length.
         self._resident_total: int = 0
         self._resident_sizes: Dict[Union[int, str], int] = {}
         self._footprint_by_level: Dict[Tuple[int, Tuple[int, ...]], int] = {}
@@ -947,11 +947,11 @@ class ServingRun:
     def resident_bytes(self) -> int:
         """Bytes the node's live inference contexts pin right now.
 
-        Like :attr:`queue_depth`, a stale-by-one-event signal: measured
-        state as of the last processed event — what a memory-aware fleet
-        router reads between arrivals.
+        Like :attr:`queue_depth`, a stale-by-one-event signal: the
+        residency ledger as of the last processed event — what a
+        memory-aware fleet router reads between arrivals.
         """
-        return MemoryBudget.resident_bytes(self._live_jobs())
+        return self._resident_total
 
     @property
     def entry_edge_depth(self) -> int:
@@ -1118,8 +1118,7 @@ class ServingRun:
         request_id = job.request.request_id
         self.scheduler.discard(job)
         self._delayed_jobs.pop(request_id, None)
-        if self.memory.budget_bytes is None:
-            self._resident_total -= self._resident_sizes.pop(request_id, 0)
+        self._resident_total -= self._resident_sizes.pop(request_id, 0)
         job.session.close()
 
     def _live_jobs(self) -> List[ServingJob]:
@@ -1328,10 +1327,10 @@ class ServingRun:
         """Bring a crashed run back up, empty, at ``now``.
 
         The run is left as a fresh run opened at ``now`` would be — clock
-        at ``now``, wave count and last residency sample at zero, plan
-        timer re-attached — while its finalised records, counters and
-        memory ledger carry on, so the node's one report spans every
-        crash.
+        at ``now``, wave count at zero, plan timer re-attached — while its
+        finalised records, counters and memory peak carry on, so the
+        node's one report spans every crash.  The crash released every
+        context, so the residency ledger is already empty.
         """
         if self._report is not None:
             raise RuntimeError("run already finished")
@@ -1340,7 +1339,6 @@ class ServingRun:
         self._crashed = False
         self.now = now
         self._wave = 0
-        self.memory.resident_after = 0
         self._plan_timer(attach=True)
 
     def steal(
@@ -1721,8 +1719,6 @@ class ServingRun:
         self._m_steps.add(len(executed))
         self._sync_resident([job for job, _ in executed])
         if self._obs is not None:
-            unbounded = self.memory.budget_bytes is None
-            resident = self._resident_total if unbounded else self.memory.resident_after
             self._obs.emit(
                 "dispatch",
                 self.now,
@@ -1731,7 +1727,7 @@ class ServingRun:
                 edge=from_level,
                 members=[member.request.request_id for member in group],
                 queue_depth=len(self.scheduler),
-                resident_bytes=int(resident),
+                resident_bytes=self._resident_total,
             )
         finish = self._finish_time(sum(outcome.macs_charged for _, outcome in executed))
         for member, outcome in executed:
@@ -1800,23 +1796,23 @@ class ServingRun:
         self._enforce_memory(protected=group)
 
     def _sync_resident(self, executed: Sequence[ServingJob]) -> None:
-        """Refresh the incremental residency ledger for just-executed jobs.
+        """Refresh the residency ledger for just-executed jobs.
 
         Only the dispatch's executed members can have grown their
         contexts, so updating their ledger entries keeps
         ``_resident_total`` equal to the full queue sum at a cost
         proportional to the batch, not the queue.
         """
-        if self.memory.budget_bytes is not None:
-            return
         sizes = self._resident_sizes
         footprints = self._footprint_by_level
         for job in executed:
-            # With no budget there are no evictions, so a context's
-            # footprint is a pure function of its level and input shape
-            # (the plan materialises the same cache/aux buffers for the
-            # same edge walk): scan each (level, shape) once and serve
-            # the rest of the run from the memo.
+            # A just-executed context's footprint is a pure function of
+            # its level and input shape: a step rebuilds whatever an
+            # eviction dropped (the replay restores the activation caches,
+            # a cold step every aux buffer), and the plan materialises the
+            # same buffers for the same edge walk.  Scan each
+            # (level, shape) once and serve the rest of the run from the
+            # memo.
             key = (job.session.current_subnet, job.request.inputs.shape)
             new = footprints.get(key)
             if new is None:
@@ -1827,37 +1823,38 @@ class ServingRun:
             sizes[request_id] = new
 
     def _enforce_memory(self, protected: Sequence[ServingJob] = ()) -> None:
-        """Enforce the resident budget, re-keying jobs evictions touched.
+        """Enforce the resident budget, then record the peak.
 
-        A tier-2 eviction changes the victim's ``pending_recompute_macs``
+        The budget is consulted only when the ledger overshoots it.
+        Each eviction's freed bytes leave the victim's ledger entry, and
+        a tier-2 eviction changes the victim's ``pending_recompute_macs``
         — a signal cost-aware schedulers key on — so every job an
         eviction event names is reindexed while still queued.
         """
-        if self.memory.budget_bytes is None:
-            # Unbounded: nothing can be evicted; just fold the ledger
-            # total into the peak without touching the queue.
-            if self._resident_total > self.memory.peak_resident_bytes:
-                self.memory.peak_resident_bytes = self._resident_total
-            return
-        before = len(self.memory.events)
-        # Backoff-delayed jobs hold contexts too: they are evictable
-        # (their resume replays like any other) and must count against
-        # the budget even though the scheduler cannot see them.
-        self.memory.enforce(self._live_jobs(), protected=protected, now=self.now)
-        new_events = self.memory.events[before:]
-        if new_events:
+        memory = self.memory
+        if memory.bounded and self._resident_total > memory.budget_bytes:
+            before = len(memory.events)
+            # Backoff-delayed jobs hold contexts too: they are evictable
+            # (their resume replays like any other) and must count against
+            # the budget even though the scheduler cannot see them.
+            memory.enforce(self._live_jobs(), protected=protected, now=self.now)
+            new_events = memory.events[before:]
             self._m_evictions.add(len(new_events))
-        for event in new_events:
-            evicted = self.scheduler.get(event.request_id)
-            if evicted is not None:
-                self.scheduler.reindex(evicted)
-            if self._obs is not None:
-                self._obs.emit(
-                    "evict",
-                    event.time,
-                    node=self.node,
-                    request_id=event.request_id,
-                    tier=event.tier,
-                    bytes_freed=int(event.bytes_freed),
-                    protected=event.protected,
-                )
+            for event in new_events:
+                self._resident_sizes[event.request_id] -= event.bytes_freed
+                self._resident_total -= event.bytes_freed
+                evicted = self.scheduler.get(event.request_id)
+                if evicted is not None:
+                    self.scheduler.reindex(evicted)
+                if self._obs is not None:
+                    self._obs.emit(
+                        "evict",
+                        event.time,
+                        node=self.node,
+                        request_id=event.request_id,
+                        tier=event.tier,
+                        bytes_freed=int(event.bytes_freed),
+                        protected=event.protected,
+                    )
+        if self._resident_total > memory.peak_resident_bytes:
+            memory.peak_resident_bytes = self._resident_total

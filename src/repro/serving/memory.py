@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..utils.errors import ConfigError
 from .backend import ServingJob
@@ -156,9 +156,9 @@ class MemoryBudget:
 
     One instance per :class:`~repro.serving.engine.ServingRun` (fresh
     counters per run, like the scheduler clone).  ``budget_bytes=None``
-    means unbounded — :meth:`enforce` then only tracks the peak, so
-    every run reports its high-water mark and benchmarks can size
-    bounded sweeps from an unbounded baseline.
+    means unbounded: nothing is ever evicted, but the run still records
+    its high-water mark here, so benchmarks can size bounded sweeps from
+    an unbounded baseline.
     """
 
     def __init__(
@@ -181,13 +181,10 @@ class MemoryBudget:
         self.aux_evictions = 0
         self.cache_evictions = 0
         self.bytes_evicted = 0
-        #: High-water mark of post-enforcement residency: the budget
-        #: promise is that this never exceeds ``budget_bytes``.
+        #: High-water mark of post-enforcement residency, recorded by the
+        #: run from its ledger: the budget promise is that this never
+        #: exceeds ``budget_bytes``.
         self.peak_resident_bytes = 0
-        #: Residency after the most recent :meth:`enforce` — the
-        #: observability layer samples this as the resident-bytes
-        #: signal instead of re-scanning every queued context.
-        self.resident_after = 0
 
     @property
     def bounded(self) -> bool:
@@ -198,11 +195,6 @@ class MemoryBudget:
         return MemoryBudget(self.budget_bytes, self.policy)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def resident_bytes(jobs: Iterable[ServingJob]) -> int:
-        """Total bytes the given jobs' contexts currently pin."""
-        return sum(job.session.resident_nbytes() for job in jobs)
-
     def enforce(
         self,
         jobs: Sequence[ServingJob],
@@ -211,8 +203,9 @@ class MemoryBudget:
     ) -> int:
         """Evict until the budget holds again; returns the bytes freed.
 
-        Called by the run loop after every dispatch, with the dispatch's
-        members ``protected``.  Suspended (unprotected) contexts are
+        Called by the run loop after a dispatch only when the run's
+        residency ledger exceeds the budget, with the dispatch's members
+        ``protected``.  Suspended (unprotected) contexts are
         evicted first — tier 1 (aux buffers, free) exhausted before
         tier 2 (activation caches, recompute on resume) — and only when
         evicting *everything* suspended cannot cover the overshoot are
@@ -226,9 +219,6 @@ class MemoryBudget:
         sizes = {id(job): job.session.resident_nbytes() for job in jobs}
         resident = sum(sizes.values())
         if self.budget_bytes is None or resident <= self.budget_bytes:
-            if resident > self.peak_resident_bytes:
-                self.peak_resident_bytes = resident
-            self.resident_after = resident
             return 0
         protected_ids = {id(job) for job in protected}
         candidates = [job for job in jobs if sizes[id(job)] > 0]
@@ -265,9 +255,6 @@ class MemoryBudget:
                             protected=id(job) in protected_ids,
                         )
                     )
-        if resident > self.peak_resident_bytes:
-            self.peak_resident_bytes = resident
-        self.resident_after = resident
         return freed_total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

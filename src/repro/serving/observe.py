@@ -492,15 +492,14 @@ def replay_queue_depth(events: Sequence[dict]) -> Dict[str, List[List[float]]]:
 
     Every ``enqueue``/``dispatch``/``finalize`` event carries the depth
     *after* it took effect, so the reconstruction is exact — this is the
-    signal a zero-staleness router would have seen.
+    signal a zero-staleness router would have seen: the ``queue_depth``
+    series of :func:`timeline_frames`, for every node that has one.
     """
-    series: Dict[str, List[List[float]]] = {}
-    for event in events:
-        node = event.get("node")
-        if node is None or "queue_depth" not in event:
-            continue
-        series.setdefault(node, []).append([event["time"], event["queue_depth"]])
-    return series
+    return {
+        node: frame["queue_depth"]
+        for node, frame in timeline_frames(events).items()
+        if frame["queue_depth"]
+    }
 
 
 def staleness_curve(events: EventSource) -> dict:

@@ -146,8 +146,8 @@ class PowerOfTwoChoicesRouter(Router):
     random choice, at O(1) signal reads per placement regardless of
     fleet size.  The sampler is a seeded PCG64 stream re-seeded on
     every :meth:`reset`, so repeated serves of the same workload are
-    exactly reproducible; the depth comparison breaks ties on node
-    index like every other router.
+    exactly reproducible; the depth comparison breaks ties toward the
+    earlier candidate like every other router.
     """
 
     name = "power-of-two-choices"
@@ -160,14 +160,11 @@ class PowerOfTwoChoicesRouter(Router):
     def reset(self, nodes: Sequence[NodeState]) -> None:
         self._rng = np.random.default_rng(self.seed)
 
-    def route(self, request: Request, nodes: Sequence[NodeState], now: float) -> int:
+    def route(self, request: Request, nodes: Sequence[NodeState], now: float) -> NodeState:
         if len(nodes) == 1:
-            return nodes[0].index
-        first, second = self._rng.choice(len(nodes), size=2, replace=False)
-        pair = sorted((nodes[int(first)], nodes[int(second)]), key=lambda n: n.index)
-        return min(
-            pair, key=lambda node: (node.published_depth(now), node.index)
-        ).index
+            return nodes[0]
+        pair = sorted(int(i) for i in self._rng.choice(len(nodes), size=2, replace=False))
+        return min((nodes[i] for i in pair), key=lambda node: node.published_depth(now))
 
 
 ROUTERS[PowerOfTwoChoicesRouter.name] = PowerOfTwoChoicesRouter

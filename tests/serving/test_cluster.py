@@ -125,6 +125,36 @@ class TestRouting:
 
         assert run("least-loaded").p95_latency <= run("jsq").p95_latency + 1e-9
 
+    @pytest.mark.parametrize("router", ["p2c", "least-loaded-depth"])
+    def test_route_requests_rejects_live_state_routers(
+        self, stepping_network, sample_pool, calibrated_rate, router
+    ):
+        """A live-state router is always served live: no closed-loop partition exists."""
+        images, labels = sample_pool
+        cluster = ServingCluster(
+            [_engine(stepping_network, calibrated_rate) for _ in range(2)], router=router
+        )
+        with pytest.raises(ConfigError, match="live node state"):
+            cluster.route_requests(_requests(images, labels, count=4))
+
+    def test_router_returning_a_non_candidate_raises(
+        self, stepping_network, sample_pool, calibrated_rate
+    ):
+        from repro.serving.cluster import NodeState
+
+        class Stray(RoundRobinRouter):
+            def route(self, request, nodes, now):
+                return NodeState(len(nodes), "stray", nodes[0].engine)
+
+        images, labels = sample_pool
+        cluster = ServingCluster(
+            [_engine(stepping_network, calibrated_rate) for _ in range(2)], router=Stray()
+        )
+        with pytest.raises(ValueError, match="not one of the 2 candidate nodes"):
+            cluster.route_requests(_requests(images, labels, count=2))
+        with pytest.raises(ValueError, match="not one of the 2 candidate nodes"):
+            cluster.serve(_requests(images, labels, count=2))
+
     def test_duplicate_ids_across_workload_rejected(
         self, stepping_network, sample_pool, calibrated_rate
     ):
@@ -506,24 +536,6 @@ class TestMemoryAwareRouting:
         report = cluster.serve(burst)
         assert report.num_jobs == 8
         assert all(count > 0 for count in report.node_jobs)
-
-    def test_analytic_resident_bytes_without_live_run(
-        self, stepping_network, sample_pool, calibrated_rate
-    ):
-        """The fluid-model fallback charges each in-system request its
-        plan-predicted context footprint."""
-        from repro.serving.cluster import NodeState
-
-        images, _ = sample_pool
-        engine = _engine(stepping_network, calibrated_rate)
-        node = NodeState(0, "n", engine)
-        context = engine.backend.context_nbytes(2)  # _requests uses batch_size=2
-        assert node.resident_bytes(0.0) == 0
-        request = Request(request_id=0, arrival_time=0.0, inputs=images[:2])
-        node.assign(request)
-        assert node.resident_bytes(0.0) == context
-        # Past the predicted completion the estimate drains back to zero.
-        assert node.resident_bytes(1e9) == 0
 
     def test_fleet_report_memory_aggregates(self, stepping_network, sample_pool):
         """ClusterReport sums node evictions and takes the peak residency."""

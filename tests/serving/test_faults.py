@@ -338,10 +338,10 @@ class TestRecoverInPlace:
         run = crashed.open_run(node="n0", recorder=recorder)
         run.push(first)
         run.run_until(0.25)
-        if bounded:
-            # The crash leaves a residency sample that recover() must reset.
-            assert run.memory.resident_after > 0
+        # The crash releases every context, emptying the residency ledger.
+        assert run.resident_bytes > 0
         run.crash(0.25)
+        assert run.resident_bytes == 0
         mark = len(recorder.events)
         run.recover(1.0)
         for request in later:
@@ -806,6 +806,25 @@ class TestClusterSpecFaults:
         assert spec.faults.retry.kind == "fixed"
         round_tripped = ClusterSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert round_tripped == spec
+
+    def test_admission_name_is_case_insensitive_end_to_end(
+        self, stepping_network, sample_pool
+    ):
+        images, _ = sample_pool
+        spec = ClusterSpec.from_dict(dict(self.BASE, admission="Degrade"))
+        cluster = ServingCluster.from_spec(spec, stepping_network)
+        assert cluster.admission == "degrade"
+        # A deadline between the smallest and the largest subnet's
+        # service time fits only part of the ladder: degraded, not rejected.
+        trace = cluster.engines[0].trace
+        smallest, largest = (
+            trace.time_to_execute(float(stepping_network.subnet_macs(level)), 0.0)
+            for level in (0, stepping_network.num_subnets - 1)
+        )
+        requests = _requests(images, count=3, gap=1.0, deadline=(smallest + largest) / 2)
+        report = cluster.serve(requests)
+        assert report.degraded_admissions == 3
+        assert report.rejected == 0
 
     def test_non_positive_node_count_rejected(self):
         data = dict(self.BASE, nodes=[{"platform": "mobile-soc", "count": 0}])

@@ -39,6 +39,7 @@ from repro.serving import (
     get_eviction_policy,
 )
 from repro.serving.backend import ServingJob
+from repro.serving.engine import ServingRun
 
 POLICY_NAMES = ("lru", "largest-first", "lowest-progress")
 
@@ -518,6 +519,97 @@ class TestHonestAccounting:
         assert report.memory_budget_bytes is None
         assert report.peak_resident_bytes >= context  # at least one context
         assert report.cache_evictions == report.aux_evictions == 0
+
+
+class TestResidencyLedger:
+    """The run's residency ledger against a full rescan of its live contexts.
+
+    After every event — each dispatch, and every crash, recovery and
+    steal — ``run.resident_bytes`` must equal the sum of
+    ``session.resident_nbytes()`` over the run's live jobs, bounded or
+    not; and the budget's :meth:`MemoryBudget.enforce` must run only
+    when that residency is over budget.
+    """
+
+    @staticmethod
+    def _rescan(run):
+        return sum(job.session.resident_nbytes() for job in run._live_jobs())
+
+    def _watch(self, monkeypatch, checked, enforced):
+        """Check the ledger after every event of every run, and every enforce."""
+
+        def checking(method):
+            def wrapper(run, *args, **kwargs):
+                result = method(run, *args, **kwargs)
+                assert run.resident_bytes == self._rescan(run), method.__name__
+                checked[method.__name__] += 1
+                return result
+
+            return wrapper
+
+        for name in ("_advance_once", "crash", "recover", "steal"):
+            monkeypatch.setattr(ServingRun, name, checking(getattr(ServingRun, name)))
+        production = MemoryBudget.enforce
+
+        def enforce(budget, jobs, *args, **kwargs):
+            resident = sum(job.session.resident_nbytes() for job in jobs)
+            assert budget.budget_bytes is not None and resident > budget.budget_bytes
+            enforced.append(resident)
+            return production(budget, jobs, *args, **kwargs)
+
+        monkeypatch.setattr(MemoryBudget, "enforce", enforce)
+
+    @pytest.mark.parametrize("batch_policy", ["none", "same-level"])
+    @pytest.mark.parametrize("policy", [None, *POLICY_NAMES])
+    def test_ledger_equals_rescan_through_crash_and_steal(
+        self, stepping_network, sample_pool, monkeypatch, policy, batch_policy
+    ):
+        images, _ = sample_pool
+        checked, enforced = Counter(), []
+        self._watch(monkeypatch, checked, enforced)
+        budget = None if policy is None else int(_context_bytes(stepping_network) * 1.5)
+        engine = ServingEngine(
+            SteppingBackend(stepping_network, policy=_full_quality(), dtype=np.float32),
+            _constant_trace(stepping_network),
+            "edf",
+            batch_policy=batch_policy,
+            memory_budget_bytes=budget,
+            eviction_policy=policy or "lru",
+            enforce_deadline=False,
+        )
+        requests = _random_requests(np.random.default_rng(3), images, 16, mean_gap=0.05)
+        run = engine.open_run(node="n")
+        for request in requests:
+            run.push(request)
+
+        def push_back(work, now):
+            for request in work.unstarted:
+                run.push(request, not_before=now)
+            for checkpoint in work.interrupted:
+                run.push_resumed(checkpoint, resume_at=now)
+
+        run.run_until(0.6)
+        # Every job but one leaves: the unstarted ones, then started ones.
+        stolen = run.steal(run.queue_depth - 1, 0.6, include_started=True)
+        assert stolen.interrupted and run.resident_bytes > 0
+        push_back(stolen, 0.6)
+        run.run_until(1.2)
+        crashed = run.crash(1.2)
+        assert run.resident_bytes == 0
+        run.recover(1.5)
+        push_back(crashed, 1.5)
+        report = run.finish()
+
+        assert report.num_jobs == len(requests)
+        assert checked["crash"] == checked["recover"] == checked["steal"] == 1
+        assert checked["_advance_once"] >= report.num_dispatches
+        if budget is None:
+            assert enforced == []
+        else:
+            # Enforce ran, only on overshoots, and far from every dispatch.
+            assert report.eviction_events
+            assert 0 < len(enforced) < report.num_dispatches
+            assert report.peak_resident_bytes <= budget
 
 
 class TestEngineValidation:

@@ -6,10 +6,8 @@ bit-identical to solo incremental inference over its executed level
 sequence — stealing relocates requests (and, opted in, subnet-level
 checkpoints over the bit-exact replay path), never partial numerics —
 and the recompute MACs a stolen in-flight job pays are charged exactly.
-Alongside it, the fluid-model regressions this PR fixes: a node's
-analytic load signals must match a fresh model that never saw departed
-work, and `batch_potential` must not over-report coalescing on a node
-whose queue has already left the entry edge.
+Alongside it, the fluid-model retract: a node's analytic load signals
+must match a fresh model that never saw departed work.
 """
 
 import json
@@ -228,19 +226,29 @@ class TestPowerOfTwoChoices:
         assert spec.router == "power-of-two-choices"
 
     def _nodes(self, network, depths):
+        """Nodes whose attached runs hold ``depths[i]`` queued jobs."""
         nodes = []
         for index, depth in enumerate(depths):
-            node = NodeState(index, f"n{index}", _engine(network))
+            engine = _engine(network)
+            node = NodeState(index, f"n{index}", engine)
+            node.attach_run(engine.open_run(node=node.name))
             for i in range(depth):
-                node.assign(
+                node.run.push(
                     Request(request_id=index * 100 + i, arrival_time=0.0,
                             inputs=np.zeros((1, 3, 12, 12), dtype=np.float32))
                 )
+            # Admits every job and runs the first one's first step.
+            node.run.run_until(0.0)
+            assert node.run.queue_depth == depth
             nodes.append(node)
         return nodes
 
     def test_always_avoids_the_lone_deep_node(self, stepping_network):
         nodes = self._nodes(stepping_network, [5, 0, 0])
+        # The live signals read the attached run: one job left the entry edge.
+        assert [node.published_depth(0.0) for node in nodes] == [5, 0, 0]
+        assert [node.batch_potential(0.0) for node in nodes] == [4, 0, 0]
+        assert all(node.batch_potential(0.0) == node.run.entry_edge_depth for node in nodes)
         router = PowerOfTwoChoicesRouter(seed=0)
         router.reset(nodes)
         request = Request(request_id=999, arrival_time=0.0,
@@ -248,7 +256,7 @@ class TestPowerOfTwoChoices:
         # Every sampled pair contains at least one empty node, which
         # always wins the depth comparison against depth 5.
         for _ in range(32):
-            assert router.route(request, nodes, now=0.0) != 0
+            assert router.route(request, nodes, now=0.0).index != 0
 
     def test_seeded_sampling_is_reproducible_across_resets(self, stepping_network):
         nodes = self._nodes(stepping_network, [2, 2, 2, 2])
@@ -256,9 +264,9 @@ class TestPowerOfTwoChoices:
                           inputs=np.zeros((1, 3, 12, 12), dtype=np.float32))
         router = PowerOfTwoChoicesRouter(seed=7)
         router.reset(nodes)
-        first = [router.route(request, nodes, now=0.0) for _ in range(16)]
+        first = [router.route(request, nodes, now=0.0).index for _ in range(16)]
         router.reset(nodes)
-        second = [router.route(request, nodes, now=0.0) for _ in range(16)]
+        second = [router.route(request, nodes, now=0.0).index for _ in range(16)]
         assert first == second
         assert len(set(first)) > 1  # it genuinely samples
 
@@ -268,11 +276,11 @@ class TestPowerOfTwoChoices:
         router.reset(nodes)
         request = Request(request_id=999, arrival_time=0.0,
                           inputs=np.zeros((1, 3, 12, 12), dtype=np.float32))
-        assert router.route(request, nodes, now=0.0) == 0
+        assert router.route(request, nodes, now=0.0).index == 0
 
 
 # ----------------------------------------------------------------------
-# Fluid-model load signals: retract and the entry-edge fallback
+# Fluid-model load signals: retract
 # ----------------------------------------------------------------------
 def _full_rebuild_retract(node, request_id):
     """Reference ``NodeState.retract``: replay every surviving placement.
@@ -291,9 +299,7 @@ def _full_rebuild_retract(node, request_id):
         return False
     remaining = node.assigned
     node.assigned = []
-    node._starts = []
     node._completions = []
-    node._resident = []
     node._busy_until = 0.0
     for request in remaining:
         node.assigned.append(request)
@@ -344,15 +350,10 @@ def _hex(values):
 def _assert_ledgers_bit_equal(node, oracle):
     # The same request objects in the same order.
     assert [id(r) for r in node.assigned] == [id(r) for r in oracle.assigned]
-    assert _hex(node._starts) == _hex(oracle._starts)
     assert _hex(node._completions) == _hex(oracle._completions)
-    assert node._resident == oracle._resident
     assert float(node._busy_until).hex() == float(oracle._busy_until).hex()
     for now in (-0.1, 0.0, 0.3, 0.9, 1.5, 2.5, 10.0):
         assert node.queue_length(now) == oracle.queue_length(now)
-        assert float(node.backlog_seconds(now)).hex() == float(oracle.backlog_seconds(now)).hex()
-        assert node.batch_potential(now) == oracle.batch_potential(now)
-        assert node.resident_bytes(now) == oracle.resident_bytes(now)
 
 
 class TestFluidModelRetract:
@@ -372,15 +373,10 @@ class TestFluidModelRetract:
             oracle.assign(self._request(rid, arrival=rid * 0.1))
 
         assert [r.request_id for r in node.assigned] == [0, 1, 3]
-        assert node._starts == oracle._starts
         assert node._completions == oracle._completions
-        assert node._resident == oracle._resident
         assert node._busy_until == oracle._busy_until
         for now in (0.0, 0.15, 0.5, 2.0, 10.0):
             assert node.queue_length(now) == oracle.queue_length(now)
-            assert node.backlog_seconds(now) == oracle.backlog_seconds(now)
-            assert node.batch_potential(now) == oracle.batch_potential(now)
-            assert node.resident_bytes(now) == oracle.resident_bytes(now)
             assert node.predicted_finish(1e6, now) == oracle.predicted_finish(1e6, now)
 
     def test_retract_removes_last_duplicate_placement(self, stepping_network):
@@ -580,44 +576,6 @@ class TestFluidModelRetract:
             else:
                 assert np.array_equal(job.final_logits, ref.final_logits)
         assert events == oracle_events
-
-
-class TestBatchPotentialFallback:
-    def test_analytic_fallback_counts_entry_edge_only(self, stepping_network):
-        # One request, arrival 0: its predicted first pass starts
-        # immediately, so moments later it is mid-ladder — no coalescing
-        # opportunity — while jobs-in-system still reports 1.
-        node = NodeState(0, "a", _engine(stepping_network))
-        node.assign(Request(request_id=0, arrival_time=0.0,
-                            inputs=np.zeros((1, 3, 12, 12), dtype=np.float32)))
-        assert node.queue_length(0.05) == 1
-        assert node.batch_potential(0.05) == 0
-        # Before the predicted start the entry pass is still shareable.
-        assert node.batch_potential(-0.01) == 1
-
-    def test_analytic_matches_live_on_a_drained_node(
-        self, stepping_network, sample_pool
-    ):
-        images, _ = sample_pool
-        engine = _engine(stepping_network)
-        node = NodeState(0, "a", engine)
-        request = Request(request_id=0, arrival_time=0.0, inputs=images[0][None])
-        node.assign(request)
-        run = engine.open_run(node="a")
-        run.push(request)
-        run.run_until(10.0)
-        # Live signal on the drained node: nothing waits at the entry edge.
-        node.attach_run(run)
-        assert node.batch_potential(10.0) == run.entry_edge_depth == 0
-        # The analytic fallback agrees once the run detaches — the
-        # pre-fix queue_length fallback would still answer 1 here only
-        # after the predicted completion; pin the entry-edge semantics
-        # at a mid-service instant instead.
-        node.run = None
-        mid = (node._starts[0] + node._completions[0]) / 2.0
-        assert node.queue_length(mid) == 1
-        assert node.batch_potential(mid) == 0
-        run.finish()
 
 
 # ----------------------------------------------------------------------
