@@ -20,7 +20,17 @@ one prefix ladder issues against the full-depth count, and
 ``equivalence`` checks that the ladder's logits are bit-equal whether
 each step runs its warm edge program, its cold one (``aux`` dropped
 before every step), or as one member of a 3-member ``execute_batch``,
-and that all three leave byte-identical column buffers and pooled maps.
+and that all three leave byte-identical column buffers and pooled maps;
+it checks the LeNet-3C1L ladder and a VGG-16 one (width 0.25, 32x32),
+whose 2x2 convs run as dense GEMMs.
+
+The timings are host-normalised (``perfbench/probe.py``): the legacy
+and compiled ladders, and the compiled ``run(x, top)`` from scratch,
+run in interleaved rounds, each slice bracketed by the probe and scaled
+by ``P_REF / probe``, so a slow host period hits every engine alike.
+``ladder_tax`` is a ladder's wall over ``run(x, top)``'s wall, per round:
+SteppingNet promises that a full ladder costs what its largest subnet
+costs, i.e. a tax of 1.
 """
 
 from __future__ import annotations
@@ -34,7 +44,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import json
+import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +55,12 @@ from repro.baselines.common import set_prefix_assignments
 from repro.core import IncrementalInference, NetworkPlan, SteppingNetwork
 from repro.core.plan import BatchMember, _HiddenStep
 from repro.core.pruning import apply_unstructured_pruning
-from repro.models import lenet_3c1l
+from repro.models import lenet_3c1l, vgg16
 from repro.runtime.platform import ResourceTrace
 from repro.serving import ServingEngine, SteppingBackend, poisson_stream
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.probe import Probe, SliceTimer  # noqa: E402  (the repository root's probe)
 
 DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_plan.json"
 DTYPE = np.float32  # the serving default; the plan targets deployment inference
@@ -70,12 +85,29 @@ def build_network(width_scale: float, num_subnets: int):
     return network
 
 
+def build_vgg16(num_subnets: int):
+    """The anytime VGG-16 (width 0.25, 32x32, prefix levels, pruned); its
+    three 2x2-input convs compile to dense GEMMs."""
+    network = SteppingNetwork(
+        vgg16(num_classes=10, width_scale=0.25),
+        num_subnets=num_subnets,
+        rng=np.random.default_rng(0),
+    )
+    set_prefix_assignments(network, [(level + 1) / num_subnets for level in range(num_subnets)])
+    network.assignment.validate()
+    apply_unstructured_pruning(network, 3e-2)
+    network.eval()
+    return network
+
+
 def gemm_macs(network) -> dict:
     """Exact per-sample conv GEMM MACs of one prefix ladder, from the compiled slabs.
 
-    A step to level ``t`` multiplies its slab's rows by its depth (the
+    A step to level ``t`` multiplies its slab's rows by its columns (the
+    bias column, which meets the column buffer's ones row, then the
     im2col rows of the input channels active at ``t``) by the output
-    pixels; ``full_depth`` counts the same rows at the layer's full
+    pixels; a dense conv's rows already span its pixels, and its bias is
+    added apart.  ``full_depth`` counts the same units at the layer's full
     im2col depth, the cost before depth truncation.
     """
     plan = NetworkPlan.for_network(network, dtype=DTYPE)
@@ -86,9 +118,10 @@ def gemm_macs(network) -> dict:
         pixels = step.out_spatial[0] * step.out_spatial[1]
         width = step.in_channels * step.kernel[0] * step.kernel[1]
         for level in range(plan.num_subnets):
-            rows, depth = step.slabs.pack(level - 1, level).weight.shape
-            issued += rows * depth * pixels
-            full_depth += rows * width * pixels
+            slab = step.slabs.pack(level - 1, level)
+            rows, columns = slab.weight.shape
+            issued += rows * (columns - 1) if step.dense else rows * columns * pixels
+            full_depth += slab.units.size * width * pixels
     return {
         "ladder": list(range(plan.num_subnets)),
         "issued": issued,
@@ -153,33 +186,76 @@ def equivalence(network, inputs) -> dict:
     return {"warm_equals_cold": cold, "warm_equals_batched": batch, "aux_equal": aux}
 
 
-def time_stepping(network, inputs, compiled: bool, repeats: int) -> dict:
-    """Wall-clock of run(subnet 0) + step_to(1..N-1), averaged over repeats."""
-    engine = IncrementalInference(network, dtype=DTYPE, compiled=compiled)
-    num_subnets = network.num_subnets
-    engine.run(inputs, subnet=0)  # warmup: builds plan / primes caches
-    for level in range(1, num_subnets):
-        engine.step_to(level)
-    per_level = [[] for _ in range(num_subnets)]
-    for _ in range(repeats):
-        start = time.perf_counter()
-        engine.run(inputs, subnet=0)
-        per_level[0].append(time.perf_counter() - start)
-        for level in range(1, num_subnets):
-            start = time.perf_counter()
-            engine.step_to(level)
-            per_level[level].append(time.perf_counter() - start)
-    steps = repeats * num_subnets
-    mean_step = float(np.mean([np.mean(samples) for samples in per_level]))
-    return {
-        "mean_step_ms": mean_step * 1e3,
-        "steps_per_second": steps / sum(float(np.sum(s)) for s in per_level),
-        "per_level_ms": [float(np.mean(samples)) * 1e3 for samples in per_level],
+def _quartiles(values) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "iqr": [float(q1), float(q3)]}
+
+
+def time_stepping(network, inputs, rounds: int, slice_seconds: float = 0.02) -> dict:
+    """Host-normalised ladders, legacy and compiled, in interleaved rounds.
+
+    A ladder is ``run(subnet 0)`` then ``step_to(1..N-1)``.  Each round
+    times one slice of ladders per engine (the order alternates between
+    rounds) and one slice of compiled ``run(x, top)`` from scratch; a
+    slice repeats its work often enough to last ``slice_seconds`` on the
+    compiled engine, is bracketed by the probe, and its walls are scaled
+    by the slice's normalisation factor.  Per level, the median over
+    every timed ladder.
+    """
+    top = network.num_subnets - 1
+    engines = {
+        label: IncrementalInference(network, dtype=DTYPE, compiled=compiled)
+        for label, compiled in (("legacy", False), ("compiled", True))
     }
 
+    def ladder(engine):
+        walls, start = [], time.perf_counter()
+        engine.run(inputs, subnet=0)
+        for level in range(1, top + 1):
+            walls.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            engine.step_to(level)
+        walls.append(time.perf_counter() - start)
+        return walls
 
-def time_serving(network, images, compiled: bool, num_requests: int) -> dict:
-    """Wall-clock of one full ServingEngine run over a Poisson stream."""
+    for engine in engines.values():
+        ladder(engine)  # warm-up: builds the plan, primes caches and BLAS
+    engines["compiled"].run(inputs, subnet=top)
+    start = time.perf_counter()
+    ladder(engines["compiled"])
+    repeat = max(1, int(np.ceil(slice_seconds / (time.perf_counter() - start))))
+    slices = {label: partial(ladder, engine) for label, engine in engines.items()}
+    slices["top"] = partial(engines["compiled"].run, inputs, subnet=top)
+    timer = SliceTimer(Probe())
+    levels = {label: [] for label in engines}
+    walls = {label: [] for label in slices}
+    for round_index in range(rounds):
+        # The compiled ladder sits between the legacy one and the top run,
+        # so each tax compares two adjacent slices.
+        order = list(slices) if round_index % 2 == 0 else list(slices)[::-1]
+        for label in order:
+            runs, wall, factor = timer.time(lambda: [slices[label]() for _ in range(repeat)])
+            walls[label].append(wall * factor / repeat)
+            if label in levels:
+                levels[label].extend([w * factor for w in run] for run in runs)
+    results = {}
+    for label in engines:
+        per_level = np.median(np.asarray(levels[label]), axis=0)
+        ladder_ms = 1e3 * float(np.median(walls[label]))
+        results[label] = {
+            "mean_step_ms": ladder_ms / (top + 1),
+            "steps_per_second": 1e3 * (top + 1) / ladder_ms,
+            "ladder_ms": ladder_ms,
+            "per_level_ms": [1e3 * float(ms) for ms in per_level],
+        }
+    results["compiled"]["top_run_ms"] = 1e3 * float(np.median(walls["top"]))
+    results["ladder_tax"] = _quartiles(np.asarray(walls["compiled"]) / np.asarray(walls["top"]))
+    return results
+
+
+def time_serving(network, images, rounds: int, num_requests: int) -> dict:
+    """Host-normalised walls of full ServingEngine runs over one Poisson
+    stream, legacy and compiled backends in interleaved rounds (median)."""
     largest = float(network.subnet_macs(network.num_subnets - 1))
     trace = ResourceTrace.constant(largest / 0.25, name="steady")
     requests = poisson_stream(
@@ -190,18 +266,29 @@ def time_serving(network, images, compiled: bool, num_requests: int) -> dict:
         batch_size=2,
         seed=0,
     )
-    backend = SteppingBackend(network, compiled=compiled)
-    engine = ServingEngine(backend, trace, "edf")
-    start = time.perf_counter()
-    report = engine.serve(requests)
-    wall = time.perf_counter() - start
-    return {
-        "wall_seconds": wall,
-        "requests_per_second_wall": num_requests / wall,
-        "completed": len(report.completed_jobs),
-        "simulated_throughput_rps": report.throughput,
-        "deadline_miss_rate": report.deadline_miss_rate,
+    engines = {
+        label: ServingEngine(SteppingBackend(network, compiled=compiled), trace, "edf")
+        for label, compiled in (("legacy", False), ("compiled", True))
     }
+    reports = {label: engine.serve(requests) for label, engine in engines.items()}
+    timer = SliceTimer(Probe())
+    walls = {label: [] for label in engines}
+    for round_index in range(rounds):
+        order = list(engines) if round_index % 2 == 0 else list(engines)[::-1]
+        for label in order:
+            _, wall, factor = timer.time(lambda: engines[label].serve(requests))
+            walls[label].append(wall * factor)
+    results = {}
+    for label, report in reports.items():
+        wall = float(np.median(walls[label]))
+        results[label] = {
+            "wall_seconds": wall,
+            "requests_per_second_wall": num_requests / wall,
+            "completed": len(report.completed_jobs),
+            "simulated_throughput_rps": report.throughput,
+            "deadline_miss_rate": report.deadline_miss_rate,
+        }
+    return results
 
 
 def main() -> None:
@@ -209,16 +296,17 @@ def main() -> None:
     parser.add_argument(
         "--smoke", action="store_true", help="tiny configuration for CI smoke runs"
     )
-    parser.add_argument("--repeats", type=int, default=None, help="timing repetitions")
+    parser.add_argument("--repeats", type=int, default=None, help="interleaved timing rounds")
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT, help="JSON output path")
     args = parser.parse_args()
 
     if args.smoke:
-        width_scale, batch, num_requests, repeats = 0.25, 4, 24, 3
+        width_scale, batch, num_requests, repeats = 0.25, 4, 24, 9
     else:
-        width_scale, batch, num_requests, repeats = 1.0, 8, 120, 5
+        width_scale, batch, num_requests, repeats = 1.0, 8, 120, 31
     if args.repeats is not None:
         repeats = args.repeats
+    serve_rounds = max(1, repeats // 4)
     num_subnets = 4
 
     network = build_network(width_scale, num_subnets)
@@ -243,13 +331,17 @@ def main() -> None:
         },
         "plan_build_seconds": plan_build_seconds,
         "gemm_macs": gemm_macs(network),
-        "equivalence": equivalence(network, inputs),
-        "stepping": {},
-        "serving": {},
+        "equivalence": {
+            **equivalence(network, inputs),
+            **{
+                f"vgg16_{check}": equal
+                for check, equal in equivalence(build_vgg16(num_subnets), inputs).items()
+            },
+        },
+        "stepping": time_stepping(network, inputs, repeats),
+        "serving": time_serving(network, serving_images, serve_rounds, num_requests),
     }
-    for label, compiled in (("legacy", False), ("compiled", True)):
-        results["stepping"][label] = time_stepping(network, inputs, compiled, repeats)
-        results["serving"][label] = time_serving(network, serving_images, compiled, num_requests)
+    results["ladder_tax"] = results["stepping"].pop("ladder_tax")
 
     step = results["stepping"]
     serve = results["serving"]
@@ -266,12 +358,14 @@ def main() -> None:
         f"conv GEMM MACs per ladder: {macs['issued']} issued vs "
         f"{macs['full_depth']} at full depth ({macs['ratio']:.3f}x)"
     )
-    print(
-        "ladder logits bit-equal: cold rebuild "
-        f"{results['equivalence']['warm_equals_cold']}, batched member "
-        f"{results['equivalence']['warm_equals_batched']}; aux buffers "
-        f"{results['equivalence']['aux_equal']}"
-    )
+    for model, prefix in (("lenet-3c1l", ""), ("vgg-16", "vgg16_")):
+        equal = results["equivalence"]
+        print(
+            f"{model} ladder logits bit-equal: cold rebuild "
+            f"{equal[prefix + 'warm_equals_cold']}, batched member "
+            f"{equal[prefix + 'warm_equals_batched']}; aux buffers "
+            f"{equal[prefix + 'aux_equal']}"
+        )
     for label in ("legacy", "compiled"):
         row = step[label]
         print(
@@ -283,6 +377,11 @@ def main() -> None:
     print(
         f"  speedup: {results['speedup']['per_step']:.2f}x per step, "
         f"{results['speedup']['serving_wall']:.2f}x serving wall-clock"
+    )
+    tax = results["ladder_tax"]
+    print(
+        f"ladder tax (ladder / run(x, top), per round): {tax['median']:.3f} "
+        f"(IQR {tax['iqr'][0]:.3f}-{tax['iqr'][1]:.3f})"
     )
 
     args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -13,8 +13,8 @@ an execution plan before taking traffic:
   slab** — the rows of the units that first appear at that level, with
   the membership/incremental/pruning mask already applied, batch norm
   folded into the weights and bias (exact at eval time) and the result
-  cast to the inference dtype (conv slabs are pre-flattened to the
-  ``(new_units, depth)`` GEMM layout, see below);
+  cast to the inference dtype (conv slabs are pre-flattened to a GEMM
+  layout whose column 0 is the folded bias, see below);
 * the **new-unit indices** used to scatter freshly computed
   activations into the full-width layer cache, and per conv and pooling
   step the per-level set of input channels a fresh buffer packs;
@@ -37,21 +37,44 @@ every input channel is packed and pooled exactly once instead of once
 per step.  These buffers live in the inference state's ``aux`` and move
 with it; they are pure caches, rebuilt transparently when absent.
 
+A column buffer is ``(1 + C*kh*kw, N*oh*ow)``: one leading **row of
+ones**, written when the buffer is created and never packed, over the
+channel rows ``(C, kh, kw)``.  Every conv level slab carries its folded
+bias as column 0, so the product of a slab with the buffer's leading
+rows adds the bias inside the GEMM: no separate bias pass.
+
 A conv step multiplies only the inputs it can see.  Per conv layer and
-level the plan records the GEMM **depth** ``kh*kw*(last input channel
-active at the level + 1)`` (0 when none is): every weight column past it
-is masked to zero, and every column-buffer row past it holds a channel
+level the plan records the GEMM **depth** ``span*(last input channel
+active at the level + 1)`` (0 when none is), where ``span`` is the
+columns one input channel feeds (``kh*kw`` here): every weight column
+past it is masked to zero, and every operand row past it holds a channel
 not yet computed.  A level's slab is stored at its own depth, the
 concatenated slab of a step ``from -> to`` is zero-padded to
-``depth[to]``, and the GEMM reads the buffer's leading ``depth[to]`` rows
-— a contiguous prefix, so no copy.  The depth is computed from the unit
-sets, not from whether they compile to a slice, and it is a function of
-``(from, to)`` alone, so warm and rebuilt-buffer steps run the same
-product and stay bit-equal to each other.  Against a full-depth
-product of the same step, a shorter BLAS reduction can round
-differently (an ulp or so): compiled logits hold the documented
-tolerance against the legacy oracle (float64 rtol 1e-9, float32 rtol
-2e-3), not bit-identity with a full-depth plan.
+``1 + depth[to]`` columns, and the GEMM reads the buffer's leading
+``1 + depth[to]`` rows — a contiguous prefix, so no copy.  The depth is
+computed from the unit sets, not from whether they compile to a slice,
+and it is a function of ``(from, to)`` alone, so warm and rebuilt-buffer
+steps run the same product and stay bit-equal to each other.
+
+A conv whose input map is no larger than its kernel window
+(``in_h*in_w <= kh*kw``, VGG-16's 2x2 convs at 32x32) is compiled
+**dense** instead: one GEMM ``(N, depth) @ (depth, new_units*oh*ow)``
+over the contiguous prefix ``x.reshape(N, -1)[:, :depth]`` of its
+channel-major input map, with ``span = in_h*in_w``.  Its slab rows are
+ordered ``(unit, oh, ow)`` and each entry holds the kernel tap joining
+that output pixel to that input pixel (zero where none does), so the
+product needs no scratch pad, patch view, pack or column buffer, and a
+one-sample step over a slice of units writes straight into
+``cached[0, units]``; its bias column is added after the product.  Per
+output pixel the dense form multiplies ``in_h*in_w`` inputs per channel
+where im2col multiplies ``kh*kw``, so under the rule it never issues
+more MACs (2x2 maps: 4 against 9).  The choice is made at compile time.
+
+The bias column, the depth cut and the dense form each change only the
+order of a float sum: against the legacy oracle compiled logits hold the
+documented tolerance (float64 rtol 1e-9, float32 rtol 2e-3), not
+bit-identity, while warm, cold and batched steps run the same kernels and
+stay bit-equal to each other.
 
 Packing allocates nothing either: each conv step owns a **scratch**
 full-channel padded input map whose border stays zero, grown to the
@@ -61,9 +84,9 @@ of it once — its interior, and the channel-major patch view
 :func:`~repro.nn.functional.im2col_channel_major`) — and rebuilds them
 only when the map grows.  A pack copies just the updated channels into
 the interior at their own positions, ``interior[:, update] =
-src[:, update]``, then their patches into the column buffer,
-``cols[update] = patches[update]``; other channels' stale interior is
-never read.  The scratch is plan state, not request state — it is not
+src[:, update]``, then their patches into the column buffer's channel
+rows, ``rows[update] = patches[update]``; other channels' stale interior
+is never read.  The scratch is plan state, not request state — it is not
 in ``aux`` and not in :meth:`NetworkPlan.state_nbytes` — so a plan is
 not re-entrant: it runs on one thread at a time, as every caller in
 this package does.
@@ -74,13 +97,15 @@ every other row, so the buffer holds the bytes a zeroed one would.
 Zeroing less is unsound: a gap row of a shuffled assignment lies inside
 the GEMM depth, where a zero weight times garbage (NaN, inf) is not
 zero, and a row past the depth would change the buffer's bytes, which
-warm, cold and batched steps must agree on.
+warm, cold and batched steps must agree on.  Fresh conv output caches
+and pooled maps come from ``np.empty`` the same way, with only the units
+or channels the cold GEMMs and pools do not write zeroed.
 
 Every step runs a compiled **edge program**.  The first step over an
 edge ``(from, to)`` compiles a flat tuple of ops, which the plan keeps
 for reuse.  Each op is a closure whose slab, unit index, GEMM depth,
 pixel count, update set and ``cache``/``aux`` keys are fixed at compile
-time; a conv block is **one** op (cold set-up, pack, and GEMM + bias +
+time; a conv block is **one** op (cold set-up, pack, and GEMM +
 activation).  A step is then one dict lookup and a loop of calls, with
 no per-block dispatch.  Each edge has two programs, built by one
 compiler from the same kernels:
@@ -101,9 +126,10 @@ bit-equal to each other.  Two kernels write in place, where that stores
 the same values:
 
 * A one-sample conv whose new units form a slice runs its GEMM with
-  ``out=`` set to its contiguous cache block ``cached[0, units]``.  Bias
-  and activation then run there: no temporary and no scatter.  It is the
-  same BLAS call on the same operands; only the output lands elsewhere.
+  ``out=`` set to its contiguous cache block ``cached[0, units]``.  The
+  activation (and a dense conv's bias) then runs there: no temporary and
+  no scatter.  It is the same BLAS call on the same operands; only the
+  output lands elsewhere.
 * A 2x2/stride-2 max pool over a slice of channels writes its second
   ``np.maximum`` straight into the pooled map.  An element-wise max
   gives the same values wherever it stores them.
@@ -183,25 +209,72 @@ def _active(in_levels: np.ndarray, num_subnets: int, active: bool = True) -> Tup
     )
 
 
-def _depths(in_levels: np.ndarray, num_subnets: int, taps: int) -> Tuple[int, ...]:
+def _depths(in_levels: np.ndarray, num_subnets: int, span: int) -> Tuple[int, ...]:
     """Per subnet level, the conv GEMM depth a step to it multiplies.
 
-    ``taps * (last input channel active at the level + 1)``, or 0 when no
-    input channel is active.  Past it every weight column is masked to
-    zero, and every column-buffer row holds a channel not yet computed.
+    ``span * (last input channel active at the level + 1)``, or 0 when no
+    input channel is active, where ``span`` is the GEMM columns one input
+    channel feeds: its ``kh*kw`` taps (im2col) or its ``h*w`` pixels
+    (dense).  Past it every weight column is masked to zero, and every
+    operand row holds a channel not yet computed.
     """
     depths = []
     for level in range(num_subnets):
         active = np.flatnonzero(in_levels <= level)
-        depths.append(taps * (int(active[-1]) + 1) if active.size else 0)
+        depths.append(span * (int(active[-1]) + 1) if active.size else 0)
     return tuple(depths)
 
 
-def _widen(weight: np.ndarray, depth: int) -> np.ndarray:
-    """``weight`` with zero columns appended up to ``depth`` columns."""
-    if weight.shape[1] == depth:
+def _dense_taps(
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+    in_spatial: Tuple[int, int],
+    out_spatial: Tuple[int, int],
+) -> np.ndarray:
+    """``(oh*ow, h*w)`` map from (output pixel, input pixel) to the kernel tap
+    ``i*kw + j`` joining them, or ``kh*kw`` (no tap) where none does."""
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    (height, width), (out_h, out_w) = in_spatial, out_spatial
+    i = (np.arange(height)[None, :] - sh * np.arange(out_h)[:, None] + ph)[:, None, :, None]
+    j = (np.arange(width)[None, :] - sw * np.arange(out_w)[:, None] + pw)[None, :, None, :]
+    inside = (i >= 0) & (i < kh) & (j >= 0) & (j < kw)
+    return np.where(inside, i * kw + j, kh * kw).reshape(out_h * out_w, height * width)
+
+
+def _conv_slab(
+    weight: np.ndarray, bias: np.ndarray, taps: Optional[np.ndarray], dtype: np.dtype
+) -> np.ndarray:
+    """A conv level's GEMM slab in ``dtype``: the folded bias as column 0,
+    then the columns of the input channels ``weight`` keeps.
+
+    im2col (``taps`` is ``None``): rows are units, columns ``(c, i, j)``.
+    Dense: rows are ``(unit, oh, ow)`` and columns ``(c, h, w)``; each entry
+    is the kernel tap ``taps`` names, or zero where the kernel does not
+    reach.  One copy of every unit's and channel's tap per joined (output
+    pixel, input pixel) pair, at most ``(kh*kw)**2`` copies.
+    """
+    units, channels, kh, kw = weight.shape
+    if taps is None:
+        slab = np.empty((units, 1 + channels * kh * kw), dtype=dtype)
+        slab[:, 0] = bias
+        slab[:, 1:] = weight.reshape(units, channels * kh * kw)
+        return slab
+    pixels, spread = taps.shape
+    slab = np.zeros((units * pixels, 1 + channels * spread), dtype=dtype)
+    slab[:, 0] = np.repeat(bias, pixels)
+    body = slab[:, 1:].reshape(units, pixels, channels, spread)
+    kernel = weight.astype(dtype).reshape(units, channels, kh * kw)
+    for pixel, source in zip(*np.nonzero(taps < kh * kw)):
+        body[:, pixel, :, source] = kernel[:, :, taps[pixel, source]]
+    return slab
+
+
+def _widen(weight: np.ndarray, width: int) -> np.ndarray:
+    """``weight`` with zero columns appended up to ``width`` columns."""
+    if weight.shape[1] == width:
         return weight
-    wide = np.zeros((weight.shape[0], depth), dtype=weight.dtype)
+    wide = np.zeros((weight.shape[0], width), dtype=weight.dtype)
     wide[:, : weight.shape[1]] = weight
     return wide
 
@@ -239,10 +312,10 @@ class _RangeCache:
     practice dominated by ``i -> i+1``; concatenations are built once on
     first use and reused for the lifetime of the plan.
 
-    With ``depths`` (conv steps) each level's slab holds only its first
-    ``depths[level]`` columns, and a range's rows are zero-padded to
-    ``depths[to]``: the depth of a step's GEMM is a function of
-    ``(from, to)`` alone.
+    With ``depths`` (conv steps) each level's slab holds its bias column
+    and its first ``depths[level]`` GEMM columns, and a range's rows are
+    zero-padded to ``1 + depths[to]`` columns: the depth of a step's GEMM
+    is a function of ``(from, to)`` alone.
     """
 
     def __init__(self, levels: List[_Slab], depths: Optional[Tuple[int, ...]] = None) -> None:
@@ -256,14 +329,14 @@ class _RangeCache:
         if hit is not None:
             return hit
         slabs = [s for s in self.levels[from_subnet + 1 : to_subnet + 1] if s.units.size]
-        depth = None if self.depths is None else self.depths[to_subnet]
-        if len(slabs) == 1 and (depth is None or slabs[0].weight.shape[1] == depth):
+        width = None if self.depths is None else 1 + self.depths[to_subnet]
+        if len(slabs) == 1 and (width is None or slabs[0].weight.shape[1] == width):
             hit = slabs[0]
         elif slabs:
             hit = _Slab(
                 units=np.concatenate([s.units for s in slabs]),
                 weight=np.concatenate(
-                    [s.weight if depth is None else _widen(s.weight, depth) for s in slabs],
+                    [s.weight if width is None else _widen(s.weight, width) for s in slabs],
                     axis=0,
                 ),
                 bias=(
@@ -274,7 +347,7 @@ class _RangeCache:
             )
         else:
             empty = self.levels[0]
-            columns = empty.weight.shape[1:] if depth is None else (depth,)
+            columns = empty.weight.shape[1:] if width is None else (width,)
             hit = _Slab(
                 units=_EMPTY,
                 weight=np.empty((0,) + columns, dtype=empty.weight.dtype),
@@ -298,6 +371,7 @@ class _HiddenStep:
     num_units: int
     slabs: _RangeCache
     # conv only
+    dense: bool = False  # one GEMM over the flattened input map, no column buffer
     in_channels: int = 0
     active: Tuple[Index, ...] = ()  # per level: input channels to pack first
     inactive: Tuple[Index, ...] = ()  # per level: column rows a cold step zeroes
@@ -330,6 +404,7 @@ class _PoolStep:
     index: int  # aux-state key (position in the plan)
     num_channels: int  # width of the incoming full-width map
     active: Tuple[Index, ...]  # per level: incoming channels to pool first
+    channel_levels: np.ndarray  # per incoming channel, the level it first appears at
     out_spatial: Tuple[int, int] = (1, 1)  # pooled-map dims (footprint accounting)
 
 
@@ -516,6 +591,7 @@ class NetworkPlan:
                         index=len(self.steps),
                         num_channels=prev_layer.assignment.num_units,
                         active=_active(prev_layer.assignment.unit_subnet, self.num_subnets),
+                        channel_levels=np.asarray(prev_layer.assignment.unit_subnet),
                         out_spatial=spatial,
                     )
                 )
@@ -536,51 +612,60 @@ class NetworkPlan:
             )
         in_subnet = np.asarray(network.input_unit_subnet(block.param_index))
         conv = block.kind == "conv"
-        depths = None
+        geometry, depths, taps = {}, None, None
         if conv:
-            taps = layer.kernel_size * layer.kernel_size
-            width = layer.in_channels * taps
-            depths = _depths(in_subnet, self.num_subnets, taps)
+            kernel = (layer.kernel_size, layer.kernel_size)
+            stride, padding = (layer.stride, layer.stride), (layer.padding, layer.padding)
+            in_spatial = tuple(block.in_spatial)
+            out_spatial = layer.output_spatial_size(*in_spatial)
+            # A map no larger than the kernel window costs no more MACs as
+            # one dense product than as im2col columns.
+            window, pixels = kernel[0] * kernel[1], in_spatial[0] * in_spatial[1]
+            dense = pixels <= window
+            span = pixels if dense else window  # GEMM columns per input channel
+            depths = _depths(in_subnet, self.num_subnets, span)
+            if dense:
+                taps = _dense_taps(kernel, stride, padding, in_spatial, out_spatial)
+            geometry = dict(
+                dense=dense,
+                in_channels=layer.in_channels,
+                active=_active(in_subnet, self.num_subnets),
+                inactive=_active(in_subnet, self.num_subnets, active=False),
+                kernel=kernel,
+                stride=stride,
+                padding=padding,
+                in_spatial=in_spatial,
+                out_spatial=out_spatial,
+            )
         levels: List[_Slab] = []
         for level in range(self.num_subnets):
             units = layer.assignment.units_in_exactly(level)
             weight = layer.weight_rows(units, level, in_subnet, self.apply_prune)
-            if conv:
-                # GEMM layout (units, C*kh*kw), cut to the level's depth:
-                # the cut columns are masked to zero.
-                weight = weight.reshape(units.size, width)[:, : depths[level]]
             bias = layer.bias.data[units]
+            if conv:
+                # Cut to the level's depth: the cut channels are masked to zero.
+                weight = weight[:, : depths[level] // span]
             if block.norm is not None:
                 scale, shift = _bn_fold(block.norm, units)
-                weight = weight * scale[:, None]
+                weight = weight * scale.reshape((-1,) + (1,) * (weight.ndim - 1))
                 bias = bias * scale + shift
+            if conv:
+                weight, bias = _conv_slab(weight, bias, taps, self.dtype), None
             levels.append(
                 _Slab(
                     units=units,
                     weight=np.ascontiguousarray(weight, dtype=self.dtype),
-                    # A conv bias is a column broadcasting over the pixels.
-                    bias=np.ascontiguousarray(
-                        bias[:, None] if conv else bias, dtype=self.dtype
-                    ),
+                    bias=None if bias is None else np.ascontiguousarray(bias, dtype=self.dtype),
                 )
             )
-        step = _HiddenStep(
+        return _HiddenStep(
             kind=block.kind,
             param_index=block.param_index,
             activate=resolve_activation(block.activation),
             num_units=layer.assignment.num_units,
             slabs=_RangeCache(levels, depths),
+            **geometry,
         )
-        if conv:
-            step.in_channels = layer.in_channels
-            step.active = _active(in_subnet, self.num_subnets)
-            step.inactive = _active(in_subnet, self.num_subnets, active=False)
-            step.kernel = (layer.kernel_size, layer.kernel_size)
-            step.stride = (layer.stride, layer.stride)
-            step.padding = (layer.padding, layer.padding)
-            step.in_spatial = tuple(block.in_spatial)
-            step.out_spatial = layer.output_spatial_size(*block.in_spatial)
-        return step
 
     def _compile_output(self, network, block) -> _OutputStep:
         layer = block.layer
@@ -636,7 +721,7 @@ class NetworkPlan:
         """Predicted resident footprint of one started inference context.
 
         Input copy + full-width activation caches + plan ``aux`` buffers
-        (im2col columns, pooled maps) + logits, for a request of
+        (im2col columns with their ones row, pooled maps) + logits, for a request of
         ``batch_size`` samples.  Caches and aux buffers are allocated at
         full width on first touch regardless of the executing subnet
         level, so the prediction is level-independent and matches
@@ -660,8 +745,9 @@ class NetworkPlan:
                 if step.kind == "conv":
                     out_h, out_w = step.out_spatial
                     elements += step.num_units * out_h * out_w  # cache
-                    kh, kw = step.kernel
-                    elements += step.in_channels * kh * kw * out_h * out_w  # im2col
+                    if not step.dense:
+                        kh, kw = step.kernel
+                        elements += (1 + step.in_channels * kh * kw) * out_h * out_w  # im2col
                 else:
                     elements += step.num_units  # cache (no aux)
             elif isinstance(step, _PoolStep):
@@ -795,7 +881,7 @@ class NetworkPlan:
                 source, changed = _cache_map(step.param_index), slab.index
             elif isinstance(step, _PoolStep):
                 update = changed if warm else step.active[to_subnet]
-                ops.extend(self._pool_ops(step, source, update, warm))
+                ops.extend(self._pool_ops(step, source, update, warm, to_subnet))
                 source = _aux_map(("pool", step.index))
             elif isinstance(step, _OutputStep):
                 head = _head_op(step, source, from_subnet, to_subnet)
@@ -810,56 +896,117 @@ class NetworkPlan:
     def _conv_ops(
         self, step: _HiddenStep, slab: _Slab, source: _Source, update: Index, warm: bool, to: int
     ) -> List[_Op]:
-        """A conv block as one op: buffer set-up (cold), pack, GEMM + bias + activation.
+        """A conv block as one op: buffer set-up (cold), pack, GEMM + activation.
 
-        The persistent channel-major column buffer is
-        ``(C, kh, kw, N, oh, ow)``.  A cold op takes it from ``np.empty``
-        and zeroes the rows of the channels inactive at ``to``;
-        its pack writes every other row, so the buffer holds what a
-        zeroed one packed would.  The pack copies the updated channels
-        into the scratch map's interior at their own positions, then
-        their patches into the buffer (see :meth:`_patch_views`).
+        A cold op takes a missing output cache from ``np.empty`` and
+        zeroes the units its GEMM does not write (at a run's start, the
+        units inactive at ``to``).  The persistent column buffer is
+        ``(1 + C*kh*kw, N*oh*ow)``: a row of ones, written when the buffer
+        is created, over the channel-major rows ``(C, kh, kw)``.  A cold
+        op takes it from ``np.empty`` and zeroes the rows of the channels
+        inactive at ``to``; its pack writes every other row, so the
+        buffer holds what a zeroed one packed would.  The pack copies the
+        updated channels into the scratch map's interior at their own
+        positions, then their patches into the buffer (see
+        :meth:`_patch_views`).
 
-        The GEMM is ``(new_units, depth) @ (depth, N*oh*ow)``, over the
-        buffer's leading ``depth`` rows: a contiguous prefix, so no copy.
-        Weights on the left keep the bias add, activation and scatter
-        contiguous.  For one sample and a slice of units the product's
-        layout *is* the cache block ``cached[0, units]``, so the GEMM
-        writes there (``out=``): the same BLAS call, only stored
-        elsewhere.
+        The GEMM is ``(new_units, 1 + depth) @ (1 + depth, N*oh*ow)``
+        over the buffer's leading rows, a contiguous prefix: the slab's
+        column 0 meets the ones row, so the product carries the bias.
+        Weights on the left keep the activation and scatter contiguous.
+        For one sample and a slice of units the product's layout *is* the
+        cache block ``cached[0, units]``, so the GEMM writes there
+        (``out=``): the same BLAS call, only stored elsewhere.
         """
+        if step.dense:
+            return self._dense_ops(step, slab, source, warm)
         pack, gemm = update is not None, slab.index is not None
         if warm and not (pack or gemm):
             return []
         param, key, dtype = step.param_index, ("cols", step.param_index), self.dtype
-        zero, units, out = step.inactive[to], step.num_units, step.out_spatial
-        shape, pixels = (step.in_channels,) + step.kernel, out[0] * out[1]
-        weight, bias, index, activate = slab.weight, slab.bias, slab.index, step.activate
-        rows, depth, in_place = weight.shape[0], weight.shape[1], isinstance(index, slice)
+        zero, out = step.inactive[to], step.out_spatial
+        fresh_cache = None if warm else self._fresh_conv_cache(step, slab)
+        channels, pixels = (step.in_channels,) + step.kernel, out[0] * out[1]
+        height = 1 + step.in_channels * step.kernel[0] * step.kernel[1]
+        weight, index, activate = slab.weight, slab.index, step.activate
+        rows, width, in_place = weight.shape[0], weight.shape[1], isinstance(index, slice)
 
         def conv(x: np.ndarray, cache: Dict, aux: Dict) -> None:
             samples = x.shape[0]
-            if not warm:
-                if param not in cache:
-                    cache[param] = np.zeros((samples, units) + out, dtype=dtype)
-                aux[key] = np.empty(shape + (samples,) + out, dtype=dtype)
+            if warm:
+                cols = aux[key]
+            else:
+                fresh_cache(samples, cache)
+                aux[key] = cols = np.empty((height, samples * pixels), dtype=dtype)
+                cols[0] = 1
                 if zero is not None:
-                    aux[key][zero] = 0
-            cols = aux[key]
+                    cols[1:].reshape(channels + (samples,) + out)[zero] = 0
             if pack:
                 interior, patches = step.views.get(samples) or self._patch_views(step, samples)
                 interior[:, update] = source(x, cache, aux)[:, update]
-                cols[update] = patches[update]
+                cols[1:].reshape(channels + (samples,) + out)[update] = patches[update]
             if gemm:
                 cached = cache[param]
                 block = cached[0, index].reshape(rows, -1) if samples == 1 and in_place else None
-                z = np.matmul(weight, cols.reshape(-1, samples * pixels)[:depth], out=block)
-                z += bias
+                z = np.matmul(weight, cols[:width], out=block)
                 activate(z, z)
                 if block is None:
                     cached[:, index] = z.reshape(rows, samples, *out).transpose(1, 0, 2, 3)
 
         return [conv]
+
+    def _dense_ops(self, step: _HiddenStep, slab: _Slab, source: _Source, warm: bool) -> List[_Op]:
+        """A dense conv block as one op: cache set-up (cold), GEMM + bias + activation.
+
+        The GEMM is ``(N, depth) @ (depth, new_units*oh*ow)`` over the
+        contiguous prefix of the flattened channel-major input map: no
+        scratch pad, no patch view, no pack and no column buffer.  Its
+        rows come out ordered ``(unit, oh, ow)``, the cache's layout, so a
+        one-sample step over a slice of units writes straight into
+        ``cached[0, units]``.
+        """
+        gemm = slab.index is not None
+        if warm and not gemm:
+            return []
+        param, index, activate = step.param_index, slab.index, step.activate
+        fresh_cache = None if warm else self._fresh_conv_cache(step, slab)
+        weight_t, bias = slab.weight[:, 1:].T, np.ascontiguousarray(slab.weight[:, 0])
+        depth, in_place, out = weight_t.shape[0], isinstance(index, slice), step.out_spatial
+
+        def dense(x: np.ndarray, cache: Dict, aux: Dict) -> None:
+            samples = x.shape[0]
+            if not warm:
+                fresh_cache(samples, cache)
+            if gemm:
+                cached = cache[param]
+                block = cached[0, index].reshape(1, -1) if samples == 1 and in_place else None
+                current = source(x, cache, aux).reshape(samples, -1)
+                z = np.matmul(current[:, :depth], weight_t, out=block)
+                z += bias
+                activate(z, z)
+                if block is None:
+                    cached[:, index] = z.reshape((samples, -1) + out)
+
+        return [dense]
+
+    def _fresh_conv_cache(self, step: _HiddenStep, slab: _Slab) -> Callable[[int, Dict], None]:
+        """Cold set-up of one member's conv output cache, if it is missing.
+
+        From ``np.empty``, with only the units outside the edge's slab
+        zeroed: the step's GEMM writes the rest.
+        """
+        param, shape, dtype = step.param_index, (step.num_units,) + step.out_spatial, self.dtype
+        written = np.zeros(step.num_units, dtype=bool)
+        written[slab.units] = True
+        blank = _index(np.flatnonzero(~written))
+
+        def fresh(samples: int, cache: Dict) -> None:
+            if param not in cache:
+                cache[param] = created = np.empty((samples,) + shape, dtype=dtype)
+                if blank is not None:
+                    created[:, blank] = 0
+
+        return fresh
 
     def _linear_ops(
         self, step: _HiddenStep, slab: _Slab, source: _Source, warm: bool
@@ -889,7 +1036,7 @@ class NetworkPlan:
         return ops
 
     def _pool_ops(
-        self, step: _PoolStep, source: _Source, update: Index, warm: bool
+        self, step: _PoolStep, source: _Source, update: Index, warm: bool, to: int
     ) -> List[_Op]:
         """A pooling block's ops: pooled-map set-up (cold) and the pool itself.
 
@@ -900,9 +1047,10 @@ class NetworkPlan:
         ops: List[_Op] = []
         key = ("pool", step.index)
         if not warm:
+            zero = _index(np.flatnonzero(step.channel_levels > to))
 
             def buffer(x: np.ndarray, cache: Dict, aux: Dict) -> None:
-                self._pool_buffer(step, x.shape[0], aux)
+                self._pool_buffer(step, x.shape[0], zero, aux)
 
             ops.append(buffer)
         if update is None:
@@ -935,11 +1083,15 @@ class NetworkPlan:
         if step.param_index not in cache:
             cache[step.param_index] = np.zeros((samples, step.num_units), dtype=self.dtype)
 
-    def _pool_buffer(self, step: _PoolStep, samples: int, aux: Dict) -> None:
-        """One member's fresh pooled map."""
-        aux[("pool", step.index)] = np.zeros(
+    def _pool_buffer(self, step: _PoolStep, samples: int, zero: Index, aux: Dict) -> None:
+        """One member's fresh pooled map, from ``np.empty`` with the channels
+        ``zero`` (those inactive at the step's target) zeroed: the cold pool
+        writes every other one."""
+        aux[("pool", step.index)] = pooled = np.empty(
             (samples, step.num_channels) + step.out_spatial, dtype=self.dtype
         )
+        if zero is not None:
+            pooled[:, zero] = 0
 
     def _patch_views(self, step: _HiddenStep, samples: int) -> Tuple[np.ndarray, np.ndarray]:
         """The scratch map's interior and its patch view for ``samples`` samples.

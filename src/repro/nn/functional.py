@@ -157,7 +157,9 @@ def conv2d(
 
 
 def _relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    return np.maximum(x, 0.0, out=out)
+    # A zero of the array's own dtype takes numpy's same-type loop, which
+    # at the plan's small float32 shapes is cheaper than a Python float.
+    return np.maximum(x, x.dtype.type(0), out=out)
 
 
 def _tanh(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

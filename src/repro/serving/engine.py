@@ -1837,7 +1837,9 @@ class ServingRun:
             # Backoff-delayed jobs hold contexts too: they are evictable
             # (their resume replays like any other) and must count against
             # the budget even though the scheduler cannot see them.
-            memory.enforce(self._live_jobs(), protected=protected, now=self.now)
+            memory.enforce(
+                self._live_jobs(), self._resident_sizes, protected=protected, now=self.now
+            )
             new_events = memory.events[before:]
             self._m_evictions.add(len(new_events))
             for event in new_events:

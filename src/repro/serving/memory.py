@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..utils.errors import ConfigError
 from .backend import ServingJob
@@ -80,11 +80,14 @@ class EvictionPolicy:
 
     name = "eviction-policy"
 
-    def victims(self, jobs: Sequence[ServingJob], now: float) -> List[ServingJob]:
+    def victims(
+        self, jobs: Sequence[ServingJob], now: float, sizes: Mapping[int, int]
+    ) -> List[ServingJob]:
         """Jobs in eviction order (first entry is evicted first).
 
-        ``jobs`` holds only jobs with resident bytes; the order must be
-        total and deterministic (tie-break on the request id).
+        ``jobs`` holds only jobs with resident bytes, and ``sizes`` maps
+        each one's request id to those bytes; the order must be total and
+        deterministic (tie-break on the request id).
         """
         raise NotImplementedError
 
@@ -97,7 +100,9 @@ class LRUEviction(EvictionPolicy):
 
     name = "lru"
 
-    def victims(self, jobs: Sequence[ServingJob], now: float) -> List[ServingJob]:
+    def victims(
+        self, jobs: Sequence[ServingJob], now: float, sizes: Mapping[int, int]
+    ) -> List[ServingJob]:
         return sorted(
             jobs,
             key=lambda job: (
@@ -112,10 +117,12 @@ class LargestFirstEviction(EvictionPolicy):
 
     name = "largest-first"
 
-    def victims(self, jobs: Sequence[ServingJob], now: float) -> List[ServingJob]:
+    def victims(
+        self, jobs: Sequence[ServingJob], now: float, sizes: Mapping[int, int]
+    ) -> List[ServingJob]:
         return sorted(
             jobs,
-            key=lambda job: (-job.session.resident_nbytes(), job.request.request_id),
+            key=lambda job: (-sizes[job.request.request_id], job.request.request_id),
         )
 
 
@@ -124,7 +131,9 @@ class LowestProgressEviction(EvictionPolicy):
 
     name = "lowest-progress"
 
-    def victims(self, jobs: Sequence[ServingJob], now: float) -> List[ServingJob]:
+    def victims(
+        self, jobs: Sequence[ServingJob], now: float, sizes: Mapping[int, int]
+    ) -> List[ServingJob]:
         return sorted(
             jobs,
             key=lambda job: (job.session.current_subnet, job.request.request_id),
@@ -198,6 +207,7 @@ class MemoryBudget:
     def enforce(
         self,
         jobs: Sequence[ServingJob],
+        sizes: Mapping[int, int],
         protected: Sequence[ServingJob] = (),
         now: float = 0.0,
     ) -> int:
@@ -205,7 +215,9 @@ class MemoryBudget:
 
         Called by the run loop after a dispatch only when the run's
         residency ledger exceeds the budget, with the dispatch's members
-        ``protected``.  Suspended (unprotected) contexts are
+        ``protected``.  ``sizes`` is that ledger: the resident bytes of
+        each live job by request id (a job without an entry holds none),
+        so enforcement walks no context's buffers.  Suspended (unprotected) contexts are
         evicted first — tier 1 (aux buffers, free) exhausted before
         tier 2 (activation caches, recompute on resume) — and only when
         evicting *everything* suspended cannot cover the overshoot are
@@ -214,15 +226,12 @@ class MemoryBudget:
         context remains, which is the "never evict the running job"
         property the memory tests pin down.
         """
-        # Walk every context's buffers once; the sum, the candidate
-        # filter and the eviction bookkeeping all reuse these sizes.
-        sizes = {id(job): job.session.resident_nbytes() for job in jobs}
-        resident = sum(sizes.values())
+        resident = sum(sizes.get(job.request.request_id, 0) for job in jobs)
         if self.budget_bytes is None or resident <= self.budget_bytes:
             return 0
         protected_ids = {id(job) for job in protected}
-        candidates = [job for job in jobs if sizes[id(job)] > 0]
-        ordered = self.policy.victims(candidates, now)
+        candidates = [job for job in jobs if sizes.get(job.request.request_id, 0) > 0]
+        ordered = self.policy.victims(candidates, now, sizes)
         groups = (
             [job for job in ordered if id(job) not in protected_ids],
             [job for job in ordered if id(job) in protected_ids],

@@ -19,7 +19,7 @@ from repro.core import IncrementalInference, NetworkPlan, SteppingNetwork
 from repro.core import plan as plan_module
 from repro.core.plan import BatchMember
 from repro.core.pruning import apply_unstructured_pruning
-from repro.models import mlp, tiny_cnn, vgg16
+from repro.models import lenet5, lenet_3c1l, mlp, tiny_cnn, vgg16
 from repro.nn.tensor import no_grad
 from repro.serving.backend import RecomputeBackend, SteppingBackend
 from repro.utils.timing import Timer
@@ -559,20 +559,38 @@ def _conv_steps(plan):
     ]
 
 
+def _im2col_steps(plan):
+    """The conv steps that pack a column buffer (every conv but the dense ones)."""
+    return [step for step in _conv_steps(plan) if not step.dense]
+
+
+def _pool_steps(plan):
+    return [step for step in plan.steps if isinstance(step, plan_module._PoolStep)]
+
+
 def _poison_heap(plan, samples, dtype):
-    """Fill and free a block the size of each column buffer.  A buffer
-    taken from ``np.empty`` next likely reuses one, so a row a cold step
-    leaves unwritten shows as NaN, not as the zeros a freed buffer held."""
+    """Fill and free a block the size of each column buffer, conv output
+    cache and pooled map.  A buffer taken from ``np.empty`` next likely
+    reuses one, so an element a cold step leaves unwritten shows as NaN,
+    not as the zeros a freed buffer held."""
+    for step in _im2col_steps(plan):
+        kh, kw = step.kernel
+        pixels = samples * step.out_spatial[0] * step.out_spatial[1]
+        np.full((1 + step.in_channels * kh * kw, pixels), np.nan, dtype)
     for step in _conv_steps(plan):
-        np.full((step.in_channels,) + step.kernel + (samples,) + step.out_spatial, np.nan, dtype)
+        np.full((samples, step.num_units) + step.out_spatial, np.nan, dtype)
+    for step in _pool_steps(plan):
+        np.full((samples, step.num_channels) + step.out_spatial, np.nan, dtype)
 
 
 class TestDepthOracle:
-    """A conv step to level ``t`` multiplies only the column rows of the
+    """A conv step to level ``t`` multiplies only the operand rows of the
     input channels active at ``t``: its GEMM depth is
-    ``kh*kw*(last active input channel + 1)``.  The full-depth product of
-    the same step is the oracle; it agrees within the tier-1 tolerances
-    (a shorter BLAS reduction can round differently)."""
+    ``span*(last active input channel + 1)``, where ``span`` is ``kh*kw``
+    (im2col) or the input map's ``h*w`` (dense).  Each slab carries its
+    folded bias as column 0 on top.  The full-depth product of the same
+    step is the oracle; it agrees within the tier-1 tolerances (a shorter
+    BLAS reduction can round differently)."""
 
     @pytest.mark.parametrize("model_name", sorted(TestSliceIndexOracle.MODELS))
     @pytest.mark.parametrize("assignment", ["prefix", "shuffled"])
@@ -586,20 +604,20 @@ class TestDepthOracle:
         for step in steps:
             block = next(b for b in network.blocks if b.param_index == step.param_index)
             in_levels = np.asarray(network.input_unit_subnet(step.param_index))
-            taps = step.kernel[0] * step.kernel[1]
-            full = step.in_channels * taps
+            height, width = step.in_spatial if step.dense else step.kernel
+            span = height * width  # GEMM columns per input channel
             for level in range(plan.num_subnets):
                 active = np.flatnonzero(in_levels <= level)
-                depth = taps * (int(active[-1]) + 1) if active.size else 0
-                truncated |= depth < full
-                assert step.slabs.depths[level] == depth
-                assert step.slabs.levels[level].weight.shape[1] == depth
+                last = int(active[-1]) + 1 if active.size else 0
+                truncated |= last < step.in_channels
+                assert step.slabs.depths[level] == span * last
+                assert step.slabs.levels[level].weight.shape[1] == 1 + span * last
                 for from_subnet in range(-1, level):
-                    assert step.slabs.pack(from_subnet, level).weight.shape[1] == depth
+                    assert step.slabs.pack(from_subnet, level).weight.shape[1] == 1 + span * last
                 # Soundness: every masked weight past the depth is zero.
                 units = block.layer.assignment.units_in_exactly(level)
                 weight = block.layer.weight_rows(units, level, in_levels)
-                assert not weight.reshape(units.size, full)[:, depth:].any()
+                assert not weight[:, last:].any()
         assert truncated
 
     @pytest.mark.parametrize("model_name", sorted(TestSliceIndexOracle.MODELS))
@@ -614,15 +632,15 @@ class TestDepthOracle:
         cache, aux, logits, level = {}, {}, None, -1
         for target in range(plan.num_subnets):
             logits = plan.execute(inputs.astype(dtype), cache, aux, logits, level, target)
-            for step in _conv_steps(plan):
+            for step in _im2col_steps(plan):
                 slab = step.slabs.pack(level, target)
                 cols = aux[("cols", step.param_index)]
-                flat = cols.reshape(-1, int(np.prod(cols.shape[3:])))
-                depth = slab.weight.shape[1]
-                wide = np.zeros((slab.weight.shape[0], flat.shape[0]), dtype=dtype)
-                wide[:, :depth] = slab.weight
-                assert not flat[depth:].any()  # rows past the depth are inactive
-                np.testing.assert_allclose(slab.weight @ flat[:depth], wide @ flat, **tol)
+                width = slab.weight.shape[1]  # the bias column and the depth
+                wide = np.zeros((slab.weight.shape[0], cols.shape[0]), dtype=dtype)
+                wide[:, :width] = slab.weight
+                assert (cols[0] == 1).all()  # the ones row meets the bias column
+                assert not cols[width:].any()  # rows past the depth are inactive
+                np.testing.assert_allclose(slab.weight @ cols[:width], wide @ cols, **tol)
             level = target
 
     @pytest.mark.parametrize("model_name", sorted(TestSliceIndexOracle.MODELS))
@@ -631,27 +649,47 @@ class TestDepthOracle:
     def test_inactive_column_rows_are_zero(self, model_name, assignment, dtype):
         """Every column-buffer row of an input channel inactive at the
         member's level is zero: the shuffled assignment's gap rows too, not
-        only the rows past the depth.  A cold step zeroes just these rows
-        of an uninitialised buffer and packs the rest, so this holds after
-        warm steps, cold rebuilds and batched steps, at 1, 3, 1 and 3
-        samples (the plan's scratch map grows, then serves a smaller count)."""
+        only the rows past the depth.  Channel rows sit below the buffer's
+        ones row; dense convs have no buffer.  A cold step zeroes just
+        these rows of an uninitialised buffer and packs the rest, so this
+        holds after warm steps, cold rebuilds and batched steps, at 1, 3, 1
+        and 3 samples (the plan's scratch map grows, then serves a smaller
+        count).  Fresh conv output caches and pooled maps, also from
+        ``np.empty``, hold zeros at every unit or channel inactive at the
+        level and no NaN anywhere."""
         spec = TestSliceIndexOracle.MODELS[model_name]()
         network = _assigned_network(spec, assignment)
         plan = NetworkPlan(network, dtype=dtype)
         input_levels = {
             step.param_index: np.asarray(network.input_unit_subnet(step.param_index))
+            for step in _im2col_steps(plan)
+        }
+        unit_levels = {
+            step.param_index: np.asarray(network.param_layers[step.param_index].assignment.unit_subnet)
             for step in _conv_steps(plan)
         }
+        pooled_levels, pooled = {}, None
+        for step in plan.steps:  # a pooled map has the channels of the conv before it
+            if step in _conv_steps(plan):
+                pooled = unit_levels[step.param_index]
+            elif isinstance(step, plan_module._PoolStep):
+                pooled_levels[("pool", step.index)] = pooled
         gaps = False
 
-        def check(aux, level):
+        def check(cache, aux, level):
             nonlocal gaps
             for param, in_levels in input_levels.items():
                 cols = aux[("cols", param)]
+                assert (cols[0] == 1).all(), param
                 rows = np.flatnonzero(in_levels > level)
-                assert not cols[rows].any(), (param, level)
+                assert not cols[1:].reshape(in_levels.size, -1)[rows].any(), (param, level)
                 active = np.flatnonzero(in_levels <= level)
                 gaps |= bool(rows.size and active.size and rows[0] < active[-1])
+            maps = [(cache[param], levels) for param, levels in unit_levels.items()]
+            maps += [(aux[key], levels) for key, levels in pooled_levels.items()]
+            for values, levels in maps:
+                assert not np.isnan(values).any(), level
+                assert not values[:, levels > level].any(), level
 
         rng = np.random.default_rng(10)
         for batch, cold_at in ((1, (1, 3)), (3, (2,)), (1, (2,)), (3, (1, 3))):
@@ -663,14 +701,15 @@ class TestDepthOracle:
                 if target in cold_at:
                     aux.clear()  # a cold rebuild; the next step runs warm on it
                     members[1].aux.clear()  # one cold member in a batched step
+                if target in cold_at or target == 0:
                     _poison_heap(plan, batch, dtype)
                 logits = plan.execute(inputs[0], cache, aux, logits, level, target)
-                check(aux, target)
+                check(cache, aux, target)
                 for member, member_logits in zip(
                     members, plan.execute_batch(members, level, target)
                 ):
                     member.logits = member_logits
-                    check(member.aux, target)
+                    check(member.cache, member.aux, target)
                 level = target
         assert gaps == (assignment == "shuffled")
 
@@ -704,7 +743,8 @@ class TestScratchReuseOracle:
                 want = walk(NetworkPlan(network, dtype=dtype), inputs, ladder)
                 for g, w in zip(got, want):
                     assert g.tobytes() == w.tobytes(), (batch, walk)
-        assert all(step.scratch.shape[0] == 3 for step in _conv_steps(shared))
+        assert all(step.scratch.shape[0] == 3 for step in _im2col_steps(shared))
+        assert all(step.scratch is None for step in _conv_steps(shared) if step.dense)
 
 
 def _ladder_network(spec, levels: int, assignment: str):
@@ -815,3 +855,134 @@ class TestEdgeProgramOracle:
         if model_name == "tiny_cnn32" and assignment == "prefix":
             # Elision is real here: some edges skip whole layers, some all of them.
             assert len(set(warm_ops.values())) > 1 and min(warm_ops.values()) == 0
+
+
+def _small_map_spec(stride: int, padding: int):
+    """A conv net whose later convs see maps no larger than their 3x3 window.
+
+    The first conv (6x6 input) packs im2col columns; after a 2x2 pool the
+    second reads the pooled 3x3 map and the third the second's cache, both
+    through the dense form when the rule admits them.
+    """
+    from repro.models.spec import ArchitectureSpec, ConvSpec, FlattenSpec, LinearSpec, PoolSpec
+
+    return ArchitectureSpec(
+        "small-maps",
+        (3, 6, 6),
+        4,
+        (
+            ConvSpec(8, kernel_size=3, padding=1),
+            PoolSpec("max", 2),
+            ConvSpec(12, kernel_size=3, stride=stride, padding=padding),
+            ConvSpec(10, kernel_size=3, padding=1),
+            FlattenSpec(),
+            LinearSpec(4, activation="none", is_output=True),
+        ),
+    )
+
+
+class TestDenseConv:
+    """A conv whose input map is no larger than its kernel window
+    (``in_h*in_w <= kh*kw``) runs as one dense GEMM over the flattened map,
+    which never issues more MACs than im2col; every other conv keeps its
+    column buffer."""
+
+    def test_vgg16_at_32_compiles_exactly_its_2x2_convs_dense(self):
+        network = _assigned_network(vgg16(num_classes=10, width_scale=0.25), "prefix")
+        plan = NetworkPlan(network, dtype=np.float32)
+        steps = _conv_steps(plan)
+        assert len(steps) == 13
+        assert [number + 1 for number, step in enumerate(steps) if step.dense] == [11, 12, 13]
+        assert all(step.in_spatial == (2, 2) for step in steps if step.dense)
+
+    @pytest.mark.parametrize("side, dense", [(3, True), (4, False)])
+    def test_the_rule_stops_at_the_kernel_window(self, side, dense):
+        from repro.models.spec import ArchitectureSpec, ConvSpec, FlattenSpec, LinearSpec
+
+        spec = ArchitectureSpec(
+            "one-conv",
+            (3, side, side),
+            4,
+            (ConvSpec(6), FlattenSpec(), LinearSpec(4, activation="none", is_output=True)),
+        )
+        network = _assigned_network(spec, "shuffled")
+        compiled = IncrementalInference(network)
+        (step,) = _conv_steps(compiled.plan)
+        assert step.dense is dense
+        legacy = IncrementalInference(network, compiled=False)
+        inputs = np.random.default_rng(14).standard_normal((2, 3, side, side))
+        tol = TOLERANCES[np.dtype(np.float64)]
+        np.testing.assert_allclose(
+            compiled.run(inputs, subnet=0).logits, legacy.run(inputs, subnet=0).logits, **tol
+        )
+        for level in range(1, network.num_subnets):
+            np.testing.assert_allclose(
+                compiled.step_to(level).logits, legacy.step_to(level).logits, **tol
+            )
+        assert (("cols", step.param_index) in compiled.export_state().aux) is not dense
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("assignment", ["prefix", "shuffled"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dense_steps_match_legacy(self, stride, padding, assignment, dtype):
+        spec = _small_map_spec(stride, padding)
+        network = _assigned_network(spec, assignment)
+        compiled = IncrementalInference(network, dtype=dtype)
+        steps = _conv_steps(compiled.plan)
+        assert [step.dense for step in steps] == [False, True, True]
+        legacy = IncrementalInference(network, dtype=dtype, compiled=False)
+        tol = TOLERANCES[np.dtype(dtype)]
+        rng = np.random.default_rng(11)
+        for samples in (1, 3):
+            inputs = rng.standard_normal((samples,) + tuple(spec.input_shape))
+            for ladder in ([0, 1, 2, 3], [1, 3]):
+                got = compiled.run(inputs, subnet=ladder[0]).logits
+                want = legacy.run(inputs, subnet=ladder[0]).logits
+                np.testing.assert_allclose(got, want, **tol)
+                for level in ladder[1:]:
+                    got = compiled.step_to(level).logits
+                    want = legacy.step_to(level).logits
+                    np.testing.assert_allclose(got, want, **tol)
+                buffers = {key for key in compiled.export_state().aux if key[0] == "cols"}
+                assert buffers == {("cols", steps[0].param_index)}  # none for dense convs
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_vgg16_state_nbytes_follows_the_buffers(self, samples):
+        network = _assigned_network(vgg16(num_classes=10, width_scale=0.25), "prefix")
+        engine = IncrementalInference(network, dtype=np.float32)
+        inputs = np.random.default_rng(12).standard_normal((samples, 3, 32, 32))
+        engine.run(inputs, subnet=0)
+        assert engine.plan.state_nbytes(samples) == engine.state_nbytes()
+
+
+class TestModelZooTolerance:
+    """Compiled ladders on the paper's models hold the documented tolerance
+    of the legacy oracle: the bias column, the depth cut and the dense
+    convs change only the order of float sums."""
+
+    MODELS = {
+        "tiny_cnn": lambda: tiny_cnn(num_classes=4, input_shape=(3, 12, 12), width_scale=0.5).expand(1.5),
+        "lenet5": lambda: lenet5(num_classes=10),
+        "lenet_3c1l": lambda: lenet_3c1l(num_classes=10, width_scale=0.5),
+        "vgg16": lambda: vgg16(num_classes=10, width_scale=0.25),
+    }
+
+    @pytest.mark.parametrize("model_name", sorted(MODELS))
+    @pytest.mark.parametrize("assignment", ["prefix", "shuffled"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_compiled_ladder_matches_legacy(self, model_name, assignment, dtype):
+        spec = self.MODELS[model_name]()
+        network = _assigned_network(spec, assignment)
+        apply_unstructured_pruning(network, 3e-2)
+        compiled = IncrementalInference(network, dtype=dtype)
+        legacy = IncrementalInference(network, dtype=dtype, compiled=False)
+        inputs = np.random.default_rng(13).standard_normal((2,) + tuple(spec.input_shape))
+        tol = TOLERANCES[np.dtype(dtype)]
+        np.testing.assert_allclose(
+            compiled.run(inputs, subnet=0).logits, legacy.run(inputs, subnet=0).logits, **tol
+        )
+        for level in range(1, network.num_subnets):
+            np.testing.assert_allclose(
+                compiled.step_to(level).logits, legacy.step_to(level).logits, **tol
+            )

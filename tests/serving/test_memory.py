@@ -38,7 +38,7 @@ from repro.serving import (
     SteppingBackend,
     get_eviction_policy,
 )
-from repro.serving.backend import ServingJob
+from repro.serving.backend import ExecutionSession, ServingJob
 from repro.serving.engine import ServingRun
 
 POLICY_NAMES = ("lru", "largest-first", "lowest-progress")
@@ -258,20 +258,24 @@ class TestEvictionPolicies:
             )
         return jobs
 
+    @staticmethod
+    def _sizes(jobs):
+        return {job.request.request_id: job.session.resident_nbytes() for job in jobs}
+
     def test_lru_orders_coldest_first(self, stepping_network, sample_pool):
         jobs = self._jobs(stepping_network, sample_pool, [(0, 1), (1, 1), (2, 1)])
         jobs[0].last_executed_at = 5.0  # hottest despite lowest id
-        order = LRUEviction().victims(jobs, now=9.0)
+        order = LRUEviction().victims(jobs, now=9.0, sizes=self._sizes(jobs))
         assert [job.request.request_id for job in order] == [1, 2, 0]
 
     def test_largest_first_orders_by_bytes(self, stepping_network, sample_pool):
         jobs = self._jobs(stepping_network, sample_pool, [(1, 1), (1, 4), (1, 2)])
-        order = LargestFirstEviction().victims(jobs, now=0.0)
+        order = LargestFirstEviction().victims(jobs, now=0.0, sizes=self._sizes(jobs))
         assert [job.request.request_id for job in order] == [1, 2, 0]
 
     def test_lowest_progress_orders_by_subnet(self, stepping_network, sample_pool):
         jobs = self._jobs(stepping_network, sample_pool, [(2, 1), (0, 1), (1, 1)])
-        order = LowestProgressEviction().victims(jobs, now=0.0)
+        order = LowestProgressEviction().victims(jobs, now=0.0, sizes=self._sizes(jobs))
         assert [job.request.request_id for job in order] == [1, 2, 0]
 
     def test_budget_validation(self):
@@ -610,6 +614,49 @@ class TestResidencyLedger:
             assert report.eviction_events
             assert 0 < len(enforced) < report.num_dispatches
             assert report.peak_resident_bytes <= budget
+
+
+class TestEnforceReadsTheLedger:
+    """``MemoryBudget.enforce`` sizes its victims from the run's residency
+    ledger: an over-budget dispatch walks no context's buffers."""
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_over_budget_dispatch_makes_no_resident_nbytes_call(
+        self, stepping_network, sample_pool, monkeypatch, policy
+    ):
+        images, _ = sample_pool
+        inside, calls, enforced = [False], [0], [0]
+        production_enforce = MemoryBudget.enforce
+        production_nbytes = ExecutionSession.resident_nbytes
+
+        def enforce(budget, *args, **kwargs):
+            inside[0] = True
+            try:
+                freed = production_enforce(budget, *args, **kwargs)
+            finally:
+                inside[0] = False
+            enforced[0] += freed > 0
+            return freed
+
+        def resident_nbytes(session):
+            calls[0] += inside[0]
+            return production_nbytes(session)
+
+        monkeypatch.setattr(MemoryBudget, "enforce", enforce)
+        monkeypatch.setattr(ExecutionSession, "resident_nbytes", resident_nbytes)
+        engine = ServingEngine(
+            SteppingBackend(stepping_network, policy=_full_quality(), dtype=np.float32),
+            _constant_trace(stepping_network),
+            "edf",
+            memory_budget_bytes=int(_context_bytes(stepping_network) * 1.5),
+            eviction_policy=policy,
+            enforce_deadline=False,
+        )
+        report = engine.serve(
+            _random_requests(np.random.default_rng(4), images, 12, mean_gap=0.02)
+        )
+        assert enforced[0] > 0 and report.eviction_events
+        assert calls[0] == 0
 
 
 class TestEngineValidation:
