@@ -114,10 +114,7 @@ def _sweep_phase_fractions(artifact):
 INVARIANTS = {
     "BENCH_plan.json": [
         ("plan_build_seconds", "ge", 0.0),
-        ("stepping.legacy", "exists"),
         ("stepping.compiled", "exists"),
-        # Wall-clock derived: loose floor only (CI noise).
-        ("speedup.per_step", "ge", 0.5),
         # Exact MAC counts: conv GEMMs multiply only the active depth.
         ("gemm_macs.issued", "ge", 1),
         ("gemm_macs.ratio", "lt", 1.0),

@@ -1,11 +1,9 @@
 #!/usr/bin/env python
-"""Benchmark: compiled inference plans vs the legacy stepping engine.
+"""Benchmark: the compiled inference plan on the serving hot path.
 
-Measures what the :class:`~repro.core.plan.NetworkPlan` buys on the
-serving hot path — per-step wall-clock latency, steps per second and
-end-to-end serving throughput — by running the *same* network, inputs
-and request stream through the legacy per-step-masking engine
-(``compiled=False``, the pre-plan behaviour) and the compiled fast path.
+Measures a :class:`~repro.core.plan.NetworkPlan`'s per-step wall-clock
+latency, steps per second, the ladder tax and end-to-end serving
+throughput on one network, inputs and request stream.
 
 Unlike the ``bench_*`` pytest benchmarks, this is a plain script so CI
 can run it as a smoke job::
@@ -24,10 +22,10 @@ and that all three leave byte-identical column buffers and pooled maps;
 it checks the LeNet-3C1L ladder and a VGG-16 one (width 0.25, 32x32),
 whose 2x2 convs run as dense GEMMs.
 
-The timings are host-normalised (``perfbench/probe.py``): the legacy
-and compiled ladders, and the compiled ``run(x, top)`` from scratch,
-run in interleaved rounds, each slice bracketed by the probe and scaled
-by ``P_REF / probe``, so a slow host period hits every engine alike.
+The timings are host-normalised (``perfbench/probe.py``): the ladders
+and ``run(x, top)`` from scratch run in interleaved rounds, each slice
+bracketed by the probe and scaled by ``P_REF / probe``, so a slow host
+period hits both alike.
 ``ladder_tax`` is a ladder's wall over ``run(x, top)``'s wall, per round:
 SteppingNet promises that a full ladder costs what its largest subnet
 costs, i.e. a tax of 1.
@@ -192,21 +190,17 @@ def _quartiles(values) -> dict:
 
 
 def time_stepping(network, inputs, rounds: int, slice_seconds: float = 0.02) -> dict:
-    """Host-normalised ladders, legacy and compiled, in interleaved rounds.
+    """Host-normalised ladders and top runs, in interleaved rounds.
 
     A ladder is ``run(subnet 0)`` then ``step_to(1..N-1)``.  Each round
-    times one slice of ladders per engine (the order alternates between
-    rounds) and one slice of compiled ``run(x, top)`` from scratch; a
-    slice repeats its work often enough to last ``slice_seconds`` on the
-    compiled engine, is bracketed by the probe, and its walls are scaled
-    by the slice's normalisation factor.  Per level, the median over
-    every timed ladder.
+    times one slice of ladders and one slice of ``run(x, top)`` from
+    scratch (the order alternates between rounds); a slice repeats its
+    work often enough to last ``slice_seconds``, is bracketed by the
+    probe, and its walls are scaled by the slice's normalisation factor.
+    Per level, the median over every timed ladder.
     """
     top = network.num_subnets - 1
-    engines = {
-        label: IncrementalInference(network, dtype=DTYPE, compiled=compiled)
-        for label, compiled in (("legacy", False), ("compiled", True))
-    }
+    engine = IncrementalInference(network, dtype=DTYPE)
 
     def ladder(engine):
         walls, start = [], time.perf_counter()
@@ -218,44 +212,37 @@ def time_stepping(network, inputs, rounds: int, slice_seconds: float = 0.02) -> 
         walls.append(time.perf_counter() - start)
         return walls
 
-    for engine in engines.values():
-        ladder(engine)  # warm-up: builds the plan, primes caches and BLAS
-    engines["compiled"].run(inputs, subnet=top)
+    ladder(engine)  # warm-up: primes caches and BLAS
+    engine.run(inputs, subnet=top)
     start = time.perf_counter()
-    ladder(engines["compiled"])
+    ladder(engine)
     repeat = max(1, int(np.ceil(slice_seconds / (time.perf_counter() - start))))
-    slices = {label: partial(ladder, engine) for label, engine in engines.items()}
-    slices["top"] = partial(engines["compiled"].run, inputs, subnet=top)
+    slices = {"ladder": partial(ladder, engine), "top": partial(engine.run, inputs, subnet=top)}
     timer = SliceTimer(Probe())
-    levels = {label: [] for label in engines}
+    levels = []
     walls = {label: [] for label in slices}
     for round_index in range(rounds):
-        # The compiled ladder sits between the legacy one and the top run,
-        # so each tax compares two adjacent slices.
         order = list(slices) if round_index % 2 == 0 else list(slices)[::-1]
         for label in order:
             runs, wall, factor = timer.time(lambda: [slices[label]() for _ in range(repeat)])
             walls[label].append(wall * factor / repeat)
-            if label in levels:
-                levels[label].extend([w * factor for w in run] for run in runs)
-    results = {}
-    for label in engines:
-        per_level = np.median(np.asarray(levels[label]), axis=0)
-        ladder_ms = 1e3 * float(np.median(walls[label]))
-        results[label] = {
-            "mean_step_ms": ladder_ms / (top + 1),
-            "steps_per_second": 1e3 * (top + 1) / ladder_ms,
-            "ladder_ms": ladder_ms,
-            "per_level_ms": [1e3 * float(ms) for ms in per_level],
-        }
-    results["compiled"]["top_run_ms"] = 1e3 * float(np.median(walls["top"]))
-    results["ladder_tax"] = _quartiles(np.asarray(walls["compiled"]) / np.asarray(walls["top"]))
-    return results
+            if label == "ladder":
+                levels.extend([w * factor for w in run] for run in runs)
+    ladder_ms = 1e3 * float(np.median(walls["ladder"]))
+    compiled = {
+        "mean_step_ms": ladder_ms / (top + 1),
+        "steps_per_second": 1e3 * (top + 1) / ladder_ms,
+        "ladder_ms": ladder_ms,
+        "per_level_ms": [1e3 * float(ms) for ms in np.median(np.asarray(levels), axis=0)],
+        "top_run_ms": 1e3 * float(np.median(walls["top"])),
+    }
+    ladder_tax = _quartiles(np.asarray(walls["ladder"]) / np.asarray(walls["top"]))
+    return {"compiled": compiled, "ladder_tax": ladder_tax}
 
 
 def time_serving(network, images, rounds: int, num_requests: int) -> dict:
-    """Host-normalised walls of full ServingEngine runs over one Poisson
-    stream, legacy and compiled backends in interleaved rounds (median)."""
+    """Host-normalised wall of full ServingEngine runs over one Poisson
+    stream (median over ``rounds``)."""
     largest = float(network.subnet_macs(network.num_subnets - 1))
     trace = ResourceTrace.constant(largest / 0.25, name="steady")
     requests = poisson_stream(
@@ -266,29 +253,23 @@ def time_serving(network, images, rounds: int, num_requests: int) -> dict:
         batch_size=2,
         seed=0,
     )
-    engines = {
-        label: ServingEngine(SteppingBackend(network, compiled=compiled), trace, "edf")
-        for label, compiled in (("legacy", False), ("compiled", True))
-    }
-    reports = {label: engine.serve(requests) for label, engine in engines.items()}
+    engine = ServingEngine(SteppingBackend(network), trace, "edf")
+    report = engine.serve(requests)
     timer = SliceTimer(Probe())
-    walls = {label: [] for label in engines}
-    for round_index in range(rounds):
-        order = list(engines) if round_index % 2 == 0 else list(engines)[::-1]
-        for label in order:
-            _, wall, factor = timer.time(lambda: engines[label].serve(requests))
-            walls[label].append(wall * factor)
-    results = {}
-    for label, report in reports.items():
-        wall = float(np.median(walls[label]))
-        results[label] = {
+    walls = []
+    for _ in range(rounds):
+        _, wall, factor = timer.time(lambda: engine.serve(requests))
+        walls.append(wall * factor)
+    wall = float(np.median(walls))
+    return {
+        "compiled": {
             "wall_seconds": wall,
             "requests_per_second_wall": num_requests / wall,
             "completed": len(report.completed_jobs),
             "simulated_throughput_rps": report.throughput,
             "deadline_miss_rate": report.deadline_miss_rate,
         }
-    return results
+    }
 
 
 def main() -> None:
@@ -343,15 +324,6 @@ def main() -> None:
     }
     results["ladder_tax"] = results["stepping"].pop("ladder_tax")
 
-    step = results["stepping"]
-    serve = results["serving"]
-    results["speedup"] = {
-        "per_step": step["legacy"]["mean_step_ms"] / step["compiled"]["mean_step_ms"],
-        "steps_per_second": step["compiled"]["steps_per_second"]
-        / step["legacy"]["steps_per_second"],
-        "serving_wall": serve["legacy"]["wall_seconds"] / serve["compiled"]["wall_seconds"],
-    }
-
     print(f"plan build: {plan_build_seconds * 1e3:.1f} ms (amortised over every step)")
     macs = results["gemm_macs"]
     print(
@@ -366,17 +338,12 @@ def main() -> None:
             f"{equal[prefix + 'warm_equals_batched']}; aux buffers "
             f"{equal[prefix + 'aux_equal']}"
         )
-    for label in ("legacy", "compiled"):
-        row = step[label]
-        print(
-            f"{label:>9s}: {row['mean_step_ms']:8.3f} ms/step, "
-            f"{row['steps_per_second']:8.1f} steps/s | serving "
-            f"{serve[label]['wall_seconds']:6.2f} s wall, "
-            f"{serve[label]['requests_per_second_wall']:7.1f} req/s"
-        )
+    step, serve = results["stepping"]["compiled"], results["serving"]["compiled"]
     print(
-        f"  speedup: {results['speedup']['per_step']:.2f}x per step, "
-        f"{results['speedup']['serving_wall']:.2f}x serving wall-clock"
+        f"compiled: {step['mean_step_ms']:8.3f} ms/step, "
+        f"{step['steps_per_second']:8.1f} steps/s | serving "
+        f"{serve['wall_seconds']:6.2f} s wall, "
+        f"{serve['requests_per_second_wall']:7.1f} req/s"
     )
     tax = results["ladder_tax"]
     print(

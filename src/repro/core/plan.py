@@ -71,8 +71,8 @@ where im2col multiplies ``kh*kw``, so under the rule it never issues
 more MACs (2x2 maps: 4 against 9).  The choice is made at compile time.
 
 The bias column, the depth cut and the dense form each change only the
-order of a float sum: against the legacy oracle compiled logits hold the
-documented tolerance (float64 rtol 1e-9, float32 rtol 2e-3), not
+order of a float sum: against the masked-walk oracle of the tests
+(``tests/oracles.py``) compiled logits hold the documented tolerance (float64 rtol 1e-9, float32 rtol 2e-3), not
 bit-identity, while warm, cold and batched steps run the same kernels and
 stay bit-equal to each other.
 
@@ -156,10 +156,14 @@ the member's own ``cache`` and ``aux``, so every member's logits are
 between members: packing, pooling and every GEMM run per member.
 
 Plans assume eval-mode semantics (batch-norm running statistics) and the
-structural no-new-to-old-synapse rule that makes stepping inference
-sound in the first place; they are snapshots — mutate the network's
-weights, masks or assignments and a new plan must be built (see
-:meth:`NetworkPlan.for_network` and its ``refresh`` flag).
+structure that makes stepping inference sound in the first place: the
+no-new-to-old-synapse rule on every hidden layer, an output layer in
+every subnet and a conv layer before every pool.  A network that breaks
+one (the slimmable baseline, a pool-first spec) raises
+:class:`~repro.utils.errors.ConfigError` at compile time, so no engine
+or backend can be built on it.  Plans are snapshots — mutate the
+network's weights, masks or assignments and a new plan must be built
+(see :meth:`NetworkPlan.for_network` and its ``refresh`` flag).
 """
 
 from __future__ import annotations
@@ -178,6 +182,7 @@ from ..nn.functional import (
     max_pool2d_infer,
     resolve_activation,
 )
+from ..utils.errors import ConfigError
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -481,7 +486,7 @@ def _head_op(step: _OutputStep, source: _Source, from_subnet: int, to_subnet: in
     """The head of one edge: from scratch at a run's start, else a delta.
 
     A caller that steps a started state without its logits gets them
-    from scratch, as the legacy path does.
+    from scratch.
     """
     full, bias = step.slabs.pack(-1, to_subnet), step.bias
 
@@ -535,8 +540,7 @@ class NetworkPlan:
         # Deliberately no strong reference to ``network`` is kept: the
         # plan is a self-contained snapshot, and keeping the network
         # alive would defeat the weak-keyed ``for_network`` cache.  The
-        # weak ref lets engines verify a supplied plan matches their
-        # network.
+        # weak ref lets profilers find the network a plan was built for.
         self.network_ref = ref(network)
         self.apply_prune = bool(apply_prune)
         self.dtype = np.dtype(dtype)
@@ -576,9 +580,9 @@ class NetworkPlan:
                 self.steps.append(self._compile_output(network, block))
             elif block.kind == "pool":
                 if prev_layer is None:
-                    raise ValueError("compiled plans require a parametric layer before pooling")
+                    raise ConfigError("compiled plans require a parametric layer before pooling")
                 if spatial is None:
-                    raise ValueError("compiled plans require a conv layer before pooling")
+                    raise ConfigError("compiled plans require a conv layer before pooling")
                 spatial = (
                     (spatial[0] - block.pool_size) // block.pool_stride + 1,
                     (spatial[1] - block.pool_size) // block.pool_stride + 1,
@@ -605,7 +609,7 @@ class NetworkPlan:
             # Without the no-new-to-old-synapse rule a unit's inputs grow
             # with the executing subnet, so per-level slabs (masked at the
             # unit's own level) would silently drop weights.
-            raise ValueError(
+            raise ConfigError(
                 "compiled plans require the incremental no-new-to-old-synapse "
                 f"rule; hidden layer '{layer.layer_name}' was built with "
                 "enforce_incremental=False"
@@ -670,7 +674,7 @@ class NetworkPlan:
     def _compile_output(self, network, block) -> _OutputStep:
         layer = block.layer
         if not np.all(layer.assignment.unit_subnet == 0):
-            raise ValueError(
+            raise ConfigError(
                 "compiled plans require the output layer in every subnet "
                 "(frozen assignment at level 0)"
             )
@@ -773,12 +777,10 @@ class NetworkPlan:
 
         ``cache`` maps ``param_index`` to the full-width activation map of
         each hidden layer (zeros at not-yet-computed units) and is
-        updated in place; it is the same layout the legacy path produces,
-        so suspended state moves freely between compiled and uncompiled
-        engines.  ``aux`` holds the plan's private incremental buffers
-        (column buffers, pooled maps); missing entries are rebuilt from
-        the cache, so an empty dict — e.g. state produced by the legacy
-        path — is always valid.  Returns the logits of ``to_subnet``.
+        updated in place.  ``aux`` holds the plan's private incremental
+        buffers (column buffers, pooled maps); missing entries are rebuilt
+        from the cache, so an empty dict — e.g. a state another engine
+        advanced — is always valid.  Returns the logits of ``to_subnet``.
 
         The step runs the edge's compiled program: the warm one when
         ``aux`` was last advanced to ``from_subnet`` by a complete pass,
@@ -1130,32 +1132,6 @@ class NetworkPlan:
     # ------------------------------------------------------------------
     # Sharing
     # ------------------------------------------------------------------
-    @classmethod
-    def supports(cls, network) -> bool:
-        """Whether ``network`` satisfies the structural assumptions of a plan.
-
-        Compiled plans require the incremental no-new-to-old-synapse rule
-        on every hidden layer and an output layer present in every subnet;
-        engines fall back to the legacy path otherwise.
-        """
-        seen_param = False
-        for block in network.blocks:
-            if block.kind == "pool":
-                if not seen_param:
-                    # The incremental pooled-map buffer needs the channel
-                    # assignment of a preceding parametric layer.
-                    return False
-                continue
-            if block.kind not in ("conv", "linear"):
-                continue
-            seen_param = True
-            if block.is_output:
-                if not np.all(block.layer.assignment.unit_subnet == 0):
-                    return False
-            elif not block.layer.enforce_incremental:
-                return False
-        return True
-
     @classmethod
     def for_network(
         cls, network, apply_prune: bool = True, dtype=np.float64, refresh: bool = False

@@ -21,11 +21,13 @@ only the charged cost differs, so serving the same request stream
 through both isolates the value of reuse under load.  Backends execute
 over a compiled :class:`~repro.core.plan.NetworkPlan` shared per
 ``(network, dtype, apply_prune)`` platform — the packed weights are
-built once and every session on the platform serves from them.  The single-request
-executors in :mod:`repro.runtime.executor` are one-request calls to the
-:class:`~repro.serving.engine.ServingEngine` that drives these same
-sessions, so "one batch on an idle device" and "hundreds of requests
-under contention" exercise one code path.
+built once and every session on the platform serves from them.  A
+network no plan can represent (the slimmable baseline) raises
+:class:`~repro.utils.errors.ConfigError` when the backend is built.
+The single-request executors in :mod:`repro.runtime.executor` are
+one-request calls to the :class:`~repro.serving.engine.ServingEngine`
+that drives these same sessions, so "one batch on an idle device" and
+"hundreds of requests under contention" exercise one code path.
 
 Every step is a *group* step: :meth:`ExecutionBackend.advance_group`
 advances sessions sitting at the same subnet edge in one dispatch
@@ -35,7 +37,7 @@ edge's compiled program once per member), and
 is the serving engine's batching policy's call
 (:mod:`repro.serving.batching`), not the backend's; per-request logits
 are bit-equal to solo :class:`~repro.core.incremental.IncrementalInference`
-steps, the numerics oracle the tests check every path against.
+steps, the reference the tests check every serving path against.
 
 Backends also accept a ``num_subnets`` cap: a node declaring
 ``num_subnets=2`` serves only the two smallest subnet levels —
@@ -50,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Type
 
 import numpy as np
 
-from ..core.incremental import IncrementalInference, InferenceState
+from ..core.incremental import InferenceState
 from ..core.plan import BatchMember, NetworkPlan
 from ..runtime.policies import GreedyPolicy, SteppingPolicy
 from ..utils.errors import ConfigError
@@ -253,8 +255,6 @@ class ExecutionBackend:
         policy: Optional[SteppingPolicy] = None,
         apply_prune: bool = True,
         dtype=DEFAULT_SERVING_DTYPE,
-        compiled: bool = True,
-        plan: Optional[NetworkPlan] = None,
         num_subnets: Optional[int] = None,
     ) -> None:
         self.network = network
@@ -262,24 +262,11 @@ class ExecutionBackend:
         self.apply_prune = apply_prune
         self.dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
         if num_subnets is not None and int(num_subnets) < 1:
-            raise ValueError("num_subnets cap must be at least 1")
+            raise ConfigError("num_subnets cap must be at least 1")
         # One compiled plan per (network, dtype, prune) platform: every
-        # backend, engine and session serving this network shares the
-        # same read-only packed weights (build once, serve many).
-        if plan is None and compiled and NetworkPlan.supports(network):
-            plan = NetworkPlan.for_network(
-                network, apply_prune=apply_prune, dtype=self.dtype
-            )
-        self.plan = plan
-        #: Steps states when no plan can represent the network; sessions
-        #: pass through it, none stays resident.
-        self._engine = IncrementalInference(
-            network,
-            apply_prune=apply_prune,
-            dtype=self.dtype,
-            compiled=compiled,
-            plan=plan,
-        )
+        # backend and session serving this network shares the same
+        # read-only packed weights (build once, serve many).
+        self.plan = NetworkPlan.for_network(network, apply_prune=apply_prune, dtype=self.dtype)
         #: Served subnet levels: the network's, shrunk by the optional
         #: node cap (a node capped at ``k`` refines no further than
         #: subnet ``k - 1`` — shallow nodes in heterogeneous fleets).
@@ -302,9 +289,7 @@ class ExecutionBackend:
 
     # ------------------------------------------------------------------
     def subnet_macs(self, subnet: int) -> float:
-        if self.plan is not None:
-            return float(self.plan.subnet_macs[subnet])
-        return float(self.network.subnet_macs(subnet, apply_prune=self.apply_prune))
+        return float(self.plan.subnet_macs[subnet])
 
     def step_cost(self, from_subnet: int, to_subnet: int) -> float:
         """MACs charged for stepping ``from_subnet`` -> ``to_subnet``."""
@@ -320,16 +305,13 @@ class ExecutionBackend:
         """
         return self._held_macs[subnet + 1] if subnet >= 0 else 0.0
 
-    def context_nbytes(self, batch_size: int = 1) -> Optional[int]:
+    def context_nbytes(self, batch_size: int = 1) -> int:
         """Predicted resident footprint of one started context.
 
-        Plan-based (``None`` for uncompiled networks): what one request
-        of ``batch_size`` samples pins once it has taken a step — used to
-        size memory budgets and as the fleet router's per-request
-        memory-demand estimate.
+        Plan-based: what one request of ``batch_size`` samples pins once
+        it has taken a step — used to size memory budgets and as the
+        fleet router's per-request memory-demand estimate.
         """
-        if self.plan is None:
-            return None
         return self.plan.state_nbytes(batch_size)
 
     def open(self, inputs: np.ndarray, *, checked: bool = False) -> ExecutionSession:
@@ -354,8 +336,7 @@ class ExecutionBackend:
         recorder — which is exactly what a fleet-wide trace wants.  The
         run that attached the timer detaches it when it finishes.
         """
-        if self.plan is not None:
-            self.plan.timer = timer
+        self.plan.timer = timer
 
     def detach_plan_timer(self) -> None:
         self.attach_plan_timer(None)
@@ -446,14 +427,6 @@ class ExecutionBackend:
     ) -> List[np.ndarray]:
         """Step every session's state ``from_subnet -> to_subnet``; return their logits."""
         states = [session._state for session in sessions]
-        if self.plan is None:
-            # Networks a plan cannot represent step each state through
-            # the legacy engine, one after another.
-            for session, state in zip(sessions, states):
-                self._engine.import_state(state)
-                self._engine.step_to(to_subnet)
-                session._state = self._engine.export_state()
-            return [session._state.logits for session in sessions]
         if len(states) == 1:  # a lone member skips the batch wrapper
             state = states[0]
             args = (state.input, state.cache, state.aux, state.logits, from_subnet, to_subnet)

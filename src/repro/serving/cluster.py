@@ -460,9 +460,8 @@ class AdmissionController:
                 return "reject", None
             cap = feasible
         budget = node.engine.memory_budget.budget_bytes
-        context = backend.context_nbytes(request.batch_size)
-        if budget is not None and context is not None:
-            if node.resident_bytes(now) + context > budget:
+        if budget is not None:
+            if node.resident_bytes(now) + backend.context_nbytes(request.batch_size) > budget:
                 # Predicted recompute thrash: take the mandatory level
                 # and leave — degrading beats evicting everyone else.
                 cap = 0

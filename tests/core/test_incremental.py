@@ -315,7 +315,7 @@ class TestInferenceDtype:
         assert result.logits.dtype == np.float32
         stepped = engine.step_to(2)
         assert stepped.logits.dtype == np.float32
-        for cached in engine._cache.values():
+        for cached in engine._state.cache.values():
             assert cached.dtype == np.float32
 
     def test_float32_close_to_float64(self, network, inputs):

@@ -1,11 +1,12 @@
-"""Plan-vs-engine equivalence: the compiled fast path must reproduce the
-legacy per-step-masking path and a from-scratch forward pass.
+"""Plan equivalence: the compiled plan must reproduce the tests'
+per-step-masking oracle (``tests/oracles.py``) and a from-scratch forward
+pass.
 
 Parametrised over dtype (float32/float64), pruning on/off and model
 family (conv with batch norm, plain MLP); every combination steps
 through several subnet levels and checks the logits three ways:
 
-* compiled vs legacy stepped logits (same dtype, same path shape);
+* compiled vs masked-walk stepped logits (same dtype, same path shape);
 * compiled stepped logits vs a from-scratch ``network.forward`` of the
   target subnet (the ground truth the paper's reuse guarantee promises);
 * exact MAC accounting (plan-cached counts equal the network's).
@@ -14,6 +15,7 @@ through several subnet levels and checks the logits three ways:
 import numpy as np
 import pytest
 
+from oracles import masked_ladder, masked_walk
 from repro.baselines.common import set_prefix_assignments
 from repro.core import IncrementalInference, NetworkPlan, SteppingNetwork
 from repro.core import plan as plan_module
@@ -22,6 +24,7 @@ from repro.core.pruning import apply_unstructured_pruning
 from repro.models import lenet5, lenet_3c1l, mlp, tiny_cnn, vgg16
 from repro.nn.tensor import no_grad
 from repro.serving.backend import RecomputeBackend, SteppingBackend
+from repro.utils.errors import ConfigError
 from repro.utils.timing import Timer
 
 TOLERANCES = {
@@ -108,20 +111,18 @@ def model(request):
 @pytest.mark.parametrize("prune", [False, True])
 class TestPlanEquivalence:
     @pytest.mark.parametrize("path", [(0, 1, 2, 3), (0, 2), (1, 3), (3,)])
-    def test_compiled_matches_legacy_and_forward(self, model, dtype, prune, path):
+    def test_compiled_matches_oracle_and_forward(self, model, dtype, prune, path):
         network, inputs = model
         if prune:
             apply_unstructured_pruning(network, 3e-2)
         tol = TOLERANCES[np.dtype(dtype)]
         compiled = IncrementalInference(network, apply_prune=prune, dtype=dtype)
-        legacy = IncrementalInference(network, apply_prune=prune, dtype=dtype, compiled=False)
+        want = masked_ladder(network, inputs, path, dtype, prune)
         got = compiled.run(inputs, subnet=path[0])
-        want = legacy.run(inputs, subnet=path[0])
-        np.testing.assert_allclose(got.logits, want.logits, **tol)
-        for level in path[1:]:
+        np.testing.assert_allclose(got.logits, want[0], **tol)
+        for level, expected in zip(path[1:], want[1:]):
             got = compiled.step_to(level)
-            want = legacy.step_to(level)
-            np.testing.assert_allclose(got.logits, want.logits, **tol)
+            np.testing.assert_allclose(got.logits, expected, **tol)
         network.eval()
         with no_grad():
             direct = network.forward(inputs, subnet=path[-1], apply_prune=prune).data
@@ -170,20 +171,6 @@ class TestPlanObject:
         stepping = SteppingBackend(network)
         recompute = RecomputeBackend(network)
         assert stepping.plan is recompute.plan
-        assert stepping._engine.plan is stepping.plan
-
-    def test_plan_dtype_mismatch_rejected(self):
-        network, _ = _conv_network()
-        plan = NetworkPlan(network, dtype=np.float32)
-        with pytest.raises(ValueError):
-            IncrementalInference(network, dtype=np.float64, plan=plan)
-
-    def test_plan_network_mismatch_rejected(self):
-        network_a, _ = _conv_network()
-        network_b, _ = _conv_network()
-        plan = NetworkPlan(network_a, dtype=np.float64)
-        with pytest.raises(ValueError, match="different network"):
-            IncrementalInference(network_b, dtype=np.float64, plan=plan)
 
     def test_refresh_plan_picks_up_mutations(self):
         network, inputs = _conv_network()
@@ -192,8 +179,7 @@ class TestPlanObject:
         network.param_layers[0].prune_mask[:, :, 0, 0] = 0.0
         engine.refresh_plan()
         after = engine.run(inputs, subnet=3).logits
-        legacy = IncrementalInference(network, dtype=np.float64, compiled=False)
-        want = legacy.run(inputs, subnet=3).logits
+        (want,) = masked_ladder(network, inputs, [3])
         np.testing.assert_allclose(after, want, rtol=1e-9, atol=1e-10)
         assert not np.allclose(after, before)
 
@@ -240,7 +226,8 @@ class TestBatchEntryPoints:
 
 
 class TestPlanStructuralLimits:
-    """Networks a plan cannot represent must fail loudly or fall back."""
+    """Networks a plan cannot represent fail loudly, with ``ConfigError``,
+    wherever a plan is built: the plan, the engine and the backends."""
 
     def _non_incremental_network(self):
         spec = mlp(num_classes=4, input_dim=16, hidden=(12, 8))
@@ -252,28 +239,21 @@ class TestPlanStructuralLimits:
 
     def test_compile_rejects_non_incremental_layers(self):
         network, _ = self._non_incremental_network()
-        with pytest.raises(ValueError, match="enforce_incremental"):
+        with pytest.raises(ConfigError, match="enforce_incremental"):
             NetworkPlan(network)
-        assert not NetworkPlan.supports(network)
 
-    def test_engine_falls_back_to_legacy_path(self):
-        network, inputs = self._non_incremental_network()
-        engine = IncrementalInference(network)  # compiled requested by default
-        assert not engine.compiled
-        result = engine.run(inputs, subnet=2)
-        network.eval()
-        with no_grad():
-            direct = network.forward(inputs, subnet=2).data
-        np.testing.assert_allclose(result.logits, direct, rtol=1e-9, atol=1e-10)
+    def test_engine_rejects_non_incremental_network(self):
+        network, _ = self._non_incremental_network()
+        with pytest.raises(ConfigError, match="enforce_incremental"):
+            IncrementalInference(network)
 
-    def test_backend_falls_back_to_legacy_path(self):
-        network, inputs = self._non_incremental_network()
-        backend = SteppingBackend(network)
-        assert backend.plan is None
-        outcome = backend.open(inputs).advance()
-        assert outcome.subnet == 0
+    @pytest.mark.parametrize("backend_cls", [SteppingBackend, RecomputeBackend])
+    def test_backend_rejects_non_incremental_network(self, backend_cls):
+        network, _ = self._non_incremental_network()
+        with pytest.raises(ConfigError, match="enforce_incremental"):
+            backend_cls(network)
 
-    def test_pool_before_any_parametric_layer_falls_back(self):
+    def test_pool_before_any_parametric_layer_rejected(self):
         from repro.models.spec import (
             ArchitectureSpec,
             ConvSpec,
@@ -295,15 +275,9 @@ class TestPlanStructuralLimits:
         )
         network = SteppingNetwork(spec, num_subnets=3, rng=np.random.default_rng(0))
         set_prefix_assignments(network, [0.4, 0.7, 1.0])
-        assert not NetworkPlan.supports(network)
-        engine = IncrementalInference(network)
-        assert not engine.compiled
-        inputs = np.random.default_rng(7).standard_normal((3, 3, 12, 12))
-        result = engine.run(inputs, subnet=2)
-        network.eval()
-        with no_grad():
-            direct = network.forward(inputs, subnet=2).data
-        np.testing.assert_allclose(result.logits, direct, rtol=1e-9, atol=1e-10)
+        for build in (NetworkPlan, IncrementalInference, SteppingBackend):
+            with pytest.raises(ConfigError, match="before pooling"):
+                build(network)
 
     def test_for_network_cache_does_not_leak(self):
         import gc
@@ -318,32 +292,28 @@ class TestPlanStructuralLimits:
 
 
 class TestCompiledStateInterop:
-    """The compiled path writes the same cache layout as the legacy path,
+    """The plan writes the same cache layout as the masked-walk oracle,
     so suspended state moves freely between the two."""
 
-    def test_state_migrates_between_compiled_and_legacy(self):
+    def test_state_migrates_between_compiled_and_oracle(self):
         network, inputs = _conv_network()
         compiled = IncrementalInference(network, dtype=np.float64)
-        legacy = IncrementalInference(network, dtype=np.float64, compiled=False)
         compiled.run(inputs, subnet=0)
-        state = compiled.export_state()
-        legacy.import_state(state)
-        stepped = legacy.step_to(3)
+        stepped = masked_walk(network, compiled.export_state(), 3)
         network.eval()
         with no_grad():
             direct = network.forward(inputs, subnet=3).data
-        np.testing.assert_allclose(stepped.logits, direct, rtol=1e-9, atol=1e-10)
+        np.testing.assert_allclose(stepped, direct, rtol=1e-9, atol=1e-10)
 
-    def test_state_migrates_legacy_to_compiled_and_back(self):
-        """Legacy steps in the middle must not leave the compiled path's
+    def test_state_migrates_oracle_to_compiled_and_back(self):
+        """Oracle steps in the middle must not leave the plan's
         incremental buffers stale (they are dropped and repacked)."""
         network, inputs = _conv_network()
         compiled = IncrementalInference(network, dtype=np.float64)
-        legacy = IncrementalInference(network, dtype=np.float64, compiled=False)
         compiled.run(inputs, subnet=0)
-        legacy.import_state(compiled.export_state())
-        legacy.step_to(1)  # advances the cache without touching aux buffers
-        compiled.import_state(legacy.export_state())
+        state = compiled.export_state()
+        masked_walk(network, state, 1)  # advances the cache without touching aux buffers
+        compiled.import_state(state)
         stepped = compiled.step_to(3)
         network.eval()
         with no_grad():
@@ -423,7 +393,7 @@ class TestPlanInvalidationHooks:
 
     def test_mutated_plan_serves_correct_logits(self):
         """End to end: compile, mutate, recompile via the cache, compare
-        against the legacy oracle."""
+        against the masked-walk oracle."""
         network, inputs = _conv_network()
         self._cached(network)  # populate the cache pre-mutation
         layer = network.param_layers[1]
@@ -432,9 +402,8 @@ class TestPlanInvalidationHooks:
             layer.assignment.move_units(movable[:1], 2)
         apply_unstructured_pruning(network, 4e-2)
         compiled = IncrementalInference(network, dtype=np.float64)
-        legacy = IncrementalInference(network, dtype=np.float64, compiled=False)
         got = compiled.run(inputs, subnet=2).logits
-        want = legacy.run(inputs, subnet=2).logits
+        (want,) = masked_ladder(network, inputs, [2])
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-10)
 
     def test_retraining_invalidates_plans(self, image_loader):
@@ -720,7 +689,7 @@ class TestScratchReuseOracle:
     to the same ladder on a freshly built plan.  Catches pad state that
     leaks across sample counts — a pad that does not grow, or a view
     sized by a stale count.  A border dirtied by any pack shows within
-    one ladder, so the legacy-equivalence tests above catch it."""
+    one ladder, so the oracle-equivalence tests above catch it."""
 
     @pytest.mark.parametrize("model_name", sorted(TestSliceIndexOracle.MODELS))
     @pytest.mark.parametrize("assignment", ["prefix", "shuffled"])
@@ -909,41 +878,36 @@ class TestDenseConv:
         compiled = IncrementalInference(network)
         (step,) = _conv_steps(compiled.plan)
         assert step.dense is dense
-        legacy = IncrementalInference(network, compiled=False)
         inputs = np.random.default_rng(14).standard_normal((2, 3, side, side))
         tol = TOLERANCES[np.dtype(np.float64)]
-        np.testing.assert_allclose(
-            compiled.run(inputs, subnet=0).logits, legacy.run(inputs, subnet=0).logits, **tol
-        )
-        for level in range(1, network.num_subnets):
-            np.testing.assert_allclose(
-                compiled.step_to(level).logits, legacy.step_to(level).logits, **tol
-            )
+        ladder = range(network.num_subnets)
+        want = masked_ladder(network, inputs, ladder)
+        np.testing.assert_allclose(compiled.run(inputs, subnet=0).logits, want[0], **tol)
+        for level in ladder[1:]:
+            np.testing.assert_allclose(compiled.step_to(level).logits, want[level], **tol)
         assert (("cols", step.param_index) in compiled.export_state().aux) is not dense
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("assignment", ["prefix", "shuffled"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_dense_steps_match_legacy(self, stride, padding, assignment, dtype):
+    def test_dense_steps_match_oracle(self, stride, padding, assignment, dtype):
         spec = _small_map_spec(stride, padding)
         network = _assigned_network(spec, assignment)
         compiled = IncrementalInference(network, dtype=dtype)
         steps = _conv_steps(compiled.plan)
         assert [step.dense for step in steps] == [False, True, True]
-        legacy = IncrementalInference(network, dtype=dtype, compiled=False)
         tol = TOLERANCES[np.dtype(dtype)]
         rng = np.random.default_rng(11)
         for samples in (1, 3):
             inputs = rng.standard_normal((samples,) + tuple(spec.input_shape))
             for ladder in ([0, 1, 2, 3], [1, 3]):
+                want = masked_ladder(network, inputs, ladder, dtype)
                 got = compiled.run(inputs, subnet=ladder[0]).logits
-                want = legacy.run(inputs, subnet=ladder[0]).logits
-                np.testing.assert_allclose(got, want, **tol)
-                for level in ladder[1:]:
+                np.testing.assert_allclose(got, want[0], **tol)
+                for level, expected in zip(ladder[1:], want[1:]):
                     got = compiled.step_to(level).logits
-                    want = legacy.step_to(level).logits
-                    np.testing.assert_allclose(got, want, **tol)
+                    np.testing.assert_allclose(got, expected, **tol)
                 buffers = {key for key in compiled.export_state().aux if key[0] == "cols"}
                 assert buffers == {("cols", steps[0].param_index)}  # none for dense convs
 
@@ -958,7 +922,7 @@ class TestDenseConv:
 
 class TestModelZooTolerance:
     """Compiled ladders on the paper's models hold the documented tolerance
-    of the legacy oracle: the bias column, the depth cut and the dense
+    of the masked-walk oracle: the bias column, the depth cut and the dense
     convs change only the order of float sums."""
 
     MODELS = {
@@ -971,18 +935,15 @@ class TestModelZooTolerance:
     @pytest.mark.parametrize("model_name", sorted(MODELS))
     @pytest.mark.parametrize("assignment", ["prefix", "shuffled"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_compiled_ladder_matches_legacy(self, model_name, assignment, dtype):
+    def test_compiled_ladder_matches_oracle(self, model_name, assignment, dtype):
         spec = self.MODELS[model_name]()
         network = _assigned_network(spec, assignment)
         apply_unstructured_pruning(network, 3e-2)
         compiled = IncrementalInference(network, dtype=dtype)
-        legacy = IncrementalInference(network, dtype=dtype, compiled=False)
         inputs = np.random.default_rng(13).standard_normal((2,) + tuple(spec.input_shape))
         tol = TOLERANCES[np.dtype(dtype)]
-        np.testing.assert_allclose(
-            compiled.run(inputs, subnet=0).logits, legacy.run(inputs, subnet=0).logits, **tol
-        )
-        for level in range(1, network.num_subnets):
-            np.testing.assert_allclose(
-                compiled.step_to(level).logits, legacy.step_to(level).logits, **tol
-            )
+        ladder = range(network.num_subnets)
+        want = masked_ladder(network, inputs, ladder, dtype)
+        np.testing.assert_allclose(compiled.run(inputs, subnet=0).logits, want[0], **tol)
+        for level in ladder[1:]:
+            np.testing.assert_allclose(compiled.step_to(level).logits, want[level], **tol)

@@ -6,14 +6,16 @@ caches — but unlike the caches they are *pure caches* with a validity
 tag: stale buffers (state advanced through another path in between)
 must self-invalidate and rebuild rather than corrupt the next step.
 These tests pin that contract across suspend/resume, across engines,
-across backends (stepping <-> recompute) and across the compiled/legacy
-boundary.
+across backends (stepping <-> recompute) and across the boundary to the
+tests' masked-walk oracle (``tests/oracles.py``).
 """
 
 import numpy as np
 import pytest
 
-from repro.core import IncrementalInference, NetworkPlan
+from oracles import masked_walk
+from repro.core import IncrementalInference
+from repro.core.incremental import InferenceState
 from repro.serving.backend import RecomputeBackend, SteppingBackend
 
 
@@ -39,7 +41,7 @@ def inputs(image_batch):
 
 def _reference_logits(network, inputs, dtype=np.float64):
     """Uninterrupted compiled stepping: one engine, one context."""
-    engine = IncrementalInference(network, dtype=dtype, compiled=True)
+    engine = IncrementalInference(network, dtype=dtype)
     logits = [engine.run(inputs, subnet=0).logits]
     for level in range(1, network.num_subnets):
         logits.append(engine.step_to(level).logits)
@@ -49,7 +51,7 @@ def _reference_logits(network, inputs, dtype=np.float64):
 class TestAuxRoundTrip:
     def test_suspend_resume_preserves_aux_buffers(self, eval_network, inputs):
         reference = _reference_logits(eval_network, inputs)
-        engine = IncrementalInference(eval_network, compiled=True)
+        engine = IncrementalInference(eval_network)
         assert np.array_equal(engine.run(inputs, subnet=0).logits, reference[0])
         state = engine.export_state()
         # The plan's private buffers travelled with the state and carry
@@ -63,16 +65,16 @@ class TestAuxRoundTrip:
     def test_state_moves_between_engines(self, eval_network, inputs):
         """A second engine picks up mid-flight state (and its aux) exactly."""
         reference = _reference_logits(eval_network, inputs)
-        first = IncrementalInference(eval_network, compiled=True)
+        first = IncrementalInference(eval_network)
         first.run(inputs, subnet=0)
         first.step_to(1)
         state = first.export_state()
         aux_before = {key: value for key, value in state.aux.items()}
-        second = IncrementalInference(eval_network, compiled=True)
+        second = IncrementalInference(eval_network)
         second.import_state(state)
         # Imports move references, not copies: O(1) context switch.
         for key, value in aux_before.items():
-            assert second._aux[key] is value
+            assert second._state.aux[key] is value
         assert np.array_equal(second.step_to(2).logits, reference[2])
         assert np.array_equal(second.step_to(3).logits, reference[3])
 
@@ -81,7 +83,7 @@ class TestAuxRoundTrip:
         reference_a = _reference_logits(eval_network, inputs)
         other = inputs[::-1].copy()
         reference_b = _reference_logits(eval_network, other)
-        engine = IncrementalInference(eval_network, compiled=True)
+        engine = IncrementalInference(eval_network)
 
         engine.run(inputs, subnet=0)
         state_a = engine.export_state()
@@ -99,7 +101,7 @@ class TestAuxRoundTrip:
         """stepping -> recompute -> stepping: one in-flight inference.
 
         The two serving backends differ only in their charged-cost
-        model; their engines share the InferenceState layout, so a
+        model; their sessions share the InferenceState layout, so a
         request suspended on one can resume on the other with its aux
         buffers intact.
         """
@@ -108,71 +110,73 @@ class TestAuxRoundTrip:
         stepping = SteppingBackend(eval_network, dtype=dtype)
         recompute = RecomputeBackend(eval_network, dtype=dtype)
 
+        def adopt(backend, state):
+            """A session on ``backend`` that resumes ``state`` where it stands."""
+            session = backend.open(state.input, checked=True)
+            session._state = state
+            session._current_subnet = state.current_subnet
+            return session
+
         session = stepping.open(inputs)
         assert np.array_equal(session.advance().logits, reference[0])
         state = session._state
         assert state.aux["level"] == 0
 
-        recompute._engine.import_state(state)
-        step = recompute._engine.step_to(1)
-        assert np.array_equal(step.logits, reference[1])
-        state = recompute._engine.export_state()
+        moved = adopt(recompute, state)
+        assert np.array_equal(moved.advance().logits, reference[1])
+        assert state.aux["level"] == 1
 
-        stepping._engine.import_state(state)
+        back = adopt(stepping, state)
         for level in (2, 3):
-            assert np.array_equal(stepping._engine.step_to(level).logits, reference[level])
+            assert np.array_equal(back.advance().logits, reference[level])
 
-    def test_stale_aux_self_invalidates_after_legacy_detour(self, eval_network, inputs):
-        """compiled -> legacy -> compiled: lagging buffers must rebuild.
+    def test_stale_aux_self_invalidates_after_oracle_detour(self, eval_network, inputs):
+        """plan -> masked walk -> plan: lagging buffers must rebuild.
 
-        The legacy path advances the cache but not the plan's aux
-        buffers; on re-import the compiled path must notice the level
-        tag mismatch, drop the stale buffers and repack from the cache
+        The masked walk advances the cache but not the plan's aux
+        buffers; on re-import the plan must notice the level tag
+        mismatch, drop the stale buffers and repack from the cache
         instead of serving stale columns.
         """
-        # The legacy path applies batch norm explicitly while the plan
-        # folds it into the weights: equal up to float associativity,
-        # not bit-equal — compare the detour and everything after it
-        # with float64 tolerances.
+        # The walk applies batch norm explicitly while the plan folds it
+        # into the weights: equal up to float associativity, not
+        # bit-equal — compare the detour and everything after it with
+        # float64 tolerances.
         close = dict(rtol=1e-9, atol=1e-10)
         reference = _reference_logits(eval_network, inputs)
-        compiled = IncrementalInference(eval_network, compiled=True)
+        compiled = IncrementalInference(eval_network)
         compiled.run(inputs, subnet=0)
         state = compiled.export_state()
         assert state.aux["level"] == 0
 
-        legacy = IncrementalInference(eval_network, compiled=False)
-        legacy.import_state(state)
-        np.testing.assert_allclose(legacy.step_to(1).logits, reference[1], **close)
-        state = legacy.export_state()
+        np.testing.assert_allclose(masked_walk(eval_network, state, 1), reference[1], **close)
         # The detour advanced the cache to level 1; aux still says 0.
         assert state.aux.get("level") == 0
 
         compiled.import_state(state)
         np.testing.assert_allclose(compiled.step_to(2).logits, reference[2], **close)
         # Buffers were rebuilt and re-tagged at the new level.
-        assert compiled._aux["level"] == 2
+        assert compiled._state.aux["level"] == 2
         np.testing.assert_allclose(compiled.step_to(3).logits, reference[3], **close)
 
-    def test_legacy_state_enters_compiled_path_without_aux(self, eval_network, inputs):
-        """States born on the legacy path (empty aux) are always valid."""
+    def test_oracle_state_enters_plan_without_aux(self, eval_network, inputs):
+        """States the masked walk advanced (empty aux) are always valid."""
         reference = _reference_logits(eval_network, inputs)
-        legacy = IncrementalInference(eval_network, compiled=False)
-        legacy.run(inputs, subnet=0)
-        legacy.step_to(1)
-        state = legacy.export_state()
+        state = InferenceState.fresh(np.asarray(inputs, dtype=np.float64))
+        masked_walk(eval_network, state, 0)
+        masked_walk(eval_network, state, 1)
         assert "level" not in state.aux
 
-        compiled = IncrementalInference(eval_network, compiled=True)
+        compiled = IncrementalInference(eval_network)
         compiled.import_state(state)
         np.testing.assert_allclose(
             compiled.step_to(2).logits, reference[2], rtol=1e-9, atol=1e-10
         )
-        assert compiled._aux["level"] == 2
+        assert compiled._state.aux["level"] == 2
 
     def test_state_copy_isolates_aux(self, eval_network, inputs):
         """copy() must deep-copy aux arrays, not alias the live buffers."""
-        engine = IncrementalInference(eval_network, compiled=True)
+        engine = IncrementalInference(eval_network)
         engine.run(inputs, subnet=0)
         state = engine.export_state()
         snapshot = state.copy()
@@ -180,10 +184,10 @@ class TestAuxRoundTrip:
         engine.step_to(eval_network.num_subnets - 1)
         for key, value in snapshot.aux.items():
             if isinstance(value, np.ndarray):
-                live = engine._aux.get(key)
+                live = engine._state.aux.get(key)
                 assert live is None or value is not live
         # The snapshot still resumes from its own level correctly.
-        fresh = IncrementalInference(eval_network, compiled=True)
+        fresh = IncrementalInference(eval_network)
         fresh.import_state(snapshot)
         reference = _reference_logits(eval_network, inputs)
         assert np.array_equal(fresh.step_to(1).logits, reference[1])

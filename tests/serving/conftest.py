@@ -31,15 +31,15 @@ def sample_pool(image_dataset):
 
 @pytest.fixture
 def solo_logits():
-    """Per-level logits of solo ``IncrementalInference`` steps: the numerics oracle.
+    """Per-level logits of solo ``IncrementalInference`` steps: the serving reference.
 
     ``solo_logits(network, inputs, levels)`` runs ``levels[0]`` then
     ``step_to`` each later level on a fresh engine of its own, so no
     serving path is its own reference.
     """
 
-    def run(network, inputs, levels, dtype=np.float32, compiled=True):
-        engine = IncrementalInference(network, dtype=dtype, compiled=compiled)
+    def run(network, inputs, levels, dtype=np.float32):
+        engine = IncrementalInference(network, dtype=dtype)
         logits = [engine.run(inputs, subnet=levels[0]).logits]
         logits.extend(engine.step_to(level).logits for level in levels[1:])
         return logits

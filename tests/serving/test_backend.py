@@ -115,6 +115,12 @@ class TestSessionPreemption:
 
 
 class TestInputValidation:
+    @pytest.mark.parametrize("backend_cls", [SteppingBackend, RecomputeBackend])
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_a_cap_below_one_level_raises_config_error(self, backend_cls, cap, stepping_network):
+        with pytest.raises(ConfigError, match="at least 1"):
+            backend_cls(stepping_network, num_subnets=cap)
+
     def test_bad_member_shape_raises_config_error_in_a_group(self, stepping_network, inputs):
         """A malformed member fails at the boundary, whatever the group size."""
         backend = SteppingBackend(stepping_network)

@@ -159,15 +159,14 @@ class TestAdvanceGroup:
             SteppingBackend(stepping_network).advance_group([])
 
     @pytest.mark.parametrize("backend_cls", [SteppingBackend, RecomputeBackend])
-    def test_uncompiled_group_matches_solo(self, stepping_network, rng, solo_logits, backend_cls):
-        """Without a plan, a group steps its members one by one, evicted ones too."""
+    def test_group_with_evicted_member_matches_solo(
+        self, stepping_network, rng, solo_logits, backend_cls
+    ):
+        """A member whose context was dropped replays inside the group, bit-equal."""
         inputs = [rng.standard_normal((1, 3, 12, 12)) for _ in range(2)]
-        backend = backend_cls(stepping_network, compiled=False)
-        assert backend.plan is None
+        backend = backend_cls(stepping_network)
         levels = list(range(stepping_network.num_subnets))
-        references = [
-            solo_logits(stepping_network, batch, levels, compiled=False) for batch in inputs
-        ]
+        references = [solo_logits(stepping_network, batch, levels) for batch in inputs]
         grouped = [backend.open(batch) for batch in inputs]
         for level in levels:
             if level == 2:
