@@ -119,7 +119,8 @@ INVARIANTS = {
         ("gemm_macs.issued", "ge", 1),
         ("gemm_macs.ratio", "lt", 1.0),
         # Exact: warm, cold and batched ladders give bit-equal logits
-        # and byte-identical aux buffers (``aux_equal``).
+        # and byte-identical aux buffers (``aux_equal``), whose column
+        # buffers hold the training im2col (``columns_match_im2col``).
         ("equivalence.*", "true"),
     ],
     "BENCH_batching.json": [

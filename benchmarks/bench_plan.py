@@ -18,9 +18,11 @@ one prefix ladder issues against the full-depth count, and
 ``equivalence`` checks that the ladder's logits are bit-equal whether
 each step runs its warm edge program, its cold one (``aux`` dropped
 before every step), or as one member of a 3-member ``execute_batch``,
-and that all three leave byte-identical column buffers and pooled maps;
-it checks the LeNet-3C1L ladder and a VGG-16 one (width 0.25, 32x32),
-whose 2x2 convs run as dense GEMMs.
+that all three leave byte-identical column buffers and pooled maps, and
+that every column buffer holds the bytes of the training path's
+``im2col`` over its conv's input map (``columns_match_im2col``); it
+checks the LeNet-3C1L ladder and a VGG-16 one (width 0.25, 32x32), whose
+2x2 convs run as dense GEMMs.
 
 The timings are host-normalised (``perfbench/probe.py``): the ladders
 and ``run(x, top)`` from scratch run in interleaved rounds, each slice
@@ -51,9 +53,10 @@ import numpy as np
 
 from repro.baselines.common import set_prefix_assignments
 from repro.core import IncrementalInference, NetworkPlan, SteppingNetwork
-from repro.core.plan import BatchMember, _HiddenStep
+from repro.core.plan import BatchMember, _HiddenStep, _PoolStep
 from repro.core.pruning import apply_unstructured_pruning
 from repro.models import lenet_3c1l, vgg16
+from repro.nn.functional import im2col
 from repro.runtime.platform import ResourceTrace
 from repro.serving import ServingEngine, SteppingBackend, poisson_stream
 
@@ -128,6 +131,33 @@ def gemm_macs(network) -> dict:
     }
 
 
+def _column_checker(network, plan):
+    """``check(x, cache, aux, level)``: whether every im2col conv's column
+    buffer holds, at the rows of the input channels active at ``level``,
+    the channel-major ``im2col`` of the conv's current input map."""
+    convs, read = [], lambda x, cache, aux: x
+    for step in plan.steps:
+        if isinstance(step, _HiddenStep):
+            if step.kind == "conv" and not step.dense:
+                levels = np.asarray(network.input_unit_subnet(step.param_index))
+                convs.append((step, read, levels))
+            read = lambda x, cache, aux, key=step.param_index: cache[key]  # noqa: E731
+        elif isinstance(step, _PoolStep):
+            read = lambda x, cache, aux, key=("pool", step.index): aux[key]  # noqa: E731
+
+    def check(x, cache, aux, level) -> bool:
+        for step, read_map, levels in convs:
+            patches, _ = im2col(read_map(x, cache, aux), step.kernel, step.stride, step.padding)
+            want = patches.reshape(-1, patches.shape[-1]).T.reshape(step.in_channels, -1)
+            rows = aux[("cols", step.param_index)][1:].reshape(step.in_channels, -1)
+            active = np.flatnonzero(levels <= level)
+            if rows[active].tobytes() != want[active].tobytes():
+                return False
+        return True
+
+    return check
+
+
 def equivalence(network, inputs) -> dict:
     """Exact: the prefix ladder's logits and ``aux`` buffers, bit-equal three ways.
 
@@ -137,27 +167,34 @@ def equivalence(network, inputs) -> dict:
     ``execute_batch`` run through the group entry point.  After every
     step all three must hold byte-identical column buffers and pooled
     maps (``aux_equal``): a cold step zeroes only the column rows it does
-    not pack.  Checked at one sample and at the benchmark's batch, so the
-    in-place single-sample conv GEMM is covered too.
+    not pack.  After every step each column buffer's active channel rows
+    must also equal the ``im2col`` of its conv's input map
+    (``columns_match_im2col``), in either scratch geometry.  Checked at one
+    sample and at the benchmark's batch, so the in-place single-sample
+    conv GEMM is covered too.
     """
     plan = NetworkPlan.for_network(network, dtype=DTYPE)
     ladder = range(plan.num_subnets)
+    check_columns, columns = _column_checker(network, plan), True
 
     def aux_bytes(aux):
         return [aux[key].tobytes() for key in sorted(aux, key=repr) if key != "level"]
 
     def solo(samples, drop_aux):
+        nonlocal columns
         cache, aux, logits, level, out, buffers = {}, {}, None, -1, [], []
         for target in ladder:
             if drop_aux:
                 aux.clear()
             logits = plan.execute(samples, cache, aux, logits, level, target)
             level = target
+            columns &= check_columns(samples, cache, aux, level)
             out.append(logits.tobytes())
             buffers.append(aux_bytes(aux))
         return out, buffers
 
     def batched(samples):
+        nonlocal columns
         members = [
             BatchMember(inputs=x, cache={}, aux={})
             for x in (samples, samples[::-1].copy(), -samples)
@@ -167,6 +204,7 @@ def equivalence(network, inputs) -> dict:
             logits = plan.execute_batch(members, level, target)
             for member, member_logits in zip(members, logits):
                 member.logits = member_logits
+                columns &= check_columns(member.inputs, member.cache, member.aux, target)
             level = target
             out.append(logits[0].tobytes())
             buffers.append(aux_bytes(members[0].aux))
@@ -181,7 +219,12 @@ def equivalence(network, inputs) -> dict:
         cold &= cold_logits == warm
         batch &= batch_logits == warm
         aux &= cold_aux == warm_aux == batch_aux
-    return {"warm_equals_cold": cold, "warm_equals_batched": batch, "aux_equal": aux}
+    return {
+        "warm_equals_cold": cold,
+        "warm_equals_batched": batch,
+        "aux_equal": aux,
+        "columns_match_im2col": columns,
+    }
 
 
 def _quartiles(values) -> dict:
@@ -336,7 +379,8 @@ def main() -> None:
             f"{model} ladder logits bit-equal: cold rebuild "
             f"{equal[prefix + 'warm_equals_cold']}, batched member "
             f"{equal[prefix + 'warm_equals_batched']}; aux buffers "
-            f"{equal[prefix + 'aux_equal']}"
+            f"{equal[prefix + 'aux_equal']}; columns match im2col "
+            f"{equal[prefix + 'columns_match_im2col']}"
         )
     step, serve = results["stepping"]["compiled"], results["serving"]["compiled"]
     print(

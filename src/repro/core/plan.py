@@ -77,19 +77,38 @@ bit-identity, while warm, cold and batched steps run the same kernels and
 stay bit-equal to each other.
 
 Packing allocates nothing either: each conv step owns a **scratch**
-full-channel padded input map whose border stays zero, grown to the
-largest sample count seen.  Per sample count the plan builds two views
-of it once — its interior, and the channel-major patch view
-(:func:`~repro.nn.functional.channel_major_view`, the stride formula of
-:func:`~repro.nn.functional.im2col_channel_major`) — and rebuilds them
-only when the map grows.  A pack copies just the updated channels into
-the interior at their own positions, ``interior[:, update] =
-src[:, update]``, then their patches into the column buffer's channel
-rows, ``rows[update] = patches[update]``; other channels' stale interior
-is never read.  The scratch is plan state, not request state — it is not
-in ``aux`` and not in :meth:`NetworkPlan.state_nbytes` — so a plan is
-not re-entrant: it runs on one thread at a time, as every caller in
-this package does.
+full-channel padded input map whose padding stays zero, one flat buffer
+grown to the largest sample count seen.  Per sample count the plan
+builds three views of it once — its interior, the channel-major patch
+view and the column buffer's wrap entries — and rebuilds them only when
+the map grows.  A pack copies just the updated channels into the
+interior at their own positions, ``interior[:, update] = src[:,
+update]``, then their patches into the column buffer's channel rows,
+``rows[update] = patches[update]``; other channels' stale interior
+reaches no entry the pack keeps.  The scratch has one of two geometries,
+fixed at compile time by the conv's shape (:meth:`NetworkPlan._patch_views`):
+
+* **rows**, for a stride-1 conv whose output row is as wide as its input
+  row ("same" padding: VGG-16's 3x3 convs that are not dense, the tiny
+  CNN, LeNet-3C1L).
+  The map keeps its vertical padding rows but no horizontal padding:
+  each channel is ``H + 2*ph`` rows of ``W``, with ``pw`` zeros at each
+  end of the buffer.  A tap's ``oh*ow`` patch pixels are then one
+  unit-stride run of the map, and a channel's interior one contiguous
+  run, so the copies move whole rows (the lowering of MEC, Cho & Brand,
+  ICML 2017, inside the column buffer).  Only the pixels whose input
+  column lies in the padding read the neighbouring row instead: for a
+  3x3 conv, tap ``j=0`` at ``w=0`` and tap ``j=2`` at ``w=W-1``.  One
+  precomputed strided view per padding column covers them, and the pack
+  sets them to zero.
+* **padded**, for every other conv (LeNet-5's 5x5 "valid" convs, strided
+  convs): ``(N, C, H + 2*ph, W + 2*pw)`` with a zero border, the patch
+  view :func:`~repro.nn.functional.channel_major_view`, no wrap entries.
+
+Both leave the same bytes in the column buffer.  The scratch is plan
+state, not request state — it is not in ``aux`` and not in
+:meth:`NetworkPlan.state_nbytes` — so a plan is not re-entrant: it runs
+on one thread at a time, as every caller in this package does.
 
 A cold step takes a fresh column buffer from ``np.empty`` and zeroes
 only the rows of the input channels inactive at ``to``: its pack writes
@@ -275,6 +294,31 @@ def _conv_slab(
     return slab
 
 
+def _wrap_views(
+    kernel: Tuple[int, int], pw: int, width: int, channels: int, lines: int, item: int
+) -> Tuple[Tuple[Tuple[int, ...], int, Tuple[int, ...]], ...]:
+    """The ``(shape, offset, strides)`` of each wrap view of a rows-geometry
+    column buffer (see :meth:`NetworkPlan._patch_views`).
+
+    ``lines`` is ``N*oh``: with ``ow == width`` the buffer's channel rows
+    are ``(C, kh, kw)`` over ``lines`` runs of ``width`` pixels, below the
+    ones row.  Per distance ``d`` in ``1..pw`` one ``(C, kh, 2, lines,
+    min(d, width))`` view covers tap ``j = pw - d`` at each run's first
+    ``d`` pixels and tap ``j = pw + d`` at its last ``d``: the pixels
+    whose input column lies in the padding.  Offset and strides are in
+    bytes, for the ``np.ndarray`` constructor over the buffer.
+    """
+    (kh, kw), pixels = kernel, lines * width
+    views = []
+    for d in range(1, pw + 1):
+        edge = min(d, width)
+        steps = (kh * kw * pixels, kw * pixels, 2 * d * pixels + width - edge, width, 1)
+        offset = (1 + pw - d) * pixels  # past the ones row, at tap j = pw - d
+        shape = (channels, kh, 2, lines, edge)
+        views.append((shape, item * offset, tuple(item * n for n in steps)))
+    return tuple(views)
+
+
 def _widen(weight: np.ndarray, width: int) -> np.ndarray:
     """``weight`` with zero columns appended up to ``width`` columns."""
     if weight.shape[1] == width:
@@ -377,6 +421,7 @@ class _HiddenStep:
     slabs: _RangeCache
     # conv only
     dense: bool = False  # one GEMM over the flattened input map, no column buffer
+    rows: bool = False  # "same" stride-1 conv: scratch rows unpadded (see _patch_views)
     in_channels: int = 0
     active: Tuple[Index, ...] = ()  # per level: input channels to pack first
     inactive: Tuple[Index, ...] = ()  # per level: column rows a cold step zeroes
@@ -385,11 +430,13 @@ class _HiddenStep:
     padding: Tuple[int, int] = (1, 1)
     in_spatial: Tuple[int, int] = (1, 1)
     out_spatial: Tuple[int, int] = (1, 1)
-    # Zero-bordered full-channel padded input map that packs go through,
-    # grown to the largest sample count seen, and per sample count its
-    # (interior, patch) views: plan scratch, never request state.
+    # The flat zeroed buffer packs go through (a full-channel padded input
+    # map, grown to the largest sample count seen), and per sample count
+    # its (interior, patches, wrap) views: plan scratch, never request state.
     scratch: Optional[np.ndarray] = field(default=None, repr=False)
-    views: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
+    views: Dict[int, Tuple[np.ndarray, np.ndarray, Tuple]] = field(
+        default_factory=dict, repr=False
+    )
 
 
 @dataclass
@@ -632,6 +679,7 @@ class NetworkPlan:
                 taps = _dense_taps(kernel, stride, padding, in_spatial, out_spatial)
             geometry = dict(
                 dense=dense,
+                rows=not dense and stride == (1, 1) and out_spatial[1] == in_spatial[1],
                 in_channels=layer.in_channels,
                 active=_active(in_subnet, self.num_subnets),
                 inactive=_active(in_subnet, self.num_subnets, active=False),
@@ -909,8 +957,10 @@ class NetworkPlan:
         inactive at ``to``; its pack writes every other row, so the
         buffer holds what a zeroed one packed would.  The pack copies the
         updated channels into the scratch map's interior at their own
-        positions, then their patches into the buffer (see
-        :meth:`_patch_views`).
+        positions, then their patches into the buffer, then zeroes their
+        wrap entries: in the rows geometry the pixels a patch run reads
+        from a neighbouring row where the padding would be, none in the
+        padded one (see :meth:`_patch_views`).  One body serves both.
 
         The GEMM is ``(new_units, 1 + depth) @ (1 + depth, N*oh*ow)``
         over the buffer's leading rows, a contiguous prefix: the slab's
@@ -944,9 +994,13 @@ class NetworkPlan:
                 if zero is not None:
                     cols[1:].reshape(channels + (samples,) + out)[zero] = 0
             if pack:
-                interior, patches = step.views.get(samples) or self._patch_views(step, samples)
+                interior, patches, wrap = (
+                    step.views.get(samples) or self._patch_views(step, samples)
+                )
                 interior[:, update] = source(x, cache, aux)[:, update]
-                cols[1:].reshape(channels + (samples,) + out)[update] = patches[update]
+                cols[1:].reshape(patches.shape)[update] = patches[update]
+                for shape, offset, strides in wrap:
+                    np.ndarray(shape, dtype, cols, offset, strides)[update] = 0
             if gemm:
                 cached = cache[param]
                 block = cached[0, index].reshape(rows, -1) if samples == 1 and in_place else None
@@ -1095,25 +1149,60 @@ class NetworkPlan:
         if zero is not None:
             pooled[:, zero] = 0
 
-    def _patch_views(self, step: _HiddenStep, samples: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The scratch map's interior and its patch view for ``samples`` samples.
+    def _patch_views(self, step: _HiddenStep, samples: int) -> Tuple[np.ndarray, np.ndarray, Tuple]:
+        """The scratch map's interior, its patch view and the column buffer's
+        wrap entries for ``samples`` samples.
 
         Built once per sample count, and again only after the scratch map
         grows (zeroed) to a larger one.  A pack writes just its channels'
-        interior and reads back just their patches, so the border stays
-        zero and other channels' stale values are never read.
+        interior and reads back just their patches, so the padding stays
+        zero and other channels' stale values reach no entry it keeps.
+
+        The scratch is one flat buffer in either geometry:
+
+        * **padded**: ``(N, C, H + 2*ph, W + 2*pw)``.  The patch view is
+          :func:`~repro.nn.functional.channel_major_view`'s
+          ``(C, kh, kw, N, oh, ow)``, and ``wrap`` is empty.
+        * **rows** (stride 1, ``ow == W``): ``(N, C, H + 2*ph, W)`` between
+          ``pw`` zeros at each end.  Output pixel ``(h, w)`` of tap
+          ``(c, i, j)`` reads flat element ``h*W + w + i*W + j - pw`` of
+          channel ``c``, so the tap's ``oh*ow`` pixels are one unit-stride
+          run: the patch view is ``(C, kh, kw, N, oh*ow)`` and the interior
+          one contiguous run per channel.  The pixels whose column
+          ``w + j - pw`` falls outside ``[0, W)`` read the neighbouring
+          row instead of the padding; ``wrap`` holds, per distance ``d``
+          in ``1..pw``, the ``(shape, offset, strides)`` of the column
+          buffer view over taps ``j = pw -/+ d`` at the ``d`` columns of
+          each row's left/right edge, which a pack sets to zero.  A 3x3
+          conv has one: tap ``j=0`` at ``w=0`` and ``j=2`` at ``w=W-1``.
+
+        Either way the column buffer holds the same bytes.
         """
-        (ph, pw), (height, width) = step.padding, step.in_spatial
-        if step.scratch is None or step.scratch.shape[0] < samples:
-            shape = (samples, step.in_channels, height + 2 * ph, width + 2 * pw)
-            step.scratch, step.views = np.zeros(shape, dtype=self.dtype), {}
-        scratch = step.scratch
-        interior = scratch[:samples, :, ph : ph + height, pw : pw + width]
-        patches = channel_major_view(
-            scratch, step.in_channels, samples, step.kernel, step.stride, step.out_spatial
-        )
-        step.views[samples] = (interior, patches)
-        return interior, patches
+        (kh, kw), (ph, pw), (height, width) = step.kernel, step.padding, step.in_spatial
+        channels, tall, (out_h, out_w) = step.in_channels, height + 2 * ph, step.out_spatial
+        guard, row, left = (pw, width, 0) if step.rows else (0, width + 2 * pw, pw)
+        plane, item = channels * tall * row, self.dtype.itemsize  # one sample's padded map
+        size = samples * plane + 2 * guard
+        if step.scratch is None or step.scratch.size < size:
+            step.scratch, step.views = np.zeros(size, dtype=self.dtype), {}
+        padded = step.scratch[guard : guard + samples * plane].reshape(samples, channels, tall, row)
+        interior = padded[:, :, ph : ph + height, left : left + width]
+        if step.rows:
+            patches = np.ndarray(
+                (channels, kh, kw, samples, out_h * out_w),
+                self.dtype,
+                step.scratch,
+                0,
+                tuple(item * n for n in (tall * width, width, 1, plane, 1)),
+            )
+            wrap = _wrap_views(step.kernel, pw, width, channels, samples * out_h, item)
+        else:
+            patches = channel_major_view(
+                padded, channels, samples, step.kernel, step.stride, step.out_spatial
+            )
+            wrap = ()
+        step.views[samples] = views = (interior, patches, wrap)
+        return views
 
     @staticmethod
     def _pool_channels(x: np.ndarray, kind: str, size: int, stride: int) -> np.ndarray:

@@ -212,49 +212,6 @@ def activation_infer(
     return resolve_activation(name)(x, out)
 
 
-def im2col_channel_major(
-    images: np.ndarray,
-    kernel_size: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-    scratch: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Patch view of ``images`` laid out channel-major: ``(C, kh, kw, N, out_h, out_w)``.
-
-    Returned as a read-only stride view over a zero-bordered padded copy
-    of ``images``.  With channels on the leading axis, the compiled
-    inference plan can scatter newly activated channels into a persistent
-    column buffer as contiguous row blocks and feed the buffer to BLAS as
-    ``(C*kh*kw, N*out_h*out_w)`` without any per-step transposition.  The
-    view is built with the ``np.ndarray`` buffer constructor, several
-    times cheaper per call than ``as_strided`` at the plan's small shapes;
-    the constructor needs a contiguous buffer, hence the copy (the input
-    is often a non-contiguous channel slice of a multi-sample map).
-
-    ``scratch`` makes the call allocate nothing: a reusable C-contiguous
-    ``(N', C', h + 2*ph, w + 2*pw)`` buffer with ``N' >= N`` and
-    ``C' >= C`` whose border is zero.  ``images`` is written into the
-    interior of its first ``N`` samples and ``C`` channels only, so the
-    border stays zero and the rest of the buffer is never read; the view
-    aliases the buffer and is valid until its next write.  Without
-    ``scratch`` a zeroed buffer of exactly that size is allocated.
-    """
-    n, c, h, w = images.shape
-    kh, kw = kernel_size
-    sh, sw = stride
-    ph, pw = padding
-    out_h = (h + 2 * ph - kh) // sh + 1
-    out_w = (w + 2 * pw - kw) // sw + 1
-    if scratch is None:
-        # Hand-rolled zero pad: np.pad's generality costs more python
-        # than the rest of this function at interactive batch shapes.
-        scratch = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=images.dtype)
-    scratch[:n, :c, ph : ph + h, pw : pw + w] = images
-    view = channel_major_view(scratch, c, n, kernel_size, stride, (out_h, out_w))
-    view.flags.writeable = False
-    return view
-
-
 def channel_major_view(
     padded: np.ndarray,
     channels: int,
@@ -268,7 +225,14 @@ def channel_major_view(
     ``padded`` is a C-contiguous ``(N', C', H, W)`` map, already padded,
     with ``N' >= samples`` and ``C' >= channels``; the view reads its
     first ``samples`` samples and ``channels`` channels and aliases it,
-    so it shows every later write (see :func:`im2col_channel_major`).
+    so it shows every later write.  With channels on the leading axis the
+    compiled inference plan (:mod:`repro.core.plan`) copies newly
+    activated channels' patches into its persistent column buffer as
+    contiguous row blocks, and feeds the buffer to BLAS as
+    ``(C*kh*kw, N*out_h*out_w)`` with no per-step transposition.  The view
+    is built with the ``np.ndarray`` buffer constructor, several times
+    cheaper per call than ``as_strided`` at the plan's small shapes; the
+    constructor needs the contiguous buffer.
     """
     (kh, kw), (sh, sw) = kernel_size, stride
     s0, s1, s2, s3 = padded.strides

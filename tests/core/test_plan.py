@@ -15,7 +15,7 @@ through several subnet levels and checks the logits three ways:
 import numpy as np
 import pytest
 
-from oracles import masked_ladder, masked_walk
+from oracles import masked_ladder, masked_walk, patch_columns
 from repro.baselines.common import set_prefix_assignments
 from repro.core import IncrementalInference, NetworkPlan, SteppingNetwork
 from repro.core import plan as plan_module
@@ -712,7 +712,11 @@ class TestScratchReuseOracle:
                 want = walk(NetworkPlan(network, dtype=dtype), inputs, ladder)
                 for g, w in zip(got, want):
                     assert g.tobytes() == w.tobytes(), (batch, walk)
-        assert all(step.scratch.shape[0] == 3 for step in _im2col_steps(shared))
+        for step in _im2col_steps(shared):  # the flat scratch holds 3 samples
+            (ph, pw), (height, width) = step.padding, step.in_spatial
+            row, guard = (width, pw) if step.rows else (width + 2 * pw, 0)
+            plane = step.in_channels * (height + 2 * ph) * row
+            assert step.scratch.shape == (3 * plane + 2 * guard,), step.param_index
         assert all(step.scratch is None for step in _conv_steps(shared) if step.dense)
 
 
@@ -947,3 +951,142 @@ class TestModelZooTolerance:
         np.testing.assert_allclose(compiled.run(inputs, subnet=0).logits, want[0], **tol)
         for level in ladder[1:]:
             np.testing.assert_allclose(compiled.step_to(level).logits, want[level], **tol)
+
+
+def _odd_convs_spec():
+    """Convs off the zoo's 3x3 "same" path: a 5x5 "same" conv (two wrap
+    distances), a 1x1 conv (none) and a stride-2 conv (padded scratch)."""
+    from repro.models.spec import ArchitectureSpec, ConvSpec, FlattenSpec, LinearSpec
+
+    return ArchitectureSpec(
+        "odd-convs",
+        (3, 10, 6),
+        4,
+        (
+            ConvSpec(8, kernel_size=5, padding=2),
+            ConvSpec(6, kernel_size=1, padding=0),
+            ConvSpec(8, kernel_size=3, stride=2, padding=1),
+            FlattenSpec(),
+            LinearSpec(4, activation="none", is_output=True),
+        ),
+    )
+
+
+def _narrow_spec():
+    """A 5x5 "same" conv over a map one pixel wide: every pixel of the
+    outer taps lies in the padding, so a wrap view spans whole rows."""
+    from repro.models.spec import ArchitectureSpec, ConvSpec, FlattenSpec, LinearSpec
+
+    return ArchitectureSpec(
+        "narrow",
+        (3, 30, 1),
+        4,
+        (
+            ConvSpec(6, kernel_size=5, padding=2),
+            FlattenSpec(),
+            LinearSpec(4, activation="none", is_output=True),
+        ),
+    )
+
+
+def _conv_inputs(plan):
+    """Each im2col conv step, with a reader of its input map from one
+    member's ``(inputs, cache, aux)``."""
+    read, pairs = (lambda x, cache, aux: x), []
+    for step in plan.steps:
+        if isinstance(step, plan_module._HiddenStep):
+            if step.kind == "conv" and not step.dense:
+                pairs.append((step, read))
+            read = lambda x, cache, aux, key=step.param_index: cache[key]  # noqa: E731
+        elif isinstance(step, plan_module._PoolStep):
+            read = lambda x, cache, aux, key=("pool", step.index): aux[key]  # noqa: E731
+    return pairs
+
+
+class TestColumnBufferOracle:
+    """After every step each im2col conv's column buffer holds, at the rows
+    of the input channels active at the member's level, the bytes of
+    ``oracles.patch_columns`` over the conv's current input map.
+
+    Checked after warm steps, cold rebuilds and 3-member ``execute_batch``
+    steps (one member cold), over a full and a jump ladder, at 1 and 3
+    samples.  The oracle pads with ``np.pad`` and gathers with the training
+    path's im2col, so it checks both scratch geometries: a wrap entry left
+    unzeroed holds a neighbouring row's pixel, and a misplaced run shifts
+    a whole patch.
+    """
+
+    MODELS = {
+        **TestModelZooTolerance.MODELS,
+        "odd_convs": _odd_convs_spec,
+        "narrow": _narrow_spec,
+    }
+
+    @pytest.mark.parametrize("model_name", sorted(MODELS))
+    @pytest.mark.parametrize("assignment", ["prefix", "shuffled"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_columns_match_im2col(self, model_name, assignment, dtype):
+        spec = self.MODELS[model_name]()
+        network = _assigned_network(spec, assignment)
+        plan = NetworkPlan(network, dtype=dtype)
+        pairs = _conv_inputs(plan)
+        assert pairs
+        in_levels = {
+            step.param_index: np.asarray(network.input_unit_subnet(step.param_index))
+            for step, _ in pairs
+        }
+
+        def check(x, cache, aux, level):
+            for step, read in pairs:
+                kh, kw = step.kernel
+                cols = aux[("cols", step.param_index)]
+                rows = cols[1:].reshape(step.in_channels, kh * kw, -1)
+                want = patch_columns(read(x, cache, aux), step.kernel, step.stride, step.padding)
+                active = np.flatnonzero(in_levels[step.param_index] <= level)
+                got, want = rows[active], want.reshape(rows.shape)[active]
+                assert got.tobytes() == want.tobytes(), (step.param_index, level)
+
+        rng = np.random.default_rng(15)
+        for samples in (1, 3):
+            shape = (samples,) + tuple(spec.input_shape)
+            inputs = [rng.standard_normal(shape).astype(dtype) for _ in range(3)]
+            for ladder in ([0, 1, 2, 3], [1, 3]):
+                for cold in (False, True):
+                    cache, aux, logits, level = {}, {}, None, -1
+                    for target in ladder:
+                        if cold:
+                            aux.clear()
+                        logits = plan.execute(inputs[0], cache, aux, logits, level, target)
+                        level = target
+                        check(inputs[0], cache, aux, level)
+                members = [BatchMember(inputs=x, cache={}, aux={}) for x in inputs]
+                level = -1
+                for position, target in enumerate(ladder):
+                    if position == 1:
+                        members[1].aux.clear()  # one cold member in a batched step
+                    for member, logits in zip(members, plan.execute_batch(members, level, target)):
+                        member.logits = logits
+                        check(member.inputs, member.cache, member.aux, target)
+                    level = target
+
+    def test_same_stride1_convs_pack_whole_rows(self):
+        """Stride-1 convs whose output row is as wide as their input row
+        take the rows geometry, with one wrap view per padding column:
+        VGG-16 conv 1-10 (its 2x2 convs are dense), the tiny CNN and
+        LeNet-3C1L; LeNet-5's 5x5 "valid" convs and stride-2 convs keep the
+        padded scratch."""
+        expected = {
+            "vgg16": ([True] * 10, [1] * 10),
+            "tiny_cnn": ([True, True], [1, 1]),
+            "lenet_3c1l": ([True] * 3, [1] * 3),
+            "lenet5": ([False, False], [0, 0]),
+            "odd_convs": ([True, True, False], [2, 0, 0]),
+            "narrow": ([True], [2]),
+        }
+        for name, (rows, wraps) in expected.items():
+            spec = self.MODELS[name]()
+            plan = NetworkPlan(_assigned_network(spec, "prefix"), dtype=np.float32)
+            plan.execute(np.zeros((1,) + tuple(spec.input_shape), np.float32), {}, {}, None, -1, 3)
+            steps = _im2col_steps(plan)
+            assert [step.rows for step in steps] == rows, name
+            assert [len(step.views[1][2]) for step in steps] == wraps, name

@@ -143,21 +143,22 @@ class TestInferenceFastPath:
             F.avg_pool2d_infer(x, 2), F.avg_pool2d(Tensor(x), 2).data, atol=1e-12
         )
 
-    def test_im2col_channel_major_is_a_transposed_im2col(self):
+    def test_channel_major_view_is_a_transposed_im2col(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 3, 6, 6))
         cols, (out_h, out_w) = F.im2col(x, (3, 3), (1, 1), (1, 1))
-        major = F.im2col_channel_major(x, (3, 3), (1, 1), (1, 1))
+        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        major = F.channel_major_view(padded, 3, 2, (3, 3), (1, 1), (out_h, out_w))
         assert major.shape == (3, 3, 3, 2, out_h, out_w)
         # (N, oh, ow, C*kh*kw) -> (C, kh, kw, N, oh, ow)
         want = cols.reshape(2, out_h, out_w, 3, 3, 3).transpose(3, 4, 5, 0, 1, 2)
-        np.testing.assert_array_equal(np.asarray(major), want)
+        np.testing.assert_array_equal(major, want)
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("layout", ["contiguous", "channel_slice"])
-    @pytest.mark.parametrize("scratch", [False, True])
-    def test_im2col_channel_major_matches_sliding_window_view(self, stride, padding, layout, scratch):
+    @pytest.mark.parametrize("oversized", [False, True])
+    def test_channel_major_view_matches_sliding_window_view(self, stride, padding, layout, oversized):
         rng = np.random.default_rng(3)
         if layout == "contiguous":
             x = rng.standard_normal((2, 3, 7, 7))
@@ -166,27 +167,25 @@ class TestInferenceFastPath:
             # shape the compiled plan packs when a step activates a range.
             x = rng.standard_normal((3, 5, 7, 7))[:, 1:4]
             assert not x.flags.c_contiguous
-        buffer = None
-        if scratch:
-            # Larger than needed, zero border, stale values everywhere
-            # else: only the corner the call writes may be read.
-            side = 7 + 2 * padding
-            buffer = np.zeros((x.shape[0] + 2, x.shape[1] + 3, side, side))
-            buffer[:, :, padding : padding + 7, padding : padding + 7] = 9.0
-        major = F.im2col_channel_major(
-            x, (3, 3), (stride, stride), (padding, padding), scratch=buffer
-        )
-        if scratch:
-            assert np.shares_memory(major, buffer)
-        padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        samples, channels, side = x.shape[0], x.shape[1], 7 + 2 * padding
+        if oversized:
+            # More samples and channels than the view reads, a zero border
+            # around the map and stale values everywhere else: only the
+            # corner holding ``x`` may be read.
+            padded = np.full((samples + 2, channels + 3, side, side), 9.0)
+            padded[:samples, :channels] = 0.0
+        else:
+            padded = np.zeros((samples, channels, side, side))
+        padded[:samples, :channels, padding : padding + 7, padding : padding + 7] = x
+        out = (7 + 2 * padding - 3) // stride + 1
+        major = F.channel_major_view(padded, channels, samples, (3, 3), (stride, stride), (out, out))
+        assert np.shares_memory(major, padded)
+        reference = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
         # (N, C, oh', ow', kh, kw) at stride 1, subsampled to the stride.
-        windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(2, 3))
+        windows = np.lib.stride_tricks.sliding_window_view(reference, (3, 3), axis=(2, 3))
         want = windows[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
         assert major.shape == want.shape
         np.testing.assert_array_equal(major, want)
-        assert not major.flags.writeable
-        with pytest.raises(ValueError):
-            major[0, 0, 0, 0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("name", ["relu", "tanh", "sigmoid", "none"])
     def test_activation_infer_in_place_is_bit_identical(self, name):

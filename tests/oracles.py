@@ -13,8 +13,13 @@ activation map, zeros at not-yet-computed units) and leaves ``aux``
 untouched, so a state moves between the two mid-flight: the plan sees
 ``aux``'s stale ``"level"`` tag and rebuilds its buffers from the cache.
 
-Import it as ``from oracles import masked_ladder, masked_walk``; the
-test root is on ``sys.path`` through its ``conftest.py``.
+:func:`patch_columns` is the oracle of a plan's column buffers: the
+channel-major im2col rows of a conv's input map, built from the training
+path's :func:`~repro.nn.functional.im2col`.
+
+Import them as ``from oracles import masked_ladder, masked_walk,
+patch_columns``; the test root is on ``sys.path`` through its
+``conftest.py``.
 """
 
 from __future__ import annotations
@@ -73,6 +78,18 @@ def masked_ladder(
     """Per-level logits of one fresh state walked through ``levels`` in order."""
     state = InferenceState.fresh(np.asarray(inputs, dtype=dtype))
     return [masked_walk(network, state, level, apply_prune) for level in levels]
+
+
+def patch_columns(images: np.ndarray, kernel, stride, padding) -> np.ndarray:
+    """The ``(C*kh*kw, N*oh*ow)`` channel-major im2col columns of ``images``.
+
+    :func:`~repro.nn.functional.im2col`'s ``(N, oh, ow, C*kh*kw)``
+    patches, transposed: no code shared with the plan's pack.  A plan
+    column buffer holds these rows, for the channels it has packed,
+    below its ones row.
+    """
+    cols, _ = F.im2col(np.asarray(images), tuple(kernel), tuple(stride), tuple(padding))
+    return np.ascontiguousarray(cols.reshape(-1, cols.shape[-1]).T)
 
 
 def _batch_norm_eval(z: np.ndarray, norm, channels: np.ndarray) -> np.ndarray:
