@@ -159,6 +159,8 @@ INVARIANTS = {
         ("chrome_trace.num_flows", "ge", 1),
         ("staleness.num_samples", "ge", 1),
         ("num_events", "ge", 1),
+        # The outside-in plan spans saw the node's steps.
+        ("plan_spans.execute.calls", "ge", 1),
     ],
     "BENCH_sweep.json": [
         ("smoke.num_cells", "eq", 4),

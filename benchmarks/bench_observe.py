@@ -17,10 +17,14 @@ crashes, transients, partitions, degrading admission):
   is the staleness curve — the data source the ROADMAP's
   placement-quality-vs-signal-staleness study starts from.
 
+The program reads no wall clock of its own, so the plan's wall-clock
+section (``plan_spans``) is timed from outside, by perfbench's span
+recorder over ``NetworkPlan.execute``/``execute_batch``.
+
 Regenerated artefacts: ``results/trace.jsonl`` (the raw event stream),
 ``results/trace_chrome.json`` (load it in ``chrome://tracing`` or
 Perfetto) and ``results/BENCH_observe.json`` (overhead + staleness
-summary + per-level plan timing)::
+summary + plan spans)::
 
     PYTHONPATH=src python benchmarks/bench_observe.py --smoke
 """
@@ -29,8 +33,12 @@ import argparse
 import collections
 import dataclasses
 import json
+import sys
 import time
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.spans import SpanRecorder, plan_work_counters  # noqa: E402  (the repository root's spans)
 
 RESULTS_DIR = Path(__file__).parent / "results"
 DEFAULT_CLUSTER = Path(__file__).parent / "configs" / "cluster_faults.json"
@@ -77,26 +85,43 @@ def run_fleet(spec, observe=None):
     return report, time.perf_counter() - start
 
 
-def plan_level_timing(spec, max_requests: int = 32) -> dict:
-    """Wall-clock per-level plan timing on one node of the fleet.
+def plan_spans(spec, max_requests: int = 32) -> dict:
+    """Wall-clock plan spans on one node of the fleet, timed from outside.
 
-    Exercises ``ObservabilitySpec(time_plan_levels=True)``: the compiled
-    plan reports each level's execute time into the recorder's
-    :class:`~repro.utils.Timer` — the only non-deterministic signal in a
-    trace, so it lives in the benchmark payload, never in the report.
+    perfbench's :class:`~perfbench.spans.SpanRecorder` wraps the plan's
+    two entry points while the node serves; a lone ``execute_batch``
+    member runs inside an ``execute`` span.  Calls and dense MACs are
+    exact; the seconds are wall-clock and live in the benchmark payload
+    only, never in a report or trace.
     """
-    from repro.serving import ObservabilitySpec
+    from repro.core import NetworkPlan
 
     network = spec.build_network()
     input_shape = network.spec.input_shape
     requests = spec.build_requests(input_shape=input_shape)[:max_requests]
     engine = spec.nodes[0].build_engine(network)
-    recorder = ObservabilitySpec(enabled=True, time_plan_levels=True).build()
+    names = ("execute", "execute_batch")
+    recorder = SpanRecorder(
+        [(NetworkPlan, name, f"plan.{name}") for name in names], plan_work_counters()
+    )
+    recorder.install()
     try:
-        engine.serve(requests, recorder=recorder)
+        engine.serve(requests)
     finally:
-        recorder.close()
-    return recorder.plan_timer.summary()
+        recorder.uninstall()
+    spans = {}
+    for name in names:
+        calls, inclusive, own = recorder.stats[f"plan.{name}"]
+        spans[name] = {
+            "calls": calls,
+            "inclusive_seconds": inclusive,
+            "self_seconds": own,
+            "us_per_call": 1e6 * inclusive / calls if calls else 0.0,
+        }
+    plan_self = sum(span["self_seconds"] for span in spans.values())
+    spans["dense_macs"] = int(recorder.work)
+    spans["gmacs_per_s"] = recorder.work / plan_self / 1e9 if plan_self > 0 else 0.0
+    return spans
 
 
 def main() -> None:
@@ -156,7 +181,7 @@ def main() -> None:
     # Routing-signal staleness: fluid estimate vs published depth.
     staleness = staleness_curve(events)
 
-    timing = plan_level_timing(spec)
+    spans = plan_spans(spec)
 
     payload = {
         "cluster": str(args.cluster.name),
@@ -171,7 +196,7 @@ def main() -> None:
             "reports_bit_identical": identical,
         },
         "staleness": staleness,
-        "plan_level_timing": timing,
+        "plan_spans": spans,
     }
     out = args.out_dir / "BENCH_observe.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -197,7 +222,7 @@ def main() -> None:
         assert stats["num_flows"] > 0, "no request flows in the Chrome trace"
         assert staleness["num_samples"] > 0, "no publish samples for the staleness curve"
         assert type_counts["crash"] >= 1, "chaos fleet should crash at least one node"
-        assert any("level" in name for name in timing), "plan timer recorded no levels"
+        assert spans["execute"]["calls"] > 0, "plan spans recorded no execute calls"
 
 
 # ----------------------------------------------------------------------

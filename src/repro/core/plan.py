@@ -189,7 +189,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from weakref import WeakKeyDictionary, ref
 
@@ -600,12 +599,6 @@ class NetworkPlan:
             network.subnet_macs(level, apply_prune=self.apply_prune)
             for level in range(self.num_subnets)
         )
-        #: Optional :class:`~repro.utils.timing.Timer` recording
-        #: wall-clock per-level execute durations — the observability
-        #: layer's plan hook.  ``None`` (default) keeps execution free of
-        #: timing calls; attach via the serving backend so the shared
-        #: plan semantics are documented in one place.
-        self.timer = None
         #: Compiled edge programs, built on first use: ``(from, to, warm)``.
         self._programs: Dict[Tuple[int, int, bool], _Program] = {}
         self._compile(network)
@@ -834,12 +827,7 @@ class NetworkPlan:
         ``aux`` was last advanced to ``from_subnet`` by a complete pass,
         else the cold one, which rebuilds ``aux`` from the cache.
         """
-        timer = self.timer
-        t0 = perf_counter() if timer is not None else 0.0
-        out = self._run(inputs, cache, aux, logits, from_subnet, to_subnet)
-        if timer is not None:
-            timer.record(f"level{to_subnet}", perf_counter() - t0)
-        return out
+        return self._run(inputs, cache, aux, logits, from_subnet, to_subnet)
 
     def execute_batch(
         self,
@@ -855,11 +843,9 @@ class NetworkPlan:
         the returned logits are :meth:`execute`'s by construction and a
         member may differ from the others in sample count or in whether
         its buffers are warm.  A lone member enters through
-        :meth:`execute` and is timed as ``level{to}``; a larger group
-        runs the same program per member without calling
-        :meth:`execute`, so a wrapper counting work on both entry points
-        counts each member once, and is timed once as
-        ``batch_level{to}``.
+        :meth:`execute`; a larger group runs the same program per member
+        without calling :meth:`execute`, so a wrapper counting work on
+        both entry points counts each member once.
         """
         if not members:
             raise ValueError("execute_batch needs at least one member")
@@ -871,15 +857,10 @@ class NetworkPlan:
                     from_subnet, to_subnet,
                 )
             ]
-        timer = self.timer
-        t0 = perf_counter() if timer is not None else 0.0
-        outs = [
+        return [
             self._run(m.inputs, m.cache, m.aux, m.logits, from_subnet, to_subnet)
             for m in members
         ]
-        if timer is not None:
-            timer.record(f"batch_level{to_subnet}", perf_counter() - t0)
-        return outs
 
     def _run(
         self,
@@ -890,7 +871,7 @@ class NetworkPlan:
         from_subnet: int,
         to_subnet: int,
     ) -> np.ndarray:
-        """Run one member's step over its edge program (the untimed body of
+        """Run one member's step over its edge program (the body of
         :meth:`execute`, which :meth:`execute_batch` loops)."""
         warm = from_subnet >= 0 and aux.pop("level", None) == from_subnet
         if not warm:

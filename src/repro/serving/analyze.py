@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..utils.metrics import percentile
 from .codec import Spec, number, text
 from .engine import _json_safe
+from .faults import _merge_intervals as _merge
 from .observe import EventSource, coerce_events, events_by_request, events_by_type
 
 __all__ = [
@@ -71,19 +72,6 @@ Interval = Tuple[float, float]
 # ----------------------------------------------------------------------
 # Interval arithmetic
 # ----------------------------------------------------------------------
-def _merge(intervals: Sequence[Interval]) -> List[Interval]:
-    """Sorted union of half-open intervals, empty members dropped."""
-    spans = sorted((lo, hi) for lo, hi in intervals if hi > lo)
-    merged: List[Interval] = []
-    for lo, hi in spans:
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
 def _subtract(intervals: Sequence[Interval], others: Sequence[Interval]) -> List[Interval]:
     """Union of ``intervals`` minus the union of ``others``."""
     remaining = _merge(intervals)

@@ -327,21 +327,6 @@ class ExecutionBackend:
         return ExecutionSession(self, np.asarray(inputs), checked)
 
     # ------------------------------------------------------------------
-    # Observability: per-level wall-clock timing on the compiled plan.
-    def attach_plan_timer(self, timer) -> None:
-        """Point the compiled plan's per-level timer at ``timer``.
-
-        The plan is shared per ``(network, dtype, prune)`` platform, so
-        while attached *every* sharer's executes are timed into the one
-        recorder — which is exactly what a fleet-wide trace wants.  The
-        run that attached the timer detaches it when it finishes.
-        """
-        self.plan.timer = timer
-
-    def detach_plan_timer(self) -> None:
-        self.attach_plan_timer(None)
-
-    # ------------------------------------------------------------------
     def advance_group(self, sessions: Sequence[ExecutionSession]) -> List[StepOutcome]:
         """Advance every session by one level in one dispatch.
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..utils.errors import ConfigError
 from .backend import ServingJob
 
 
@@ -276,7 +277,7 @@ def get_batch_policy(
     try:
         factory = BATCH_POLICIES[name.lower()]
     except KeyError as exc:
-        raise KeyError(
+        raise ConfigError(
             f"unknown batch policy '{name}'; available: {sorted(BATCH_POLICIES)}"
         ) from exc
     kwargs = {}

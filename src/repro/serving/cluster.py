@@ -53,6 +53,7 @@ runs; :class:`ClusterReport` aggregates them into fleet metrics
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 import math
@@ -845,10 +846,8 @@ class Coordinator:
                 for run in self.runs:
                     run.run_until(time)
             getattr(self, f"_on_{kind}")(payload, time)
-        # Drain every node before building any report: a plan timer the
-        # nodes share detaches as soon as one run finishes.
-        for run in self.runs:
-            run.run_until(math.inf)
+        # With the event heap empty the runs no longer interact, so each
+        # ``finish`` drains its own run.
         cluster = self.cluster
         return ClusterReport(
             node_reports=[run.finish() for run in self.runs],
@@ -1267,6 +1266,9 @@ class ServingCluster:
         if self.faults is not None:
             # Fail fast on fault events naming nodes this fleet lacks.
             self.faults.injector(self.node_names)
+            # The fleet runs on its own shallow copies, so the caller's
+            # engines (and any other fleet built over them) stay as given.
+            self.engines = [copy.copy(engine) for engine in self.engines]
             for node_name, engine in zip(self.node_names, self.engines):
                 # Slowdown windows derate the node's trace statically, so
                 # the run's execution times and the fluid routing signals

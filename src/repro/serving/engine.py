@@ -52,7 +52,7 @@ from ..utils.logging import get_logger
 from ..utils.metrics import MetricsRegistry
 from .backend import ExecutionBackend, ServingJob, StepOutcome
 from .batching import BatchPolicy, NoBatching, get_batch_policy
-from .codec import coerce
+from .codec import check_field, coerce
 from .faults import FaultInjector, RetryPolicy
 from .memory import EvictionEvent, EvictionPolicy, MemoryBudget
 from .observe import ObservabilitySpec, TraceRecorder
@@ -609,10 +609,10 @@ class ServingEngine:
         retry_policy: Optional[RetryPolicy] = None,
         observe: Optional[ObservabilitySpec] = None,
     ) -> None:
-        if overhead_per_step < 0:
-            raise ValueError("overhead_per_step must be non-negative")
-        if max_service_time is not None and max_service_time <= 0:
-            raise ValueError("max_service_time must be positive when set")
+        from .spec import ServingSpec  # spec.py imports this module
+
+        check_field(ServingSpec, "overhead_per_step", overhead_per_step)
+        check_field(ServingSpec, "max_service_time", max_service_time)
         self.backend = backend
         self.trace = trace
         self._scheduler_spec = scheduler if scheduler is not None else FIFOScheduler
@@ -628,7 +628,7 @@ class ServingEngine:
         #: gets a fresh clone, like the scheduler.  Validates the policy
         #: name and bound eagerly.
         self.memory_budget = MemoryBudget(memory_budget_bytes, eviction_policy)
-        self.overhead_per_step = overhead_per_step
+        self.overhead_per_step = float(overhead_per_step)
         self.drop_expired = drop_expired
         self.enforce_deadline = enforce_deadline
         self.max_service_time = max_service_time
@@ -788,7 +788,6 @@ class ServingRun:
         #: a single attribute check — the zero-overhead-when-disabled
         #: contract.  All event timestamps are simulated seconds.
         self._obs = recorder
-        self._plan_timer(attach=True)
         #: Always-on deterministic metrics; the report's scalar counters
         #: are read off this registry at :meth:`finish`, which also fills
         #: the per-pass ones (dispatches, occupancy) from the pass log.
@@ -1033,7 +1032,6 @@ class ServingRun:
         report.eviction_events = list(self.memory.events)
         report.metrics = self.metrics.snapshot()
         self._report = report
-        self._plan_timer(attach=False)
         return report
 
     # ------------------------------------------------------------------
@@ -1129,14 +1127,6 @@ class ServingRun:
         """Pop the request ids of lazy timer ``heap`` entries due by the clock."""
         while heap and heap[0][0] <= self.now + _TIME_EPS:
             yield heapq.heappop(heap)[1]
-
-    def _plan_timer(self, attach: bool) -> None:
-        """Point the backend's plan timer at the recorder's, or detach it."""
-        if self._obs is not None and self._obs.plan_timer is not None:
-            if attach:
-                self.engine.backend.attach_plan_timer(self._obs.plan_timer)
-            else:
-                self.engine.backend.detach_plan_timer()
 
     def _release_delayed(self) -> None:
         """Re-queue delayed jobs whose retry backoff has elapsed."""
@@ -1320,17 +1310,16 @@ class ServingRun:
                 unstarted=len(work.unstarted),
                 interrupted=len(work.interrupted),
             )
-        self._plan_timer(attach=False)
         return work
 
     def recover(self, now: float) -> None:
         """Bring a crashed run back up, empty, at ``now``.
 
         The run is left as a fresh run opened at ``now`` would be — clock
-        at ``now``, wave count at zero, plan timer re-attached — while its
-        finalised records, counters and memory peak carry on, so the
-        node's one report spans every crash.  The crash released every
-        context, so the residency ledger is already empty.
+        at ``now``, wave count at zero — while its finalised records,
+        counters and memory peak carry on, so the node's one report spans
+        every crash.  The crash released every context, so the residency
+        ledger is already empty.
         """
         if self._report is not None:
             raise RuntimeError("run already finished")
@@ -1339,7 +1328,6 @@ class ServingRun:
         self._crashed = False
         self.now = now
         self._wave = 0
-        self._plan_timer(attach=True)
 
     def steal(
         self, count: int, now: float, include_started: bool = False

@@ -315,10 +315,10 @@ def derate_trace(
 # ---------------------------------------------------------------------------
 # Injector
 # ---------------------------------------------------------------------------
-def _merge_intervals(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    """Merge overlapping/touching half-open ``[start, end)`` intervals."""
+def _merge_intervals(intervals: Sequence[Tuple[float, float]]) -> List[Tuple[float, float]]:
+    """Sorted union of half-open ``[start, end)`` intervals, empty ones dropped."""
     merged: List[Tuple[float, float]] = []
-    for start, end in sorted(intervals):
+    for start, end in sorted((start, end) for start, end in intervals if end > start):
         if merged and start <= merged[-1][1]:
             merged[-1] = (merged[-1][0], max(merged[-1][1], end))
         else:

@@ -8,9 +8,10 @@ through the engine, cluster coordinator, memory budget and fault paths.
 Every hook is guarded by an ``is not None`` check on the recorder, so a
 disabled spec costs one attribute load per site and allocates nothing.
 
-Timestamps are *simulated* seconds (the engine's event clock), which
-makes traces deterministic: the same spec and seed produce the same
-event stream byte for byte.
+Timestamps are *simulated* seconds (the engine's event clock), and
+nothing here reads the wall clock, which makes traces deterministic:
+the same spec and seed produce the same event stream byte for byte.
+Wall-clock is measured from outside the program (``perfbench``).
 
 Three consumers are provided:
 
@@ -37,8 +38,6 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..utils.errors import ConfigError
-from ..utils.metrics import MetricsRegistry
-from ..utils.timing import Timer
 from .codec import Spec, flag, integer, text
 
 __all__ = [
@@ -139,11 +138,8 @@ class TraceRecorder:
 
     One recorder observes one serve — a single engine run or a whole
     cluster (all nodes share the recorder so the merged event stream has
-    one global sequence).  The recorder also carries a scratch
-    :class:`~repro.utils.metrics.MetricsRegistry` for ad-hoc consumers
-    (each run/cluster keeps its own, always-on registry for report
-    metrics) and, when per-level plan timing is requested, the
-    wall-clock :class:`Timer` the compiled plan reports into.
+    one global sequence).  It records simulated time only; wall-clock
+    belongs to outside-in harnesses such as ``perfbench``.
     """
 
     def __init__(
@@ -151,11 +147,8 @@ class TraceRecorder:
         sinks: Sequence[TraceSink] = (),
         *,
         events: Optional[Iterable[str]] = None,
-        plan_timer: Optional[Timer] = None,
     ) -> None:
         self.sinks: Tuple[TraceSink, ...] = tuple(sinks)
-        self.metrics = MetricsRegistry()
-        self.plan_timer = plan_timer
         self._seq = 0
         if events is None:
             self._allowed = None
@@ -226,10 +219,6 @@ class ObservabilitySpec(Spec):
         Output file for the ``jsonl`` sink.
     capacity:
         Optional bound for the memory ring buffer.
-    time_plan_levels:
-        Also attach a wall-clock :class:`Timer` to the compiled
-        ``NetworkPlan`` recording per-level execute time (the only
-        wall-clock — i.e. non-deterministic — signal in a trace).
     events:
         Optional whitelist restricting which event types are recorded.
     """
@@ -238,7 +227,6 @@ class ObservabilitySpec(Spec):
     sink: str = text("memory")
     path: Optional[str] = text(None)
     capacity: Optional[int] = integer(None, ge=1)
-    time_plan_levels: bool = flag(False)
     events: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
@@ -263,8 +251,7 @@ class ObservabilitySpec(Spec):
             sinks: Tuple[TraceSink, ...] = (JSONLSink(self.path),)
         else:
             sinks = (MemorySink(capacity=self.capacity),)
-        timer = Timer() if self.time_plan_levels else None
-        return TraceRecorder(sinks, events=self.events, plan_timer=timer)
+        return TraceRecorder(sinks, events=self.events)
 
 
 # ----------------------------------------------------------------------

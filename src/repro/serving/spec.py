@@ -52,7 +52,7 @@ from ..utils.errors import ConfigError
 from ..utils.rng import new_generator
 from .analyze import SLOSpec
 from .backend import ExecutionBackend, get_backend
-from .batching import BATCH_POLICIES, get_batch_policy
+from .batching import get_batch_policy
 from .cluster import ADMISSION_POLICIES, ROUTERS
 from .codec import Spec, coerce, flag, integer, nested, number, text
 from .faults import FaultSpec
@@ -234,11 +234,7 @@ class ServingSpec(Spec):
             floating = False
         if not floating:
             raise ConfigError(f"ServingSpec.dtype must name a floating dtype, got {self.dtype!r}")
-        if self.batch_policy.lower() not in BATCH_POLICIES:
-            raise ConfigError(
-                f"unknown batch policy '{self.batch_policy}'; "
-                f"available: {sorted(BATCH_POLICIES)}"
-            )
+        get_batch_policy(self.batch_policy)
         get_eviction_policy(self.eviction_policy)
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared utilities: RNG management, checkpoints, logging, timing, metrics."""
+"""Shared utilities: RNG management, checkpoints, logging, metrics."""
 
 from .io import load_checkpoint, load_json, save_checkpoint, save_json
 from .logging import MetricHistory, get_logger
@@ -13,7 +13,6 @@ from .metrics import (
     quantile_summary,
 )
 from .rng import derive_generator, get_seed, new_generator, set_seed
-from .timing import Timer
 
 __all__ = [
     "set_seed",
@@ -26,7 +25,6 @@ __all__ = [
     "load_json",
     "get_logger",
     "MetricHistory",
-    "Timer",
     "Counter",
     "Gauge",
     "Histogram",

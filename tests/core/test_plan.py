@@ -25,7 +25,6 @@ from repro.models import lenet5, lenet_3c1l, mlp, tiny_cnn, vgg16
 from repro.nn.tensor import no_grad
 from repro.serving.backend import RecomputeBackend, SteppingBackend
 from repro.utils.errors import ConfigError
-from repro.utils.timing import Timer
 
 TOLERANCES = {
     np.dtype(np.float64): dict(rtol=1e-9, atol=1e-10),
@@ -186,9 +185,8 @@ class TestPlanObject:
 
 class TestBatchEntryPoints:
     """The entry rules the span tracer's work counter relies on: a lone
-    member enters through the public ``execute`` and is timed as
-    ``level{t}``; a group never calls it (its MACs would count twice) and
-    is timed once, as ``batch_level{t}``."""
+    member enters through the public ``execute``; a group never calls it
+    (its MACs would count twice)."""
 
     @staticmethod
     def _counted_step(monkeypatch, size):
@@ -205,19 +203,14 @@ class TestBatchEntryPoints:
             return execute(self, *args, **kwargs)
 
         monkeypatch.setattr(NetworkPlan, "execute", counted)
-        plan.timer = Timer()
         plan.execute_batch(members, 0, 1)
-        return len(calls), plan.timer
+        return len(calls)
 
     def test_lone_member_enters_through_execute(self, monkeypatch):
-        calls, timer = self._counted_step(monkeypatch, 1)
-        assert calls == 1
-        assert timer.count("level1") == 1 and timer.count("batch_level1") == 0
+        assert self._counted_step(monkeypatch, 1) == 1
 
-    def test_group_bypasses_execute_and_is_timed_once(self, monkeypatch):
-        calls, timer = self._counted_step(monkeypatch, 3)
-        assert calls == 0
-        assert timer.count("batch_level1") == 1 and timer.count("level1") == 0
+    def test_group_bypasses_execute(self, monkeypatch):
+        assert self._counted_step(monkeypatch, 3) == 0
 
     def test_empty_group_rejected(self):
         network, _ = _conv_network()

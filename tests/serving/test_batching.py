@@ -33,6 +33,7 @@ from repro.serving import (
     periodic_stream,
     poisson_stream,
 )
+from repro.utils.errors import ConfigError
 
 
 @pytest.fixture
@@ -73,7 +74,7 @@ class TestBatchPolicyRegistry:
         assert policy.max_batch_size == 1
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError, match="batch policy"):
+        with pytest.raises(ConfigError, match="batch policy"):
             get_batch_policy("adaptive-magic")
 
     def test_invalid_knobs(self):

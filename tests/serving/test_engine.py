@@ -90,6 +90,18 @@ class TestServeBasics:
         with pytest.raises(ValueError):
             ServingEngine(SteppingBackend(stepping_network), fast_trace, overhead_per_step=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("option", ["overhead_per_step", "max_service_time"])
+    def test_timing_option_must_be_finite_and_in_range(
+        self, stepping_network, fast_trace, option, value
+    ):
+        with pytest.raises(ConfigError, match=option):
+            ServingEngine(SteppingBackend(stepping_network), fast_trace, **{option: value})
+
+    def test_unknown_batch_policy_is_a_config_error(self, stepping_network, fast_trace):
+        with pytest.raises(ConfigError, match="batch policy"):
+            ServingEngine(SteppingBackend(stepping_network), fast_trace, batch_policy="typo")
+
     def test_duplicate_request_ids_rejected(self, stepping_network, fast_trace):
         inputs = np.zeros((1, 3, 12, 12))
         duplicates = [

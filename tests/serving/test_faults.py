@@ -442,6 +442,29 @@ def _cluster(network, num_nodes=2, faults=None, admission="none", router="round-
     )
 
 
+def test_fleets_derate_their_own_engine_copies(stepping_network, sample_pool):
+    """A slowdown fault derates the fleet's copies, never the caller's
+    engines, so two fleets built over one engine list serve alike."""
+    images, _ = sample_pool
+    engines = [_engine(stepping_network) for _ in range(2)]
+    traces = [engine.trace for engine in engines]
+    policies = [engine.retry_policy for engine in engines]
+    faults = FaultSpec(
+        events=(SlowdownFault(node="n0", time=0.0, duration=10.0, factor=0.5),)
+    )
+    reports = [
+        ServingCluster(engines, names=["n0", "n1"], faults=faults).serve(
+            _requests(images, count=6)
+        )
+        for _ in range(2)
+    ]
+    assert json.dumps(reports[0].to_dict(), sort_keys=True) == json.dumps(
+        reports[1].to_dict(), sort_keys=True
+    )
+    assert [engine.trace for engine in engines] == traces
+    assert all(engine.retry_policy is policy for engine, policy in zip(engines, policies))
+
+
 def _crash_mid_burst(network, images, **fault_kwargs):
     """A 10-request burst on two nodes, node n1 crashing mid-way through
     its half of it; returns the fault-free baseline and the faulted report."""

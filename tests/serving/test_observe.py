@@ -57,7 +57,6 @@ class TestObservabilitySpec:
             enabled=True,
             sink="jsonl",
             path="/tmp/t.jsonl",
-            time_plan_levels=True,
             events=("step", "publish"),
         )
         recovered = ObservabilitySpec.from_dict(json.loads(json.dumps(spec.to_dict())))
@@ -370,43 +369,6 @@ class TestEngineTracing:
         assert {"arrive", "enqueue", "dispatch", "step", "finalize"} <= types
         finalized = [e for e in recorder.events if e["type"] == "finalize"]
         assert len(finalized) == len(requests)
-
-    def test_plan_timer_only_when_requested(
-        self, stepping_network, engine_spec, requests
-    ):
-        recorder = ObservabilitySpec(enabled=True, time_plan_levels=True).build()
-        engine = engine_spec.build_engine(stepping_network)
-        engine.serve(requests[:4], recorder=recorder)
-        recorder.close()
-        summary = recorder.plan_timer.summary()
-        assert summary and all(row["count"] > 0 for row in summary.values())
-        assert all(row["total"] >= 0.0 for row in summary.values())
-
-        plain = ObservabilitySpec(enabled=True).build()
-        assert plain.plan_timer is None
-
-    def test_plan_timer_covers_every_node_of_a_closed_loop_fleet(
-        self, stepping_network, engine_spec, requests
-    ):
-        """The nodes share one compiled plan, so the first run to finish
-        detaches the timer; every node must have executed by then."""
-        from repro.serving import ClusterSpec, ServingCluster
-
-        cluster = ServingCluster.from_spec(
-            ClusterSpec(nodes=(engine_spec, engine_spec)), stepping_network
-        )
-        recorder = ObservabilitySpec(enabled=True, time_plan_levels=True).build()
-        report = cluster.serve(requests, recorder=recorder)
-        recorder.close()
-        assert all(report.node_jobs)
-        entry_steps = sum(
-            1
-            for node_report in report.node_reports
-            for job in node_report.jobs
-            for step in job.steps
-            if step.subnet == 0
-        )
-        assert recorder.plan_timer.summary()["level0"]["count"] == entry_steps > 0
 
 
 # ----------------------------------------------------------------------

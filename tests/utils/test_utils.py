@@ -1,6 +1,4 @@
-"""Tests for RNG management, checkpoints, logging and timing utilities."""
-
-import time
+"""Tests for RNG management, checkpoints and logging utilities."""
 
 import numpy as np
 import pytest
@@ -8,7 +6,6 @@ import pytest
 from repro import nn
 from repro.utils import (
     MetricHistory,
-    Timer,
     derive_generator,
     get_logger,
     get_seed,
@@ -95,23 +92,3 @@ class TestLogging:
         records[0]["loss"] = 99.0
         assert history.latest("loss") == 1.0
 
-
-class TestTimer:
-    def test_measures_positive_duration(self):
-        timer = Timer()
-        with timer.measure("sleep"):
-            time.sleep(0.01)
-        assert timer.total("sleep") > 0.0
-        assert timer.count("sleep") == 1
-        assert timer.mean("sleep") == pytest.approx(timer.total("sleep"))
-
-    def test_summary_contains_all_names(self):
-        timer = Timer()
-        with timer.measure("a"):
-            pass
-        with timer.measure("b"):
-            pass
-        assert set(timer.summary()) == {"a", "b"}
-
-    def test_unknown_name_zero(self):
-        assert Timer().total("nothing") == 0.0
